@@ -1,12 +1,10 @@
 """LiDAR odometry and mapping with 2D Gaussian splats on spherical images."""
 
 from .errors import (
-    DegenerateRayError,
     EvaluationError,
     ExportError,
     GeometryError,
     IngestionError,
-    NoIntersectionError,
     RegistrationError,
     SplatScanError,
 )
@@ -40,15 +38,13 @@ from .pipeline import Pipeline, RunConfig, export_oriented_points
 from .rasterizer import RasterConfig, RenderOutput, rasterize_forward
 from .registration import RegistrationConfig, RegistrationResult, register
 from .se3 import SE3Pose
-from .splats import Splat, SplatModel
+from .splats import SplatModel
 
 __version__ = "0.1.0"
 
 __all__ = [
     "SplatScanError",
     "GeometryError",
-    "DegenerateRayError",
-    "NoIntersectionError",
     "IngestionError",
     "RegistrationError",
     "EvaluationError",
@@ -61,7 +57,6 @@ __all__ = [
     "range_image_normals",
     "estimate_camera",
     "SE3Pose",
-    "Splat",
     "SplatModel",
     "RasterConfig",
     "RenderOutput",

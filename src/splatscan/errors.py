@@ -9,14 +9,6 @@ class GeometryError(SplatScanError, ValueError):
     """Invalid geometric input (empty cloud, zero vector, bad camera)."""
 
 
-class DegenerateRayError(GeometryError):
-    """Pixel ray too close to a pole for a stable plane basis."""
-
-
-class NoIntersectionError(SplatScanError):
-    """Ray/splat pair has no usable intersection (parallel or degenerate)."""
-
-
 class IngestionError(SplatScanError, ValueError):
     """Scan, model, trajectory or config file could not be parsed."""
 

@@ -109,12 +109,6 @@ class SphericalCamera:
         return 0.5 * self.height * (1.0 + (self.el_max + self.el_min) / self.fov_v)
 
     @property
-    def K(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
-    @property
     def full_circle(self) -> bool:
         """True when the azimuth span plus one column pitch closes the circle."""
         pitch = self.fov_h / (self.width - 1)
@@ -161,9 +155,9 @@ class SphericalCamera:
     def grid_offset(self) -> np.ndarray:
         """Sub-pixel offset of stored samples from integer coordinates.
 
-        K maps the angular extremes near, not onto, the image corners; a
-        uniform sensor grid covering the bounds therefore lands at integer
-        coordinates plus a constant sub-pixel shift.  This is that shift,
+        The projection maps the angular extremes near, not onto, the image
+        corners; a uniform sensor grid covering the bounds therefore lands at
+        integer coordinates plus a constant sub-pixel shift.  This is that shift,
         wrapped to [-0.5, 0.5) so it is relative to the pixel each sample
         rounds into.  Rays and lookups that stand in for stored samples
         must include it.
@@ -183,16 +177,6 @@ class SphericalCamera:
         """(H, W, 3) unit ray direction of every pixel's sample location."""
         az, el = self.angles_of(self.sample_grid)
         return ray_direction(az, el)
-
-    def same_grid(self, other: "SphericalCamera") -> bool:
-        return (
-            self.width == other.width
-            and self.height == other.height
-            and abs(self.az_min - other.az_min) < 1e-12
-            and abs(self.az_max - other.az_max) < 1e-12
-            and abs(self.el_min - other.el_min) < 1e-12
-            and abs(self.el_max - other.el_max) < 1e-12
-        )
 
 
 def estimate_camera(points: np.ndarray, width: int, height: int) -> SphericalCamera:
@@ -330,7 +314,9 @@ def range_image_normals(cam: SphericalCamera, rimg: RangeImage) -> NormalImage:
     n = np.cross(dx, dy)
     norm = np.linalg.norm(n, axis=-1)
     ok &= norm > 1e-12
-    n = np.divide(n, np.maximum(norm, 1e-12)[..., None], where=ok[..., None])
+    n = np.divide(
+        n, np.maximum(norm, 1e-12)[..., None], out=np.zeros_like(n), where=ok[..., None]
+    )
     # orient toward the sensor: flip where the normal points along the ray
     flip = np.sum(n * dirs, axis=-1) > 0
     n[flip] = -n[flip]

@@ -71,7 +71,6 @@ class MappingConfig:
     """Weights, thresholds and optimizer settings for map refinement."""
 
     n_spawn: int = 20000          # cap on splats spawned per keyframe event
-    refine_iters: int = 10        # optimizer iterations per keyframe event
     w_opacity: float = 0.05
     w_normal: float = 0.1
     w_scale: float = 1.0
@@ -96,7 +95,6 @@ class MappingConfig:
 @dataclass
 class Keyframe:
     index: int
-    cloud: np.ndarray
     pose: SE3Pose
     camera: SphericalCamera
     range_image: RangeImage
@@ -111,7 +109,7 @@ def make_keyframe(
     rimg = build_range_image(cam, cloud)
     # noise in raw ranges becomes orientation noise; smooth for normals only
     nimg = range_image_normals(cam, smooth_range_image(rimg, cam.full_circle))
-    return Keyframe(index, np.asarray(cloud, dtype=float), pose.copy(), cam, rimg, nimg)
+    return Keyframe(index, pose.copy(), cam, rimg, nimg)
 
 
 # --- losses -----------------------------------------------------------------
@@ -497,13 +495,3 @@ def refine(
         losses.append(ml.total)
     return losses
 
-
-def map_loss_at(
-    lmap: LocalMap,
-    kf: Keyframe,
-    cfg: MappingConfig,
-    raster: RasterConfig | None = None,
-) -> float:
-    """Objective value of the current model at one keyframe (no gradients)."""
-    render, _ = rasterize_forward(kf.camera, kf.pose, lmap.model, raster)
-    return mapping_loss(render, lmap.model, kf, cfg).total

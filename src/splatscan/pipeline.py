@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ExportError, RegistrationError
+from .errors import ExportError, GeometryError, RegistrationError
 from .evaluation import Trajectory
 from .geometry import estimate_camera
 from .io import save_trajectory, write_ply, write_report
@@ -30,7 +30,6 @@ from .mapping import (
 from .rasterizer import RasterConfig, rasterize_forward
 from .registration import RegistrationConfig, register
 from .se3 import SE3Pose
-from .splats import SplatModel
 
 __all__ = [
     "RunConfig",
@@ -49,7 +48,6 @@ class RunConfig:
     scan_fraction: float = 0.5    # share of each scan's points actually used
     keyframe_every: int = 1
     refine_iters: int = 10
-    initial_refine_iters: int | None = None    # refine budget for a fresh map (None: refine_iters)
     n_export_per_kf: int = 2000
     export_max_range_err: float | None = None
     seed: int = 0
@@ -142,7 +140,6 @@ class Pipeline:
         self.lmap: LocalMap | None = None
         self.archive: list[ArchiveEntry] = []
         self.scan_rows: list[dict] = []
-        self.exports: list[tuple[np.ndarray, np.ndarray]] = []
         self.first_scan_of_map = 0
         self.n_exported = 0
 
@@ -176,8 +173,6 @@ class Pipeline:
             out.mkdir(parents=True, exist_ok=True)
             path = str(out / f"map_{len(self.archive):03d}.ply")
             write_ply(path, pts, nrm)
-        else:
-            self.exports.append((pts, nrm))
         entry = ArchiveEntry(
             path,
             n_splats,
@@ -195,7 +190,10 @@ class Pipeline:
                      pose: SE3Pose | None = None) -> dict:
         """Ingest one sensor-frame scan; returns the per-scan report row.
 
-        Pass ``pose`` to bypass registration (mapping with known poses).
+        Pass ``pose`` to bypass registration (mapping with known poses).  A
+        scan that fails registration or yields no keyframe (empty, all at
+        the origin, zero angular extent) still gets its row, flagged
+        ``fallback`` with a ``fallback_reason``; it adds nothing to the map.
         """
         index = len(self.poses)
         cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
@@ -221,7 +219,7 @@ class Pipeline:
                 new_pose = result.pose
                 row["reg_iters"] = result.iterations
                 row["converged"] = bool(result.converged)
-            except RegistrationError as e:
+            except (GeometryError, RegistrationError) as e:
                 new_pose = guess
                 row["fallback"] = True
                 row["fallback_reason"] = str(e)
@@ -235,29 +233,31 @@ class Pipeline:
         self.poses.append(new_pose.copy())
 
         t1 = time.perf_counter()
+        kf = None
         if index % self.cfg.keyframe_every == 0:
-            kf = make_keyframe(
-                index, sub, new_pose, self.cfg.image_width, self.cfg.image_height
-            )
-            iters = self.cfg.refine_iters
-            fresh = self.cfg.initial_refine_iters
-            if fresh is None:
-                fresh = self.cfg.refine_iters
+            try:
+                kf = make_keyframe(
+                    index, sub, new_pose, self.cfg.image_width, self.cfg.image_height
+                )
+            except GeometryError as e:
+                # no usable keyframe in this scan: keep the pose, skip mapping
+                row["fallback"] = True
+                row.setdefault("fallback_reason", str(e))
+        if kf is not None:
             if self.lmap is None:
                 self.lmap = LocalMap.start(kf, self.cfg.mapping, self.rng)
                 self.first_scan_of_map = index
-                iters = fresh
             elif should_reset_local_map(self.lmap, kf, self.cfg.mapping, self.cfg.raster):
                 self._archive_active()
                 self.lmap = LocalMap.start(kf, self.cfg.mapping, self.rng)
                 self.first_scan_of_map = index
-                iters = fresh
             else:
                 add_keyframe(self.lmap, kf, self.cfg.mapping, self.rng, self.cfg.raster)
-            refine(self.lmap, self.cfg.mapping, iters, self.rng, self.cfg.raster)
+            refine(self.lmap, self.cfg.mapping, self.cfg.refine_iters, self.rng, self.cfg.raster)
         row["mapping_ms"] = 1000.0 * (time.perf_counter() - t1)
-        row["n_splats"] = len(self.lmap.model)
-        row["model_bytes"] = int(self.lmap.model.memory_bytes())
+        has_map = self.lmap is not None
+        row["n_splats"] = len(self.lmap.model) if has_map else 0
+        row["model_bytes"] = int(self.lmap.model.memory_bytes()) if has_map else 0
         self.scan_rows.append(row)
         return row
 

@@ -21,15 +21,21 @@ ray and are discarded.  Hits with ``alpha < 1/255`` are skipped, alpha is
 clamped to 0.99, and blending along a pixel stops once transmittance
 drops below 1e-4.
 
-Tiling: splats are binned to 16 x 16 pixel tiles using a conservative
-angular bound: every point of the splat with non-negligible density lies
-inside a ball of radius ``3.33 * max(scale)`` around the centroid (3.33
-sigma is where a fully opaque splat falls to alpha = 1/255), and the
-image footprint of that ball is a closed-form box in azimuth/elevation.
-Tiles are matched against that box by circular interval overlap in
-azimuth, which handles the seam of full-circle cameras for free.
+Tiling: splats are binned to square pixel tiles (``RasterConfig.tile_size``,
+8 x 8 by default) using a conservative angular bound: every point of the
+splat with non-negligible density lies inside a ball of radius
+``3.33 * max(scale)`` around the centroid (3.33 sigma is where a fully
+opaque splat falls to alpha = 1/255), and the image footprint of that
+ball is a closed-form box in azimuth/elevation.  Tiles are matched
+against that box by circular interval overlap in azimuth, which handles
+the seam of full-circle cameras for free.
 
-The backward pass replays each tile's blend with the stored splat order
+One loop, :func:`_blend_tiles`, walks the pixels of each tile through its
+splats front to back, ``chunk_size`` splats at a time, and stops once
+the tile is opaque.  All three passes share it and keep only their own
+accumulation: the forward pass sums the blended channels, the reference
+renderer feeds it full-width pixel bands with every splat in range order,
+and the backward pass replays each tile's blend from the stored binning
 and accumulates analytic gradients of any scalar loss on the rendered
 range/normal/opacity images w.r.t. splat centroids, tangent frames,
 scales and opacities.
@@ -38,14 +44,14 @@ scales and opacities.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRayError, GeometryError, NoIntersectionError
+from .errors import GeometryError
 from .geometry import SphericalCamera
 from .se3 import SE3Pose
-from .splats import SplatModel, SplatTransform
+from .splats import SplatModel
 
 __all__ = [
     "RasterConfig",
@@ -53,10 +59,6 @@ __all__ = [
     "BlendRecords",
     "PixelGradients",
     "SplatGradients",
-    "PixelRayPlanes",
-    "pixel_ray_planes",
-    "ray_splat_intersect",
-    "splat_bbox_tiles",
     "rasterize_forward",
     "rasterize_backward",
     "reference_rasterize",
@@ -125,15 +127,6 @@ class SplatGradients:
 
 
 @dataclass
-class PixelRayPlanes:
-    """Unit ray of a pixel and its two origin planes as homogeneous 4-vectors."""
-
-    direction: np.ndarray
-    h_x: np.ndarray
-    h_y: np.ndarray
-
-
-@dataclass
 class BlendRecords:
     """Binning and identity snapshot that lets the backward pass replay a render."""
 
@@ -145,7 +138,6 @@ class BlendRecords:
     tile_ptr: np.ndarray
     pair_splats: np.ndarray
     tiles_x: int
-    tiles_y: int
 
 
 # --- pixel planes -----------------------------------------------------------
@@ -173,48 +165,6 @@ def _plane_images(cam: SphericalCamera):
     out = (dirs, hx, hy, ok)
     _plane_cache[cam] = out
     return out
-
-
-def pixel_ray_planes(cam: SphericalCamera, col: int, row: int) -> PixelRayPlanes:
-    """Ray and plane pair of one pixel; raises near the poles."""
-    if not (0 <= col < cam.width and 0 <= row < cam.height):
-        raise GeometryError("pixel outside the image")
-    dirs, hx, hy, ok = _plane_images(cam)
-    if not ok[row, col]:
-        raise DegenerateRayError("pixel ray too close to a pole")
-    return PixelRayPlanes(
-        dirs[row, col].copy(),
-        np.append(hx[row, col], 0.0),
-        np.append(hy[row, col], 0.0),
-    )
-
-
-def ray_splat_intersect(
-    planes: PixelRayPlanes,
-    tf: SplatTransform,
-    pose: SE3Pose,
-    denom_eps: float = 1e-12,
-) -> tuple[float, float, np.ndarray]:
-    """Intersect one pixel ray with one splat.
-
-    Returns splat coordinates (a, b) and the camera-frame hit point.
-    Raises :class:`NoIntersectionError` for degenerate geometry or hits
-    behind the pixel direction.
-    """
-    Tcw = pose.inverse().matrix()
-    M = (Tcw @ tf.H)[:3]  # columns: B_a, B_b, 0, B_c
-    hx3 = planes.h_x[:3]
-    hy3 = planes.h_y[:3]
-    la = np.array([M[:, 0] @ hx3, M[:, 1] @ hx3, M[:, 3] @ hx3])
-    lb = np.array([M[:, 0] @ hy3, M[:, 1] @ hy3, M[:, 3] @ hy3])
-    p = np.cross(la, lb)
-    if abs(p[2]) < denom_eps:
-        raise NoIntersectionError("ray and splat plane are near parallel")
-    a, b = p[0] / p[2], p[1] / p[2]
-    point = a * M[:, 0] + b * M[:, 1] + M[:, 3]
-    if point @ planes.direction <= 0:
-        raise NoIntersectionError("intersection lies behind the pixel ray")
-    return float(a), float(b), point
 
 
 # --- splat preparation and tile binning ------------------------------------
@@ -310,7 +260,7 @@ def _ragged_arange(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For counts [2,3] returns (owner [0,0,1,1,1], within [0,1,0,1,2])."""
     total = int(counts.sum())
     owner = np.repeat(np.arange(counts.shape[0]), counts)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    starts = np.cumsum(counts) - counts
     within = np.arange(total) - np.repeat(starts, counts)
     return owner, within
 
@@ -336,25 +286,7 @@ def _bin_splats(cam: SphericalCamera, arrays: dict, cfg: RasterConfig):
     tile_ptr = np.concatenate(
         [[0], np.cumsum(np.bincount(tile_id, minlength=tiles_x * tiles_y))]
     )
-    return tile_ptr.astype(np.int64), pair_splats.astype(np.int64), tiles_x, tiles_y
-
-
-def splat_bbox_tiles(
-    cam: SphericalCamera,
-    splat,
-    pose: SE3Pose,
-    cfg: RasterConfig | None = None,
-) -> list[tuple[int, int]]:
-    """Tiles a single splat may touch, as sorted (tile_row, tile_col) pairs."""
-    cfg = cfg or RasterConfig()
-    model = SplatModel.from_splats([splat])
-    arrays = _splat_camera_arrays(model, pose)
-    tile_ptr, pair_splats, tiles_x, _ = _bin_splats(cam, arrays, cfg)
-    out = []
-    for t in range(tile_ptr.shape[0] - 1):
-        if tile_ptr[t + 1] > tile_ptr[t]:
-            out.append((t // tiles_x, t % tiles_x))
-    return sorted(out)
+    return tile_ptr.astype(np.int64), pair_splats.astype(np.int64), tiles_x
 
 
 # --- pair geometry ----------------------------------------------------------
@@ -399,38 +331,34 @@ def _pair_geometry(Hx, Hy, V, ray_ok, Ba, Bb, Bc, opac, cfg: RasterConfig):
     }
 
 
-def _chunk_transmittance(alpha: np.ndarray, t_in: np.ndarray, stop: float):
-    """Per-pair transmittance, blend weights and the carried-out value."""
-    one_m = 1.0 - alpha
-    prod = np.cumprod(one_m, axis=1)
-    excl = np.empty_like(prod)
-    excl[:, 0] = 1.0
-    excl[:, 1:] = prod[:, :-1]
-    t_pair = t_in[:, None] * excl
-    live = t_pair >= stop
-    w = alpha * t_pair * live
-    return w, t_pair, live, t_in * prod[:, -1]
+# --- the tile loop ----------------------------------------------------------
 
 
-# --- forward ---------------------------------------------------------------
+def _binned_tiles(cfg: RasterConfig, tile_ptr, pair_splats, tiles_x: int):
+    """(row slice, column slice, splat ids) of every tile that holds a splat."""
+    T = cfg.tile_size
+    for t in np.flatnonzero(np.diff(tile_ptr)):
+        r0 = (t // tiles_x) * T
+        c0 = (t % tiles_x) * T
+        yield slice(r0, r0 + T), slice(c0, c0 + T), pair_splats[tile_ptr[t] : tile_ptr[t + 1]]
 
 
-def _render_tile_lists(cam, pose, model, cfg, tile_iter, D, Nimg, O):
-    """Shared blend loop: ``tile_iter`` yields (row-slice, col-slice, splat ids)."""
-    arrays = _splat_camera_arrays(model, pose)
+def _blend_tiles(cam: SphericalCamera, arrays: dict, cfg: RasterConfig, tiles):
+    """The one tile-and-chunk loop behind forward, backward and reference.
+
+    ``tiles`` yields (row slice, column slice, splat ids in blend order).
+    For each tile this yields ``(rows, cols, h_x, h_y, chunks)``, where
+    ``h_x``/``h_y`` are the tile's flattened pixel planes and iterating
+    ``chunks`` walks the splats ``chunk_size`` at a time, yielding
+    ``(ids, g, w, t_pair)``: the chunk's splat ids, its
+    :func:`_pair_geometry` terms, blend weights and the transmittance in
+    front of each pair.  A tile's chunks stop once every pixel is opaque.
+    """
     dirs, hx, hy, ray_ok = _plane_images(cam)
-    for rows, cols, ids in tile_iter:
-        if ids.shape[0] == 0:
-            continue
-        V = dirs[rows, cols].reshape(-1, 3)
-        PHx = hx[rows, cols].reshape(-1, 3)
-        PHy = hy[rows, cols].reshape(-1, 3)
-        Pok = ray_ok[rows, cols].reshape(-1)
-        P = V.shape[0]
-        t_carry = np.ones(P)
-        d_acc = np.zeros(P)
-        o_acc = np.zeros(P)
-        n_acc = np.zeros((P, 3))
+    stop = cfg.min_transmittance
+
+    def chunks(ids, V, PHx, PHy, Pok):
+        t_carry = np.ones(V.shape[0])
         for k0 in range(0, ids.shape[0], cfg.chunk_size):
             sub = ids[k0 : k0 + cfg.chunk_size]
             g = _pair_geometry(
@@ -438,18 +366,49 @@ def _render_tile_lists(cam, pose, model, cfg, tile_iter, D, Nimg, O):
                 arrays["Ba"][sub], arrays["Bb"][sub], arrays["Bc"][sub],
                 arrays["opac"][sub], cfg,
             )
-            w, _, _, t_carry = _chunk_transmittance(
-                g["alpha"], t_carry, cfg.min_transmittance
-            )
+            alpha = g["alpha"]
+            prod = np.cumprod(1.0 - alpha, axis=1)
+            excl = np.empty_like(prod)
+            excl[:, 0] = 1.0
+            excl[:, 1:] = prod[:, :-1]
+            t_pair = t_carry[:, None] * excl
+            w = alpha * t_pair * (t_pair >= stop)
+            yield sub, g, w, t_pair
+            t_carry = t_carry * prod[:, -1]
+            if t_carry.max() < stop:
+                return
+
+    for rows, cols, ids in tiles:
+        V = dirs[rows, cols].reshape(-1, 3)
+        PHx = hx[rows, cols].reshape(-1, 3)
+        PHy = hy[rows, cols].reshape(-1, 3)
+        Pok = ray_ok[rows, cols].reshape(-1)
+        yield rows, cols, PHx, PHy, chunks(ids, V, PHx, PHy, Pok)
+
+
+# --- forward ---------------------------------------------------------------
+
+
+def _render(cam: SphericalCamera, arrays: dict, cfg: RasterConfig, tiles) -> RenderOutput:
+    """Blend range, normal and opacity over ``tiles``; untouched pixels stay 0."""
+    H, W = cam.height, cam.width
+    D = np.zeros((H, W))
+    O = np.zeros((H, W))
+    Nimg = np.zeros((H, W, 3))
+    for rows, cols, PHx, _, chunks in _blend_tiles(cam, arrays, cfg, tiles):
+        P = PHx.shape[0]
+        d_acc = np.zeros(P)
+        o_acc = np.zeros(P)
+        n_acc = np.zeros((P, 3))
+        for sub, g, w, _ in chunks:
             d_acc += np.sum(w * g["d"], axis=1)
             o_acc += np.sum(w, axis=1)
             n_acc += w @ arrays["ncam"][sub]
-            if t_carry.max() < cfg.min_transmittance:
-                break
         shape = D[rows, cols].shape
         D[rows, cols] = d_acc.reshape(shape)
         O[rows, cols] = o_acc.reshape(shape)
         Nimg[rows, cols] = n_acc.reshape(shape + (3,))
+    return RenderOutput(D, Nimg, O)
 
 
 def rasterize_forward(
@@ -460,43 +419,13 @@ def rasterize_forward(
 ) -> tuple[RenderOutput, BlendRecords]:
     """Render the model from ``pose`` (sensor-in-world) onto the camera grid."""
     cfg = cfg or RasterConfig()
-    H, W = cam.height, cam.width
-    D = np.zeros((H, W))
-    O = np.zeros((H, W))
-    Nimg = np.zeros((H, W, 3))
-    if len(model) == 0:
-        T = cfg.tile_size
-        records = BlendRecords(
-            cam, pose.copy(), cfg, 0, model.version,
-            np.zeros(((H + T - 1) // T) * ((W + T - 1) // T) + 1, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
-            (W + T - 1) // T, (H + T - 1) // T,
-        )
-        return RenderOutput(D, Nimg, O), records
-
     arrays = _splat_camera_arrays(model, pose)
-    tile_ptr, pair_splats, tiles_x, tiles_y = _bin_splats(cam, arrays, cfg)
-    T = cfg.tile_size
-
-    def tiles():
-        for t in range(tiles_x * tiles_y):
-            lo, hi = tile_ptr[t], tile_ptr[t + 1]
-            if lo == hi:
-                continue
-            r0 = (t // tiles_x) * T
-            c0 = (t % tiles_x) * T
-            yield (
-                slice(r0, min(r0 + T, H)),
-                slice(c0, min(c0 + T, W)),
-                pair_splats[lo:hi],
-            )
-
-    _render_tile_lists(cam, pose, model, cfg, tiles(), D, Nimg, O)
+    tile_ptr, pair_splats, tiles_x = _bin_splats(cam, arrays, cfg)
+    out = _render(cam, arrays, cfg, _binned_tiles(cfg, tile_ptr, pair_splats, tiles_x))
     records = BlendRecords(
-        cam, pose.copy(), cfg, len(model), model.version,
-        tile_ptr, pair_splats, tiles_x, tiles_y,
+        cam, pose.copy(), cfg, len(model), model.version, tile_ptr, pair_splats, tiles_x
     )
-    return RenderOutput(D, Nimg, O), records
+    return out, records
 
 
 def reference_rasterize(
@@ -511,21 +440,11 @@ def reference_rasterize(
     used as the correctness oracle.
     """
     cfg = cfg or RasterConfig()
-    H, W = cam.height, cam.width
-    D = np.zeros((H, W))
-    O = np.zeros((H, W))
-    Nimg = np.zeros((H, W, 3))
-    if len(model) == 0:
-        return RenderOutput(D, Nimg, O)
     arrays = _splat_camera_arrays(model, pose)
     order = np.lexsort((np.arange(len(model)), arrays["ranges"]))
-
-    def bands():
-        for r0 in range(0, H, cfg.tile_size):
-            yield slice(r0, min(r0 + cfg.tile_size, H)), slice(0, W), order
-
-    _render_tile_lists(cam, pose, model, cfg, bands(), D, Nimg, O)
-    return RenderOutput(D, Nimg, O)
+    T = cfg.tile_size
+    bands = ((slice(r0, r0 + T), slice(0, cam.width), order) for r0 in range(0, cam.height, T))
+    return _render(cam, arrays, cfg, bands)
 
 
 # --- backward ---------------------------------------------------------------
@@ -546,15 +465,12 @@ def rasterize_backward(
     if records.n_splats != len(model) or records.model_version != model.version:
         raise GeometryError("blend records are stale for this model")
     cam, pose, cfg = records.cam, records.pose, records.config
-    H, W = cam.height, cam.width
     N = len(model)
     out = SplatGradients.zeros(N)
-    if N == 0 or records.pair_splats.shape[0] == 0:
+    if records.pair_splats.shape[0] == 0:
         return out
 
     arrays = _splat_camera_arrays(model, pose)
-    dirs, hx, hy, ray_ok = _plane_images(cam)
-    Ts = cfg.tile_size
     gD_img, gN_img, gO_img = (
         pixel_grads.d_range,
         pixel_grads.d_normal,
@@ -568,41 +484,24 @@ def rasterize_backward(
     acc_n = np.zeros((N, 3))
     acc_o = np.zeros(N)
 
-    for t in range(records.tiles_x * records.tiles_y):
-        lo, hi = records.tile_ptr[t], records.tile_ptr[t + 1]
-        if lo == hi:
-            continue
-        ids_all = records.pair_splats[lo:hi]
-        r0 = (t // records.tiles_x) * Ts
-        c0 = (t % records.tiles_x) * Ts
-        rows = slice(r0, min(r0 + Ts, H))
-        cols = slice(c0, min(c0 + Ts, W))
-        V = dirs[rows, cols].reshape(-1, 3)
-        PHx = hx[rows, cols].reshape(-1, 3)
-        PHy = hy[rows, cols].reshape(-1, 3)
-        Pok = ray_ok[rows, cols].reshape(-1)
+    tiles = _binned_tiles(cfg, records.tile_ptr, records.pair_splats, records.tiles_x)
+    for rows, cols, PHx, PHy, chunks in _blend_tiles(cam, arrays, cfg, tiles):
         gD = gD_img[rows, cols].reshape(-1)
         gN = gN_img[rows, cols].reshape(-1, 3)
         gO = gO_img[rows, cols].reshape(-1)
         D_tot = render.range[rows, cols].reshape(-1)
         N_tot = render.normal[rows, cols].reshape(-1, 3)
         O_tot = render.opacity[rows, cols].reshape(-1)
-        P = V.shape[0]
+        P = PHx.shape[0]
 
-        t_carry = np.ones(P)
         pre_d = np.zeros(P)
         pre_o = np.zeros(P)
         pre_n = np.zeros((P, 3))
 
-        for k0 in range(0, ids_all.shape[0], cfg.chunk_size):
-            sub = ids_all[k0 : k0 + cfg.chunk_size]
-            Ba, Bb, Bc = arrays["Ba"][sub], arrays["Bb"][sub], arrays["Bc"][sub]
+        for sub, g, w, t_pair in chunks:
+            Ba, Bb = arrays["Ba"][sub], arrays["Bb"][sub]
             ncam = arrays["ncam"][sub]
-            g = _pair_geometry(PHx, PHy, V, Pok, Ba, Bb, Bc, arrays["opac"][sub], cfg)
             alpha = g["alpha"]
-            w, t_pair, live, t_next = _chunk_transmittance(
-                alpha, t_carry, cfg.min_transmittance
-            )
             active = w > 0.0
             d = g["d"]
             wd = w * d
@@ -679,9 +578,6 @@ def rasterize_backward(
             pre_d += wd.sum(axis=1)
             pre_o += w.sum(axis=1)
             pre_n += wn.sum(axis=1)
-            t_carry = t_next
-            if t_carry.max() < cfg.min_transmittance:
-                break
 
     # camera-frame accumulators to world-frame parameter gradients
     R = pose.rotation

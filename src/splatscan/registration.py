@@ -13,6 +13,10 @@ Both residual families are robustified with Huber weights and normalized
 by residual count, then minimized by Gauss-Newton on the right-update
 ``T <- T * exp(delta)`` with Levenberg damping when a step fails to
 reduce the objective.
+
+The schedule is fixed: a geometric phase (point-to-plane only) for the
+first ``max_iters // 2`` iterations, then a joint phase (both families)
+until ``max_iters`` iterations in total have run.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from scipy.spatial import cKDTree
 
 from .errors import RegistrationError
 from .geometry import RangeImage, SphericalCamera, build_range_image
-from .rasterizer import RasterConfig, RenderOutput, rasterize_forward
+from .rasterizer import RasterConfig, rasterize_forward
 from .se3 import SE3Pose, se3_exp
 from .splats import SplatModel
 
@@ -40,7 +44,9 @@ __all__ = [
 
 @dataclass
 class RegistrationConfig:
-    mode: str = "sequential"  # geometric | photometric | joint | sequential
+    """Solver settings for the fixed schedule: geometric phase until
+    iteration ``max_iters // 2``, joint phase until ``max_iters``."""
+
     huber_geo: float = 0.1
     huber_photo: float = 0.2
     assoc_gate: float = 1.0
@@ -70,9 +76,6 @@ class RegistrationResult:
     photo_rms: float
     n_geo: int
     n_photo: int
-    mode: str
-    used_fallback: bool = False
-    message: str = ""
 
 
 # --- leaf tree --------------------------------------------------------------
@@ -82,16 +85,13 @@ class RegistrationResult:
 class LeafTree:
     """Planar patches from recursive PCA splits of a point cloud.
 
-    ``point_leaf`` maps every input point to exactly one leaf; ``usable``
-    marks leaves with a well-defined plane (at least 3 non-collinear
-    points).
+    ``usable`` marks leaves with a well-defined plane (at least 3
+    non-collinear points).
     """
 
     centroids: np.ndarray
     normals: np.ndarray
-    sizes: np.ndarray
     usable: np.ndarray
-    point_leaf: np.ndarray
     kdtree: cKDTree = field(repr=False, default=None)
 
 
@@ -111,8 +111,7 @@ def build_leaf_tree(
     if n == 0:
         raise RegistrationError("cannot build a leaf tree from an empty cloud")
     viewpoint = np.asarray(viewpoint, dtype=float).reshape(3)
-    point_leaf = np.zeros(n, dtype=int)
-    cents, norms, sizes, usable = [], [], [], []
+    cents, norms, usable = [], [], []
 
     stack = [np.arange(n)]
     while stack:
@@ -120,14 +119,14 @@ def build_leaf_tree(
         sub = pts[idx]
         c = sub.mean(axis=0)
         if idx.size < 3:
-            _push_leaf(cents, norms, sizes, usable, point_leaf, idx, c, None, viewpoint)
+            _push_leaf(cents, norms, usable, c, None, viewpoint)
             continue
         cov = np.cov(sub.T, bias=True)
         evals, evecs = np.linalg.eigh(cov)  # ascending
         flat = evals[1] <= 1e-12 or evals[0] / evals[1] <= flatness_tau
         if flat or idx.size <= leaf_size:
             normal = evecs[:, 0] if evals[1] > 1e-12 else None
-            _push_leaf(cents, norms, sizes, usable, point_leaf, idx, c, normal, viewpoint)
+            _push_leaf(cents, norms, usable, c, normal, viewpoint)
             continue
         axis = evecs[:, 2]
         proj = (sub - c) @ axis
@@ -135,7 +134,7 @@ def build_leaf_tree(
         left = proj <= med
         if left.all() or not left.any():
             # all projections equal: cannot split further
-            _push_leaf(cents, norms, sizes, usable, point_leaf, idx, c, evecs[:, 0], viewpoint)
+            _push_leaf(cents, norms, usable, c, evecs[:, 0], viewpoint)
             continue
         stack.append(idx[left])
         stack.append(idx[~left])
@@ -144,14 +143,10 @@ def build_leaf_tree(
     normals = np.array(norms).reshape(-1, 3)
     usable_arr = np.array(usable, dtype=bool)
     tree = cKDTree(centroids[usable_arr]) if usable_arr.any() else None
-    return LeafTree(
-        centroids, normals, np.array(sizes, dtype=int), usable_arr, point_leaf, tree
-    )
+    return LeafTree(centroids, normals, usable_arr, tree)
 
 
-def _push_leaf(cents, norms, sizes, usable, point_leaf, idx, c, normal, viewpoint):
-    leaf_id = len(cents)
-    point_leaf[idx] = leaf_id
+def _push_leaf(cents, norms, usable, c, normal, viewpoint):
     cents.append(c)
     ok = normal is not None
     if ok:
@@ -160,7 +155,6 @@ def _push_leaf(cents, norms, sizes, usable, point_leaf, idx, c, normal, viewpoin
     else:
         normal = np.zeros(3)
     norms.append(normal)
-    sizes.append(idx.size)
     usable.append(ok)
 
 
@@ -193,8 +187,8 @@ def sample_model(
     pose: SE3Pose,
     cfg: RegistrationConfig | None = None,
     raster: RasterConfig | None = None,
-) -> tuple[np.ndarray, RenderOutput, np.ndarray]:
-    """World points of confidently covered rendered pixels, plus the mask.
+) -> np.ndarray:
+    """World points of confidently covered rendered pixels.
 
     Renders the model at ``pose`` and back-projects every pixel with
     positive range and opacity above the visibility threshold.  The raw
@@ -210,7 +204,7 @@ def sample_model(
     m &= ~_jump_mask(depth_img, m, cfg.spread_gate, cam.full_circle)
     uv = cam.sample_grid[m]
     pts_c = cam.back_project(uv, depth_img[m])
-    return pose.apply(pts_c), render, m
+    return pose.apply(pts_c)
 
 
 # --- residual assembly ------------------------------------------------------
@@ -365,17 +359,6 @@ def _photo_system(
 # --- solver -----------------------------------------------------------------
 
 
-def _family_scale(r: np.ndarray, floor: float = 1e-3) -> float:
-    """Inverse-variance weight from a robust spread estimate.
-
-    Joint solves would otherwise let the noisier residual family drown
-    the cleaner one; scaling each by its own spread keeps them balanced.
-    The floor stops a near-perfect fit from acquiring unbounded weight.
-    """
-    sigma = 1.4826 * float(np.median(np.abs(r))) if r.size else floor
-    return 1.0 / max(sigma, floor) ** 2
-
-
 def _objective(residuals: list[np.ndarray], terms: list[tuple[float, float]]) -> float:
     """Weighted robust objective; ``terms`` holds frozen (delta, scale) pairs."""
     total = 0.0
@@ -403,8 +386,6 @@ def register(
     scan = np.asarray(scan, dtype=float).reshape(-1, 3)
     if scan.shape[0] == 0:
         raise RegistrationError("empty scan")
-    if cfg.mode not in ("geometric", "photometric", "joint", "sequential"):
-        raise RegistrationError(f"unknown registration mode {cfg.mode!r}")
 
     s = max(int(cfg.geo_supersample), 1)
     geo_cam = cam
@@ -413,7 +394,7 @@ def register(
             cam.width * s, cam.height * s,
             cam.az_min, cam.az_max, cam.el_min, cam.el_max,
         )
-    model_pts, render, vis = sample_model(model, geo_cam, initial, cfg, raster)
+    model_pts = sample_model(model, geo_cam, initial, cfg, raster)
     if model_pts.shape[0] < cfg.min_residuals:
         raise RegistrationError("model renders to too few confident pixels")
 
@@ -429,19 +410,13 @@ def register(
     # to roughly scan resolution so the warp term stays cheap
     X_w = model_pts if s == 1 else model_pts[:: s * s]
 
-    if cfg.mode == "sequential":
-        phases = [("geometric", cfg.max_iters // 2), ("joint", cfg.max_iters)]
-    else:
-        phases = [(cfg.mode, cfg.max_iters)]
-
     T = initial.copy()
     it_total = 0
     converged = False
     last = {"geo": (np.zeros(0), 0), "photo": (np.zeros(0), 0)}
 
-    for phase, budget in phases:
-        use_geo = phase in ("geometric", "joint")
-        use_photo = phase in ("photometric", "joint")
+    # geometric phase, then joint phase; budgets count iterations in total
+    for use_photo, budget in ((False, cfg.max_iters // 2), (True, cfg.max_iters)):
         lam = cfg.damping_init
         converged = False
         while it_total < budget:
@@ -456,7 +431,7 @@ def register(
             b = np.zeros(6)
             obj_terms = []
             n_geo = n_photo = 0
-            geo = _geo_system(tree, geo_scan, T, cfg, fg) if use_geo else None
+            geo = _geo_system(tree, geo_scan, T, cfg, fg)
             if geo is not None:
                 r, J = geo
                 w = _huber_weights(r, cfg.huber_geo)
@@ -495,7 +470,7 @@ def register(
                     continue
                 T_try = T.retract(delta)
                 trial = []
-                g2 = _geo_system(tree, geo_scan, T_try, cfg, fg) if use_geo else None
+                g2 = _geo_system(tree, geo_scan, T_try, cfg, fg)
                 if g2 is not None:
                     trial.append(g2[0])
                 p2 = _photo_system(X_w, scan_img, cam, T_try, cfg, fp) if use_photo else None
@@ -512,13 +487,11 @@ def register(
             if np.linalg.norm(delta) < cfg.tol:
                 converged = True
                 break
-        if cfg.mode != "sequential":
-            break
 
     T = T.orthonormalized()
     geo_r, n_geo = last["geo"]
     photo_r, n_photo = last["photo"]
     rms = lambda r: float(np.sqrt(np.mean(r * r))) if r.size else 0.0
     return RegistrationResult(
-        T, converged, it_total, rms(geo_r), rms(photo_r), n_geo, n_photo, cfg.mode
+        T, converged, it_total, rms(geo_r), rms(photo_r), n_geo, n_photo
     )

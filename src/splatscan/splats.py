@@ -1,4 +1,4 @@
-"""2D Gaussian surface splats and their array-of-structs container.
+"""2D Gaussian surface splats and their structure-of-arrays container.
 
 A splat is a Gaussian patch on a plane: centroid ``mu``, orthonormal
 in-plane tangents ``t_alpha``/``t_beta``, per-axis standard deviations
@@ -17,28 +17,15 @@ orthonormalized by Gram-Schmidt on read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import GeometryError
-from .se3 import SE3Pose
 
 __all__ = [
-    "Splat",
     "SplatModel",
-    "SplatTransform",
-    "gaussian_kernel",
     "orthonormal_tangents",
     "tangent_raw_gradients",
 ]
-
-
-def gaussian_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Unnormalized Gaussian density at splat coordinates (a, b)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return np.exp(-0.5 * (a * a + b * b))
 
 
 def _sigmoid(x):
@@ -53,60 +40,6 @@ def _sigmoid(x):
 def _logit(p):
     p = np.asarray(p, dtype=float)
     return np.log(p) - np.log1p(-p)
-
-
-@dataclass
-class Splat:
-    """A single splat with explicit (already orthonormal) tangents."""
-
-    centroid: np.ndarray
-    t_alpha: np.ndarray
-    t_beta: np.ndarray
-    scales: np.ndarray
-    opacity: float
-
-    def __post_init__(self):
-        self.centroid = np.asarray(self.centroid, dtype=float).reshape(3)
-        self.t_alpha = np.asarray(self.t_alpha, dtype=float).reshape(3)
-        self.t_beta = np.asarray(self.t_beta, dtype=float).reshape(3)
-        self.scales = np.asarray(self.scales, dtype=float).reshape(2)
-        self.opacity = float(self.opacity)
-        for name, t in (("t_alpha", self.t_alpha), ("t_beta", self.t_beta)):
-            if abs(np.linalg.norm(t) - 1.0) > 1e-6:
-                raise GeometryError(f"{name} is not unit length")
-        if abs(float(self.t_alpha @ self.t_beta)) > 1e-6:
-            raise GeometryError("tangents are not orthogonal")
-        if np.any(self.scales <= 0):
-            raise GeometryError("scales must be positive")
-        if not 0.0 < self.opacity < 1.0:
-            raise GeometryError("opacity must lie strictly in (0, 1)")
-
-    @property
-    def normal(self) -> np.ndarray:
-        return np.cross(self.t_alpha, self.t_beta)
-
-    def world_point(self, a: float, b: float) -> np.ndarray:
-        return (
-            self.centroid
-            + a * self.scales[0] * self.t_alpha
-            + b * self.scales[1] * self.t_beta
-        )
-
-
-@dataclass
-class SplatTransform:
-    """Homogeneous map from splat coordinates (a, b, 0, 1) to world points."""
-
-    H: np.ndarray
-
-    @classmethod
-    def from_splat(cls, s: Splat) -> "SplatTransform":
-        H = np.eye(4)
-        H[:3, 0] = s.scales[0] * s.t_alpha
-        H[:3, 1] = s.scales[1] * s.t_beta
-        H[:3, 2] = 0.0
-        H[:3, 3] = s.centroid
-        return cls(H)
 
 
 def orthonormal_tangents(
@@ -173,42 +106,13 @@ class SplatModel:
     render records can detect staleness.
     """
 
-    def __init__(
-        self,
-        centers=None,
-        raw_t_alpha=None,
-        raw_t_beta=None,
-        log_scales=None,
-        logit_opacity=None,
-        epochs=None,
-    ):
-        z3 = np.zeros((0, 3))
-        self.centers = np.array(centers if centers is not None else z3, dtype=float).reshape(-1, 3)
-        n = self.centers.shape[0]
-        self.raw_t_alpha = np.array(
-            raw_t_alpha if raw_t_alpha is not None else np.tile([1.0, 0, 0], (n, 1))
-        , dtype=float).reshape(-1, 3)
-        self.raw_t_beta = np.array(
-            raw_t_beta if raw_t_beta is not None else np.tile([0.0, 1, 0], (n, 1))
-        , dtype=float).reshape(-1, 3)
-        self.log_scales = np.array(
-            log_scales if log_scales is not None else np.zeros((n, 2))
-        , dtype=float).reshape(-1, 2)
-        self.logit_opacity = np.array(
-            logit_opacity if logit_opacity is not None else np.zeros(n)
-        , dtype=float).reshape(-1)
-        self.epochs = np.array(
-            epochs if epochs is not None else np.zeros(n, dtype=int)
-        ).reshape(-1).astype(int)
-        shapes = {
-            self.raw_t_alpha.shape[0],
-            self.raw_t_beta.shape[0],
-            self.log_scales.shape[0],
-            self.logit_opacity.shape[0],
-            self.epochs.shape[0],
-        }
-        if shapes != {n}:
-            raise GeometryError("splat arrays have inconsistent lengths")
+    def __init__(self):
+        self.centers = np.zeros((0, 3))
+        self.raw_t_alpha = np.zeros((0, 3))
+        self.raw_t_beta = np.zeros((0, 3))
+        self.log_scales = np.zeros((0, 2))
+        self.logit_opacity = np.zeros(0)
+        self.epochs = np.zeros(0, dtype=int)
         self.version = 0
 
     def __len__(self) -> int:
@@ -277,46 +181,6 @@ class SplatModel:
         self.epochs = self.epochs[keep]
         self.touch()
         return removed
-
-    def splat(self, i: int) -> Splat:
-        ta, tb, _ = self.tangent_frames()
-        return Splat(
-            self.centers[i], ta[i], tb[i], self.scales[i], float(self.opacities[i])
-        )
-
-    @classmethod
-    def from_splats(cls, splats: list[Splat], epoch: int = 0) -> "SplatModel":
-        m = cls()
-        if splats:
-            m.append(
-                np.array([s.centroid for s in splats]),
-                np.array([s.t_alpha for s in splats]),
-                np.array([s.t_beta for s in splats]),
-                np.array([s.scales for s in splats]),
-                np.array([s.opacity for s in splats]),
-                epoch,
-            )
-        return m
-
-    def copy(self) -> "SplatModel":
-        m = SplatModel(
-            self.centers.copy(),
-            self.raw_t_alpha.copy(),
-            self.raw_t_beta.copy(),
-            self.log_scales.copy(),
-            self.logit_opacity.copy(),
-            self.epochs.copy(),
-        )
-        return m
-
-    def transformed(self, T: SE3Pose) -> "SplatModel":
-        """The same model expressed after a rigid remap of the world frame."""
-        m = self.copy()
-        m.centers = T.apply(m.centers)
-        m.raw_t_alpha = m.raw_t_alpha @ T.rotation.T
-        m.raw_t_beta = m.raw_t_beta @ T.rotation.T
-        m.touch()
-        return m
 
     def memory_bytes(self) -> int:
         return sum(

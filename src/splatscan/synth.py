@@ -32,7 +32,6 @@ __all__ = [
     "SynthScan",
     "raycast_scan",
     "make_trajectory",
-    "room_scene",
     "room_with_boxes",
     "load_scene",
     "save_scene",
@@ -369,11 +368,6 @@ def make_trajectory(kind: str, length: float, steps: int, dt: float = 0.1) -> Tr
     else:
         raise IngestionError(f"unknown trajectory kind: {kind!r}")
     return Trajectory(stamps, poses)
-
-
-def room_scene(size: float = 10.0, height: float = 3.0) -> Scene:
-    """An empty rectangular room centered on the origin."""
-    return Scene([Box([0.0, 0.0, 0.0], [size / 2, size / 2, height / 2])])
 
 
 def room_with_boxes(
