@@ -113,6 +113,19 @@ def _parse_ply_header(fh):
     return fmt, count, props
 
 
+def _text_rows(lines: list[str], ncols: int, max_rows: int | None = None) -> np.ndarray:
+    """Float rows of whitespace-separated text; ``(0, ncols)`` when it has none.
+
+    ``np.loadtxt`` warns when its input holds no data row, so it is only
+    called when there is one to read.
+    """
+    if max_rows == 0 or not any(
+        line.strip() and not line.lstrip().startswith("#") for line in lines
+    ):
+        return np.zeros((0, ncols))
+    return np.loadtxt(lines, dtype=float, max_rows=max_rows, ndmin=2)
+
+
 def read_ply(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Vertex positions (and normals, when present) from an ASCII or
     little-endian binary PLY."""
@@ -125,8 +138,9 @@ def read_ply(path) -> tuple[np.ndarray, np.ndarray | None]:
                 raise IngestionError(f"PLY misses vertex property {need!r}")
         dtype = np.dtype([(n, "<" + t) for n, t in props])
         if fmt == "ascii":
-            rows = np.loadtxt(fh, dtype=float, max_rows=count, ndmin=2)
-            if rows.shape[0] != count or rows.shape[1] != len(props):
+            body = fh.read().decode("ascii", "replace").splitlines()
+            rows = _text_rows(body, len(props), max_rows=count)
+            if rows.shape != (count, len(props)):
                 raise IngestionError(f"truncated ASCII PLY: {path}")
             data = {n: rows[:, i] for i, (n, _) in enumerate(props)}
         else:
@@ -204,7 +218,7 @@ def save_trajectory(traj: Trajectory, path, fmt: str = "tum") -> None:
 def load_trajectory(path, fmt: str | None = None) -> Trajectory:
     """Read a TUM or KITTI trajectory; the format is inferred from the
     column count when not given (8 = TUM, 12 = KITTI)."""
-    rows = np.loadtxt(path, dtype=float, ndmin=2)
+    rows = _text_rows(Path(path).read_text().splitlines(), 0)
     if rows.size == 0:
         raise IngestionError(f"empty trajectory file: {path}")
     if fmt is None:
@@ -291,9 +305,7 @@ def load_model(path) -> SplatModel:
             first = text.split(b"\n", 1)[0]
             if not first.startswith(b"# splat-model"):
                 raise IngestionError(f"not a splat model file: {path}")
-            rows = np.loadtxt(text.decode("ascii").splitlines(), dtype=float, ndmin=2)
-            if rows.size == 0:
-                rows = rows.reshape(0, _MODEL_COLS)
+            rows = _text_rows(text.decode("ascii").splitlines(), _MODEL_COLS)
             if rows.shape[1] != _MODEL_COLS:
                 raise IngestionError(f"model rows need {_MODEL_COLS} columns")
     model = SplatModel()

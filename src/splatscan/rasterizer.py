@@ -39,6 +39,14 @@ and the backward pass replays each tile's blend from the stored binning
 and accumulates analytic gradients of any scalar loss on the rendered
 range/normal/opacity images w.r.t. splat centroids, tangent frames,
 scales and opacities.
+
+Most pixel-splat pairs of a chunk add nothing: their alpha is under the
+cutoff, they lie behind the pixel, or the pixel is already opaque.  So
+only the terms that decide whether a pair counts (plane products, kernel
+coordinates, ``G``, ``alpha``) are computed for every pair of the chunk;
+the hit point and its range are computed for the candidate pairs that
+pass the alpha cutoff, and the backward pass evaluates its gradient
+routes on 1-D arrays over the pairs with non-zero blend weight.
 """
 
 from __future__ import annotations
@@ -243,9 +251,15 @@ def _tile_hits(cam: SphericalCamera, arrays: dict, cfg: RasterConfig):
     row_center = 0.5 * (el_first + el_last)
     row_hw = 0.5 * np.abs(el_first - el_last)
 
+    # (N, tiles_x) arrays set a render's peak memory: update them in place
     dc = az_c[:, None] - col_center[None, :]
-    dc = np.abs(np.mod(dc + np.pi, 2.0 * np.pi) - np.pi)
-    col_hit = dc <= dgam[:, None] + col_hw[None, :] + pad_az
+    dc += np.pi
+    np.mod(dc, 2.0 * np.pi, out=dc)
+    dc -= np.pi
+    np.abs(dc, out=dc)
+    reach_az = dgam[:, None] + col_hw[None, :]
+    reach_az += pad_az
+    col_hit = dc <= reach_az
 
     dr = np.abs(el_c[:, None] - row_center[None, :])
     row_hit = dr <= omega[:, None] + row_hw[None, :] + pad_el
@@ -295,8 +309,13 @@ def _bin_splats(cam: SphericalCamera, arrays: dict, cfg: RasterConfig):
 def _pair_geometry(Hx, Hy, V, ray_ok, Ba, Bb, Bc, opac, cfg: RasterConfig):
     """Intersection quantities for P pixels x T splats.
 
-    All (P, T) outputs are zeroed where the pair is unusable; ``use``
-    marks pairs that survive every cutoff.
+    Only the terms that decide whether a pair counts are dense (P, T): the
+    six plane products, the (safe) denominator, the kernel coordinates
+    ``sa``/``sb``, ``G`` and ``alpha``.  The hit point ``nu``, its
+    front-facing test and its range ``|nu|`` are evaluated only at
+    candidate pairs (usable denominator and alpha above the cutoff), and
+    the range is scattered into the dense ``d``.  ``alpha`` and ``d`` are
+    zero wherever the pair does not count.
     """
     a1 = Hx @ Ba.T
     a2 = Hx @ Bb.T
@@ -305,29 +324,34 @@ def _pair_geometry(Hx, Hy, V, ray_ok, Ba, Bb, Bc, opac, cfg: RasterConfig):
     b2 = Hy @ Bb.T
     b4 = Hy @ Bc.T
     denom = a1 * b2 - a2 * b1
-    ok = (np.abs(denom) >= cfg.denom_eps) & ray_ok[:, None]
-    safe = np.where(np.abs(denom) >= cfg.denom_eps, denom, 1.0)
+    usable = np.abs(denom) >= cfg.denom_eps
+    safe = np.where(usable, denom, 1.0)
     sa = (a2 * b4 - a4 * b2) / safe
     sb = (a4 * b1 - a1 * b4) / safe
-    nu = sa[..., None] * Ba + sb[..., None] * Bb + Bc
-    ok &= np.einsum("ptk,pk->pt", nu, V) > 0
-    d = np.linalg.norm(nu, axis=-1)
     G = np.exp(-0.5 * (sa * sa + sb * sb))
-    a_raw = opac[None, :] * G
-    clamped = a_raw > cfg.alpha_clamp
-    alpha = np.minimum(a_raw, cfg.alpha_clamp)
-    use = ok & (alpha >= cfg.alpha_cutoff)
-    alpha = np.where(use, alpha, 0.0)
+    alpha = np.minimum(opac[None, :] * G, cfg.alpha_clamp)
+    alpha *= usable & ray_ok[:, None] & (alpha >= cfg.alpha_cutoff)
+    # hit point, front-facing test and range at the candidate pairs only
+    k = np.flatnonzero(alpha)
+    p, t = np.divmod(k, alpha.shape[1])
+    # (np.take gathers rows several times faster than fancy indexing)
+    nu = (
+        np.take(sa, k)[:, None] * np.take(Ba, t, axis=0)
+        + np.take(sb, k)[:, None] * np.take(Bb, t, axis=0)
+        + np.take(Bc, t, axis=0)
+    )
+    front = np.einsum("kc,kc->k", nu, np.take(V, p, axis=0)) > 0
+    np.put(alpha, k[~front], 0.0)
+    d = np.zeros_like(alpha)
+    np.put(d, k, np.linalg.norm(nu, axis=1) * front)
     return {
         "a1": a1, "a2": a2, "a4": a4,
         "b1": b1, "b2": b2, "b4": b4,
         "denom": safe,
-        "sa": sa, "sb": sb, "nu": nu,
-        "d": np.where(use, d, 0.0),
+        "sa": sa, "sb": sb,
+        "d": d,
         "G": G,
         "alpha": alpha,
-        "use": use,
-        "clamped": clamped,
     }
 
 
@@ -347,8 +371,9 @@ def _blend_tiles(cam: SphericalCamera, arrays: dict, cfg: RasterConfig, tiles):
     """The one tile-and-chunk loop behind forward, backward and reference.
 
     ``tiles`` yields (row slice, column slice, splat ids in blend order).
-    For each tile this yields ``(rows, cols, h_x, h_y, chunks)``, where
-    ``h_x``/``h_y`` are the tile's flattened pixel planes and iterating
+    For each tile this yields ``(rows, cols, v, h_x, h_y, chunks)``, where
+    ``v``, ``h_x`` and ``h_y`` are the tile's flattened pixel rays and
+    planes and iterating
     ``chunks`` walks the splats ``chunk_size`` at a time, yielding
     ``(ids, g, w, t_pair)``: the chunk's splat ids, its
     :func:`_pair_geometry` terms, blend weights and the transmittance in
@@ -383,7 +408,7 @@ def _blend_tiles(cam: SphericalCamera, arrays: dict, cfg: RasterConfig, tiles):
         PHx = hx[rows, cols].reshape(-1, 3)
         PHy = hy[rows, cols].reshape(-1, 3)
         Pok = ray_ok[rows, cols].reshape(-1)
-        yield rows, cols, PHx, PHy, chunks(ids, V, PHx, PHy, Pok)
+        yield rows, cols, V, PHx, PHy, chunks(ids, V, PHx, PHy, Pok)
 
 
 # --- forward ---------------------------------------------------------------
@@ -395,8 +420,8 @@ def _render(cam: SphericalCamera, arrays: dict, cfg: RasterConfig, tiles) -> Ren
     D = np.zeros((H, W))
     O = np.zeros((H, W))
     Nimg = np.zeros((H, W, 3))
-    for rows, cols, PHx, _, chunks in _blend_tiles(cam, arrays, cfg, tiles):
-        P = PHx.shape[0]
+    for rows, cols, V, _, _, chunks in _blend_tiles(cam, arrays, cfg, tiles):
+        P = V.shape[0]
         d_acc = np.zeros(P)
         o_acc = np.zeros(P)
         n_acc = np.zeros((P, 3))
@@ -461,6 +486,13 @@ def rasterize_backward(
     ``records`` and ``render`` must come from :func:`rasterize_forward` on
     the same (unmodified) model; a changed model raises ``GeometryError``.
     Splats touching no pixel get zero gradients.
+
+    Per chunk, the suffix sums of later contributions are one dense (P, T)
+    cumsum of every channel projected on its pixel gradient.  Everything
+    else runs on the K pairs with non-zero blend weight, as 1-D arrays.
+    A splat recurs across the pixels of a chunk, so per-splat sums use
+    ``np.bincount`` or a matmul over the pixels, never ``acc[ids] +=``,
+    which would keep one term per splat.
     """
     if records.n_splats != len(model) or records.model_version != model.version:
         raise GeometryError("blend records are stale for this model")
@@ -477,111 +509,78 @@ def rasterize_backward(
         pixel_grads.d_opacity,
     )
 
-    # camera-frame accumulators, reduced to parameters at the end
-    acc_ba = np.zeros((N, 3))
-    acc_bb = np.zeros((N, 3))
-    acc_bc = np.zeros((N, 3))
+    # camera-frame accumulators, reduced to parameters at the end;
+    # acc_B[:, j] is the gradient w.r.t. B_a, B_b, B_c for j = 0, 1, 2
+    acc_B = np.zeros((N, 3, 3))
     acc_n = np.zeros((N, 3))
     acc_o = np.zeros(N)
 
     tiles = _binned_tiles(cfg, records.tile_ptr, records.pair_splats, records.tiles_x)
-    for rows, cols, PHx, PHy, chunks in _blend_tiles(cam, arrays, cfg, tiles):
+    for rows, cols, V, PHx, PHy, chunks in _blend_tiles(cam, arrays, cfg, tiles):
         gD = gD_img[rows, cols].reshape(-1)
         gN = gN_img[rows, cols].reshape(-1, 3)
         gO = gO_img[rows, cols].reshape(-1)
-        D_tot = render.range[rows, cols].reshape(-1)
-        N_tot = render.normal[rows, cols].reshape(-1, 3)
-        O_tot = render.opacity[rows, cols].reshape(-1)
-        P = PHx.shape[0]
-
-        pre_d = np.zeros(P)
-        pre_o = np.zeros(P)
-        pre_n = np.zeros((P, 3))
+        # every channel projected on its pixel gradient, so that the sums
+        # of later contributions take one (P, T) cumsum for all channels
+        S_tot = (
+            gD * render.range[rows, cols].reshape(-1)
+            + gO * render.opacity[rows, cols].reshape(-1)
+            + np.einsum("pc,pc->p", gN, render.normal[rows, cols].reshape(-1, 3))
+        )
+        pre = np.zeros(V.shape[0])
+        planes = np.concatenate([PHx, PHy, V])
 
         for sub, g, w, t_pair in chunks:
-            Ba, Bb = arrays["Ba"][sub], arrays["Bb"][sub]
-            ncam = arrays["ncam"][sub]
-            alpha = g["alpha"]
-            active = w > 0.0
-            d = g["d"]
-            wd = w * d
-            wn = w[..., None] * ncam[None, :, :]
+            P, T = w.shape
+            c = gD[:, None] * g["d"] + gO[:, None] + gN @ arrays["ncam"][sub].T
+            wc = w * c
+            later = S_tot[:, None] - (pre[:, None] + np.cumsum(wc, axis=1))
+            pre += wc.sum(axis=1)
+            acc_n[sub] += w.T @ gN
 
-            # suffix sums of later contributions per channel
-            B_d = D_tot[:, None] - (pre_d[:, None] + np.cumsum(wd, axis=1))
-            B_o = O_tot[:, None] - (pre_o[:, None] + np.cumsum(w, axis=1))
-            B_n = N_tot[:, None, :] - (
-                pre_n[:, None, :] + np.cumsum(wn, axis=1)
+            # the rest runs on 1-D arrays over the K contributing pairs
+            k = np.flatnonzero(w > 0.0)
+            p, t = np.divmod(k, T)
+            wk, tk, ck, lk = (np.take(x, k) for x in (w, t_pair, c, later))
+            alpha, sa, sb, G, den, a1, a2, a4, b1, b2, b4 = (
+                np.take(g[n], k)
+                for n in ("alpha", "sa", "sb", "G", "denom", "a1", "a2", "a4", "b1", "b2", "b4")
             )
-
-            one_m = np.where(active, 1.0 - alpha, 1.0)
-            d_alpha = (
-                gD[:, None] * (d * t_pair - B_d / one_m)
-                + gO[:, None] * (t_pair - B_o / one_m)
-                + np.einsum(
-                    "pc,ptc->pt",
-                    gN,
-                    ncam[None, :, :] * t_pair[..., None] - B_n / one_m[..., None],
-                )
-            )
-            d_alpha = np.where(active, d_alpha, 0.0)
+            d_alpha = tk * ck - lk / (1.0 - alpha)
 
             # alpha routes: kernel coordinates and opacity (dead where clamped)
-            free = active & ~g["clamped"]
-            dd = gD[:, None] * w
-            d_safe = np.where(d > 0, d, 1.0)
-            sa, sb, nu = g["sa"], g["sb"], g["nu"]
-            nu_ba = np.einsum("ptk,tk->pt", nu, Ba)
-            nu_bb = np.einsum("ptk,tk->pt", nu, Bb)
-            dsa = np.where(free, -d_alpha * alpha * sa, 0.0) + dd * nu_ba / d_safe
-            dsb = np.where(free, -d_alpha * alpha * sb, 0.0) + dd * nu_bb / d_safe
-            acc_o[sub] += np.sum(np.where(free, d_alpha * g["G"], 0.0), axis=0)
+            free = arrays["opac"][sub[t]] * G <= cfg.alpha_clamp
+            k_alpha = np.where(free, -d_alpha * alpha, 0.0)
+            # bincount, as a splat recurs across the chunk's pixels
+            acc_o[sub] += np.bincount(t, np.where(free, d_alpha * G, 0.0), minlength=T)
+            # range route: the hit point is range * v, so d(range)/d(nu) = v
+            dd = gD[p] * wk
+            dsa = k_alpha * sa + dd * np.take(V @ arrays["Ba"][sub].T, k)
+            dsb = k_alpha * sb + dd * np.take(V @ arrays["Bb"][sub].T, k)
 
-            # homogeneous intersection point route
-            den = g["denom"]
+            # homogeneous intersection point route: rho_a = gp x (a1, a2, a4),
+            # rho_b = gp x (b1, b2, b4); per pair d(loss)/dB_j is
+            # -rho_b[j] h_x + rho_a[j] h_y + dd s_j v with s = (sa, sb, 1)
             gp1 = dsa / den
             gp2 = dsb / den
             gp3 = -(sa * dsa + sb * dsb) / den
-            a1, a2, a4 = g["a1"], g["a2"], g["a4"]
-            b1, b2, b4 = g["b1"], g["b2"], g["b4"]
-            # rho_a = gp x l_a, rho_b = gp x l_b, componentwise
-            ra0 = gp2 * a4 - gp3 * a2
-            ra1 = gp3 * a1 - gp1 * a4
-            ra2 = gp1 * a2 - gp2 * a1
-            rb0 = gp2 * b4 - gp3 * b2
-            rb1 = gp3 * b1 - gp1 * b4
-            rb2 = gp1 * b2 - gp2 * b1
-
-            dnu_scale = dd / d_safe
-            gba = (
-                -rb0[..., None] * PHx[:, None, :]
-                + ra0[..., None] * PHy[:, None, :]
-                + (dnu_scale * sa)[..., None] * nu
+            coef = (
+                (gp3 * b2 - gp2 * b4, gp1 * b4 - gp3 * b1, gp2 * b1 - gp1 * b2),
+                (gp2 * a4 - gp3 * a2, gp3 * a1 - gp1 * a4, gp1 * a2 - gp2 * a1),
+                (dd * sa, dd * sb, dd),
             )
-            gbb = (
-                -rb1[..., None] * PHx[:, None, :]
-                + ra1[..., None] * PHy[:, None, :]
-                + (dnu_scale * sb)[..., None] * nu
-            )
-            gbc = (
-                -rb2[..., None] * PHx[:, None, :]
-                + ra2[..., None] * PHy[:, None, :]
-                + dnu_scale[..., None] * nu
-            )
-
-            # ids are unique within a tile, so fancy-index add is safe
-            acc_ba[sub] += np.einsum("ptc->tc", gba)
-            acc_bb[sub] += np.einsum("ptc->tc", gbb)
-            acc_bc[sub] += np.einsum("ptc->tc", gbc)
-            acc_n[sub] += np.einsum("pt,pc->tc", w, gN)
-
-            pre_d += wd.sum(axis=1)
-            pre_o += w.sum(axis=1)
-            pre_n += wn.sum(axis=1)
+            # scatter to (h_x | h_y | v, pixel-splat pair, j); one matmul then
+            # sums each splat's pairs against their pixels' planes and ray
+            Z = np.zeros((3, P * T, 3))
+            for i, row in enumerate(coef):
+                for j, x in enumerate(row):
+                    Z[i, k, j] = x
+            acc_B[sub] += (Z.reshape(3 * P, 3 * T).T @ planes).reshape(T, 3, 3)
 
     # camera-frame accumulators to world-frame parameter gradients
     R = pose.rotation
     s = arrays["scales"]
+    acc_ba, acc_bb, acc_bc = acc_B[:, 0], acc_B[:, 1], acc_B[:, 2]
     out.d_centers = acc_bc @ R.T
     out.d_t_alpha = s[:, :1] * (acc_ba @ R.T)
     out.d_t_beta = s[:, 1:] * (acc_bb @ R.T)

@@ -1,0 +1,109 @@
+import numpy as np
+import pytest
+
+from splatscan.errors import IngestionError
+from splatscan.evaluation import Trajectory
+from splatscan.io import (
+    load_model,
+    load_trajectory,
+    read_pfm,
+    read_ply,
+    save_model,
+    save_trajectory,
+    write_pfm,
+    write_ply,
+)
+from splatscan.se3 import SE3Pose, so3_exp
+from splatscan.splats import SplatModel, orthonormal_tangents
+
+SIZES = [0, 1, 7]
+
+
+@pytest.mark.parametrize("binary", [True, False], ids=["binary", "ascii"])
+@pytest.mark.parametrize("with_normals", [False, True], ids=["points", "normals"])
+@pytest.mark.parametrize("n", SIZES)
+def test_ply_round_trip_is_exact(tmp_path, rng, binary, with_normals, n):
+    points = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-3, 4, (n, 1))
+    normals = rng.normal(size=(n, 3)) if with_normals else None
+    path = tmp_path / "cloud.ply"
+    write_ply(path, points, normals, binary=binary)
+    got, got_normals = read_ply(path)
+    assert got.shape == (n, 3)
+    assert np.array_equal(got, points)
+    if with_normals:
+        assert got_normals.shape == (n, 3)
+        assert np.array_equal(got_normals, normals)
+    else:
+        assert got_normals is None
+
+
+def test_truncated_ascii_ply_raises(tmp_path, rng):
+    path = tmp_path / "cloud.ply"
+    write_ply(path, rng.normal(size=(4, 3)), binary=False)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-2]) + "\n")
+    with pytest.raises(IngestionError, match="truncated"):
+        read_ply(path)
+
+
+def _trajectory(rng, n):
+    poses = [SE3Pose(so3_exp(rng.normal(size=3)), rng.normal(size=3) * 20.0)
+             for _ in range(n)]
+    return Trajectory(np.cumsum(rng.uniform(0.05, 0.15, n)), poses)
+
+
+@pytest.mark.parametrize("fmt", ["tum", "kitti"])
+@pytest.mark.parametrize("n", [1, 9])
+def test_trajectory_round_trip(tmp_path, rng, fmt, n):
+    traj = _trajectory(rng, n)
+    path = tmp_path / f"traj.{fmt}"
+    save_trajectory(traj, path, fmt)
+    for given in (fmt, None):  # the column count tells the format apart
+        got = load_trajectory(path, given)
+        assert len(got) == n
+        for a, b in zip(traj.poses, got.poses):
+            assert np.max(np.abs(a.matrix() - b.matrix())) <= 1e-12
+        if fmt == "tum":
+            assert np.array_equal(got.stamps, traj.stamps)
+
+
+def test_empty_trajectory_file_raises(tmp_path):
+    path = tmp_path / "traj.txt"
+    path.write_text("")
+    with pytest.raises(IngestionError, match="empty"):
+        load_trajectory(path)
+
+
+def _model(rng, n):
+    ta, tb = orthonormal_tangents(rng.normal(size=(n, 3)), rng.normal(size=(n, 3)))
+    model = SplatModel()
+    model.append(rng.normal(size=(n, 3)) * 5.0, ta * 1.5, tb,
+                 rng.uniform(0.01, 1.0, (n, 2)), rng.uniform(0.05, 0.95, n), 0)
+    return model
+
+
+@pytest.mark.parametrize("ascii_variant", [False, True], ids=["binary", "ascii"])
+@pytest.mark.parametrize("n", SIZES)
+def test_model_round_trip(tmp_path, rng, ascii_variant, n):
+    model = _model(rng, n)
+    path = tmp_path / "map.splm"
+    save_model(path, model, ascii_variant=ascii_variant)
+    got = load_model(path)
+    assert len(got) == n
+    for name in ("centers", "raw_t_alpha", "raw_t_beta"):
+        assert np.array_equal(getattr(got, name), getattr(model, name))
+    # the file holds plain scales and opacities, the model their log and
+    # logit: converting back can move them by an ulp
+    for name in ("scales", "opacities"):
+        np.testing.assert_allclose(getattr(got, name), getattr(model, name),
+                                   rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (5, 7, 3)], ids=["1ch", "3ch"])
+def test_pfm_round_trip_is_exact_in_float32(tmp_path, rng, shape):
+    image = rng.normal(size=shape) * 100.0
+    path = tmp_path / "image.pfm"
+    write_pfm(path, image)
+    got = read_pfm(path)
+    assert got.shape == shape
+    assert np.array_equal(got, image.astype(np.float32))

@@ -6,6 +6,10 @@ from splatscan.errors import GeometryError
 from splatscan.geometry import SphericalCamera
 from splatscan.rasterizer import (
     PixelGradients,
+    RasterConfig,
+    _binned_tiles,
+    _blend_tiles,
+    _splat_camera_arrays,
     rasterize_backward,
     rasterize_forward,
     reference_rasterize,
@@ -113,10 +117,30 @@ def grad_case(rng):
     model.append(centers, ta, tb, rng.uniform(0.15, 0.4, (n, 2)),
                  rng.uniform(0.3, 0.9, n), 0)
     pose = SE3Pose(so3_exp([0.02, -0.03, 0.05]), [0.1, 0.05, -0.02])
+    return _with_gradients(cam, pose, model, rng)
+
+
+def _with_gradients(cam, pose, model, rng):
+    """(cam, pose, model, pixel gradients, splat gradients) of a random linear loss."""
     pg = _pixel_grads(cam, rng)
     out, rec = rasterize_forward(cam, pose, model)
     grads = rasterize_backward(model, rec, out, pg)
     return cam, pose, model, pg, grads
+
+
+def _branch_counts(cam, pose, model):
+    """(clamped pairs that blend, pairs cut off by the early stop) of a render."""
+    cfg = RasterConfig()
+    _, rec = rasterize_forward(cam, pose, model, cfg)
+    arrays = _splat_camera_arrays(model, pose)
+    tiles = _binned_tiles(cfg, rec.tile_ptr, rec.pair_splats, rec.tiles_x)
+    clamped = stopped = 0
+    for *_, chunks in _blend_tiles(cam, arrays, cfg, tiles):
+        for sub, g, w, t_pair in chunks:
+            a_raw = arrays["opac"][sub] * g["G"]
+            clamped += int(np.sum((w > 0) & (a_raw > cfg.alpha_clamp)))
+            stopped += int(np.sum((g["alpha"] > 0) & (t_pair < cfg.min_transmittance)))
+    return clamped, stopped
 
 
 def _assert_close(analytic, numeric, rel=1e-6):
@@ -172,6 +196,47 @@ class TestBackwardMatchesCentralDifferences:
         model.touch()
         with pytest.raises(GeometryError):
             rasterize_backward(model, rec, out, pg)
+
+
+class TestBackwardOnAnOpaqueStack(TestBackwardMatchesCentralDifferences):
+    """The same checks on 16 camera-facing splats stacked 2.5 to 4.5 m along
+    the view, each centred on a pixel ray.
+
+    Opacities of 0.993 to 0.998 put alpha at the 0.99 clamp around those
+    pixels, the stack drives transmittance below the early-stop threshold,
+    and two more splats lie behind the sensor, outside the view.
+    """
+
+    @pytest.fixture
+    def grad_case(self, rng):
+        cam = SphericalCamera(24, 8, -0.6, 0.6, -0.25, 0.25)
+        pose = SE3Pose(so3_exp([0.02, -0.03, 0.05]), [0.1, 0.05, -0.02])
+        n = 16
+        rows, cols = rng.integers(1, 7, n), rng.integers(2, 22, n)
+        in_view = np.linspace(2.5, 4.5, n)[:, None] * cam.pixel_directions[rows, cols]
+        outside = [[-3.0, 0.5, 0.0], [-4.0, -0.5, 0.2]]
+        m = n + 2
+        ta, tb = orthonormal_tangents(
+            pose.rotation @ [0.0, 1.0, 0.0] + rng.normal(0.0, 0.1, (m, 3)),
+            pose.rotation @ [0.0, 0.0, 1.0] + rng.normal(0.0, 0.1, (m, 3)))
+        model = SplatModel()
+        model.append(pose.apply(np.vstack([in_view, outside])), ta, tb,
+                     rng.uniform(0.5, 0.9, (m, 2)), rng.uniform(0.993, 0.998, m), 0)
+        return _with_gradients(cam, pose, model, rng)
+
+    def test_reaches_the_clamp_and_the_early_stop(self, grad_case):
+        cam, pose, model, _, _ = grad_case
+        clamped, stopped = _branch_counts(cam, pose, model)
+        assert clamped >= 10
+        assert stopped >= 100
+
+    def test_splats_outside_the_view_get_zero_gradients(self, grad_case):
+        *_, grads = grad_case
+        for name in ("d_centers", "d_t_alpha", "d_t_beta", "d_normal", "d_scales",
+                     "d_opacity"):
+            values = getattr(grads, name)
+            assert not np.any(values[-2:])
+            assert np.any(values[:-2])
 
 
 def test_tangent_raw_gradients_match_central_differences(rng):
