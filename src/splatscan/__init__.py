@@ -35,7 +35,7 @@ from .mapping import (
     should_reset_local_map,
 )
 from .pipeline import Pipeline, RunConfig, export_oriented_points
-from .rasterizer import RasterConfig, RenderOutput, rasterize_forward
+from .rasterizer import RenderOutput, rasterize_forward
 from .registration import RegistrationConfig, RegistrationResult, register
 from .se3 import SE3Pose
 from .splats import SplatModel
@@ -58,7 +58,6 @@ __all__ = [
     "estimate_camera",
     "SE3Pose",
     "SplatModel",
-    "RasterConfig",
     "RenderOutput",
     "rasterize_forward",
     "RegistrationConfig",

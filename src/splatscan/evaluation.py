@@ -54,12 +54,6 @@ class Trajectory:
             return np.zeros((0, 3))
         return np.stack([p.translation for p in self.poses])
 
-    def path_length(self) -> float:
-        pos = self.positions()
-        if len(pos) < 2:
-            return 0.0
-        return float(np.sum(np.linalg.norm(np.diff(pos, axis=0), axis=1)))
-
 
 def associate(
     est: Trajectory, ref: Trajectory, max_dt: float = 0.05

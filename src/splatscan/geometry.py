@@ -43,6 +43,7 @@ __all__ = [
     "estimate_camera",
     "build_range_image",
     "smooth_range_image",
+    "shift_image",
     "range_image_normals",
 ]
 
@@ -178,6 +179,23 @@ class SphericalCamera:
         az, el = self.angles_of(self.sample_grid)
         return ray_direction(az, el)
 
+    @cached_property
+    def pixel_ray_planes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(h_x, h_y, ok): two planes through the origin meeting in each pixel ray.
+
+        ``h_x = (v x z)/|v x z|`` and ``h_y = h_x x v``; ``ok`` is False
+        (and both planes zero) where the ray is parallel to z.
+        """
+        dirs = self.pixel_directions
+        hx = np.stack([dirs[..., 1], -dirs[..., 0], np.zeros(dirs.shape[:2])], axis=-1)
+        n = np.linalg.norm(hx, axis=-1)
+        ok = n > 1e-9
+        hx = hx / np.maximum(n, 1e-9)[..., None]
+        hy = np.cross(hx, dirs)
+        hx[~ok] = 0.0
+        hy[~ok] = 0.0
+        return hx, hy, ok
+
 
 def estimate_camera(points: np.ndarray, width: int, height: int) -> SphericalCamera:
     """Fit a camera to a cloud: bounds are the cloud's angular extremes.
@@ -271,6 +289,21 @@ def smooth_range_image(rimg: RangeImage, wrap: bool = False, size: int = 3) -> R
     return RangeImage(out, rimg.valid.copy())
 
 
+def shift_image(a: np.ndarray, step: int, axis: int, wrap: bool) -> np.ndarray:
+    """``a`` moved ``step`` pixels along ``axis``: ``out[i] = a[i - step]``.
+
+    The neighbour rule of every range-image stencil: rows never wrap;
+    columns wrap across the azimuth seam when ``wrap`` (full-circle
+    cameras).  Pixels shifted in from outside the image are zero (False).
+    """
+    out = np.roll(a, step, axis)
+    if not (wrap and axis == 1):
+        edge = [slice(None)] * a.ndim
+        edge[axis] = slice(step, None) if step < 0 else slice(0, step)
+        out[tuple(edge)] = 0
+    return out
+
+
 def range_image_normals(cam: SphericalCamera, rimg: RangeImage) -> NormalImage:
     """Central-difference surface normals of a range image.
 
@@ -279,38 +312,18 @@ def range_image_normals(cam: SphericalCamera, rimg: RangeImage) -> NormalImage:
     cameras.  Normals are unit length and oriented toward the sensor
     (negative dot product with the viewing ray).
     """
-    H, W = rimg.shape
     dirs = cam.pixel_directions
     pts = rimg.range[..., None] * dirs
-
     wrap = cam.full_circle
-    if wrap:
-        left = np.roll(pts, 1, axis=1)
-        right = np.roll(pts, -1, axis=1)
-        lv = np.roll(rimg.valid, 1, axis=1)
-        rv = np.roll(rimg.valid, -1, axis=1)
-    else:
-        left = np.zeros_like(pts)
-        right = np.zeros_like(pts)
-        left[:, 1:] = pts[:, :-1]
-        right[:, :-1] = pts[:, 1:]
-        lv = np.zeros_like(rimg.valid)
-        rv = np.zeros_like(rimg.valid)
-        lv[:, 1:] = rimg.valid[:, :-1]
-        rv[:, :-1] = rimg.valid[:, 1:]
 
-    up = np.zeros_like(pts)
-    down = np.zeros_like(pts)
-    up[1:] = pts[:-1]
-    down[:-1] = pts[1:]
-    uv_ = np.zeros_like(rimg.valid)
-    dv_ = np.zeros_like(rimg.valid)
-    uv_[1:] = rimg.valid[:-1]
-    dv_[:-1] = rimg.valid[1:]
+    def around(a, step, axis):
+        return shift_image(a, step, axis, wrap)
 
-    ok = rimg.valid & lv & rv & uv_ & dv_
-    dx = right - left
-    dy = down - up
+    ok = rimg.valid.copy()
+    for step, axis in ((1, 0), (-1, 0), (1, 1), (-1, 1)):
+        ok &= around(rimg.valid, step, axis)
+    dx = around(pts, -1, 1) - around(pts, 1, 1)
+    dy = around(pts, -1, 0) - around(pts, 1, 0)
     n = np.cross(dx, dy)
     norm = np.linalg.norm(n, axis=-1)
     ok &= norm > 1e-12

@@ -398,8 +398,10 @@ def parse_config_text(text: str) -> dict:
 def apply_overrides(cfg, mapping: dict) -> list[str]:
     """Assign dotted keys onto a tree of dataclasses; returns keys applied.
 
-    Unknown keys raise so typos in config files fail loudly instead of
-    silently running defaults.
+    Unknown keys, keys that name a whole section and values that do not
+    convert to the field's type raise, so typos in config files fail
+    loudly instead of silently running defaults.  Text values are read as
+    in :func:`parse_config_text`; an int is accepted for a float field.
     """
     applied = []
     for key, value in mapping.items():
@@ -413,12 +415,16 @@ def apply_overrides(cfg, mapping: dict) -> list[str]:
         if not (is_dataclass(obj) and leaf in {f.name for f in fields(obj)}):
             raise IngestionError(f"unknown config key {key!r}")
         current = getattr(obj, leaf)
-        if isinstance(current, bool):
-            value = bool(value)
-        elif isinstance(current, int) and not isinstance(value, bool):
-            value = int(value)
-        elif isinstance(current, float):
-            value = float(value)
+        if is_dataclass(current):
+            raise IngestionError(f"config key {key!r} names a section, not a value")
+        if isinstance(current, (bool, int, float)):
+            v = _coerce(value) if isinstance(value, str) else value
+            kinds = (type(current),) if not isinstance(current, float) else (int, float)
+            if isinstance(v, bool) != isinstance(current, bool) or not isinstance(v, kinds):
+                raise IngestionError(
+                    f"config key {key!r} expects {type(current).__name__}, got {value!r}"
+                )
+            value = type(current)(v)
         setattr(obj, leaf, value)
         applied.append(key)
     return applied

@@ -33,15 +33,10 @@ from .geometry import (
     build_range_image,
     estimate_camera,
     range_image_normals,
+    shift_image,
     smooth_range_image,
 )
-from .rasterizer import (
-    PixelGradients,
-    RasterConfig,
-    RenderOutput,
-    rasterize_backward,
-    rasterize_forward,
-)
+from .rasterizer import PixelGradients, RenderOutput, rasterize_backward, rasterize_forward
 from .se3 import SE3Pose
 from .splats import SplatModel, orthonormal_tangents, tangent_raw_gradients
 
@@ -202,30 +197,12 @@ def _range_gradient_weights(kf: Keyframe) -> np.ndarray:
     D = kf.range_image.range
     V = kf.range_image.valid
     wrap = kf.camera.full_circle
-
-    def shift(a, d, axis):
-        if wrap and axis == 1:
-            return np.roll(a, d, axis=axis)
-        out = np.zeros_like(a)
-        if axis == 1:
-            if d > 0:
-                out[:, d:] = a[:, :-d]
-            else:
-                out[:, :d] = a[:, -d:]
-        else:
-            if d > 0:
-                out[d:] = a[:-d]
-            else:
-                out[:d] = a[-d:]
-        return out
-
     gx = np.zeros_like(D)
     gy = np.zeros_like(D)
     for g, axis in ((gx, 1), (gy, 0)):
-        plus = shift(D, -1, axis)
-        minus = shift(D, 1, axis)
-        pv = shift(V, -1, axis)
-        mv = shift(V, 1, axis)
+        plus, minus, pv, mv = (
+            shift_image(a, step, axis, wrap) for a, step in ((D, -1), (D, 1), (V, -1), (V, 1))
+        )
         both = pv & mv
         one_p = pv & ~mv
         one_m = mv & ~pv
@@ -317,8 +294,7 @@ def coverage(render: RenderOutput, kf: Keyframe) -> float:
     return float(render.opacity[M].mean())
 
 
-def should_reset_local_map(lmap: "LocalMap", kf: Keyframe, cfg: MappingConfig,
-                           raster: RasterConfig | None = None) -> bool:
+def should_reset_local_map(lmap: "LocalMap", kf: Keyframe, cfg: MappingConfig) -> bool:
     """Whether ``kf`` should open a fresh local map instead of joining.
 
     Three triggers: the keyframe budget is exhausted, the model barely
@@ -330,7 +306,7 @@ def should_reset_local_map(lmap: "LocalMap", kf: Keyframe, cfg: MappingConfig,
         return True
     if len(lmap.model) == 0:
         return False
-    render, _ = rasterize_forward(kf.camera, kf.pose, lmap.model, raster)
+    render, _ = rasterize_forward(kf.camera, kf.pose, lmap.model)
     return coverage(render, kf) < cfg.coverage_min
 
 
@@ -412,7 +388,6 @@ def add_keyframe(
     kf: Keyframe,
     cfg: MappingConfig,
     rng: np.random.Generator,
-    raster: RasterConfig | None = None,
 ) -> dict:
     """Append a keyframe: prune dead splats, then densify where it is unexplained.
 
@@ -423,7 +398,7 @@ def add_keyframe(
     if len(lmap.model) == 0:
         mask = kf.range_image.valid.copy()
     else:
-        render, _ = rasterize_forward(kf.camera, kf.pose, lmap.model, raster)
+        render, _ = rasterize_forward(kf.camera, kf.pose, lmap.model)
         mask = densify_mask(render, kf, cfg)
         keep = lmap.model.opacities >= cfg.prune_opacity
         if not keep.all():
@@ -455,7 +430,6 @@ def refine(
     cfg: MappingConfig,
     iters: int,
     rng: np.random.Generator,
-    raster: RasterConfig | None = None,
 ) -> list[float]:
     """Adam refinement over randomly sampled keyframes; returns loss values.
 
@@ -471,7 +445,7 @@ def refine(
     hi = np.log(10.0 * cfg.scale_cap)
     for _ in range(iters):
         kf = lmap.keyframes[sample_keyframe_index(len(lmap.keyframes), cfg.kf_sample_p, rng)]
-        render, rec = rasterize_forward(kf.camera, kf.pose, lmap.model, raster)
+        render, rec = rasterize_forward(kf.camera, kf.pose, lmap.model)
         ml = mapping_loss(render, lmap.model, kf, cfg)
         g = rasterize_backward(lmap.model, rec, render, ml.pixel_grads)
         ga, gb = tangent_raw_gradients(

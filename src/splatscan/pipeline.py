@@ -27,7 +27,7 @@ from .mapping import (
     refine,
     should_reset_local_map,
 )
-from .rasterizer import RasterConfig, rasterize_forward
+from .rasterizer import rasterize_forward
 from .registration import RegistrationConfig, register
 from .se3 import SE3Pose
 
@@ -49,13 +49,11 @@ class RunConfig:
     keyframe_every: int = 1
     refine_iters: int = 10
     n_export_per_kf: int = 2000
-    export_max_range_err: float | None = None
     seed: int = 0
     scan_period: float = 0.1      # seconds between trajectory timestamps
     out_dir: str | None = None
     mapping: MappingConfig = field(default_factory=MappingConfig)
     registration: RegistrationConfig = field(default_factory=RegistrationConfig)
-    raster: RasterConfig = field(default_factory=RasterConfig)
 
 
 @dataclass
@@ -70,32 +68,21 @@ class ArchiveEntry:
 
 
 def export_oriented_points(
-    lmap: LocalMap,
-    n_per_kf: int,
-    rng: np.random.Generator,
-    raster: RasterConfig | None = None,
-    min_opacity: float = 0.5,
-    max_range_err: float | None = None,
+    lmap: LocalMap, n_per_kf: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample the map as world-frame oriented points, keyframe by keyframe.
 
     Renders the model at each keyframe pose, picks up to ``n_per_kf``
-    confidently covered pixels uniformly, back-projects them at the
-    opacity-normalized range and attaches the normalized blended normal.
-    ``max_range_err`` adds a second confidence gate: pixels whose rendered
-    range disagrees with the keyframe's own measurement by more than this
-    are skipped (silhouette pixels blend foreground and background).
+    confidently covered pixels (opacity above 0.5) uniformly,
+    back-projects them at the opacity-normalized range and attaches the
+    normalized blended normal.
     """
     if not lmap.keyframes:
         raise ExportError("local map has no keyframes to export")
     pts_out, nrm_out = [], []
     for kf in lmap.keyframes:
-        render, _ = rasterize_forward(kf.camera, kf.pose, lmap.model, raster)
-        m = (render.opacity > min_opacity) & (render.range > 0)
-        if max_range_err is not None:
-            norm_range = render.range / np.maximum(render.opacity, 1e-9)
-            m &= kf.range_image.valid
-            m &= np.abs(norm_range - kf.range_image.range) < max_range_err
+        render, _ = rasterize_forward(kf.camera, kf.pose, lmap.model)
+        m = (render.opacity > 0.5) & (render.range > 0)
         idx = np.flatnonzero(m.ravel())
         if idx.size == 0:
             continue
@@ -164,10 +151,7 @@ class Pipeline:
         lmap = self.lmap
         n_splats = len(lmap.model)
         path = None
-        pts, nrm = export_oriented_points(
-            lmap, self.cfg.n_export_per_kf, self.rng, self.cfg.raster,
-            max_range_err=self.cfg.export_max_range_err,
-        )
+        pts, nrm = export_oriented_points(lmap, self.cfg.n_export_per_kf, self.rng)
         if self.cfg.out_dir is not None:
             out = Path(self.cfg.out_dir)
             out.mkdir(parents=True, exist_ok=True)
@@ -186,14 +170,15 @@ class Pipeline:
 
     # --- main loop -------------------------------------------------------
 
-    def process_scan(self, cloud: np.ndarray, stamp: float | None = None,
-                     pose: SE3Pose | None = None) -> dict:
+    def process_scan(self, cloud: np.ndarray, stamp: float | None = None) -> dict:
         """Ingest one sensor-frame scan; returns the per-scan report row.
 
-        Pass ``pose`` to bypass registration (mapping with known poses).  A
-        scan that fails registration or yields no keyframe (empty, all at
+        A scan that fails registration or yields no keyframe (empty, all at
         the origin, zero angular extent) still gets its row, flagged
         ``fallback`` with a ``fallback_reason``; it adds nothing to the map.
+        Registered scans report the solver's iterations and convergence and
+        each residual family's count and RMS (``n_geo``/``geo_rms``,
+        ``n_photo``/``photo_rms``).
         """
         index = len(self.poses)
         cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
@@ -202,9 +187,7 @@ class Pipeline:
                      "n_used": int(sub.shape[0]), "fallback": False}
 
         t0 = time.perf_counter()
-        if pose is not None:
-            new_pose = pose.copy()
-        elif self.lmap is None:
+        if self.lmap is None:
             new_pose = SE3Pose.identity()
         else:
             guess = self._predicted_pose()
@@ -213,12 +196,13 @@ class Pipeline:
                     sub, self.cfg.image_width, self.cfg.image_height
                 )
                 result = register(
-                    self.lmap.model, sub, cam, guess,
-                    self.cfg.registration, self.cfg.raster, self.rng,
+                    self.lmap.model, sub, cam, guess, self.cfg.registration, self.rng
                 )
                 new_pose = result.pose
                 row["reg_iters"] = result.iterations
                 row["converged"] = bool(result.converged)
+                for key in ("n_geo", "geo_rms", "n_photo", "photo_rms"):
+                    row[key] = getattr(result, key)
             except (GeometryError, RegistrationError) as e:
                 new_pose = guess
                 row["fallback"] = True
@@ -247,13 +231,13 @@ class Pipeline:
             if self.lmap is None:
                 self.lmap = LocalMap.start(kf, self.cfg.mapping, self.rng)
                 self.first_scan_of_map = index
-            elif should_reset_local_map(self.lmap, kf, self.cfg.mapping, self.cfg.raster):
+            elif should_reset_local_map(self.lmap, kf, self.cfg.mapping):
                 self._archive_active()
                 self.lmap = LocalMap.start(kf, self.cfg.mapping, self.rng)
                 self.first_scan_of_map = index
             else:
-                add_keyframe(self.lmap, kf, self.cfg.mapping, self.rng, self.cfg.raster)
-            refine(self.lmap, self.cfg.mapping, self.cfg.refine_iters, self.rng, self.cfg.raster)
+                add_keyframe(self.lmap, kf, self.cfg.mapping, self.rng)
+            refine(self.lmap, self.cfg.mapping, self.cfg.refine_iters, self.rng)
         row["mapping_ms"] = 1000.0 * (time.perf_counter() - t1)
         has_map = self.lmap is not None
         row["n_splats"] = len(self.lmap.model) if has_map else 0

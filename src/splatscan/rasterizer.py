@@ -21,8 +21,8 @@ ray and are discarded.  Hits with ``alpha < 1/255`` are skipped, alpha is
 clamped to 0.99, and blending along a pixel stops once transmittance
 drops below 1e-4.
 
-Tiling: splats are binned to square pixel tiles (``RasterConfig.tile_size``,
-8 x 8 by default) using a conservative angular bound: every point of the
+Tiling: splats are binned to square pixel tiles (``RASTER_CONFIG.tile_size``
+pixels on a side) using a conservative angular bound: every point of the
 splat with non-negligible density lies inside a ball of radius
 ``3.33 * max(scale)`` around the centroid (3.33 sigma is where a fully
 opaque splat falls to alpha = 1/255), and the image footprint of that
@@ -51,7 +51,6 @@ routes on 1-D arrays over the pairs with non-zero blend weight.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +62,7 @@ from .splats import SplatModel
 
 __all__ = [
     "RasterConfig",
+    "RASTER_CONFIG",
     "RenderOutput",
     "BlendRecords",
     "PixelGradients",
@@ -86,6 +86,10 @@ class RasterConfig:
     denom_eps: float = 1e-12
     cutoff_sigma: float = _CUTOFF_SIGMA
     bbox_pad_px: float = 0.5
+
+
+# the settings of every render
+RASTER_CONFIG = RasterConfig()
 
 
 @dataclass
@@ -148,33 +152,6 @@ class BlendRecords:
     tiles_x: int
 
 
-# --- pixel planes -----------------------------------------------------------
-
-_plane_cache: "weakref.WeakKeyDictionary[SphericalCamera, tuple]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _plane_images(cam: SphericalCamera):
-    """(dirs, h_x, h_y, ray_ok) images for every pixel center, cached per camera."""
-    hit = _plane_cache.get(cam)
-    if hit is not None:
-        return hit
-    dirs = cam.pixel_directions
-    hx = np.stack(
-        [dirs[..., 1], -dirs[..., 0], np.zeros(dirs.shape[:2])], axis=-1
-    )
-    n = np.linalg.norm(hx, axis=-1)
-    ok = n > 1e-9
-    hx = hx / np.maximum(n, 1e-9)[..., None]
-    hy = np.cross(hx, dirs)
-    hx[~ok] = 0.0
-    hy[~ok] = 0.0
-    out = (dirs, hx, hy, ok)
-    _plane_cache[cam] = out
-    return out
-
-
 # --- splat preparation and tile binning ------------------------------------
 
 
@@ -199,7 +176,7 @@ def _splat_camera_arrays(model: SplatModel, pose: SE3Pose) -> dict:
     }
 
 
-def _tile_hits(cam: SphericalCamera, arrays: dict, cfg: RasterConfig):
+def _tile_hits(cam: SphericalCamera, arrays: dict):
     """Boolean splat/tile-row and splat/tile-column incidence matrices.
 
     A splat's support is bounded by the cone subtending its cutoff ball
@@ -207,6 +184,7 @@ def _tile_hits(cam: SphericalCamera, arrays: dict, cfg: RasterConfig):
     hit when the cone's azimuth interval overlaps the tile's azimuth
     interval (circularly) and likewise in elevation.
     """
+    cfg = RASTER_CONFIG
     T = cfg.tile_size
     tiles_x = (cam.width + T - 1) // T
     tiles_y = (cam.height + T - 1) // T
@@ -279,9 +257,9 @@ def _ragged_arange(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, within
 
 
-def _bin_splats(cam: SphericalCamera, arrays: dict, cfg: RasterConfig):
+def _bin_splats(cam: SphericalCamera, arrays: dict):
     """Assign splats to tiles; per tile the list is sorted by centroid range."""
-    row_hit, col_hit, tiles_x, tiles_y = _tile_hits(cam, arrays, cfg)
+    row_hit, col_hit, tiles_x, tiles_y = _tile_hits(cam, arrays)
     n = row_hit.shape[0]
     nr = row_hit.sum(axis=1)
     nc = col_hit.sum(axis=1)
@@ -306,7 +284,7 @@ def _bin_splats(cam: SphericalCamera, arrays: dict, cfg: RasterConfig):
 # --- pair geometry ----------------------------------------------------------
 
 
-def _pair_geometry(Hx, Hy, V, ray_ok, Ba, Bb, Bc, opac, cfg: RasterConfig):
+def _pair_geometry(Hx, Hy, V, ray_ok, Ba, Bb, Bc, opac):
     """Intersection quantities for P pixels x T splats.
 
     Only the terms that decide whether a pair counts are dense (P, T): the
@@ -317,6 +295,7 @@ def _pair_geometry(Hx, Hy, V, ray_ok, Ba, Bb, Bc, opac, cfg: RasterConfig):
     the range is scattered into the dense ``d``.  ``alpha`` and ``d`` are
     zero wherever the pair does not count.
     """
+    cfg = RASTER_CONFIG
     a1 = Hx @ Ba.T
     a2 = Hx @ Bb.T
     a4 = Hx @ Bc.T
@@ -358,16 +337,16 @@ def _pair_geometry(Hx, Hy, V, ray_ok, Ba, Bb, Bc, opac, cfg: RasterConfig):
 # --- the tile loop ----------------------------------------------------------
 
 
-def _binned_tiles(cfg: RasterConfig, tile_ptr, pair_splats, tiles_x: int):
+def _binned_tiles(tile_ptr, pair_splats, tiles_x: int):
     """(row slice, column slice, splat ids) of every tile that holds a splat."""
-    T = cfg.tile_size
+    T = RASTER_CONFIG.tile_size
     for t in np.flatnonzero(np.diff(tile_ptr)):
         r0 = (t // tiles_x) * T
         c0 = (t % tiles_x) * T
         yield slice(r0, r0 + T), slice(c0, c0 + T), pair_splats[tile_ptr[t] : tile_ptr[t + 1]]
 
 
-def _blend_tiles(cam: SphericalCamera, arrays: dict, cfg: RasterConfig, tiles):
+def _blend_tiles(cam: SphericalCamera, arrays: dict, tiles):
     """The one tile-and-chunk loop behind forward, backward and reference.
 
     ``tiles`` yields (row slice, column slice, splat ids in blend order).
@@ -379,17 +358,19 @@ def _blend_tiles(cam: SphericalCamera, arrays: dict, cfg: RasterConfig, tiles):
     :func:`_pair_geometry` terms, blend weights and the transmittance in
     front of each pair.  A tile's chunks stop once every pixel is opaque.
     """
-    dirs, hx, hy, ray_ok = _plane_images(cam)
-    stop = cfg.min_transmittance
+    dirs = cam.pixel_directions
+    hx, hy, ray_ok = cam.pixel_ray_planes
+    stop = RASTER_CONFIG.min_transmittance
+    step = RASTER_CONFIG.chunk_size
 
     def chunks(ids, V, PHx, PHy, Pok):
         t_carry = np.ones(V.shape[0])
-        for k0 in range(0, ids.shape[0], cfg.chunk_size):
-            sub = ids[k0 : k0 + cfg.chunk_size]
+        for k0 in range(0, ids.shape[0], step):
+            sub = ids[k0 : k0 + step]
             g = _pair_geometry(
                 PHx, PHy, V, Pok,
                 arrays["Ba"][sub], arrays["Bb"][sub], arrays["Bc"][sub],
-                arrays["opac"][sub], cfg,
+                arrays["opac"][sub],
             )
             alpha = g["alpha"]
             prod = np.cumprod(1.0 - alpha, axis=1)
@@ -414,13 +395,13 @@ def _blend_tiles(cam: SphericalCamera, arrays: dict, cfg: RasterConfig, tiles):
 # --- forward ---------------------------------------------------------------
 
 
-def _render(cam: SphericalCamera, arrays: dict, cfg: RasterConfig, tiles) -> RenderOutput:
+def _render(cam: SphericalCamera, arrays: dict, tiles) -> RenderOutput:
     """Blend range, normal and opacity over ``tiles``; untouched pixels stay 0."""
     H, W = cam.height, cam.width
     D = np.zeros((H, W))
     O = np.zeros((H, W))
     Nimg = np.zeros((H, W, 3))
-    for rows, cols, V, _, _, chunks in _blend_tiles(cam, arrays, cfg, tiles):
+    for rows, cols, V, _, _, chunks in _blend_tiles(cam, arrays, tiles):
         P = V.shape[0]
         d_acc = np.zeros(P)
         o_acc = np.zeros(P)
@@ -437,39 +418,30 @@ def _render(cam: SphericalCamera, arrays: dict, cfg: RasterConfig, tiles) -> Ren
 
 
 def rasterize_forward(
-    cam: SphericalCamera,
-    pose: SE3Pose,
-    model: SplatModel,
-    cfg: RasterConfig | None = None,
+    cam: SphericalCamera, pose: SE3Pose, model: SplatModel
 ) -> tuple[RenderOutput, BlendRecords]:
     """Render the model from ``pose`` (sensor-in-world) onto the camera grid."""
-    cfg = cfg or RasterConfig()
     arrays = _splat_camera_arrays(model, pose)
-    tile_ptr, pair_splats, tiles_x = _bin_splats(cam, arrays, cfg)
-    out = _render(cam, arrays, cfg, _binned_tiles(cfg, tile_ptr, pair_splats, tiles_x))
+    tile_ptr, pair_splats, tiles_x = _bin_splats(cam, arrays)
+    out = _render(cam, arrays, _binned_tiles(tile_ptr, pair_splats, tiles_x))
     records = BlendRecords(
-        cam, pose.copy(), cfg, len(model), model.version, tile_ptr, pair_splats, tiles_x
+        cam, pose.copy(), RASTER_CONFIG, len(model), model.version,
+        tile_ptr, pair_splats, tiles_x,
     )
     return out, records
 
 
-def reference_rasterize(
-    cam: SphericalCamera,
-    pose: SE3Pose,
-    model: SplatModel,
-    cfg: RasterConfig | None = None,
-) -> RenderOutput:
+def reference_rasterize(cam: SphericalCamera, pose: SE3Pose, model: SplatModel) -> RenderOutput:
     """Brute-force renderer: every splat against every pixel, no tiling.
 
     Same intersection math, cutoffs and blend order as the tiled path;
     used as the correctness oracle.
     """
-    cfg = cfg or RasterConfig()
     arrays = _splat_camera_arrays(model, pose)
     order = np.lexsort((np.arange(len(model)), arrays["ranges"]))
-    T = cfg.tile_size
+    T = RASTER_CONFIG.tile_size
     bands = ((slice(r0, r0 + T), slice(0, cam.width), order) for r0 in range(0, cam.height, T))
-    return _render(cam, arrays, cfg, bands)
+    return _render(cam, arrays, bands)
 
 
 # --- backward ---------------------------------------------------------------
@@ -496,7 +468,7 @@ def rasterize_backward(
     """
     if records.n_splats != len(model) or records.model_version != model.version:
         raise GeometryError("blend records are stale for this model")
-    cam, pose, cfg = records.cam, records.pose, records.config
+    cam, pose = records.cam, records.pose
     N = len(model)
     out = SplatGradients.zeros(N)
     if records.pair_splats.shape[0] == 0:
@@ -515,8 +487,8 @@ def rasterize_backward(
     acc_n = np.zeros((N, 3))
     acc_o = np.zeros(N)
 
-    tiles = _binned_tiles(cfg, records.tile_ptr, records.pair_splats, records.tiles_x)
-    for rows, cols, V, PHx, PHy, chunks in _blend_tiles(cam, arrays, cfg, tiles):
+    tiles = _binned_tiles(records.tile_ptr, records.pair_splats, records.tiles_x)
+    for rows, cols, V, PHx, PHy, chunks in _blend_tiles(cam, arrays, tiles):
         gD = gD_img[rows, cols].reshape(-1)
         gN = gN_img[rows, cols].reshape(-1, 3)
         gO = gO_img[rows, cols].reshape(-1)
@@ -549,7 +521,7 @@ def rasterize_backward(
             d_alpha = tk * ck - lk / (1.0 - alpha)
 
             # alpha routes: kernel coordinates and opacity (dead where clamped)
-            free = arrays["opac"][sub[t]] * G <= cfg.alpha_clamp
+            free = arrays["opac"][sub[t]] * G <= RASTER_CONFIG.alpha_clamp
             k_alpha = np.where(free, -d_alpha * alpha, 0.0)
             # bincount, as a splat recurs across the chunk's pixels
             acc_o[sub] += np.bincount(t, np.where(free, d_alpha * G, 0.0), minlength=T)

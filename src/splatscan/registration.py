@@ -27,8 +27,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import RegistrationError
-from .geometry import RangeImage, SphericalCamera, build_range_image
-from .rasterizer import RasterConfig, rasterize_forward
+from .geometry import RangeImage, SphericalCamera, build_range_image, shift_image
+from .rasterizer import rasterize_forward
 from .se3 import SE3Pose, se3_exp
 from .splats import SplatModel
 
@@ -96,10 +96,7 @@ class LeafTree:
 
 
 def build_leaf_tree(
-    points: np.ndarray,
-    viewpoint: np.ndarray,
-    leaf_size: int = 64,
-    flatness_tau: float = 0.02,
+    points: np.ndarray, viewpoint: np.ndarray, leaf_size: int, flatness_tau: float
 ) -> LeafTree:
     """Split until patches are flat (lambda_min/lambda_mid <= tau) or small.
 
@@ -168,15 +165,9 @@ def _jump_mask(depth: np.ndarray, valid: np.ndarray, gate: float, wrap: bool):
     belong to neither surface; they always sit on a range discontinuity.
     """
     bad = np.zeros_like(valid)
-    for axis, shift in ((0, 1), (0, -1), (1, 1), (1, -1)):
-        nd = np.roll(depth, shift, axis)
-        nv = np.roll(valid, shift, axis)
-        if axis == 0 or not wrap:
-            edge = 0 if shift == 1 else -1
-            if axis == 0:
-                nv[edge, :] = False
-            else:
-                nv[:, edge] = False
+    for axis, step in ((0, 1), (0, -1), (1, 1), (1, -1)):
+        nd = shift_image(depth, step, axis, wrap)
+        nv = shift_image(valid, step, axis, wrap)
         bad |= valid & nv & (np.abs(depth - nd) > gate)
     return bad
 
@@ -185,8 +176,7 @@ def sample_model(
     model: SplatModel,
     cam: SphericalCamera,
     pose: SE3Pose,
-    cfg: RegistrationConfig | None = None,
-    raster: RasterConfig | None = None,
+    cfg: RegistrationConfig,
 ) -> np.ndarray:
     """World points of confidently covered rendered pixels.
 
@@ -197,8 +187,7 @@ def sample_model(
     opacity removes that bias.  Pixels on a range discontinuity are
     dropped: their blended range lies between the two surfaces.
     """
-    cfg = cfg or RegistrationConfig()
-    render, _ = rasterize_forward(cam, pose, model, raster)
+    render, _ = rasterize_forward(cam, pose, model)
     m = (render.opacity > cfg.visibility_opacity) & (render.range > 0)
     depth_img = np.where(m, render.range / np.maximum(render.opacity, 1e-12), 0.0)
     m &= ~_jump_mask(depth_img, m, cfg.spread_gate, cam.full_circle)
@@ -223,7 +212,7 @@ def _huber_value(r: np.ndarray, delta: float) -> float:
 
 
 def _geo_system(tree: LeafTree, scan: np.ndarray, T: SE3Pose, cfg: RegistrationConfig,
-                trim_floor: float | None = None):
+                trim_floor: float):
     """Point-to-plane residuals and Jacobians at the current pose.
 
     Each point considers its ``assoc_k`` nearest leaf centroids and keeps
@@ -256,8 +245,7 @@ def _geo_system(tree: LeafTree, scan: np.ndarray, T: SE3Pose, cfg: RegistrationC
     c = tree.centroids[li]
     q = scan[ok]
     r = np.sum(n * (p_w[ok] - c), axis=1)
-    floor = cfg.trim_floor_geo if trim_floor is None else trim_floor
-    keep = np.abs(r) <= max(cfg.trim_factor * np.median(np.abs(r)), floor)
+    keep = np.abs(r) <= max(cfg.trim_factor * np.median(np.abs(r)), trim_floor)
     if not keep.any():
         return None
     n, c, q, r = n[keep], c[keep], q[keep], r[keep]
@@ -313,7 +301,7 @@ def _photo_system(
     cam: SphericalCamera,
     T: SE3Pose,
     cfg: RegistrationConfig,
-    trim_floor: float | None = None,
+    trim_floor: float,
 ):
     """Range-warp residuals: |q| - D_scan(project(q)), q = T^-1 X_w."""
     Tin = T.inverse()
@@ -333,8 +321,7 @@ def _photo_system(
     r = rng_q - val[ok]
     du = du[ok]
     dv = dv[ok]
-    floor = cfg.trim_floor_photo if trim_floor is None else trim_floor
-    keep = np.abs(r) <= max(cfg.trim_factor * np.median(np.abs(r)), floor)
+    keep = np.abs(r) <= max(cfg.trim_factor * np.median(np.abs(r)), trim_floor)
     if not keep.any():
         return None
     q, rho2, r2, rng_q, r, du, dv = (
@@ -359,21 +346,12 @@ def _photo_system(
 # --- solver -----------------------------------------------------------------
 
 
-def _objective(residuals: list[np.ndarray], terms: list[tuple[float, float]]) -> float:
-    """Weighted robust objective; ``terms`` holds frozen (delta, scale) pairs."""
-    total = 0.0
-    for r, (delta, s) in zip(residuals, terms):
-        total += s * _huber_value(r, delta)
-    return total
-
-
 def register(
     model: SplatModel,
     scan: np.ndarray,
     cam: SphericalCamera,
     initial: SE3Pose,
     cfg: RegistrationConfig | None = None,
-    raster: RasterConfig | None = None,
     rng: np.random.Generator | None = None,
 ) -> RegistrationResult:
     """Align a sensor-frame scan to the model, starting from ``initial``.
@@ -394,7 +372,7 @@ def register(
             cam.width * s, cam.height * s,
             cam.az_min, cam.az_max, cam.el_min, cam.el_max,
         )
-    model_pts = sample_model(model, geo_cam, initial, cfg, raster)
+    model_pts = sample_model(model, geo_cam, initial, cfg)
     if model_pts.shape[0] < cfg.min_residuals:
         raise RegistrationError("model renders to too few confident pixels")
 
@@ -410,13 +388,20 @@ def register(
     # to roughly scan resolution so the warp term stays cheap
     X_w = model_pts if s == 1 else model_pts[:: s * s]
 
+    # residual families: (system at a pose and trim floor, Huber delta, trim floor)
+    families = {
+        "geo": (lambda T, floor: _geo_system(tree, geo_scan, T, cfg, floor),
+                cfg.huber_geo, cfg.trim_floor_geo),
+        "photo": (lambda T, floor: _photo_system(X_w, scan_img, cam, T, cfg, floor),
+                  cfg.huber_photo, cfg.trim_floor_photo),
+    }
+    last = {name: np.zeros(0) for name in families}
     T = initial.copy()
     it_total = 0
     converged = False
-    last = {"geo": (np.zeros(0), 0), "photo": (np.zeros(0), 0)}
 
     # geometric phase, then joint phase; budgets count iterations in total
-    for use_photo, budget in ((False, cfg.max_iters // 2), (True, cfg.max_iters)):
+    for active, budget in ((("geo",), cfg.max_iters // 2), (("geo", "photo"), cfg.max_iters)):
         lam = cfg.damping_init
         converged = False
         while it_total < budget:
@@ -425,39 +410,31 @@ def register(
             # residuals would be trimmed once the rest has converged; keep
             # the trim loose at first and tighten it geometrically
             anneal = cfg.assoc_gate * 0.5 ** it_total
-            fg = max(cfg.trim_floor_geo, anneal)
-            fp = max(cfg.trim_floor_photo, anneal)
             H = np.zeros((6, 6))
             b = np.zeros(6)
-            obj_terms = []
-            n_geo = n_photo = 0
-            geo = _geo_system(tree, geo_scan, T, cfg, fg)
-            if geo is not None:
-                r, J = geo
-                w = _huber_weights(r, cfg.huber_geo)
-                m = r.shape[0]
-                s = 1.0 / m
+            # each family's normal equations, weighted by 1 / residual count;
+            # terms keeps what re-scores it at a trial pose
+            terms = []
+            obj0 = 0.0
+            n_res = 0
+            for name in active:
+                system, huber, floor = families[name]
+                floor = max(floor, anneal)
+                found = system(T, floor)
+                if found is None:
+                    continue
+                r, J = found
+                w = _huber_weights(r, huber)
+                s = 1.0 / r.shape[0]
                 H += s * (J.T * w) @ J
                 b += s * (J.T @ (w * r))
-                obj_terms.append((cfg.huber_geo, s))
-                n_geo = m
-                last["geo"] = (r, m)
-            photo = _photo_system(X_w, scan_img, cam, T, cfg, fp) if use_photo else None
-            if photo is not None:
-                r, J = photo
-                w = _huber_weights(r, cfg.huber_photo)
-                m = r.shape[0]
-                s = 1.0 / m
-                H += s * (J.T * w) @ J
-                b += s * (J.T @ (w * r))
-                obj_terms.append((cfg.huber_photo, s))
-                n_photo = m
-                last["photo"] = (r, m)
-            if n_geo + n_photo < cfg.min_residuals:
+                obj0 += s * _huber_value(r, huber)
+                terms.append((system, floor, huber, s))
+                n_res += r.shape[0]
+                last[name] = r
+            if n_res < cfg.min_residuals:
                 raise RegistrationError("too few residuals survive association")
 
-            cur = [geo, photo]
-            obj0 = _objective([g[0] for g in cur if g is not None], obj_terms)
             accepted = False
             while lam <= cfg.damping_max:
                 try:
@@ -469,14 +446,9 @@ def register(
                     lam = max(lam, 1e-8) * 10.0
                     continue
                 T_try = T.retract(delta)
-                trial = []
-                g2 = _geo_system(tree, geo_scan, T_try, cfg, fg)
-                if g2 is not None:
-                    trial.append(g2[0])
-                p2 = _photo_system(X_w, scan_img, cam, T_try, cfg, fp) if use_photo else None
-                if p2 is not None:
-                    trial.append(p2[0])
-                if trial and _objective(trial, obj_terms) <= obj0 + 1e-12:
+                trial = [(system(T_try, floor), huber, s) for system, floor, huber, s in terms]
+                obj = [s * _huber_value(f[0], huber) for f, huber, s in trial if f is not None]
+                if obj and sum(obj) <= obj0 + 1e-12:
                     T = T_try
                     lam = max(lam * 0.25, cfg.damping_init)
                     accepted = True
@@ -489,9 +461,8 @@ def register(
                 break
 
     T = T.orthonormalized()
-    geo_r, n_geo = last["geo"]
-    photo_r, n_photo = last["photo"]
+    geo_r, photo_r = last["geo"], last["photo"]
     rms = lambda r: float(np.sqrt(np.mean(r * r))) if r.size else 0.0
     return RegistrationResult(
-        T, converged, it_total, rms(geo_r), rms(photo_r), n_geo, n_photo
+        T, converged, it_total, rms(geo_r), rms(photo_r), geo_r.size, photo_r.size
     )

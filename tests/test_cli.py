@@ -1,0 +1,55 @@
+"""Exit codes of the command-line front end: 0 success, 1 usage,
+2 unreadable or malformed data, 3 numerical failure."""
+
+import pytest
+
+from splatscan.cli import main
+
+SMALL = ["--set", "image_width=64", "--set", "image_height=16", "--set", "refine_iters=1"]
+
+
+@pytest.fixture(scope="module")
+def scans(tmp_path_factory):
+    out = tmp_path_factory.mktemp("scans")
+    assert main(["synth", "--out", str(out), "--steps", "2", "--width", "64",
+                 "--height", "16", "--seed", "0"]) == 0
+    assert len(list(out.glob("scan_*.ply"))) == 2
+    return out
+
+
+def test_run_succeeds(scans, tmp_path, capsys):
+    assert main(["run", str(scans), "--out", str(tmp_path)] + SMALL) == 0
+    assert "processed 2 scans" in capsys.readouterr().out
+    assert (tmp_path / "trajectory.tum").is_file()
+    assert list(tmp_path.glob("map_*.ply"))
+
+
+def test_unknown_subcommand_is_a_usage_error(capsys):
+    assert main(["no-such-command"]) == 1
+
+
+def test_missing_scan_file(tmp_path, capsys):
+    missing = tmp_path / "missing.ply"
+    assert main(["run", str(missing), "--out", str(tmp_path / "out")]) == 2
+    assert "scan file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, message", [
+    ("mapping.no_such_key=1", "unknown config key"),
+    ("raster.tile_size=16", "unknown config section"),
+    ("mapping=3", "names a section"),
+    ("registration.max_iters=abc", "expects int"),
+    ("registration.max_iters=2.5", "expects int"),
+    ("mapping.w_scale=yes", "expects float"),
+])
+def test_bad_override_is_malformed_data(scans, tmp_path, capsys, override, message):
+    assert main(["run", str(scans), "--out", str(tmp_path), "--set", override]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_nothing_to_export_is_a_numerical_failure(scans, tmp_path, capsys):
+    argv = ["run", str(scans), "--out", str(tmp_path), "--set", "image_width=64",
+            "--set", "image_height=16", "--set", "mapping.opacity_init=0.01",
+            "--set", "refine_iters=0"]
+    assert main(argv) == 3
+    assert "no confidently rendered pixels" in capsys.readouterr().err

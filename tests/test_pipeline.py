@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from splatscan.io import read_ply
 from splatscan.pipeline import Pipeline, RunConfig
 from splatscan.se3 import SE3Pose, so3_exp
 from splatscan.synth import ScanSpec, raycast_scan, room_with_boxes
@@ -47,3 +48,44 @@ def test_one_trajectory_row_per_scan(good_scans, name, position):
     report = pipe.finalize()
     assert report["n_scans"] == len(scans)
     assert report["fallbacks"] >= 1
+
+
+def _run(scans, seed, out_dir):
+    pipe = Pipeline(RunConfig(image_width=64, image_height=16, refine_iters=1, seed=seed,
+                              out_dir=str(out_dir)))
+    rows = [pipe.process_scan(s) for s in scans]
+    pipe.finalize()
+    points = [read_ply(p) for p in sorted(out_dir.glob("map_*.ply"))]
+    return pipe.trajectory, points, rows
+
+
+@pytest.fixture(scope="module")
+def three_scans(good_scans):
+    scene = room_with_boxes(seed=0)
+    pose = SE3Pose(so3_exp([0.0, 0.0, 0.1]), [0.2, 0.05, 0.0])
+    return good_scans + [raycast_scan(scene, pose, ScanSpec(64, 16),
+                                      np.random.default_rng(1)).cloud]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_fixed_seed_gives_identical_runs(three_scans, tmp_path, seed):
+    traj_a, pts_a, _ = _run(three_scans, seed, tmp_path / "a")
+    traj_b, pts_b, _ = _run(three_scans, seed, tmp_path / "b")
+    assert np.array_equal(traj_a.stamps, traj_b.stamps)
+    assert len(traj_a.poses) == len(traj_b.poses) == 3
+    for pa, pb in zip(traj_a.poses, traj_b.poses):
+        assert np.array_equal(pa.matrix(), pb.matrix())
+    assert pts_a and len(pts_a) == len(pts_b)
+    for (xa, na), (xb, nb) in zip(pts_a, pts_b):
+        assert xa.shape[0] > 0
+        assert np.array_equal(xa, xb) and np.array_equal(na, nb)
+
+
+def test_registered_scans_report_their_residuals(three_scans, tmp_path):
+    _, _, rows = _run(three_scans, 0, tmp_path)
+    assert "n_geo" not in rows[0]  # the first scan opens the map unregistered
+    for row in rows[1:]:
+        assert not row["fallback"]
+        assert row["n_geo"] > 0 and row["n_photo"] > 0
+        assert np.isfinite(row["geo_rms"]) and row["geo_rms"] > 0.0
+        assert np.isfinite(row["photo_rms"]) and row["photo_rms"] > 0.0

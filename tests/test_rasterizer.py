@@ -5,8 +5,8 @@ from conftest import random_model, surface_model
 from splatscan.errors import GeometryError
 from splatscan.geometry import SphericalCamera
 from splatscan.rasterizer import (
+    RASTER_CONFIG,
     PixelGradients,
-    RasterConfig,
     _binned_tiles,
     _blend_tiles,
     _splat_camera_arrays,
@@ -130,12 +130,12 @@ def _with_gradients(cam, pose, model, rng):
 
 def _branch_counts(cam, pose, model):
     """(clamped pairs that blend, pairs cut off by the early stop) of a render."""
-    cfg = RasterConfig()
-    _, rec = rasterize_forward(cam, pose, model, cfg)
+    cfg = RASTER_CONFIG
+    _, rec = rasterize_forward(cam, pose, model)
     arrays = _splat_camera_arrays(model, pose)
-    tiles = _binned_tiles(cfg, rec.tile_ptr, rec.pair_splats, rec.tiles_x)
+    tiles = _binned_tiles(rec.tile_ptr, rec.pair_splats, rec.tiles_x)
     clamped = stopped = 0
-    for *_, chunks in _blend_tiles(cam, arrays, cfg, tiles):
+    for *_, chunks in _blend_tiles(cam, arrays, tiles):
         for sub, g, w, t_pair in chunks:
             a_raw = arrays["opac"][sub] * g["G"]
             clamped += int(np.sum((w > 0) & (a_raw > cfg.alpha_clamp)))
