@@ -28,7 +28,6 @@ from .geometry import (
 from .mapping import (
     Keyframe,
     LocalMap,
-    MappingConfig,
     add_keyframe,
     make_keyframe,
     refine,
@@ -36,7 +35,7 @@ from .mapping import (
 )
 from .pipeline import Pipeline, RunConfig, export_oriented_points
 from .rasterizer import RenderOutput, rasterize_forward
-from .registration import RegistrationConfig, RegistrationResult, register
+from .registration import RegistrationResult, register
 from .se3 import SE3Pose
 from .splats import SplatModel
 
@@ -60,10 +59,8 @@ __all__ = [
     "SplatModel",
     "RenderOutput",
     "rasterize_forward",
-    "RegistrationConfig",
     "RegistrationResult",
     "register",
-    "MappingConfig",
     "Keyframe",
     "LocalMap",
     "make_keyframe",

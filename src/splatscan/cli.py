@@ -76,15 +76,18 @@ def _kv(text: str) -> tuple[str, str]:
 
 
 def _build_run_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
+    overrides = {}
+    if args.config:
         cfg_path = Path(args.config)
         if not cfg_path.is_file():
             raise IngestionError(f"config file not found: {cfg_path}")
-        apply_overrides(cfg, parse_config_text(cfg_path.read_text()))
-    for k, v in getattr(args, "set", None) or []:
-        apply_overrides(cfg, {k: v})
-    if getattr(args, "seed", None) is not None:
+        overrides.update(parse_config_text(cfg_path.read_text()))
+    overrides.update(args.set or [])
+    if "out_dir" in overrides:
+        raise IngestionError("config key 'out_dir' is set by --out only")
+    cfg = RunConfig(out_dir=args.out)
+    apply_overrides(cfg, overrides)
+    if args.seed is not None:
         cfg.seed = args.seed
     return cfg
 
@@ -106,7 +109,6 @@ def _scan_paths(inputs: list[str]) -> list[Path]:
 
 def _cmd_run(args) -> int:
     cfg = _build_run_config(args)
-    cfg.out_dir = args.out
     paths = _scan_paths(args.scans)
     pipe = Pipeline(cfg)
     for p in paths:
@@ -230,13 +232,17 @@ def build_parser() -> argparse.ArgumentParser:
                      description="LiDAR odometry and mapping with surface splats")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    run = sub.add_parser("run", help="process a scan sequence")
+    run = sub.add_parser("run", help="process a scan sequence", epilog=(
+        "config keys for --config and --set: image_width, image_height (range image "
+        "size, from the sensor); refine_iters (map refinement steps per scan: quality "
+        "against speed); seed (as --seed); scan_period (seconds between scans, for "
+        "trajectory timestamps).  out_dir is set by --out only."))
     run.add_argument("scans", nargs="+",
                      help="scan files in order, or one directory of scans")
     run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--config", help="config file (key = value lines)")
+    run.add_argument("--config", help="config file of key = value lines (keys below)")
     run.add_argument("--set", action="append", type=_kv, metavar="KEY=VALUE",
-                     help="override one config entry (repeatable)")
+                     help="override one config key (repeatable; keys below)")
     run.add_argument("--seed", type=int, help="RNG seed for a deterministic run")
     run.add_argument("--verbose", action="store_true",
                      help="per-scan progress on stderr")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 import struct
-from dataclasses import fields, is_dataclass
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -123,7 +123,10 @@ def _text_rows(lines: list[str], ncols: int, max_rows: int | None = None) -> np.
         line.strip() and not line.lstrip().startswith("#") for line in lines
     ):
         return np.zeros((0, ncols))
-    return np.loadtxt(lines, dtype=float, max_rows=max_rows, ndmin=2)
+    try:
+        return np.loadtxt(lines, dtype=float, max_rows=max_rows, ndmin=2)
+    except ValueError as e:
+        raise IngestionError(f"malformed numeric text: {e}") from None
 
 
 def read_ply(path) -> tuple[np.ndarray, np.ndarray | None]:
@@ -250,33 +253,24 @@ def load_trajectory(path, fmt: str | None = None) -> Trajectory:
 # --- model container --------------------------------------------------------
 
 _MODEL_MAGIC = b"SPLM"
-_MODEL_VERSION = 1
-# per row: center(3) t_alpha(3) t_beta(3) scales(2) opacity(1)
-_MODEL_COLS = 12
-
-
-def _model_rows(model: SplatModel) -> np.ndarray:
-    return np.concatenate(
-        [
-            model.centers,
-            model.raw_t_alpha,
-            model.raw_t_beta,
-            model.scales,
-            model.opacities[:, None],
-        ],
-        axis=1,
-    ).astype("<f8")
+_MODEL_VERSION = 2
+# the model's own raw arrays, in row order, and their widths
+_MODEL_FIELDS = (("centers", 3), ("raw_t_alpha", 3), ("raw_t_beta", 3),
+                 ("log_scales", 2), ("logit_opacity", 1))
+_MODEL_COLS = sum(width for _, width in _MODEL_FIELDS)
 
 
 def save_model(path, model: SplatModel, ascii_variant: bool = False) -> None:
-    """Persist a splat model.
+    """Persist a splat model exactly, as the arrays it optimizes.
 
     Binary layout: magic ``SPLM``, u32 version, u64 count, then count
-    rows of 12 little-endian float64 (center, two tangents, two scales,
-    opacity).  The ASCII variant is one whitespace row per splat behind a
-    one-line header, for quick inspection and diffing.
+    rows of 12 little-endian float64: center, the two raw tangents, the
+    two log scales and the logit opacity.  The ASCII variant is one
+    whitespace row per splat, printed with 17 significant digits, behind
+    a ``# splat-model v<version> count=<count>`` header, for quick
+    inspection and diffing.
     """
-    rows = _model_rows(model)
+    rows = np.column_stack([getattr(model, name) for name, _ in _MODEL_FIELDS]).astype("<f8")
     if ascii_variant:
         with open(path, "w") as fh:
             fh.write(f"# splat-model v{_MODEL_VERSION} count={rows.shape[0]}\n")
@@ -289,30 +283,42 @@ def save_model(path, model: SplatModel, ascii_variant: bool = False) -> None:
 
 
 def load_model(path) -> SplatModel:
-    path = Path(path)
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-        if head == _MODEL_MAGIC:
-            ver, count = struct.unpack("<IQ", fh.read(12))
-            if ver != _MODEL_VERSION:
-                raise IngestionError(f"unsupported model version {ver}")
-            buf = fh.read(count * _MODEL_COLS * 8)
-            if len(buf) != count * _MODEL_COLS * 8:
-                raise IngestionError(f"truncated model file: {path}")
-            rows = np.frombuffer(buf, dtype="<f8").reshape(count, _MODEL_COLS)
-        else:
-            text = head + fh.read()
-            first = text.split(b"\n", 1)[0]
-            if not first.startswith(b"# splat-model"):
-                raise IngestionError(f"not a splat model file: {path}")
-            rows = _text_rows(text.decode("ascii").splitlines(), _MODEL_COLS)
-            if rows.shape[1] != _MODEL_COLS:
-                raise IngestionError(f"model rows need {_MODEL_COLS} columns")
+    """Read a model written by :func:`save_model`, binary or ASCII.
+
+    Other versions, truncated files and non-finite values raise
+    :class:`IngestionError`.
+    """
+    data = Path(path).read_bytes()
+    binary = data[:4] == _MODEL_MAGIC
+    if binary:
+        if len(data) < 16:
+            raise IngestionError(f"truncated model file: {path}")
+        ver, count = struct.unpack_from("<IQ", data, 4)
+    else:
+        lines = data.decode("ascii", "replace").splitlines()
+        m = re.fullmatch(r"# splat-model v(\d+) count=(\d+)", lines[0].strip() if lines else "")
+        if m is None:
+            raise IngestionError(f"not a splat model file: {path}")
+        ver, count = int(m.group(1)), int(m.group(2))
+    if ver != _MODEL_VERSION:
+        raise IngestionError(f"unsupported model version {ver}: {path}")
+    if binary:
+        if len(data) - 16 != count * _MODEL_COLS * 8:
+            raise IngestionError(f"model file size does not match its count: {path}")
+        rows = np.frombuffer(data, dtype="<f8", offset=16).reshape(count, _MODEL_COLS)
+    else:
+        rows = _text_rows(lines[1:], _MODEL_COLS)
+        if rows.shape != (count, _MODEL_COLS):
+            raise IngestionError(f"model file does not hold {count} rows: {path}")
+    if not np.isfinite(rows).all():
+        raise IngestionError(f"non-finite values in model file: {path}")
     model = SplatModel()
-    if rows.shape[0]:
-        model.append(
-            rows[:, 0:3], rows[:, 3:6], rows[:, 6:9], rows[:, 9:11], rows[:, 11], 0
-        )
+    start = 0
+    for name, width in _MODEL_FIELDS:
+        cols = rows[:, start] if width == 1 else rows[:, start:start + width]
+        setattr(model, name, cols.astype(float))
+        start += width
+    model.epochs = np.zeros(count, dtype=int)
     return model
 
 
@@ -378,7 +384,7 @@ def _coerce(text: str):
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse ``dotted.key = value`` lines into a flat dict.
+    """Parse ``key = value`` lines into a dict.
 
     Blank lines and ``#`` comments are skipped; values become bool, int
     or float when they look like one, otherwise stay strings.
@@ -395,28 +401,19 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def apply_overrides(cfg, mapping: dict) -> list[str]:
-    """Assign dotted keys onto a tree of dataclasses; returns keys applied.
+def apply_overrides(cfg, mapping: dict) -> None:
+    """Assign keys onto the fields of a flat dataclass.
 
-    Unknown keys, keys that name a whole section and values that do not
-    convert to the field's type raise, so typos in config files fail
-    loudly instead of silently running defaults.  Text values are read as
-    in :func:`parse_config_text`; an int is accepted for a float field.
+    Unknown keys and values that do not convert to the field's type
+    raise, so typos in config files fail loudly instead of silently
+    running defaults.  Text values are read as in
+    :func:`parse_config_text`; an int is accepted for a float field.
     """
-    applied = []
+    names = {f.name for f in fields(cfg)}
     for key, value in mapping.items():
-        obj = cfg
-        parts = key.split(".")
-        for p in parts[:-1]:
-            if not hasattr(obj, p):
-                raise IngestionError(f"unknown config section {p!r} in {key!r}")
-            obj = getattr(obj, p)
-        leaf = parts[-1]
-        if not (is_dataclass(obj) and leaf in {f.name for f in fields(obj)}):
+        if key not in names:
             raise IngestionError(f"unknown config key {key!r}")
-        current = getattr(obj, leaf)
-        if is_dataclass(current):
-            raise IngestionError(f"config key {key!r} names a section, not a value")
+        current = getattr(cfg, key)
         if isinstance(current, (bool, int, float)):
             v = _coerce(value) if isinstance(value, str) else value
             kinds = (type(current),) if not isinstance(current, float) else (int, float)
@@ -425,9 +422,7 @@ def apply_overrides(cfg, mapping: dict) -> list[str]:
                     f"config key {key!r} expects {type(current).__name__}, got {value!r}"
                 )
             value = type(current)(v)
-        setattr(obj, leaf, value)
-        applied.append(key)
-    return applied
+        setattr(cfg, key, value)
 
 
 def write_report(path, report: dict) -> None:

@@ -16,11 +16,15 @@ The objective per keyframe, summed over pixels of the valid mask:
 New splats are spawned at keyframe pixels drawn by range-gradient weight
 (depth edges first), seeded on the back-projected surface with the
 keyframe normal, pixel-footprint scales and opacity 0.5.
+
+Every weight, threshold and learning rate has one value in use and lives
+in :data:`MAPPING_CONFIG`, read directly here as renders read
+``rasterizer.RASTER_CONFIG``.  A study that sweeps one of them should bring
+back only that knob as a parameter, not the whole record.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,10 +42,11 @@ from .geometry import (
 )
 from .rasterizer import PixelGradients, RenderOutput, rasterize_backward, rasterize_forward
 from .se3 import SE3Pose
-from .splats import SplatModel, orthonormal_tangents, tangent_raw_gradients
+from .splats import SplatModel, tangent_raw_gradients
 
 __all__ = [
     "MappingConfig",
+    "MAPPING_CONFIG",
     "Keyframe",
     "LocalMap",
     "make_keyframe",
@@ -61,7 +66,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MappingConfig:
     """Weights, thresholds and optimizer settings for map refinement."""
 
@@ -85,6 +90,10 @@ class MappingConfig:
     opacity_init: float = 0.5
     footprint_gain: float = 1.0
     range_weight_floor: float = 1.0  # meters
+
+
+# the settings of every map
+MAPPING_CONFIG = MappingConfig()
 
 
 @dataclass
@@ -112,18 +121,18 @@ def make_keyframe(
 
 @dataclass
 class MappingLoss:
+    """The weighted objective, its unweighted terms and their gradients."""
+
     total: float
+    parts: dict[str, float]
     pixel_grads: PixelGradients
     d_scales: np.ndarray
-    parts: dict[str, float] = field(default_factory=dict)
 
 
-def range_loss(
-    render: RenderOutput, kf: Keyframe, floor: float = 1.0
-) -> tuple[float, np.ndarray]:
+def range_loss(render: RenderOutput, kf: Keyframe) -> tuple[float, np.ndarray]:
     """Range-weighted L1 on the range channel over the keyframe's valid mask."""
     M = kf.range_image.valid
-    w = 1.0 / np.maximum(kf.range_image.range, floor)
+    w = 1.0 / np.maximum(kf.range_image.range, MAPPING_CONFIG.range_weight_floor)
     diff = render.range - kf.range_image.range
     L = float(np.sum(w[M] * np.abs(diff[M])))
     g = np.where(M, w * np.sign(diff), 0.0)
@@ -156,13 +165,13 @@ def opacity_loss(
     return L, g
 
 
-def scale_loss(model: SplatModel, cap: float) -> tuple[float, np.ndarray]:
-    """Hinge on the larger scale above ``cap``; gradient on that axis only."""
+def scale_loss(model: SplatModel) -> tuple[float, np.ndarray]:
+    """Hinge on the larger scale above ``scale_cap``; gradient on that axis only."""
     s = model.scales
     if s.shape[0] == 0:
         return 0.0, np.zeros((0, 2))
     mx = s.max(axis=1)
-    over = mx - cap
+    over = mx - MAPPING_CONFIG.scale_cap
     L = float(np.sum(np.maximum(over, 0.0)))
     g = np.zeros_like(s)
     hot = over > 0
@@ -171,21 +180,19 @@ def scale_loss(model: SplatModel, cap: float) -> tuple[float, np.ndarray]:
     return L, g
 
 
-def mapping_loss(
-    render: RenderOutput, model: SplatModel, kf: Keyframe, cfg: MappingConfig
-) -> MappingLoss:
+def mapping_loss(render: RenderOutput, model: SplatModel, kf: Keyframe) -> MappingLoss:
     """Combined per-keyframe objective with pixel and scale gradients."""
-    L_d, g_d = range_loss(render, kf, cfg.range_weight_floor)
+    cfg = MAPPING_CONFIG
+    L_d, g_d = range_loss(render, kf)
     L_o, g_o = opacity_loss(render, kf)
     L_n, g_n = normal_loss(render, kf)
-    L_s, g_s = scale_loss(model, cfg.scale_cap)
+    L_s, g_s = scale_loss(model)
     total = L_d + cfg.w_opacity * L_o + cfg.w_normal * L_n + cfg.w_scale * L_s
-    grads = PixelGradients(g_d, cfg.w_normal * g_n, cfg.w_opacity * g_o)
     return MappingLoss(
         total,
-        grads,
-        cfg.w_scale * g_s,
         {"range": L_d, "opacity": L_o, "normal": L_n, "scale": L_s},
+        PixelGradients(g_d, cfg.w_normal * g_n, cfg.w_opacity * g_o),
+        cfg.w_scale * g_s,
     )
 
 
@@ -230,11 +237,9 @@ def spawn_splats(
     model: SplatModel,
     kf: Keyframe,
     mask: np.ndarray,
-    n_max: int,
-    cfg: MappingConfig,
     rng: np.random.Generator,
 ) -> int:
-    """Create splats at up to ``n_max`` masked keyframe pixels.
+    """Create splats at up to ``n_spawn`` masked keyframe pixels.
 
     Pixels are drawn without replacement, weighted by the range-gradient
     magnitude (uniform when it vanishes everywhere).  Each splat sits on
@@ -242,15 +247,16 @@ def spawn_splats(
     (falling back to facing the sensor), scaled to the pixel footprint.
     Returns the number spawned.
     """
+    cfg = MAPPING_CONFIG
     mask = mask & kf.range_image.valid
     idx = np.flatnonzero(mask)
     if idx.size == 0:
         return 0
-    if idx.size > n_max:
+    if idx.size > cfg.n_spawn:
         w = _range_gradient_weights(kf).ravel()[idx]
         total = w.sum()
         p = w / total if total > 0 else None
-        idx = rng.choice(idx, size=n_max, replace=False, p=p)
+        idx = rng.choice(idx, size=cfg.n_spawn, replace=False, p=p)
     rows, cols = np.unravel_index(idx, kf.range_image.shape)
     uv = kf.camera.sample_grid[rows, cols]
     d = kf.range_image.range[rows, cols]
@@ -278,11 +284,11 @@ def spawn_splats(
     return idx.size
 
 
-def densify_mask(render: RenderOutput, kf: Keyframe, cfg: MappingConfig) -> np.ndarray:
+def densify_mask(render: RenderOutput, kf: Keyframe) -> np.ndarray:
     """Valid pixels the current model explains poorly (thin or wrong range)."""
     M = kf.range_image.valid
-    thin = render.opacity <= cfg.densify_opacity
-    wrong = np.abs(render.range - kf.range_image.range) >= cfg.densify_range_err
+    thin = render.opacity <= MAPPING_CONFIG.densify_opacity
+    wrong = np.abs(render.range - kf.range_image.range) >= MAPPING_CONFIG.densify_range_err
     return M & (thin | wrong)
 
 
@@ -294,12 +300,13 @@ def coverage(render: RenderOutput, kf: Keyframe) -> float:
     return float(render.opacity[M].mean())
 
 
-def should_reset_local_map(lmap: "LocalMap", kf: Keyframe, cfg: MappingConfig) -> bool:
+def should_reset_local_map(lmap: "LocalMap", kf: Keyframe) -> bool:
     """Whether ``kf`` should open a fresh local map instead of joining.
 
     Three triggers: the keyframe budget is exhausted, the model barely
     covers the new view, or the sensor has left the map's neighborhood.
     """
+    cfg = MAPPING_CONFIG
     if len(lmap.keyframes) >= cfg.max_keyframes:
         return True
     if np.linalg.norm(kf.pose.translation - lmap.origin.translation) > cfg.reset_radius:
@@ -364,31 +371,17 @@ class LocalMap:
     optimizer: _Adam | None = None
 
     @classmethod
-    def start(cls, kf: Keyframe, cfg: MappingConfig, rng: np.random.Generator) -> "LocalMap":
+    def start(cls, kf: Keyframe, rng: np.random.Generator) -> "LocalMap":
         """Open a new map seeded from one keyframe."""
         model = SplatModel()
         ranges = kf.range_image.range[kf.range_image.valid]
         scale = float(np.median(ranges)) if ranges.size else 1.0
         lmap = cls(model, [], kf.pose.copy(), max(scale, 1e-3), _Adam(0))
-        add_keyframe(lmap, kf, cfg, rng)
+        add_keyframe(lmap, kf, rng)
         return lmap
 
-    def lr_table(self, cfg: MappingConfig) -> dict[str, float]:
-        return {
-            "centers": cfg.lr_centers * self.scene_scale,
-            "raw_t_alpha": cfg.lr_tangents,
-            "raw_t_beta": cfg.lr_tangents,
-            "log_scales": cfg.lr_log_scales,
-            "logit_opacity": cfg.lr_logit_opacity,
-        }
 
-
-def add_keyframe(
-    lmap: LocalMap,
-    kf: Keyframe,
-    cfg: MappingConfig,
-    rng: np.random.Generator,
-) -> dict:
+def add_keyframe(lmap: LocalMap, kf: Keyframe, rng: np.random.Generator) -> dict:
     """Append a keyframe: prune dead splats, then densify where it is unexplained.
 
     The first keyframe of a map seeds splats at every valid pixel (up to
@@ -399,13 +392,13 @@ def add_keyframe(
         mask = kf.range_image.valid.copy()
     else:
         render, _ = rasterize_forward(kf.camera, kf.pose, lmap.model)
-        mask = densify_mask(render, kf, cfg)
-        keep = lmap.model.opacities >= cfg.prune_opacity
+        mask = densify_mask(render, kf)
+        keep = lmap.model.opacities >= MAPPING_CONFIG.prune_opacity
         if not keep.all():
             stats["pruned"] = lmap.model.prune(keep)
             lmap.optimizer.prune(keep)
     before = len(lmap.model)
-    stats["spawned"] = spawn_splats(lmap.model, kf, mask, cfg.n_spawn, cfg, rng)
+    stats["spawned"] = spawn_splats(lmap.model, kf, mask, rng)
     lmap.optimizer.grow(len(lmap.model) - before)
     lmap.keyframes.append(kf)
     return stats
@@ -425,28 +418,32 @@ def sample_keyframe_index(n: int, p: float, rng: np.random.Generator) -> int:
     return n - 1 - age
 
 
-def refine(
-    lmap: LocalMap,
-    cfg: MappingConfig,
-    iters: int,
-    rng: np.random.Generator,
-) -> list[float]:
-    """Adam refinement over randomly sampled keyframes; returns loss values.
+def refine(lmap: LocalMap, iters: int, rng: np.random.Generator) -> list[dict[str, float]]:
+    """Adam refinement over randomly sampled keyframes.
 
     Each iteration renders one keyframe, backpropagates the mapping loss
     and steps all four parameter groups, then clamps scales into
-    ``[scale_floor, 10 * scale_cap]``.
+    ``[scale_floor, 10 * scale_cap]``.  Returns one entry per iteration:
+    the weighted ``total`` and the unweighted ``range``, ``opacity``,
+    ``normal`` and ``scale`` terms, all before the step.
     """
-    losses: list[float] = []
+    losses: list[dict[str, float]] = []
     if len(lmap.model) == 0 or not lmap.keyframes:
         return losses
-    lrs = lmap.lr_table(cfg)
+    cfg = MAPPING_CONFIG
+    lrs = {
+        "centers": cfg.lr_centers * lmap.scene_scale,
+        "raw_t_alpha": cfg.lr_tangents,
+        "raw_t_beta": cfg.lr_tangents,
+        "log_scales": cfg.lr_log_scales,
+        "logit_opacity": cfg.lr_logit_opacity,
+    }
     lo = np.log(cfg.scale_floor)
     hi = np.log(10.0 * cfg.scale_cap)
     for _ in range(iters):
         kf = lmap.keyframes[sample_keyframe_index(len(lmap.keyframes), cfg.kf_sample_p, rng)]
         render, rec = rasterize_forward(kf.camera, kf.pose, lmap.model)
-        ml = mapping_loss(render, lmap.model, kf, cfg)
+        ml = mapping_loss(render, lmap.model, kf)
         g = rasterize_backward(lmap.model, rec, render, ml.pixel_grads)
         ga, gb = tangent_raw_gradients(
             lmap.model.raw_t_alpha,
@@ -466,6 +463,6 @@ def refine(
         }
         lmap.optimizer.step(lmap.model, grads, lrs)
         np.clip(lmap.model.log_scales, lo, hi, out=lmap.model.log_scales)
-        losses.append(ml.total)
+        losses.append({"total": ml.total, **ml.parts})
     return losses
 

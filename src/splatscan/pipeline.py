@@ -5,12 +5,15 @@ trajectory, turned into a keyframe, and used to refine the map; the map
 is reset (archived and exported as oriented points) when it fills up,
 stops covering the current view, or is left behind spatially.  One
 trajectory row is produced per scan no matter what happens inside.
+Every scan makes a keyframe from ``SCAN_FRACTION`` of its points; a study
+that sweeps that fraction should bring back only it as a :class:`RunConfig`
+value.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,14 +24,13 @@ from .geometry import estimate_camera
 from .io import save_trajectory, write_ply, write_report
 from .mapping import (
     LocalMap,
-    MappingConfig,
     add_keyframe,
     make_keyframe,
     refine,
     should_reset_local_map,
 )
 from .rasterizer import rasterize_forward
-from .registration import RegistrationConfig, register
+from .registration import register
 from .se3 import SE3Pose
 
 __all__ = [
@@ -39,21 +41,28 @@ __all__ = [
 ]
 
 
+SCAN_FRACTION = 0.5         # share of each scan's points actually used
+EXPORT_PER_KEYFRAME = 2000  # exported points per keyframe, at most
+
+
 @dataclass
 class RunConfig:
-    """Everything a full run needs, nested configs included."""
+    """The six settings of a run, each one that callers vary.
+
+    ``image_width``/``image_height`` follow the sensor's azimuth resolution
+    and beam count; ``refine_iters`` trades map quality for speed (10
+    offline, 1 online); ``seed`` repeats a run exactly; ``scan_period``
+    timestamps trajectory rows when scans come without stamps, as in CLI
+    runs; ``out_dir`` receives maps, trajectories and the report (``None``
+    writes nothing).
+    """
 
     image_width: int = 1024
     image_height: int = 64
-    scan_fraction: float = 0.5    # share of each scan's points actually used
-    keyframe_every: int = 1
     refine_iters: int = 10
-    n_export_per_kf: int = 2000
     seed: int = 0
-    scan_period: float = 0.1      # seconds between trajectory timestamps
+    scan_period: float = 0.1
     out_dir: str | None = None
-    mapping: MappingConfig = field(default_factory=MappingConfig)
-    registration: RegistrationConfig = field(default_factory=RegistrationConfig)
 
 
 @dataclass
@@ -68,11 +77,11 @@ class ArchiveEntry:
 
 
 def export_oriented_points(
-    lmap: LocalMap, n_per_kf: int, rng: np.random.Generator
+    lmap: LocalMap, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample the map as world-frame oriented points, keyframe by keyframe.
 
-    Renders the model at each keyframe pose, picks up to ``n_per_kf``
+    Renders the model at each keyframe pose, picks up to ``EXPORT_PER_KEYFRAME``
     confidently covered pixels (opacity above 0.5) uniformly,
     back-projects them at the opacity-normalized range and attaches the
     normalized blended normal.
@@ -86,8 +95,8 @@ def export_oriented_points(
         idx = np.flatnonzero(m.ravel())
         if idx.size == 0:
             continue
-        if idx.size > n_per_kf:
-            idx = rng.choice(idx, n_per_kf, replace=False)
+        if idx.size > EXPORT_PER_KEYFRAME:
+            idx = rng.choice(idx, EXPORT_PER_KEYFRAME, replace=False)
             idx.sort()
         rows, cols = np.unravel_index(idx, m.shape)
         opac = render.opacity[rows, cols]
@@ -133,10 +142,9 @@ class Pipeline:
     # --- helpers ---------------------------------------------------------
 
     def _subsample(self, cloud: np.ndarray) -> np.ndarray:
-        f = self.cfg.scan_fraction
-        if not (0 < f < 1) or cloud.shape[0] < 10:
+        if cloud.shape[0] < 10:
             return cloud
-        n = max(int(cloud.shape[0] * f), 10)
+        n = max(int(cloud.shape[0] * SCAN_FRACTION), 10)
         idx = self.rng.choice(cloud.shape[0], n, replace=False)
         idx.sort()
         return cloud[idx]
@@ -151,7 +159,7 @@ class Pipeline:
         lmap = self.lmap
         n_splats = len(lmap.model)
         path = None
-        pts, nrm = export_oriented_points(lmap, self.cfg.n_export_per_kf, self.rng)
+        pts, nrm = export_oriented_points(lmap, self.rng)
         if self.cfg.out_dir is not None:
             out = Path(self.cfg.out_dir)
             out.mkdir(parents=True, exist_ok=True)
@@ -178,7 +186,9 @@ class Pipeline:
         ``fallback`` with a ``fallback_reason``; it adds nothing to the map.
         Registered scans report the solver's iterations and convergence and
         each residual family's count and RMS (``n_geo``/``geo_rms``,
-        ``n_photo``/``photo_rms``).
+        ``n_photo``/``photo_rms``).  Refined scans report the mapping loss
+        by term at the first and last refine iteration
+        (``refine_loss_first``/``refine_loss_last``).
         """
         index = len(self.poses)
         cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
@@ -192,12 +202,8 @@ class Pipeline:
         else:
             guess = self._predicted_pose()
             try:
-                cam = estimate_camera(
-                    sub, self.cfg.image_width, self.cfg.image_height
-                )
-                result = register(
-                    self.lmap.model, sub, cam, guess, self.cfg.registration, self.rng
-                )
+                cam = estimate_camera(sub, self.cfg.image_width, self.cfg.image_height)
+                result = register(self.lmap.model, sub, cam, guess, self.rng)
                 new_pose = result.pose
                 row["reg_iters"] = result.iterations
                 row["converged"] = bool(result.converged)
@@ -217,27 +223,27 @@ class Pipeline:
         self.poses.append(new_pose.copy())
 
         t1 = time.perf_counter()
-        kf = None
-        if index % self.cfg.keyframe_every == 0:
-            try:
-                kf = make_keyframe(
-                    index, sub, new_pose, self.cfg.image_width, self.cfg.image_height
-                )
-            except GeometryError as e:
-                # no usable keyframe in this scan: keep the pose, skip mapping
-                row["fallback"] = True
-                row.setdefault("fallback_reason", str(e))
+        try:
+            kf = make_keyframe(index, sub, new_pose, self.cfg.image_width, self.cfg.image_height)
+        except GeometryError as e:
+            # no usable keyframe in this scan: keep the pose, skip mapping
+            kf = None
+            row["fallback"] = True
+            row.setdefault("fallback_reason", str(e))
         if kf is not None:
             if self.lmap is None:
-                self.lmap = LocalMap.start(kf, self.cfg.mapping, self.rng)
+                self.lmap = LocalMap.start(kf, self.rng)
                 self.first_scan_of_map = index
-            elif should_reset_local_map(self.lmap, kf, self.cfg.mapping):
+            elif should_reset_local_map(self.lmap, kf):
                 self._archive_active()
-                self.lmap = LocalMap.start(kf, self.cfg.mapping, self.rng)
+                self.lmap = LocalMap.start(kf, self.rng)
                 self.first_scan_of_map = index
             else:
-                add_keyframe(self.lmap, kf, self.cfg.mapping, self.rng)
-            refine(self.lmap, self.cfg.mapping, self.cfg.refine_iters, self.rng)
+                add_keyframe(self.lmap, kf, self.rng)
+            losses = refine(self.lmap, self.cfg.refine_iters, self.rng)
+            if losses:
+                row["refine_loss_first"] = losses[0]
+                row["refine_loss_last"] = losses[-1]
         row["mapping_ms"] = 1000.0 * (time.perf_counter() - t1)
         has_map = self.lmap is not None
         row["n_splats"] = len(self.lmap.model) if has_map else 0

@@ -17,6 +17,11 @@ reduce the objective.
 The schedule is fixed: a geometric phase (point-to-plane only) for the
 first ``max_iters // 2`` iterations, then a joint phase (both families)
 until ``max_iters`` iterations in total have run.
+
+Every setting has one value in use and lives in :data:`REGISTRATION_CONFIG`,
+read directly here as renders read ``rasterizer.RASTER_CONFIG``.  A study
+that sweeps one of them (the reference's ``geo_supersample``, say) should
+bring back only that knob as a parameter, not the whole record.
 """
 
 from __future__ import annotations
@@ -29,11 +34,12 @@ from scipy.spatial import cKDTree
 from .errors import RegistrationError
 from .geometry import RangeImage, SphericalCamera, build_range_image, shift_image
 from .rasterizer import rasterize_forward
-from .se3 import SE3Pose, se3_exp
+from .se3 import SE3Pose
 from .splats import SplatModel
 
 __all__ = [
     "RegistrationConfig",
+    "REGISTRATION_CONFIG",
     "RegistrationResult",
     "LeafTree",
     "build_leaf_tree",
@@ -42,10 +48,9 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegistrationConfig:
-    """Solver settings for the fixed schedule: geometric phase until
-    iteration ``max_iters // 2``, joint phase until ``max_iters``."""
+    """Association, robust-loss and solver settings of the fixed schedule."""
 
     huber_geo: float = 0.1
     huber_photo: float = 0.2
@@ -65,6 +70,10 @@ class RegistrationConfig:
     geo_supersample: int = 2      # render the reference at this multiple of scan resolution
     damping_init: float = 1e-6
     damping_max: float = 1e6
+
+
+# the settings of every registration
+REGISTRATION_CONFIG = RegistrationConfig()
 
 
 @dataclass
@@ -95,10 +104,9 @@ class LeafTree:
     kdtree: cKDTree = field(repr=False, default=None)
 
 
-def build_leaf_tree(
-    points: np.ndarray, viewpoint: np.ndarray, leaf_size: int, flatness_tau: float
-) -> LeafTree:
-    """Split until patches are flat (lambda_min/lambda_mid <= tau) or small.
+def build_leaf_tree(points: np.ndarray, viewpoint: np.ndarray) -> LeafTree:
+    """Split until patches are flat (lambda_min/lambda_mid <= ``flatness_tau``)
+    or hold at most ``leaf_size`` points.
 
     Leaf normals are the smallest-eigenvalue directions, oriented toward
     ``viewpoint``.
@@ -120,8 +128,8 @@ def build_leaf_tree(
             continue
         cov = np.cov(sub.T, bias=True)
         evals, evecs = np.linalg.eigh(cov)  # ascending
-        flat = evals[1] <= 1e-12 or evals[0] / evals[1] <= flatness_tau
-        if flat or idx.size <= leaf_size:
+        flat = evals[1] <= 1e-12 or evals[0] / evals[1] <= REGISTRATION_CONFIG.flatness_tau
+        if flat or idx.size <= REGISTRATION_CONFIG.leaf_size:
             normal = evecs[:, 0] if evals[1] > 1e-12 else None
             _push_leaf(cents, norms, usable, c, normal, viewpoint)
             continue
@@ -172,12 +180,7 @@ def _jump_mask(depth: np.ndarray, valid: np.ndarray, gate: float, wrap: bool):
     return bad
 
 
-def sample_model(
-    model: SplatModel,
-    cam: SphericalCamera,
-    pose: SE3Pose,
-    cfg: RegistrationConfig,
-) -> np.ndarray:
+def sample_model(model: SplatModel, cam: SphericalCamera, pose: SE3Pose) -> np.ndarray:
     """World points of confidently covered rendered pixels.
 
     Renders the model at ``pose`` and back-projects every pixel with
@@ -187,6 +190,7 @@ def sample_model(
     opacity removes that bias.  Pixels on a range discontinuity are
     dropped: their blended range lies between the two surfaces.
     """
+    cfg = REGISTRATION_CONFIG
     render, _ = rasterize_forward(cam, pose, model)
     m = (render.opacity > cfg.visibility_opacity) & (render.range > 0)
     depth_img = np.where(m, render.range / np.maximum(render.opacity, 1e-12), 0.0)
@@ -211,8 +215,7 @@ def _huber_value(r: np.ndarray, delta: float) -> float:
     return float(np.sum(np.where(a <= delta, quad, lin)))
 
 
-def _geo_system(tree: LeafTree, scan: np.ndarray, T: SE3Pose, cfg: RegistrationConfig,
-                trim_floor: float):
+def _geo_system(tree: LeafTree, scan: np.ndarray, T: SE3Pose, trim_floor: float):
     """Point-to-plane residuals and Jacobians at the current pose.
 
     Each point considers its ``assoc_k`` nearest leaf centroids and keeps
@@ -224,6 +227,7 @@ def _geo_system(tree: LeafTree, scan: np.ndarray, T: SE3Pose, cfg: RegistrationC
     """
     if tree.kdtree is None:
         return None
+    cfg = REGISTRATION_CONFIG
     p_w = T.apply(scan)
     k = min(cfg.assoc_k, tree.kdtree.n)
     dist, leaf_i = tree.kdtree.query(p_w, k=k, distance_upper_bound=cfg.assoc_gate)
@@ -256,14 +260,13 @@ def _geo_system(tree: LeafTree, scan: np.ndarray, T: SE3Pose, cfg: RegistrationC
     return r, J
 
 
-def _bilinear_range(rimg: RangeImage, cam: SphericalCamera, uv: np.ndarray,
-                    max_spread: float = np.inf):
+def _bilinear_range(rimg: RangeImage, cam: SphericalCamera, uv: np.ndarray):
     """Bilinear range sample with analytic image-space gradient.
 
     Interpolates between stored samples, which live at integer indices
     plus the camera's grid offset.  Requires all four supporting pixels
     valid and inside the image; cells whose four ranges spread wider than
-    ``max_spread`` (range discontinuities) are rejected.  Returns
+    ``spread_gate`` (range discontinuities) are rejected.  Returns
     (value, d/du, d/dv, ok).
     """
     H, W = rimg.shape
@@ -284,9 +287,8 @@ def _bilinear_range(rimg: RangeImage, cam: SphericalCamera, uv: np.ndarray,
     d10 = D[j0c, i0c + 1]
     d01 = D[j0c + 1, i0c]
     d11 = D[j0c + 1, i0c + 1]
-    if np.isfinite(max_spread):
-        cell = np.stack([d00, d10, d01, d11])
-        ok &= cell.max(axis=0) - cell.min(axis=0) <= max_spread
+    cell = np.stack([d00, d10, d01, d11])
+    ok &= cell.max(axis=0) - cell.min(axis=0) <= REGISTRATION_CONFIG.spread_gate
     top = d00 * (1 - fu) + d10 * fu
     bot = d01 * (1 - fu) + d11 * fu
     val = top * (1 - fv) + bot * fv
@@ -300,17 +302,17 @@ def _photo_system(
     rimg: RangeImage,
     cam: SphericalCamera,
     T: SE3Pose,
-    cfg: RegistrationConfig,
     trim_floor: float,
 ):
     """Range-warp residuals: |q| - D_scan(project(q)), q = T^-1 X_w."""
+    cfg = REGISTRATION_CONFIG
     Tin = T.inverse()
     q = Tin.apply(X_w)
     rho2 = q[:, 0] ** 2 + q[:, 1] ** 2
     r2 = rho2 + q[:, 2] ** 2
     good = rho2 > 1e-12
     uv = cam.project(q)
-    val, du, dv, ok = _bilinear_range(rimg, cam, uv, cfg.spread_gate)
+    val, du, dv, ok = _bilinear_range(rimg, cam, uv)
     ok &= good
     if not ok.any():
         return None
@@ -351,7 +353,6 @@ def register(
     scan: np.ndarray,
     cam: SphericalCamera,
     initial: SE3Pose,
-    cfg: RegistrationConfig | None = None,
     rng: np.random.Generator | None = None,
 ) -> RegistrationResult:
     """Align a sensor-frame scan to the model, starting from ``initial``.
@@ -360,19 +361,15 @@ def register(
     useful or the normal equations stay singular; callers are expected to
     fall back to their motion model.
     """
-    cfg = cfg or RegistrationConfig()
+    cfg = REGISTRATION_CONFIG
     scan = np.asarray(scan, dtype=float).reshape(-1, 3)
     if scan.shape[0] == 0:
         raise RegistrationError("empty scan")
 
-    s = max(int(cfg.geo_supersample), 1)
-    geo_cam = cam
-    if s > 1:
-        geo_cam = SphericalCamera(
-            cam.width * s, cam.height * s,
-            cam.az_min, cam.az_max, cam.el_min, cam.el_max,
-        )
-    model_pts = sample_model(model, geo_cam, initial, cfg)
+    s = cfg.geo_supersample
+    geo_cam = SphericalCamera(cam.width * s, cam.height * s,
+                              cam.az_min, cam.az_max, cam.el_min, cam.el_max)
+    model_pts = sample_model(model, geo_cam, initial)
     if model_pts.shape[0] < cfg.min_residuals:
         raise RegistrationError("model renders to too few confident pixels")
 
@@ -381,18 +378,18 @@ def register(
         r = rng or np.random.default_rng(0)
         geo_scan = scan[r.choice(scan.shape[0], cfg.max_geo_points, replace=False)]
 
-    tree = build_leaf_tree(model_pts, initial.translation, cfg.leaf_size, cfg.flatness_tau)
+    tree = build_leaf_tree(model_pts, initial.translation)
     scan_img = build_range_image(cam, scan)
 
     # photometric anchors: the same surviving surface points, thinned back
     # to roughly scan resolution so the warp term stays cheap
-    X_w = model_pts if s == 1 else model_pts[:: s * s]
+    X_w = model_pts[:: s * s]
 
     # residual families: (system at a pose and trim floor, Huber delta, trim floor)
     families = {
-        "geo": (lambda T, floor: _geo_system(tree, geo_scan, T, cfg, floor),
+        "geo": (lambda T, floor: _geo_system(tree, geo_scan, T, floor),
                 cfg.huber_geo, cfg.trim_floor_geo),
-        "photo": (lambda T, floor: _photo_system(X_w, scan_img, cam, T, cfg, floor),
+        "photo": (lambda T, floor: _photo_system(X_w, scan_img, cam, T, floor),
                   cfg.huber_photo, cfg.trim_floor_photo),
     }
     last = {name: np.zeros(0) for name in families}

@@ -1,8 +1,11 @@
 """Exit codes of the command-line front end: 0 success, 1 usage,
 2 unreadable or malformed data, 3 numerical failure."""
 
+import dataclasses
+
 import pytest
 
+from splatscan import mapping
 from splatscan.cli import main
 
 SMALL = ["--set", "image_width=64", "--set", "image_height=16", "--set", "refine_iters=1"]
@@ -36,20 +39,39 @@ def test_missing_scan_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("override, message", [
     ("mapping.no_such_key=1", "unknown config key"),
-    ("raster.tile_size=16", "unknown config section"),
-    ("mapping=3", "names a section"),
-    ("registration.max_iters=abc", "expects int"),
-    ("registration.max_iters=2.5", "expects int"),
-    ("mapping.w_scale=yes", "expects float"),
+    ("raster.tile_size=16", "unknown config key"),
+    ("mapping=3", "unknown config key"),
+    # fixed settings: one value in use, so no key sets them
+    ("mapping.w_scale=1", "unknown config key"),
+    ("registration.max_iters=3", "unknown config key"),
+    ("scan_fraction=0.3", "unknown config key"),
+    ("keyframe_every=2", "unknown config key"),
+    ("refine_iters=abc", "expects int"),
+    ("refine_iters=2.5", "expects int"),
+    ("scan_period=yes", "expects float"),
 ])
 def test_bad_override_is_malformed_data(scans, tmp_path, capsys, override, message):
     assert main(["run", str(scans), "--out", str(tmp_path), "--set", override]) == 2
     assert message in capsys.readouterr().err
 
 
-def test_nothing_to_export_is_a_numerical_failure(scans, tmp_path, capsys):
-    argv = ["run", str(scans), "--out", str(tmp_path), "--set", "image_width=64",
-            "--set", "image_height=16", "--set", "mapping.opacity_init=0.01",
-            "--set", "refine_iters=0"]
+@pytest.mark.parametrize("source", ["set", "config"])
+def test_out_dir_comes_from_out_only(scans, tmp_path, capsys, source):
+    other = tmp_path / "other"
+    if source == "set":
+        extra = ["--set", f"out_dir={other}"]
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text(f"out_dir = {other}\n")
+        extra = ["--config", str(config)]
+    assert main(["run", str(scans), "--out", str(tmp_path / "out")] + SMALL + extra) == 2
+    assert "--out" in capsys.readouterr().err
+    assert not other.exists() and not (tmp_path / "out").exists()
+
+
+def test_nothing_to_export_is_a_numerical_failure(scans, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(mapping, "MAPPING_CONFIG",
+                        dataclasses.replace(mapping.MAPPING_CONFIG, opacity_init=0.01))
+    argv = ["run", str(scans), "--out", str(tmp_path)] + SMALL + ["--set", "refine_iters=0"]
     assert main(argv) == 3
     assert "no confidently rendered pixels" in capsys.readouterr().err

@@ -82,21 +82,50 @@ def _model(rng, n):
     return model
 
 
+MODEL_ARRAYS = ("centers", "raw_t_alpha", "raw_t_beta", "log_scales", "logit_opacity")
+
+
 @pytest.mark.parametrize("ascii_variant", [False, True], ids=["binary", "ascii"])
-@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("n", SIZES + [2000])
 def test_model_round_trip(tmp_path, rng, ascii_variant, n):
     model = _model(rng, n)
     path = tmp_path / "map.splm"
     save_model(path, model, ascii_variant=ascii_variant)
     got = load_model(path)
     assert len(got) == n
-    for name in ("centers", "raw_t_alpha", "raw_t_beta"):
-        assert np.array_equal(getattr(got, name), getattr(model, name))
-    # the file holds plain scales and opacities, the model their log and
-    # logit: converting back can move them by an ulp
-    for name in ("scales", "opacities"):
-        np.testing.assert_allclose(getattr(got, name), getattr(model, name),
-                                   rtol=1e-15, atol=0)
+    for name in MODEL_ARRAYS:
+        assert np.array_equal(getattr(got, name), getattr(model, name)), name
+
+
+def _corrupt(path, ascii_variant, how):
+    """Rewrite a saved model file: an old version, a short body or a NaN."""
+    data = path.read_bytes()
+    if how == "v1":
+        data = data.replace(b"v2", b"v1", 1) if ascii_variant else (
+            data[:4] + (1).to_bytes(4, "little") + data[8:])
+    elif how == "truncated":
+        data = data[: 2 * len(data) // 3]
+    elif ascii_variant:
+        lines = data.split(b"\n")
+        lines[2] = b"nan " + lines[2].split(b" ", 1)[1]
+        data = b"\n".join(lines)
+    else:
+        data = data[:-8] + np.float64(np.inf).tobytes()
+    path.write_bytes(data)
+
+
+@pytest.mark.parametrize("ascii_variant", [False, True], ids=["binary", "ascii"])
+@pytest.mark.parametrize("how, message", [
+    ("v1", "unsupported model version 1"),
+    ("truncated", None),
+    ("non_finite", "non-finite"),
+])
+def test_bad_model_file_raises(tmp_path, rng, ascii_variant, how, message):
+    path = tmp_path / "map.splm"
+    save_model(path, _model(rng, 7), ascii_variant=ascii_variant)
+    _corrupt(path, ascii_variant, how)
+    with pytest.raises(IngestionError, match=message):
+        load_model(path)
 
 
 @pytest.mark.parametrize("shape", [(5, 7), (5, 7, 3)], ids=["1ch", "3ch"])

@@ -89,3 +89,21 @@ def test_registered_scans_report_their_residuals(three_scans, tmp_path):
         assert row["n_geo"] > 0 and row["n_photo"] > 0
         assert np.isfinite(row["geo_rms"]) and row["geo_rms"] > 0.0
         assert np.isfinite(row["photo_rms"]) and row["photo_rms"] > 0.0
+
+
+LOSS_TERMS = {"total", "range", "opacity", "normal", "scale"}
+
+
+def test_refined_scans_report_their_loss_by_term(three_scans, tmp_path):
+    _, _, rows = _run(three_scans, 0, tmp_path)
+    for row in rows:
+        for key in ("refine_loss_first", "refine_loss_last"):
+            assert set(row[key]) == LOSS_TERMS
+            assert all(np.isfinite(v) for v in row[key].values())
+        assert row["refine_loss_first"]["total"] > 0.0
+
+
+def test_unrefined_scans_report_no_loss(good_scans):
+    pipe = Pipeline(RunConfig(image_width=64, image_height=16, refine_iters=0))
+    for row in (pipe.process_scan(s) for s in good_scans):
+        assert "refine_loss_first" not in row and "refine_loss_last" not in row
