@@ -6,7 +6,8 @@ Subcommands:
   eval-traj  RPE table of an estimated trajectory against ground truth
   eval-map   accuracy/completeness/F-score of one cloud against another
   render     range/normal/opacity images of a model from a pose
-  info       summary statistics of a model or scan file
+  info       summary statistics of a model or scan file (a file that
+             starts with the model magic SPLM is a model, any other a scan)
 
 Exit codes: 0 success, 1 usage, 2 unreadable or malformed data,
 3 numerical failure.  Diagnostics go to stderr, results to stdout.
@@ -32,6 +33,7 @@ from .evaluation import reconstruction_metrics, relative_pose_error
 from .geometry import SphericalCamera
 from .io import (
     apply_overrides,
+    is_model_file,
     load_model,
     load_scan,
     load_trajectory,
@@ -44,7 +46,6 @@ from .io import (
 from .pipeline import Pipeline, RunConfig
 from .rasterizer import rasterize_forward
 from .se3 import SE3Pose
-from .splats import SplatModel
 from .synth import (
     ScanSpec,
     load_scene,
@@ -200,12 +201,8 @@ def _cmd_info(args) -> int:
     path = Path(args.path)
     if not path.is_file():
         raise IngestionError(f"no such file: {path}")
-    model: SplatModel | None = None
-    try:
+    if is_model_file(path):
         model = load_model(path)
-    except IngestionError:
-        pass
-    if model is not None:
         s, o = model.scales, model.opacities
         print(f"model: {len(model)} splats")
         if len(model):
@@ -283,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     em.set_defaults(func=_cmd_eval_map)
 
     ren = sub.add_parser("render", help="render a model to float images")
-    ren.add_argument("model", help="model file")
+    ren.add_argument("model", help="model file (map_NNN.splm from run)")
     ren.add_argument("--out", required=True, help="output path prefix")
     ren.add_argument("--pose", help="tx,ty,tz,qx,qy,qz,qw (default identity)")
     ren.add_argument("--width", type=int, default=512)
@@ -292,7 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     ren.add_argument("--el-max", type=float, default=15.0, help="degrees")
     ren.set_defaults(func=_cmd_render)
 
-    info = sub.add_parser("info", help="summarize a model or scan file")
+    info = sub.add_parser("info", help="summarize a model or scan file", epilog=(
+        "a file that starts with the model magic SPLM (as map_NNN.splm from run) is "
+        "read as a model, and its errors are reported as such; any other file is "
+        "read as a scan (.ply or .bin)."))
     info.add_argument("path")
     info.set_defaults(func=_cmd_info)
     return parser

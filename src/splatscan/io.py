@@ -2,9 +2,9 @@
 
 Everything here is deliberately boring.  Scans arrive as raw float32
 x,y,z,intensity records or as PLY; trajectories go out in the two common
-text layouts; the model container is a small tagged binary (or an ASCII
-point list for debugging); float images use the PFM convention so any
-viewer that knows portable float maps can open them.
+text layouts; the model container is a small tagged binary holding the
+splat parameter matrix; float images use the PFM convention so any viewer
+that knows portable float maps can open them.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from scipy.spatial.transform import Rotation
 from .errors import IngestionError
 from .evaluation import Trajectory
 from .se3 import SE3Pose
-from .splats import SplatModel
+from .splats import PARAMS_PER_SPLAT, SplatModel
 
 __all__ = [
     "load_scan",
@@ -31,7 +31,7 @@ __all__ = [
     "load_trajectory",
     "save_model",
     "load_model",
-    "read_pfm",
+    "is_model_file",
     "write_pfm",
     "parse_config_text",
     "apply_overrides",
@@ -254,72 +254,47 @@ def load_trajectory(path, fmt: str | None = None) -> Trajectory:
 
 _MODEL_MAGIC = b"SPLM"
 _MODEL_VERSION = 2
-# the model's own raw arrays, in row order, and their widths
-_MODEL_FIELDS = (("centers", 3), ("raw_t_alpha", 3), ("raw_t_beta", 3),
-                 ("log_scales", 2), ("logit_opacity", 1))
-_MODEL_COLS = sum(width for _, width in _MODEL_FIELDS)
 
 
-def save_model(path, model: SplatModel, ascii_variant: bool = False) -> None:
-    """Persist a splat model exactly, as the arrays it optimizes.
+def is_model_file(path) -> bool:
+    """Whether ``path`` starts with the model file magic ``SPLM``."""
+    with open(path, "rb") as fh:
+        return fh.read(len(_MODEL_MAGIC)) == _MODEL_MAGIC
 
-    Binary layout: magic ``SPLM``, u32 version, u64 count, then count
-    rows of 12 little-endian float64: center, the two raw tangents, the
-    two log scales and the logit opacity.  The ASCII variant is one
-    whitespace row per splat, printed with 17 significant digits, behind
-    a ``# splat-model v<version> count=<count>`` header, for quick
-    inspection and diffing.
+
+def save_model(path, model: SplatModel) -> None:
+    """Persist a splat model exactly, as the parameters it optimizes.
+
+    Layout: magic ``SPLM``, u32 version, u64 count, then ``model.params``
+    as count rows of 12 little-endian float64 (the row layout of
+    :class:`SplatModel`).
     """
-    rows = np.column_stack([getattr(model, name) for name, _ in _MODEL_FIELDS]).astype("<f8")
-    if ascii_variant:
-        with open(path, "w") as fh:
-            fh.write(f"# splat-model v{_MODEL_VERSION} count={rows.shape[0]}\n")
-            np.savetxt(fh, rows, fmt="%.17g")
-        return
     with open(path, "wb") as fh:
         fh.write(_MODEL_MAGIC)
-        fh.write(struct.pack("<IQ", _MODEL_VERSION, rows.shape[0]))
-        fh.write(np.ascontiguousarray(rows).tobytes())
+        fh.write(struct.pack("<IQ", _MODEL_VERSION, len(model)))
+        fh.write(model.params.astype("<f8").tobytes())
 
 
 def load_model(path) -> SplatModel:
-    """Read a model written by :func:`save_model`, binary or ASCII.
+    """Read a model written by :func:`save_model`.
 
-    Other versions, truncated files and non-finite values raise
-    :class:`IngestionError`.
+    Files without the magic, other versions, truncated files and
+    non-finite values raise :class:`IngestionError`.
     """
     data = Path(path).read_bytes()
-    binary = data[:4] == _MODEL_MAGIC
-    if binary:
-        if len(data) < 16:
-            raise IngestionError(f"truncated model file: {path}")
-        ver, count = struct.unpack_from("<IQ", data, 4)
-    else:
-        lines = data.decode("ascii", "replace").splitlines()
-        m = re.fullmatch(r"# splat-model v(\d+) count=(\d+)", lines[0].strip() if lines else "")
-        if m is None:
-            raise IngestionError(f"not a splat model file: {path}")
-        ver, count = int(m.group(1)), int(m.group(2))
+    if data[:4] != _MODEL_MAGIC:
+        raise IngestionError(f"not a splat model file: {path}")
+    if len(data) < 16:
+        raise IngestionError(f"truncated model file: {path}")
+    ver, count = struct.unpack_from("<IQ", data, 4)
     if ver != _MODEL_VERSION:
         raise IngestionError(f"unsupported model version {ver}: {path}")
-    if binary:
-        if len(data) - 16 != count * _MODEL_COLS * 8:
-            raise IngestionError(f"model file size does not match its count: {path}")
-        rows = np.frombuffer(data, dtype="<f8", offset=16).reshape(count, _MODEL_COLS)
-    else:
-        rows = _text_rows(lines[1:], _MODEL_COLS)
-        if rows.shape != (count, _MODEL_COLS):
-            raise IngestionError(f"model file does not hold {count} rows: {path}")
+    if len(data) - 16 != count * PARAMS_PER_SPLAT * 8:
+        raise IngestionError(f"model file size does not match its count: {path}")
+    rows = np.frombuffer(data, dtype="<f8", offset=16).reshape(count, PARAMS_PER_SPLAT)
     if not np.isfinite(rows).all():
         raise IngestionError(f"non-finite values in model file: {path}")
-    model = SplatModel()
-    start = 0
-    for name, width in _MODEL_FIELDS:
-        cols = rows[:, start] if width == 1 else rows[:, start:start + width]
-        setattr(model, name, cols.astype(float))
-        start += width
-    model.epochs = np.zeros(count, dtype=int)
-    return model
+    return SplatModel(rows)
 
 
 # --- portable float maps ----------------------------------------------------
@@ -342,24 +317,6 @@ def write_pfm(path, image: np.ndarray) -> None:
         fh.write(f"{image.shape[1]} {image.shape[0]}\n".encode())
         fh.write(b"-1.0\n")
         fh.write(np.ascontiguousarray(image[::-1]).tobytes())
-
-
-def read_pfm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        kind = fh.readline().strip()
-        if kind not in (b"Pf", b"PF"):
-            raise IngestionError(f"not a PFM file: {path}")
-        dims = fh.readline().split()
-        w, h = int(dims[0]), int(dims[1])
-        scale = float(fh.readline())
-        endian = "<" if scale < 0 else ">"
-        channels = 3 if kind == b"PF" else 1
-        buf = fh.read(w * h * channels * 4)
-        if len(buf) != w * h * channels * 4:
-            raise IngestionError(f"truncated PFM: {path}")
-    img = np.frombuffer(buf, dtype=endian + "f4")
-    shape = (h, w, 3) if channels == 3 else (h, w)
-    return img.reshape(shape)[::-1].astype(float)
 
 
 # --- config text ------------------------------------------------------------

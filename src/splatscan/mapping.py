@@ -42,7 +42,7 @@ from .geometry import (
 )
 from .rasterizer import PixelGradients, RenderOutput, rasterize_backward, rasterize_forward
 from .se3 import SE3Pose
-from .splats import SplatModel, tangent_raw_gradients
+from .splats import PARAMS_PER_SPLAT, SplatModel, tangent_raw_gradients
 
 __all__ = [
     "MappingConfig",
@@ -321,43 +321,50 @@ def should_reset_local_map(lmap: "LocalMap", kf: Keyframe) -> bool:
 
 
 class _Adam:
-    """Adam moments for the four parameter groups, resized with the model."""
+    """Adam moments for every column of ``SplatModel.params``, resized with the model."""
 
     def __init__(self, n: int, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.slots = {
-            "centers": (np.zeros((n, 3)), np.zeros((n, 3))),
-            "raw_t_alpha": (np.zeros((n, 3)), np.zeros((n, 3))),
-            "raw_t_beta": (np.zeros((n, 3)), np.zeros((n, 3))),
-            "log_scales": (np.zeros((n, 2)), np.zeros((n, 2))),
-            "logit_opacity": (np.zeros(n), np.zeros(n)),
-        }
+        self.m = np.zeros((n, PARAMS_PER_SPLAT))
+        self.v = np.zeros((n, PARAMS_PER_SPLAT))
 
     def grow(self, extra: int):
-        if extra <= 0:
-            return
-        for k, (m, v) in self.slots.items():
-            pad = ((0, extra),) + ((0, 0),) * (m.ndim - 1)
-            self.slots[k] = (np.pad(m, pad), np.pad(v, pad))
+        self.m = np.pad(self.m, ((0, extra), (0, 0)))
+        self.v = np.pad(self.v, ((0, extra), (0, 0)))
 
     def prune(self, keep: np.ndarray):
-        for k, (m, v) in self.slots.items():
-            self.slots[k] = (m[keep], v[keep])
+        self.m = self.m[keep]
+        self.v = self.v[keep]
 
-    def step(self, model: SplatModel, grads: dict[str, np.ndarray], lrs: dict[str, float]):
+    def step(self, model: SplatModel, grads: np.ndarray, lrs: np.ndarray):
+        """Update ``model.params`` from ``(N, 12)`` gradients and ``(12,)`` step sizes."""
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for name, g in grads.items():
-            m, v = self.slots[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            upd = lrs[name] * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
-            getattr(model, name)[...] -= upd
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grads
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grads * grads
+        model.params -= lrs * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
         model.touch()
+
+
+def _learning_rates(scene_scale: float) -> np.ndarray:
+    """Adam's step size for each column of ``SplatModel.params``.
+
+    Centers move in meters, so their rate scales with the map's scene scale.
+    """
+    cfg = MAPPING_CONFIG
+    return SplatModel.param_rows(
+        1,
+        centers=cfg.lr_centers * scene_scale,
+        raw_t_alpha=cfg.lr_tangents,
+        raw_t_beta=cfg.lr_tangents,
+        log_scales=cfg.lr_log_scales,
+        logit_opacity=cfg.lr_logit_opacity,
+    )[0]
 
 
 @dataclass
@@ -422,7 +429,7 @@ def refine(lmap: LocalMap, iters: int, rng: np.random.Generator) -> list[dict[st
     """Adam refinement over randomly sampled keyframes.
 
     Each iteration renders one keyframe, backpropagates the mapping loss
-    and steps all four parameter groups, then clamps scales into
+    and steps every column of the model's parameters, then clamps scales into
     ``[scale_floor, 10 * scale_cap]``.  Returns one entry per iteration:
     the weighted ``total`` and the unweighted ``range``, ``opacity``,
     ``normal`` and ``scale`` terms, all before the step.
@@ -431,13 +438,7 @@ def refine(lmap: LocalMap, iters: int, rng: np.random.Generator) -> list[dict[st
     if len(lmap.model) == 0 or not lmap.keyframes:
         return losses
     cfg = MAPPING_CONFIG
-    lrs = {
-        "centers": cfg.lr_centers * lmap.scene_scale,
-        "raw_t_alpha": cfg.lr_tangents,
-        "raw_t_beta": cfg.lr_tangents,
-        "log_scales": cfg.lr_log_scales,
-        "logit_opacity": cfg.lr_logit_opacity,
-    }
+    lrs = _learning_rates(lmap.scene_scale)
     lo = np.log(cfg.scale_floor)
     hi = np.log(10.0 * cfg.scale_cap)
     for _ in range(iters):
@@ -454,13 +455,14 @@ def refine(lmap: LocalMap, iters: int, rng: np.random.Generator) -> list[dict[st
         )
         s = lmap.model.scales
         o = lmap.model.opacities
-        grads = {
-            "centers": g.d_centers,
-            "raw_t_alpha": ga,
-            "raw_t_beta": gb,
-            "log_scales": (g.d_scales + ml.d_scales) * s,
-            "logit_opacity": g.d_opacity * o * (1.0 - o),
-        }
+        grads = SplatModel.param_rows(
+            len(lmap.model),
+            centers=g.d_centers,
+            raw_t_alpha=ga,
+            raw_t_beta=gb,
+            log_scales=(g.d_scales + ml.d_scales) * s,
+            logit_opacity=g.d_opacity * o * (1.0 - o),
+        )
         lmap.optimizer.step(lmap.model, grads, lrs)
         np.clip(lmap.model.log_scales, lo, hi, out=lmap.model.log_scales)
         losses.append({"total": ml.total, **ml.parts})

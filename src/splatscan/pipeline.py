@@ -2,9 +2,11 @@
 
 Each scan is registered against the active local map, appended to the
 trajectory, turned into a keyframe, and used to refine the map; the map
-is reset (archived and exported as oriented points) when it fills up,
-stops covering the current view, or is left behind spatially.  One
-trajectory row is produced per scan no matter what happens inside.
+is reset (archived) when it fills up, stops covering the current view,
+or is left behind spatially.  Each archived map ``NNN`` leaves two files
+in ``out_dir``: ``map_NNN.ply``, the map exported as oriented points, and
+``map_NNN.splm``, its splats as a model file (see :func:`io.save_model`).
+One trajectory row is produced per scan no matter what happens inside.
 Every scan makes a keyframe from ``SCAN_FRACTION`` of its points; a study
 that sweeps that fraction should bring back only it as a :class:`RunConfig`
 value.
@@ -21,7 +23,7 @@ import numpy as np
 from .errors import ExportError, GeometryError, RegistrationError
 from .evaluation import Trajectory
 from .geometry import estimate_camera
-from .io import save_trajectory, write_ply, write_report
+from .io import save_model, save_trajectory, write_ply, write_report
 from .mapping import (
     LocalMap,
     add_keyframe,
@@ -70,6 +72,7 @@ class ArchiveEntry:
     """What remains of a finalized local map after its splats are freed."""
 
     export_path: str | None
+    model_path: str | None
     n_splats: int
     n_keyframes: int
     first_scan: int
@@ -157,17 +160,19 @@ class Pipeline:
 
     def _archive_active(self) -> ArchiveEntry:
         lmap = self.lmap
-        n_splats = len(lmap.model)
-        path = None
+        path = model_path = None
         pts, nrm = export_oriented_points(lmap, self.rng)
         if self.cfg.out_dir is not None:
             out = Path(self.cfg.out_dir)
             out.mkdir(parents=True, exist_ok=True)
-            path = str(out / f"map_{len(self.archive):03d}.ply")
+            stem = out / f"map_{len(self.archive):03d}"
+            path, model_path = f"{stem}.ply", f"{stem}.splm"
             write_ply(path, pts, nrm)
+            save_model(model_path, lmap.model)
         entry = ArchiveEntry(
             path,
-            n_splats,
+            model_path,
+            len(lmap.model),
             len(lmap.keyframes),
             self.first_scan_of_map,
             len(self.poses) - 1,

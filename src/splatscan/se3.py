@@ -106,9 +106,6 @@ class SE3Pose:
             self.rotation @ other.translation + self.translation,
         )
 
-    def __matmul__(self, other: "SE3Pose") -> "SE3Pose":
-        return self.compose(other)
-
     def inverse(self) -> "SE3Pose":
         Rt = self.rotation.T
         return SE3Pose(Rt, -Rt @ self.translation)
@@ -133,12 +130,6 @@ class SE3Pose:
 
     def copy(self) -> "SE3Pose":
         return SE3Pose(self.rotation.copy(), self.translation.copy())
-
-    def almost_equal(self, other: "SE3Pose", atol: float = 1e-9) -> bool:
-        return bool(
-            np.allclose(self.rotation, other.rotation, atol=atol)
-            and np.allclose(self.translation, other.translation, atol=atol)
-        )
 
 
 def se3_exp(delta: np.ndarray) -> SE3Pose:

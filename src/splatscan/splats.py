@@ -1,4 +1,4 @@
-"""2D Gaussian surface splats and their structure-of-arrays container.
+"""2D Gaussian surface splats and the parameter matrix that holds a set of them.
 
 A splat is a Gaussian patch on a plane: centroid ``mu``, orthonormal
 in-plane tangents ``t_alpha``/``t_beta``, per-axis standard deviations
@@ -12,7 +12,13 @@ and the world point of (a, b) is ``mu + a*s_a*t_alpha + b*s_b*t_beta``.
 
 For optimization the model stores scales in log space, opacity in logit
 space and the tangent frame as two unconstrained vectors that are
-orthonormalized by Gram-Schmidt on read.
+orthonormalized by Gram-Schmidt on read.  A splat is one row of 12
+float64 values, in this order:
+
+    center (3), raw t_alpha (3), raw t_beta (3), log scales (2), logit opacity (1)
+
+The model, its Adam moments and the ``.splm`` model file all use that
+row; this module is the only one that knows its columns.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import numpy as np
 from .errors import GeometryError
 
 __all__ = [
+    "PARAMS_PER_SPLAT",
     "SplatModel",
     "orthonormal_tangents",
     "tangent_raw_gradients",
@@ -96,27 +103,67 @@ def tangent_raw_gradients(
     return ga, gb
 
 
-class SplatModel:
-    """Structure-of-arrays splat set used by the renderer and optimizer.
+# Columns of each name in a row of SplatModel.params (and of a .splm record).
+_COLUMNS = {
+    "centers": slice(0, 3),
+    "raw_t_alpha": slice(3, 6),
+    "raw_t_beta": slice(6, 9),
+    "log_scales": slice(9, 11),
+    "logit_opacity": 11,
+}
+PARAMS_PER_SPLAT = 12
 
-    Raw optimization storage: ``raw_t_alpha``/``raw_t_beta`` are free
-    vectors, ``log_scales`` and ``logit_opacity`` keep scales positive and
-    opacity in (0, 1).  ``epochs`` tags each splat with the keyframe index
-    that created it.  ``version`` increments on every mutation so cached
-    render records can detect staleness.
+
+def _view(name: str) -> property:
+    cols = _COLUMNS[name]
+    return property(lambda self: self.params[:, cols])
+
+
+class SplatModel:
+    """A splat set as one ``(N, 12)`` float64 matrix, ``params``, one row per splat.
+
+    Row layout, which is also the record of a ``.splm`` model file::
+
+        0:3 centers  3:6 raw_t_alpha  6:9 raw_t_beta  9:11 log_scales  11 logit_opacity
+
+    The tangents are free vectors, orthonormalized on read; scales are
+    stored as logs and opacity as a logit, which keeps them positive and
+    in (0, 1).  ``SplatModel(rows)`` copies an ``(N, 12)`` array of such
+    rows.  Each name above is a property returning a view into ``params``:
+    writing to it writes the matrix.  The views are not kept, because
+    :meth:`append` and :meth:`prune` replace the matrix.  ``epochs`` tags
+    each splat with the keyframe index that created it.  ``version``
+    increments on every mutation so cached render records can detect
+    staleness.
     """
 
-    def __init__(self):
-        self.centers = np.zeros((0, 3))
-        self.raw_t_alpha = np.zeros((0, 3))
-        self.raw_t_beta = np.zeros((0, 3))
-        self.log_scales = np.zeros((0, 2))
-        self.logit_opacity = np.zeros(0)
-        self.epochs = np.zeros(0, dtype=int)
+    def __init__(self, params=()):
+        self.params = np.array(params, dtype=float).reshape(-1, PARAMS_PER_SPLAT)
+        self.epochs = np.zeros(len(self.params), dtype=int)
         self.version = 0
 
+    centers = _view("centers")
+    raw_t_alpha = _view("raw_t_alpha")
+    raw_t_beta = _view("raw_t_beta")
+    log_scales = _view("log_scales")
+    logit_opacity = _view("logit_opacity")
+
+    @staticmethod
+    def param_rows(n: int, **columns) -> np.ndarray:
+        """An ``(n, 12)`` matrix laid out like ``params``, filled by column name.
+
+        Every name of the row layout must be given; each value is
+        broadcast into its columns.
+        """
+        if columns.keys() != _COLUMNS.keys():
+            raise TypeError(f"param_rows needs exactly the columns {list(_COLUMNS)}")
+        rows = np.empty((n, PARAMS_PER_SPLAT))
+        for name, value in columns.items():
+            rows[:, _COLUMNS[name]] = value
+        return rows
+
     def __len__(self) -> int:
-        return self.centers.shape[0]
+        return self.params.shape[0]
 
     @property
     def scales(self) -> np.ndarray:
@@ -155,15 +202,15 @@ class SplatModel:
         opac = np.asarray(opacities, dtype=float).reshape(m)
         if np.any(scales <= 0) or np.any((opac <= 0) | (opac >= 1)):
             raise GeometryError("new splats need positive scales and opacity in (0,1)")
-        self.centers = np.concatenate([self.centers, centers])
-        self.raw_t_alpha = np.concatenate(
-            [self.raw_t_alpha, np.asarray(t_alpha, dtype=float).reshape(m, 3)]
+        rows = self.param_rows(
+            m,
+            centers=centers,
+            raw_t_alpha=np.reshape(t_alpha, (m, 3)),
+            raw_t_beta=np.reshape(t_beta, (m, 3)),
+            log_scales=np.log(scales),
+            logit_opacity=_logit(opac),
         )
-        self.raw_t_beta = np.concatenate(
-            [self.raw_t_beta, np.asarray(t_beta, dtype=float).reshape(m, 3)]
-        )
-        self.log_scales = np.concatenate([self.log_scales, np.log(scales)])
-        self.logit_opacity = np.concatenate([self.logit_opacity, _logit(opac)])
+        self.params = np.concatenate([self.params, rows])
         self.epochs = np.concatenate([self.epochs, np.full(m, epoch, dtype=int)])
         self.touch()
 
@@ -173,24 +220,10 @@ class SplatModel:
         removed = int(len(self) - keep.sum())
         if removed == 0:
             return 0
-        self.centers = self.centers[keep]
-        self.raw_t_alpha = self.raw_t_alpha[keep]
-        self.raw_t_beta = self.raw_t_beta[keep]
-        self.log_scales = self.log_scales[keep]
-        self.logit_opacity = self.logit_opacity[keep]
+        self.params = self.params[keep]
         self.epochs = self.epochs[keep]
         self.touch()
         return removed
 
     def memory_bytes(self) -> int:
-        return sum(
-            a.nbytes
-            for a in (
-                self.centers,
-                self.raw_t_alpha,
-                self.raw_t_beta,
-                self.log_scales,
-                self.logit_opacity,
-                self.epochs,
-            )
-        )
+        return self.params.nbytes + self.epochs.nbytes

@@ -2,11 +2,15 @@
 2 unreadable or malformed data, 3 numerical failure."""
 
 import dataclasses
+import json
 
+import numpy as np
 import pytest
 
 from splatscan import mapping
 from splatscan.cli import main
+from splatscan.io import save_model
+from splatscan.splats import SplatModel
 
 SMALL = ["--set", "image_width=64", "--set", "image_height=16", "--set", "refine_iters=1"]
 
@@ -75,3 +79,46 @@ def test_nothing_to_export_is_a_numerical_failure(scans, tmp_path, capsys, monke
     argv = ["run", str(scans), "--out", str(tmp_path)] + SMALL + ["--set", "refine_iters=0"]
     assert main(argv) == 3
     assert "no confidently rendered pixels" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def run_dir(scans, tmp_path_factory):
+    out = tmp_path_factory.mktemp("run")
+    assert main(["run", str(scans), "--out", str(out)] + SMALL) == 0
+    return out
+
+
+def test_info_reads_the_archived_model(run_dir, capsys):
+    report = json.loads((run_dir / "report.json").read_text())
+    entry = report["archive"][0]
+    assert entry["model_path"] == str(run_dir / "map_000.splm")
+    capsys.readouterr()
+    assert main(["info", entry["model_path"]]) == 0
+    assert f"model: {entry['n_splats']} splats" in capsys.readouterr().out
+
+
+def test_render_reads_the_archived_model(run_dir, tmp_path, capsys):
+    prefix = tmp_path / "view"
+    argv = ["render", str(run_dir / "map_000.splm"), "--out", str(prefix),
+            "--width", "64", "--height", "16"]
+    assert main(argv) == 0
+    for channel in ("range", "normal", "opacity"):
+        assert (tmp_path / f"view.{channel}.pfm").is_file(), channel
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("truncated", "model file size does not match its count"),
+    ("inf", "non-finite values in model file"),
+])
+def test_info_reports_a_damaged_model(tmp_path, capsys, damage, message):
+    model = SplatModel()
+    model.append(np.ones((3, 3)), np.eye(3), np.roll(np.eye(3), 1, axis=1),
+                 np.full((3, 2), 0.1), np.full(3, 0.5), 0)
+    path = tmp_path / "map.splm"
+    save_model(path, model)
+    data = path.read_bytes()
+    path.write_bytes(data[:-20] if damage == "truncated"
+                     else data[:-8] + np.float64(np.inf).tobytes())
+    assert main(["info", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "unknown scan format" not in err

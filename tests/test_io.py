@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from splatscan.evaluation import Trajectory
 from splatscan.io import (
     load_model,
     load_trajectory,
-    read_pfm,
     read_ply,
     save_model,
     save_trajectory,
@@ -82,50 +83,69 @@ def _model(rng, n):
     return model
 
 
-MODEL_ARRAYS = ("centers", "raw_t_alpha", "raw_t_beta", "log_scales", "logit_opacity")
-
-
-@pytest.mark.parametrize("ascii_variant", [False, True], ids=["binary", "ascii"])
-@pytest.mark.parametrize("n", SIZES + [2000])
-def test_model_round_trip(tmp_path, rng, ascii_variant, n):
+# the ids name the file kind: save_model writes binary files only
+@pytest.mark.parametrize("n", SIZES + [2000], ids=lambda n: f"{n}-binary")
+def test_model_round_trip(tmp_path, rng, n):
     model = _model(rng, n)
     path = tmp_path / "map.splm"
-    save_model(path, model, ascii_variant=ascii_variant)
+    save_model(path, model)
     got = load_model(path)
     assert len(got) == n
-    for name in MODEL_ARRAYS:
-        assert np.array_equal(getattr(got, name), getattr(model, name)), name
+    assert np.array_equal(got.params, model.params)
 
 
-def _corrupt(path, ascii_variant, how):
-    """Rewrite a saved model file: an old version, a short body or a NaN."""
+def test_model_file_column_order(tmp_path):
+    values = np.arange(1.0, 13.0)
+    path = tmp_path / "one.splm"
+    path.write_bytes(b"SPLM" + struct.pack("<IQ", 2, 1) + values.astype("<f8").tobytes())
+    got = load_model(path)
+    assert len(got) == 1
+    expected = {"centers": [1, 2, 3], "raw_t_alpha": [4, 5, 6], "raw_t_beta": [7, 8, 9],
+                "log_scales": [10, 11], "logit_opacity": 12}
+    for name, want in expected.items():
+        assert np.array_equal(getattr(got, name)[0], want), name
+
+
+def _corrupt(path, how):
+    """Rewrite a saved model file: an old version, a short body, an inf or a text header."""
     data = path.read_bytes()
     if how == "v1":
-        data = data.replace(b"v2", b"v1", 1) if ascii_variant else (
-            data[:4] + (1).to_bytes(4, "little") + data[8:])
+        data = data[:4] + (1).to_bytes(4, "little") + data[8:]
     elif how == "truncated":
         data = data[: 2 * len(data) // 3]
-    elif ascii_variant:
-        lines = data.split(b"\n")
-        lines[2] = b"nan " + lines[2].split(b" ", 1)[1]
-        data = b"\n".join(lines)
-    else:
+    elif how == "non_finite":
         data = data[:-8] + np.float64(np.inf).tobytes()
+    else:
+        data = b"# splat-model v2 count=0\n"
     path.write_bytes(data)
 
 
-@pytest.mark.parametrize("ascii_variant", [False, True], ids=["binary", "ascii"])
 @pytest.mark.parametrize("how, message", [
-    ("v1", "unsupported model version 1"),
-    ("truncated", None),
-    ("non_finite", "non-finite"),
+    pytest.param("v1", "unsupported model version 1", id="v1-unsupported model version 1-binary"),
+    pytest.param("truncated", None, id="truncated-None-binary"),
+    pytest.param("non_finite", "non-finite", id="non_finite-non-finite-binary"),
+    pytest.param("text", "not a splat model file", id="text-not a splat model file"),
 ])
-def test_bad_model_file_raises(tmp_path, rng, ascii_variant, how, message):
+def test_bad_model_file_raises(tmp_path, rng, how, message):
     path = tmp_path / "map.splm"
-    save_model(path, _model(rng, 7), ascii_variant=ascii_variant)
-    _corrupt(path, ascii_variant, how)
+    save_model(path, _model(rng, 7))
+    _corrupt(path, how)
     with pytest.raises(IngestionError, match=message):
         load_model(path)
+
+
+def read_pfm(path) -> np.ndarray:
+    """A PFM file as a float array, top row first (PFM stores rows bottom-up)."""
+    with open(path, "rb") as fh:
+        kind = fh.readline().strip()
+        assert kind in (b"Pf", b"PF"), kind
+        w, h = (int(x) for x in fh.readline().split())
+        endian = "<" if float(fh.readline()) < 0 else ">"
+        channels = 3 if kind == b"PF" else 1
+        img = np.frombuffer(fh.read(), dtype=endian + "f4")
+    assert img.size == w * h * channels
+    shape = (h, w, 3) if channels == 3 else (h, w)
+    return img.reshape(shape)[::-1].astype(float)
 
 
 @pytest.mark.parametrize("shape", [(5, 7), (5, 7, 3)], ids=["1ch", "3ch"])

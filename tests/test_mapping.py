@@ -1,0 +1,52 @@
+import numpy as np
+
+from splatscan.mapping import (
+    MAPPING_CONFIG,
+    LocalMap,
+    _Adam,
+    _learning_rates,
+    add_keyframe,
+    make_keyframe,
+)
+from splatscan.se3 import SE3Pose, so3_exp
+from splatscan.splats import SplatModel
+from splatscan.synth import ScanSpec, raycast_scan, room_with_boxes
+
+
+def test_adam_step_moves_each_column_by_its_learning_rate():
+    model = SplatModel()
+    model.append([[1.0, 2.0, 3.0]], [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]],
+                 [[0.1, 0.2]], [0.5], 0)
+    before = model.params.copy()
+    _Adam(1).step(model, np.ones((1, 12)), _learning_rates(2.0))
+
+    # the first step of Adam on a unit gradient moves each value by its rate
+    moved = SplatModel(before - model.params)
+    cfg = MAPPING_CONFIG
+    rates = {"centers": 2.0 * cfg.lr_centers, "raw_t_alpha": cfg.lr_tangents,
+             "raw_t_beta": cfg.lr_tangents, "log_scales": cfg.lr_log_scales,
+             "logit_opacity": cfg.lr_logit_opacity}
+    for name, lr in rates.items():
+        np.testing.assert_allclose(getattr(moved, name), lr, rtol=1e-7, err_msg=name)
+
+
+def test_add_keyframe_keeps_moments_aligned_with_splats():
+    scene = room_with_boxes(seed=0)
+    rng = np.random.default_rng(0)
+    poses = [SE3Pose.identity(), SE3Pose(so3_exp([0.0, 0.0, 0.4]), [0.8, 0.3, 0.0])]
+    kfs = [make_keyframe(i, raycast_scan(scene, p, ScanSpec(64, 16), rng).cloud, p, 64, 16)
+           for i, p in enumerate(poses)]
+    lmap = LocalMap.start(kfs[0], rng)
+    n = len(lmap.model)
+    dead = 10
+    lmap.model.logit_opacity[:dead] = -20.0
+    lmap.optimizer.m[:] = np.arange(n)[:, None]
+
+    stats = add_keyframe(lmap, kfs[1], rng)
+    assert stats["pruned"] == dead and stats["spawned"] > 0
+    rows = len(lmap.model)
+    assert rows == n - dead + stats["spawned"]
+    assert lmap.optimizer.m.shape == lmap.optimizer.v.shape == (rows, 12)
+    # survivors keep their moments, in order; spawned splats start at zero
+    assert np.array_equal(lmap.optimizer.m[: n - dead, 0], np.arange(dead, n))
+    assert not lmap.optimizer.m[n - dead:].any()
