@@ -300,21 +300,27 @@ def coverage(render: RenderOutput, kf: Keyframe) -> float:
     return float(render.opacity[M].mean())
 
 
-def should_reset_local_map(lmap: "LocalMap", kf: Keyframe) -> bool:
-    """Whether ``kf`` should open a fresh local map instead of joining.
+def should_reset_local_map(lmap: "LocalMap", kf: Keyframe) -> str | None:
+    """The trigger that makes ``kf`` open a fresh local map, or ``None`` to join.
 
-    Three triggers: the keyframe budget is exhausted, the model barely
-    covers the new view, or the sensor has left the map's neighborhood.
+    Three triggers, checked in this order: ``"keyframes"``, the keyframe
+    budget is exhausted; ``"radius"``, the sensor has left the map's
+    neighborhood; ``"coverage"``, the model barely covers the new view.
+    A coverage render that lets ``kf`` join is left on the map for
+    :func:`add_keyframe`, which would render the same view.
     """
     cfg = MAPPING_CONFIG
     if len(lmap.keyframes) >= cfg.max_keyframes:
-        return True
+        return "keyframes"
     if np.linalg.norm(kf.pose.translation - lmap.origin.translation) > cfg.reset_radius:
-        return True
+        return "radius"
     if len(lmap.model) == 0:
-        return False
+        return None
     render, _ = rasterize_forward(kf.camera, kf.pose, lmap.model)
-    return coverage(render, kf) < cfg.coverage_min
+    if coverage(render, kf) < cfg.coverage_min:
+        return "coverage"
+    lmap.keyframe_render = (kf, lmap.model.version, render)
+    return None
 
 
 # --- optimizer --------------------------------------------------------------
@@ -369,36 +375,45 @@ def _learning_rates(scene_scale: float) -> np.ndarray:
 
 @dataclass
 class LocalMap:
-    """Active splat model, its keyframes and the shared optimizer state."""
+    """Active splat model, its keyframes and the shared optimizer state.
+
+    ``keyframe_render`` is the reset check's render of a joining keyframe,
+    as ``(keyframe, model.version, render)``; :func:`add_keyframe` uses it
+    for that keyframe and that model version, and clears it.
+    """
 
     model: SplatModel
     keyframes: list[Keyframe] = field(default_factory=list)
     origin: SE3Pose = field(default_factory=SE3Pose.identity)
     scene_scale: float = 1.0
     optimizer: _Adam | None = None
+    keyframe_render: tuple[Keyframe, int, RenderOutput] | None = None
 
     @classmethod
-    def start(cls, kf: Keyframe, rng: np.random.Generator) -> "LocalMap":
-        """Open a new map seeded from one keyframe."""
-        model = SplatModel()
+    def start(cls, kf: Keyframe) -> "LocalMap":
+        """Open an empty map anchored at ``kf``; :func:`add_keyframe` then seeds it."""
         ranges = kf.range_image.range[kf.range_image.valid]
         scale = float(np.median(ranges)) if ranges.size else 1.0
-        lmap = cls(model, [], kf.pose.copy(), max(scale, 1e-3), _Adam(0))
-        add_keyframe(lmap, kf, rng)
-        return lmap
+        return cls(SplatModel(), [], kf.pose.copy(), max(scale, 1e-3), _Adam(0))
 
 
 def add_keyframe(lmap: LocalMap, kf: Keyframe, rng: np.random.Generator) -> dict:
     """Append a keyframe: prune dead splats, then densify where it is unexplained.
 
     The first keyframe of a map seeds splats at every valid pixel (up to
-    the spawn cap).  Opacities are never reset here, only pruned.
+    the spawn cap).  Opacities are never reset here, only pruned.  The
+    reset check's render of ``kf`` stands in for a new one while the model
+    is unchanged.  Returns the counts ``pruned`` and ``spawned``.
     """
     stats = {"pruned": 0, "spawned": 0}
+    shared, lmap.keyframe_render = lmap.keyframe_render, None
     if len(lmap.model) == 0:
         mask = kf.range_image.valid.copy()
     else:
-        render, _ = rasterize_forward(kf.camera, kf.pose, lmap.model)
+        if shared is not None and shared[0] is kf and shared[1] == lmap.model.version:
+            render = shared[2]
+        else:
+            render, _ = rasterize_forward(kf.camera, kf.pose, lmap.model)
         mask = densify_mask(render, kf)
         keep = lmap.model.opacities >= MAPPING_CONFIG.prune_opacity
         if not keep.all():
@@ -443,7 +458,7 @@ def refine(lmap: LocalMap, iters: int, rng: np.random.Generator) -> list[dict[st
     hi = np.log(10.0 * cfg.scale_cap)
     for _ in range(iters):
         kf = lmap.keyframes[sample_keyframe_index(len(lmap.keyframes), cfg.kf_sample_p, rng)]
-        render, rec = rasterize_forward(kf.camera, kf.pose, lmap.model)
+        render, rec = rasterize_forward(kf.camera, kf.pose, lmap.model, keep_pairs=True)
         ml = mapping_loss(render, lmap.model, kf)
         g = rasterize_backward(lmap.model, rec, render, ml.pixel_grads)
         ga, gb = tangent_raw_gradients(

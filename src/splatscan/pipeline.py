@@ -191,15 +191,21 @@ class Pipeline:
         ``fallback`` with a ``fallback_reason``; it adds nothing to the map.
         Registered scans report the solver's iterations and convergence and
         each residual family's count and RMS (``n_geo``/``geo_rms``,
-        ``n_photo``/``photo_rms``).  Refined scans report the mapping loss
-        by term at the first and last refine iteration
+        ``n_photo``/``photo_rms``).  Every row says what mapping did:
+        ``reset`` is the trigger that archived the previous map
+        (``"keyframes"``, ``"radius"`` or ``"coverage"``, see
+        :func:`mapping.should_reset_local_map`) or ``None``, and
+        ``spawned``/``pruned`` count the splats the keyframe added and
+        removed.  Refined scans report the mapping loss by term at the
+        first and last refine iteration
         (``refine_loss_first``/``refine_loss_last``).
         """
         index = len(self.poses)
         cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
         sub = self._subsample(cloud)
         row: dict = {"scan": index, "n_points": int(cloud.shape[0]),
-                     "n_used": int(sub.shape[0]), "fallback": False}
+                     "n_used": int(sub.shape[0]), "fallback": False,
+                     "reset": None, "spawned": 0, "pruned": 0}
 
         t0 = time.perf_counter()
         if self.lmap is None:
@@ -236,15 +242,15 @@ class Pipeline:
             row["fallback"] = True
             row.setdefault("fallback_reason", str(e))
         if kf is not None:
+            if self.lmap is not None:
+                row["reset"] = should_reset_local_map(self.lmap, kf)
+                if row["reset"]:
+                    self._archive_active()
+                    self.lmap = None
             if self.lmap is None:
-                self.lmap = LocalMap.start(kf, self.rng)
+                self.lmap = LocalMap.start(kf)
                 self.first_scan_of_map = index
-            elif should_reset_local_map(self.lmap, kf):
-                self._archive_active()
-                self.lmap = LocalMap.start(kf, self.rng)
-                self.first_scan_of_map = index
-            else:
-                add_keyframe(self.lmap, kf, self.rng)
+            row.update(add_keyframe(self.lmap, kf, self.rng))
             losses = refine(self.lmap, self.cfg.refine_iters, self.rng)
             if losses:
                 row["refine_loss_first"] = losses[0]

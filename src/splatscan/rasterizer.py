@@ -32,26 +32,32 @@ the seam of full-circle cameras for free.
 
 One loop, :func:`_blend_tiles`, walks the pixels of each tile through its
 splats front to back, ``chunk_size`` splats at a time, and stops once
-the tile is opaque.  All three passes share it and keep only their own
-accumulation: the forward pass sums the blended channels, the reference
-renderer feeds it full-width pixel bands with every splat in range order,
-and the backward pass replays each tile's blend from the stored binning
-and accumulates analytic gradients of any scalar loss on the rendered
-range/normal/opacity images w.r.t. splat centroids, tangent frames,
-scales and opacities.
+the tile is opaque.  The forward pass and the reference renderer share it
+and sum the blended channels; the reference feeds it full-width pixel
+bands with every splat in range order.
 
 Most pixel-splat pairs of a chunk add nothing: their alpha is under the
 cutoff, they lie behind the pixel, or the pixel is already opaque.  So
 only the terms that decide whether a pair counts (plane products, kernel
-coordinates, ``G``, ``alpha``) are computed for every pair of the chunk;
-the hit point and its range are computed for the candidate pairs that
-pass the alpha cutoff, and the backward pass evaluates its gradient
-routes on 1-D arrays over the pairs with non-zero blend weight.
+coordinates, ``G``, ``alpha``) are computed for every pair of the chunk,
+and the hit point and its range only for the candidate pairs that pass
+the alpha cutoff.
+
+The backward pass never walks the tiles again.  A forward pass asked to
+``keep_pairs`` keeps, per chunk, only the pairs with non-zero blend weight
+(about a tenth of them): each pair's pixel and splat index, its
+transmittance and its six plane products.  From those the backward pass
+recomputes the kernel terms, the hit point and its range with the
+forward pass's own expressions, and accumulates analytic gradients of
+any scalar loss on the rendered range/normal/opacity images w.r.t. splat
+centroids, tangent frames, scales and opacities, on 1-D arrays over the
+kept pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,9 +144,33 @@ class SplatGradients:
         )
 
 
+class ChunkPairs(NamedTuple):
+    """The pairs of one chunk that add to the image, pixel-major.
+
+    ``pixel`` is the pair's pixel within its tile and ``splat`` its index
+    into ``ids``, the chunk's splat ids, both as the smallest unsigned int
+    that holds them.  ``values`` is (7, pairs) float64, one row per term:
+    the transmittance in front of the pair and the six plane products
+    ``a1, a2, a4, b1, b2, b4`` (see :func:`_pair_geometry`).
+    """
+
+    ids: np.ndarray
+    pixel: np.ndarray
+    splat: np.ndarray
+    values: np.ndarray
+
+
 @dataclass
 class BlendRecords:
-    """Binning and identity snapshot that lets the backward pass replay a render."""
+    """Binning and identity snapshot of a render, and its contributing pairs.
+
+    ``pairs`` is ``None`` unless the render was asked to ``keep_pairs``;
+    then it holds one ``(rows, cols, chunks)`` entry per tile with a
+    contributing pair, ``chunks`` being that tile's :class:`ChunkPairs` in
+    blend order (a chunk without a contributing pair is left out).
+    :func:`rasterize_backward` takes the pairs out and leaves ``None``, so
+    a record serves one backward pass.
+    """
 
     cam: SphericalCamera
     pose: SE3Pose
@@ -150,6 +180,7 @@ class BlendRecords:
     tile_ptr: np.ndarray
     pair_splats: np.ndarray
     tiles_x: int
+    pairs: list | None = None
 
 
 # --- splat preparation and tile binning ------------------------------------
@@ -288,20 +319,20 @@ def _pair_geometry(Hx, Hy, V, ray_ok, Ba, Bb, Bc, opac):
     """Intersection quantities for P pixels x T splats.
 
     Only the terms that decide whether a pair counts are dense (P, T): the
-    six plane products, the (safe) denominator, the kernel coordinates
-    ``sa``/``sb``, ``G`` and ``alpha``.  The hit point ``nu``, its
-    front-facing test and its range ``|nu|`` are evaluated only at
-    candidate pairs (usable denominator and alpha above the cutoff), and
-    the range is scattered into the dense ``d``.  ``alpha`` and ``d`` are
-    zero wherever the pair does not count.
+    six plane products, the kernel coordinates ``sa``/``sb``, ``G`` and
+    ``alpha``.  The hit point ``nu``, its front-facing test and its range
+    ``|nu|`` are evaluated only at candidate pairs (usable denominator and
+    alpha above the cutoff), and the range is scattered into the dense
+    ``d``.  ``alpha`` and ``d`` are zero wherever the pair does not count.
+    The candidates' flat index, pixel, splat and front-facing test are
+    returned too.
     """
     cfg = RASTER_CONFIG
-    a1 = Hx @ Ba.T
-    a2 = Hx @ Bb.T
-    a4 = Hx @ Bc.T
-    b1 = Hy @ Ba.T
-    b2 = Hy @ Bb.T
-    b4 = Hy @ Bc.T
+    # one block, so that a kept pair's six products are one gather
+    planes = np.empty((6, Hx.shape[0], Ba.shape[0]))
+    a1, a2, a4, b1, b2, b4 = planes
+    for out, H, B in zip(planes, (Hx, Hx, Hx, Hy, Hy, Hy), (Ba, Bb, Bc) * 2):
+        np.matmul(H, B.T, out=out)
     denom = a1 * b2 - a2 * b1
     usable = np.abs(denom) >= cfg.denom_eps
     safe = np.where(usable, denom, 1.0)
@@ -311,8 +342,9 @@ def _pair_geometry(Hx, Hy, V, ray_ok, Ba, Bb, Bc, opac):
     alpha = np.minimum(opac[None, :] * G, cfg.alpha_clamp)
     alpha *= usable & ray_ok[:, None] & (alpha >= cfg.alpha_cutoff)
     # hit point, front-facing test and range at the candidate pairs only
-    k = np.flatnonzero(alpha)
-    p, t = np.divmod(k, alpha.shape[1])
+    k = np.flatnonzero(alpha != 0.0)
+    p = k // alpha.shape[1]
+    t = k - p * alpha.shape[1]
     # (np.take gathers rows several times faster than fancy indexing)
     nu = (
         np.take(sa, k)[:, None] * np.take(Ba, t, axis=0)
@@ -324,13 +356,12 @@ def _pair_geometry(Hx, Hy, V, ray_ok, Ba, Bb, Bc, opac):
     d = np.zeros_like(alpha)
     np.put(d, k, np.linalg.norm(nu, axis=1) * front)
     return {
-        "a1": a1, "a2": a2, "a4": a4,
-        "b1": b1, "b2": b2, "b4": b4,
-        "denom": safe,
-        "sa": sa, "sb": sb,
+        "planes": planes,
         "d": d,
         "G": G,
         "alpha": alpha,
+        # the candidate pairs: flat index, pixel, splat and front-facing test
+        "k": k, "p": p, "t": t, "front": front,
     }
 
 
@@ -347,14 +378,12 @@ def _binned_tiles(tile_ptr, pair_splats, tiles_x: int):
 
 
 def _blend_tiles(cam: SphericalCamera, arrays: dict, tiles):
-    """The one tile-and-chunk loop behind forward, backward and reference.
+    """The one tile-and-chunk loop behind the forward and reference renders.
 
     ``tiles`` yields (row slice, column slice, splat ids in blend order).
-    For each tile this yields ``(rows, cols, v, h_x, h_y, chunks)``, where
-    ``v``, ``h_x`` and ``h_y`` are the tile's flattened pixel rays and
-    planes and iterating
-    ``chunks`` walks the splats ``chunk_size`` at a time, yielding
-    ``(ids, g, w, t_pair)``: the chunk's splat ids, its
+    For each tile this yields ``(rows, cols, chunks)``; iterating ``chunks``
+    walks the splats ``chunk_size`` at a time over the tile's flattened
+    pixels, yielding ``(ids, g, w, t_pair)``: the chunk's splat ids, its
     :func:`_pair_geometry` terms, blend weights and the transmittance in
     front of each pair.  A tile's chunks stop once every pixel is opaque.
     """
@@ -389,44 +418,82 @@ def _blend_tiles(cam: SphericalCamera, arrays: dict, tiles):
         PHx = hx[rows, cols].reshape(-1, 3)
         PHy = hy[rows, cols].reshape(-1, 3)
         Pok = ray_ok[rows, cols].reshape(-1)
-        yield rows, cols, V, PHx, PHy, chunks(ids, V, PHx, PHy, Pok)
+        yield rows, cols, chunks(ids, V, PHx, PHy, Pok)
 
 
 # --- forward ---------------------------------------------------------------
 
 
-def _render(cam: SphericalCamera, arrays: dict, tiles) -> RenderOutput:
-    """Blend range, normal and opacity over ``tiles``; untouched pixels stay 0."""
+def _render(cam: SphericalCamera, arrays: dict, tiles, kept: list | None = None) -> RenderOutput:
+    """Blend range, normal and opacity over ``tiles``; untouched pixels stay 0.
+
+    With a ``kept`` list, appends each tile's ``(rows, cols, chunks)``
+    entry of :class:`ChunkPairs` to it.
+    """
     H, W = cam.height, cam.width
     D = np.zeros((H, W))
     O = np.zeros((H, W))
     Nimg = np.zeros((H, W, 3))
-    for rows, cols, V, _, _, chunks in _blend_tiles(cam, arrays, tiles):
-        P = V.shape[0]
+    for rows, cols, chunks in _blend_tiles(cam, arrays, tiles):
+        shape = D[rows, cols].shape
+        P = shape[0] * shape[1]
         d_acc = np.zeros(P)
         o_acc = np.zeros(P)
         n_acc = np.zeros((P, 3))
-        for sub, g, w, _ in chunks:
+        tile_pairs = []
+        for sub, g, w, t_pair in chunks:
             d_acc += np.sum(w * g["d"], axis=1)
             o_acc += np.sum(w, axis=1)
             n_acc += w @ arrays["ncam"][sub]
-        shape = D[rows, cols].shape
+            if kept is not None:
+                chunk = _keep_pairs(sub, g, t_pair)
+                if chunk.pixel.size:
+                    tile_pairs.append(chunk)
+        if tile_pairs:
+            kept.append((rows, cols, tile_pairs))
         D[rows, cols] = d_acc.reshape(shape)
         O[rows, cols] = o_acc.reshape(shape)
         Nimg[rows, cols] = n_acc.reshape(shape + (3,))
     return RenderOutput(D, Nimg, O)
 
 
+def _keep_pairs(ids, g, t_pair) -> ChunkPairs:
+    """The pairs of a chunk with ``w > 0`` and the terms the backward pass reads.
+
+    A pair blends (``w > 0``) when it is a front-facing candidate with
+    transmittance at or above the early-stop threshold.
+    """
+    _, P, T = g["planes"].shape
+    t_k = np.take(t_pair, g["k"])
+    blends = g["front"] & (t_k >= RASTER_CONFIG.min_transmittance)
+    k = g["k"][blends]
+    values = np.empty((7, k.size))
+    values[0] = t_k[blends]
+    values[1:] = g["planes"].reshape(6, -1)[:, k]
+    return ChunkPairs(
+        ids,
+        g["p"][blends].astype(np.min_scalar_type(P - 1)),
+        g["t"][blends].astype(np.min_scalar_type(T - 1)),
+        values,
+    )
+
+
 def rasterize_forward(
-    cam: SphericalCamera, pose: SE3Pose, model: SplatModel
+    cam: SphericalCamera, pose: SE3Pose, model: SplatModel, *, keep_pairs: bool = False
 ) -> tuple[RenderOutput, BlendRecords]:
-    """Render the model from ``pose`` (sensor-in-world) onto the camera grid."""
+    """Render the model from ``pose`` (sensor-in-world) onto the camera grid.
+
+    ``keep_pairs`` keeps the contributing pixel-splat pairs in the records
+    for one :func:`rasterize_backward`; they take about 5 MB per 85k pairs,
+    so renders that no backward pass reads leave it off.
+    """
     arrays = _splat_camera_arrays(model, pose)
     tile_ptr, pair_splats, tiles_x = _bin_splats(cam, arrays)
-    out = _render(cam, arrays, _binned_tiles(tile_ptr, pair_splats, tiles_x))
+    kept = [] if keep_pairs else None
+    out = _render(cam, arrays, _binned_tiles(tile_ptr, pair_splats, tiles_x), kept)
     records = BlendRecords(
         cam, pose.copy(), RASTER_CONFIG, len(model), model.version,
-        tile_ptr, pair_splats, tiles_x,
+        tile_ptr, pair_splats, tiles_x, kept,
     )
     return out, records
 
@@ -447,6 +514,11 @@ def reference_rasterize(cam: SphericalCamera, pose: SE3Pose, model: SplatModel) 
 # --- backward ---------------------------------------------------------------
 
 
+def _dot3(x, y) -> np.ndarray:
+    """Per-pair dot product of two 3-vectors given as three rows each."""
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
 def rasterize_backward(
     model: SplatModel,
     records: BlendRecords,
@@ -455,104 +527,148 @@ def rasterize_backward(
 ) -> SplatGradients:
     """Gradients of a pixel-space loss w.r.t. splat parameters.
 
-    ``records`` and ``render`` must come from :func:`rasterize_forward` on
-    the same (unmodified) model; a changed model raises ``GeometryError``.
-    Splats touching no pixel get zero gradients.
+    ``records`` and ``render`` must come from one
+    ``rasterize_forward(..., keep_pairs=True)`` on the same (unmodified)
+    model.  The records' pairs are consumed: this sets ``records.pairs`` to
+    ``None``, and records without pairs (never kept, or already used)
+    raise ``GeometryError``, as does a changed model.  Splats touching no
+    pixel get zero gradients.
 
-    Per chunk, the suffix sums of later contributions are one dense (P, T)
-    cumsum of every channel projected on its pixel gradient.  Everything
-    else runs on the K pairs with non-zero blend weight, as 1-D arrays.
-    A splat recurs across the pixels of a chunk, so per-splat sums use
-    ``np.bincount`` or a matmul over the pixels, never ``acc[ids] +=``,
-    which would keep one term per splat.
+    Each tile's kept pairs are handled in one pass of 1-D arrays over the
+    pairs.  Per pair the kernel terms, alpha, blend weight and range are
+    recomputed from the kept values with the forward pass's expressions.
+    The sum of later contributions behind a pair is a segmented cumsum over
+    its pixel's pairs in its chunk, where they are contiguous, plus
+    ``pre``, the pixel's sums over the tile's earlier chunks.  Per-splat
+    sums use ``np.bincount`` over the pairs' splat indices.
     """
+    pairs, records.pairs = records.pairs, None
+    if pairs is None:
+        raise GeometryError(
+            "blend records hold no pairs: render with keep_pairs=True, once per backward pass")
     if records.n_splats != len(model) or records.model_version != model.version:
         raise GeometryError("blend records are stale for this model")
     cam, pose = records.cam, records.pose
     N = len(model)
     out = SplatGradients.zeros(N)
-    if records.pair_splats.shape[0] == 0:
+    if not pairs:
         return out
 
+    cfg = RASTER_CONFIG
     arrays = _splat_camera_arrays(model, pose)
-    gD_img, gN_img, gO_img = (
-        pixel_grads.d_range,
-        pixel_grads.d_normal,
-        pixel_grads.d_opacity,
+    # the per-splat terms a pair reads, one row per splat, and the
+    # per-pixel ones, one row per term (each gathered term is then one
+    # contiguous row over a tile's pairs)
+    splat_terms = np.column_stack(
+        [arrays["opac"], arrays["ncam"], arrays["Ba"], arrays["Bb"], arrays["Bc"]])
+    hx, hy, _ = cam.pixel_ray_planes
+    pixel_terms = np.concatenate(
+        [
+            pixel_grads.d_range[None],
+            pixel_grads.d_opacity[None],
+            np.moveaxis(pixel_grads.d_normal, -1, 0),
+            np.moveaxis(hx, -1, 0),
+            np.moveaxis(hy, -1, 0),
+            np.moveaxis(cam.pixel_directions, -1, 0),
+            # every channel projected on its pixel gradient, so that the sums
+            # of later contributions take one cumsum for all channels
+            (
+                pixel_grads.d_range * render.range
+                + pixel_grads.d_opacity * render.opacity
+                + np.einsum("hwc,hwc->hw", pixel_grads.d_normal, render.normal)
+            )[None],
+        ]
     )
 
-    # camera-frame accumulators, reduced to parameters at the end;
-    # acc_B[:, j] is the gradient w.r.t. B_a, B_b, B_c for j = 0, 1, 2
-    acc_B = np.zeros((N, 3, 3))
-    acc_n = np.zeros((N, 3))
-    acc_o = np.zeros(N)
+    # camera-frame accumulators, one column per splat, reduced to
+    # parameters at the end: rows 3j..3j+2 are d/dB_j for B_a, B_b, B_c,
+    # then d/dnormal (3 rows) and d/dopacity
+    acc = np.zeros((13, N))
+    for i, (rows, cols, chunks) in enumerate(pairs):
+        pairs[i] = None  # free each tile's pairs once read
+        tile_terms = pixel_terms[:, rows, cols].reshape(pixel_terms.shape[0], -1)
+        P = tile_terms.shape[1]
+        # the tile's pairs in blend order: chunk by chunk, pixel-major in each;
+        # ``u`` indexes ``ids``, the splats of the tile's kept chunks
+        ids = np.concatenate([c.ids for c in chunks])
+        first = np.cumsum([0] + [c.ids.shape[0] for c in chunks[:-1]])
+        u = np.concatenate([c.splat.astype(np.intp) + f for c, f in zip(chunks, first)])
+        values = np.concatenate([c.values for c in chunks], axis=1)
+        # runs of one pixel within one chunk, numbered in blend order; each
+        # run's pairs are contiguous, so per-run terms reach them by repeat
+        n_chunks = len(chunks)
+        run = np.concatenate([c.pixel.astype(np.intp) + P * n for n, c in enumerate(chunks)])
+        per_run = np.bincount(run, minlength=n_chunks * P)
+        del chunks  # the last reference to the tile's records
 
-    tiles = _binned_tiles(records.tile_ptr, records.pair_splats, records.tiles_x)
-    for rows, cols, V, PHx, PHy, chunks in _blend_tiles(cam, arrays, tiles):
-        gD = gD_img[rows, cols].reshape(-1)
-        gN = gN_img[rows, cols].reshape(-1, 3)
-        gO = gO_img[rows, cols].reshape(-1)
-        # every channel projected on its pixel gradient, so that the sums
-        # of later contributions take one (P, T) cumsum for all channels
-        S_tot = (
-            gD * render.range[rows, cols].reshape(-1)
-            + gO * render.opacity[rows, cols].reshape(-1)
-            + np.einsum("pc,pc->p", gN, render.normal[rows, cols].reshape(-1, 3))
+        sp = np.take(splat_terms, np.take(ids, u), axis=0).T
+        opac, ncam, Ba, Bb, Bc = sp[0], sp[1:4], sp[4:7], sp[7:10], sp[10:13]
+        px = np.repeat(np.tile(tile_terms, n_chunks), per_run, axis=1)
+        gD, gO, gN, h_x, h_y, V, S_tot = (
+            px[0], px[1], px[2:5], px[5:8], px[8:11], px[11:14], px[14])
+
+        t_pair, a1, a2, a4, b1, b2, b4 = values
+        # the forward pass's expressions, so the values are its own bit for
+        # bit; kept pairs have a usable denominator
+        den = a1 * b2 - a2 * b1
+        sa = (a2 * b4 - a4 * b2) / den
+        sb = (a4 * b1 - a1 * b4) / den
+        G = np.exp(-0.5 * (sa * sa + sb * sb))
+        a_raw = opac * G
+        alpha = np.minimum(a_raw, cfg.alpha_clamp)
+        w = alpha * t_pair
+        nu = sa * Ba + sb * Bb + Bc
+        d = np.sqrt(nu[0] * nu[0] + nu[1] * nu[1] + nu[2] * nu[2])
+
+        c = gD * d + gO + _dot3(gN, ncam)
+        wc = w * c
+        # sum of wc up to each pair over its run, plus ``pre``, the sums of
+        # the pixel's runs in the tile's earlier chunks
+        cs = np.cumsum(wc)
+        before = np.take(cs - wc, np.cumsum(per_run) - per_run, mode="clip")
+        pre = np.zeros((n_chunks, P))
+        np.cumsum(np.bincount(run, wc, minlength=n_chunks * P)[:-P].reshape(-1, P), axis=0,
+                  out=pre[1:])
+        later = S_tot - (np.repeat(pre.reshape(-1), per_run) + (cs - np.repeat(before, per_run)))
+        d_alpha = t_pair * c - later / (1.0 - alpha)
+
+        # alpha routes: kernel coordinates and opacity (dead where clamped)
+        free = a_raw <= cfg.alpha_clamp
+        k_alpha = np.where(free, -d_alpha * alpha, 0.0)
+        # range route: the hit point is range * v, so d(range)/d(nu) = v
+        dd = gD * w
+        dsa = k_alpha * sa + dd * _dot3(V, Ba)
+        dsb = k_alpha * sb + dd * _dot3(V, Bb)
+
+        # homogeneous intersection point route: rho_a = gp x (a1, a2, a4),
+        # rho_b = gp x (b1, b2, b4); per pair d(loss)/dB_j is
+        # -rho_b[j] h_x + rho_a[j] h_y + dd s_j v with s = (sa, sb, 1)
+        gp1 = dsa / den
+        gp2 = dsb / den
+        gp3 = -(sa * dsa + sb * dsb) / den
+        coef = (
+            (gp3 * b2 - gp2 * b4, gp1 * b4 - gp3 * b1, gp2 * b1 - gp1 * b2),
+            (gp2 * a4 - gp3 * a2, gp3 * a1 - gp1 * a4, gp1 * a2 - gp2 * a1),
+            (dd * sa, dd * sb, dd),
         )
-        pre = np.zeros(V.shape[0])
-        planes = np.concatenate([PHx, PHy, V])
+        # the per-pair terms of each accumulator row: d/dB_j sums, over h_x,
+        # h_y and v, the coefficient times the plane
+        terms = [
+            coef[0][j] * h_x[x] + coef[1][j] * h_y[x] + coef[2][j] * V[x]
+            for j in range(3)
+            for x in range(3)
+        ]
+        terms += [w * gN[0], w * gN[1], w * gN[2], np.where(free, d_alpha * G, 0.0)]
+        # bincount sums each splat's pairs; ``acc[:, ids] +=`` per pair would
+        # keep one term per splat
+        acc[:, ids] += np.stack([np.bincount(u, x, minlength=ids.shape[0]) for x in terms])
 
-        for sub, g, w, t_pair in chunks:
-            P, T = w.shape
-            c = gD[:, None] * g["d"] + gO[:, None] + gN @ arrays["ncam"][sub].T
-            wc = w * c
-            later = S_tot[:, None] - (pre[:, None] + np.cumsum(wc, axis=1))
-            pre += wc.sum(axis=1)
-            acc_n[sub] += w.T @ gN
-
-            # the rest runs on 1-D arrays over the K contributing pairs
-            k = np.flatnonzero(w > 0.0)
-            p, t = np.divmod(k, T)
-            wk, tk, ck, lk = (np.take(x, k) for x in (w, t_pair, c, later))
-            alpha, sa, sb, G, den, a1, a2, a4, b1, b2, b4 = (
-                np.take(g[n], k)
-                for n in ("alpha", "sa", "sb", "G", "denom", "a1", "a2", "a4", "b1", "b2", "b4")
-            )
-            d_alpha = tk * ck - lk / (1.0 - alpha)
-
-            # alpha routes: kernel coordinates and opacity (dead where clamped)
-            free = arrays["opac"][sub[t]] * G <= RASTER_CONFIG.alpha_clamp
-            k_alpha = np.where(free, -d_alpha * alpha, 0.0)
-            # bincount, as a splat recurs across the chunk's pixels
-            acc_o[sub] += np.bincount(t, np.where(free, d_alpha * G, 0.0), minlength=T)
-            # range route: the hit point is range * v, so d(range)/d(nu) = v
-            dd = gD[p] * wk
-            dsa = k_alpha * sa + dd * np.take(V @ arrays["Ba"][sub].T, k)
-            dsb = k_alpha * sb + dd * np.take(V @ arrays["Bb"][sub].T, k)
-
-            # homogeneous intersection point route: rho_a = gp x (a1, a2, a4),
-            # rho_b = gp x (b1, b2, b4); per pair d(loss)/dB_j is
-            # -rho_b[j] h_x + rho_a[j] h_y + dd s_j v with s = (sa, sb, 1)
-            gp1 = dsa / den
-            gp2 = dsb / den
-            gp3 = -(sa * dsa + sb * dsb) / den
-            coef = (
-                (gp3 * b2 - gp2 * b4, gp1 * b4 - gp3 * b1, gp2 * b1 - gp1 * b2),
-                (gp2 * a4 - gp3 * a2, gp3 * a1 - gp1 * a4, gp1 * a2 - gp2 * a1),
-                (dd * sa, dd * sb, dd),
-            )
-            # scatter to (h_x | h_y | v, pixel-splat pair, j); one matmul then
-            # sums each splat's pairs against their pixels' planes and ray
-            Z = np.zeros((3, P * T, 3))
-            for i, row in enumerate(coef):
-                for j, x in enumerate(row):
-                    Z[i, k, j] = x
-            acc_B[sub] += (Z.reshape(3 * P, 3 * T).T @ planes).reshape(T, 3, 3)
+    acc_ba, acc_bb, acc_bc, acc_n = (acc[r : r + 3].T for r in (0, 3, 6, 9))
+    acc_o = acc[12]
 
     # camera-frame accumulators to world-frame parameter gradients
     R = pose.rotation
     s = arrays["scales"]
-    acc_ba, acc_bb, acc_bc = acc_B[:, 0], acc_B[:, 1], acc_B[:, 2]
     out.d_centers = acc_bc @ R.T
     out.d_t_alpha = s[:, :1] * (acc_ba @ R.T)
     out.d_t_beta = s[:, 1:] * (acc_bb @ R.T)

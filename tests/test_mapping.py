@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from splatscan import mapping
 from splatscan.mapping import (
     MAPPING_CONFIG,
     LocalMap,
@@ -7,6 +9,7 @@ from splatscan.mapping import (
     _learning_rates,
     add_keyframe,
     make_keyframe,
+    should_reset_local_map,
 )
 from splatscan.se3 import SE3Pose, so3_exp
 from splatscan.splats import SplatModel
@@ -36,7 +39,8 @@ def test_add_keyframe_keeps_moments_aligned_with_splats():
     poses = [SE3Pose.identity(), SE3Pose(so3_exp([0.0, 0.0, 0.4]), [0.8, 0.3, 0.0])]
     kfs = [make_keyframe(i, raycast_scan(scene, p, ScanSpec(64, 16), rng).cloud, p, 64, 16)
            for i, p in enumerate(poses)]
-    lmap = LocalMap.start(kfs[0], rng)
+    lmap = LocalMap.start(kfs[0])
+    add_keyframe(lmap, kfs[0], rng)
     n = len(lmap.model)
     dead = 10
     lmap.model.logit_opacity[:dead] = -20.0
@@ -50,3 +54,66 @@ def test_add_keyframe_keeps_moments_aligned_with_splats():
     # survivors keep their moments, in order; spawned splats start at zero
     assert np.array_equal(lmap.optimizer.m[: n - dead, 0], np.arange(dead, n))
     assert not lmap.optimizer.m[n - dead:].any()
+
+
+@pytest.fixture
+def two_keyframes():
+    scene = room_with_boxes(seed=0)
+    rng = np.random.default_rng(0)
+    poses = [SE3Pose.identity(), SE3Pose(so3_exp([0.0, 0.0, 0.1]), [0.2, 0.05, 0.0])]
+    return [make_keyframe(i, raycast_scan(scene, p, ScanSpec(64, 16), rng).cloud, p, 64, 16)
+            for i, p in enumerate(poses)]
+
+
+def _seeded_map(kf):
+    lmap = LocalMap.start(kf)
+    add_keyframe(lmap, kf, np.random.default_rng(3))
+    return lmap
+
+
+@pytest.fixture
+def renders(monkeypatch):
+    """Counts the renders mapping makes."""
+    calls = []
+    render = mapping.rasterize_forward
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return render(*args, **kwargs)
+
+    monkeypatch.setattr(mapping, "rasterize_forward", counted)
+    return calls
+
+
+def test_reset_check_and_add_keyframe_render_once(two_keyframes, renders):
+    kf0, kf1 = two_keyframes
+    shared, alone = _seeded_map(kf0), _seeded_map(kf0)
+    assert not renders  # seeding an empty map renders nothing
+
+    assert should_reset_local_map(shared, kf1) is None
+    stats = add_keyframe(shared, kf1, np.random.default_rng(4))
+    assert len(renders) == 1
+    assert shared.keyframe_render is None
+
+    # the shared render densifies exactly as a render of its own
+    assert add_keyframe(alone, kf1, np.random.default_rng(4)) == stats
+    assert len(renders) == 2
+    assert np.array_equal(shared.model.params, alone.model.params)
+
+
+def test_a_render_from_before_a_model_change_is_not_used(two_keyframes, renders):
+    kf0, kf1 = two_keyframes
+    lmap = _seeded_map(kf0)
+    assert should_reset_local_map(lmap, kf1) is None
+    lmap.model.touch()
+    add_keyframe(lmap, kf1, np.random.default_rng(4))
+    assert len(renders) == 2
+
+
+def test_a_render_of_another_keyframe_is_not_used(two_keyframes, renders):
+    kf0, kf1 = two_keyframes
+    lmap = _seeded_map(kf0)
+    assert should_reset_local_map(lmap, kf0) is None
+    add_keyframe(lmap, kf1, np.random.default_rng(4))
+    assert len(renders) == 2
+    assert renders[1] is kf1.pose

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from splatscan import mapping
 from splatscan.io import read_ply
 from splatscan.pipeline import Pipeline, RunConfig
 from splatscan.se3 import SE3Pose, so3_exp
@@ -107,3 +110,31 @@ def test_unrefined_scans_report_no_loss(good_scans):
     pipe = Pipeline(RunConfig(image_width=64, image_height=16, refine_iters=0))
     for row in (pipe.process_scan(s) for s in good_scans):
         assert "refine_loss_first" not in row and "refine_loss_last" not in row
+
+
+def test_rows_count_the_splats_mapping_spawned_and_pruned(three_scans, tmp_path):
+    _, _, rows = _run(three_scans, 0, tmp_path)
+    assert [row["reset"] for row in rows] == [None, None, None]
+    assert rows[0]["spawned"] > 0 and rows[0]["pruned"] == 0
+    for before, row in zip(rows, rows[1:]):
+        assert row["n_splats"] == before["n_splats"] + row["spawned"] - row["pruned"]
+
+
+# settings under which the second scan opens a new map, by trigger
+TRIGGERS = {
+    "keyframes": {"max_keyframes": 1},
+    "radius": {"reset_radius": 0.05},   # the second scan is 0.1 m away
+    "coverage": {"coverage_min": 1.01},  # mean opacity is below 1
+}
+
+
+@pytest.mark.parametrize("trigger", sorted(TRIGGERS))
+def test_rows_name_the_reset_trigger(good_scans, monkeypatch, trigger):
+    monkeypatch.setattr(mapping, "MAPPING_CONFIG",
+                        dataclasses.replace(mapping.MAPPING_CONFIG, **TRIGGERS[trigger]))
+    pipe = Pipeline(RunConfig(image_width=64, image_height=16, refine_iters=1))
+    rows = [pipe.process_scan(s) for s in good_scans]
+    assert [row["reset"] for row in rows] == [None, trigger]
+    assert len(pipe.archive) == 1
+    # the new map is seeded from the second scan alone
+    assert rows[1]["spawned"] == rows[1]["n_splats"] > 0

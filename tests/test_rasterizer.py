@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import random_model, surface_model
+from splatscan import rasterizer
 from splatscan.errors import GeometryError
 from splatscan.geometry import SphericalCamera
 from splatscan.rasterizer import (
@@ -123,7 +126,7 @@ def grad_case(rng):
 def _with_gradients(cam, pose, model, rng):
     """(cam, pose, model, pixel gradients, splat gradients) of a random linear loss."""
     pg = _pixel_grads(cam, rng)
-    out, rec = rasterize_forward(cam, pose, model)
+    out, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
     grads = rasterize_backward(model, rec, out, pg)
     return cam, pose, model, pg, grads
 
@@ -192,7 +195,7 @@ class TestBackwardMatchesCentralDifferences:
 
     def test_stale_records_raise(self, grad_case):
         cam, pose, model, pg, _ = grad_case
-        out, rec = rasterize_forward(cam, pose, model)
+        out, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
         model.touch()
         with pytest.raises(GeometryError):
             rasterize_backward(model, rec, out, pg)
@@ -237,6 +240,70 @@ class TestBackwardOnAnOpaqueStack(TestBackwardMatchesCentralDifferences):
             values = getattr(grads, name)
             assert not np.any(values[-2:])
             assert np.any(values[:-2])
+
+
+class _InChunksOfFour:
+    """Renders four splats per chunk, so a tile's pixels carry their sums
+    of later contributions across several chunk records."""
+
+    @pytest.fixture(autouse=True)
+    def _small_chunks(self, monkeypatch):
+        monkeypatch.setattr(rasterizer, "RASTER_CONFIG",
+                            dataclasses.replace(RASTER_CONFIG, chunk_size=4))
+
+    def test_tiles_keep_several_chunks(self, grad_case):
+        cam, pose, model, _, _ = grad_case
+        _, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
+        assert max(len(chunks) for _, _, chunks in rec.pairs) >= 3
+
+
+class TestBackwardInChunksOfFour(_InChunksOfFour, TestBackwardMatchesCentralDifferences):
+    pass
+
+
+class TestOpaqueStackInChunksOfFour(_InChunksOfFour, TestBackwardOnAnOpaqueStack):
+    pass
+
+
+@pytest.mark.parametrize("chunk_size", [1, 2])
+def test_gradients_do_not_depend_on_the_chunk_size(grad_case, monkeypatch, chunk_size):
+    cam, pose, model, pg, grads = grad_case
+    monkeypatch.setattr(rasterizer, "RASTER_CONFIG",
+                        dataclasses.replace(RASTER_CONFIG, chunk_size=chunk_size))
+    out, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
+    assert max(len(chunks) for _, _, chunks in rec.pairs) > 4
+    chunked = rasterize_backward(model, rec, out, pg)
+    for name in ("d_centers", "d_t_alpha", "d_t_beta", "d_normal", "d_scales", "d_opacity"):
+        _assert_close(getattr(chunked, name), getattr(grads, name), rel=1e-12)
+
+
+class TestRecordsServeOneBackwardPass:
+    def test_records_without_pairs_raise(self, grad_case):
+        cam, pose, model, pg, _ = grad_case
+        out, rec = rasterize_forward(cam, pose, model)
+        assert rec.pairs is None
+        with pytest.raises(GeometryError, match="keep_pairs"):
+            rasterize_backward(model, rec, out, pg)
+
+    def test_a_backward_pass_consumes_the_pairs(self, grad_case):
+        cam, pose, model, pg, grads = grad_case
+        out, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
+        assert rec.pairs
+        again = rasterize_backward(model, rec, out, pg)
+        assert rec.pairs is None
+        assert np.array_equal(again.d_centers, grads.d_centers)
+        with pytest.raises(GeometryError, match="keep_pairs"):
+            rasterize_backward(model, rec, out, pg)
+
+    def test_kept_pairs_are_the_blending_pairs(self, grad_case):
+        cam, pose, model, _, _ = grad_case
+        _, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
+        kept = sum(c.pixel.size for _, _, chunks in rec.pairs for c in chunks)
+        arrays = _splat_camera_arrays(model, pose)
+        tiles = _binned_tiles(rec.tile_ptr, rec.pair_splats, rec.tiles_x)
+        blending = sum(int(np.sum(w > 0)) for *_, chunks in _blend_tiles(cam, arrays, tiles)
+                       for _, _, w, _ in chunks)
+        assert kept == blending > 0
 
 
 def test_tangent_raw_gradients_match_central_differences(rng):
