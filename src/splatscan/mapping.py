@@ -307,9 +307,11 @@ def should_reset_local_map(lmap: "LocalMap", kf: Keyframe) -> str | None:
     budget is exhausted; ``"radius"``, the sensor has left the map's
     neighborhood; ``"coverage"``, the model barely covers the new view.
     A coverage render that lets ``kf`` join is left on the map for
-    :func:`add_keyframe`, which would render the same view.
+    :func:`add_keyframe`, which would render the same view.  The check's
+    coverage is left on ``lmap.coverage``, ``None`` when it made no render.
     """
     cfg = MAPPING_CONFIG
+    lmap.coverage = None
     if len(lmap.keyframes) >= cfg.max_keyframes:
         return "keyframes"
     if np.linalg.norm(kf.pose.translation - lmap.origin.translation) > cfg.reset_radius:
@@ -317,7 +319,8 @@ def should_reset_local_map(lmap: "LocalMap", kf: Keyframe) -> str | None:
     if len(lmap.model) == 0:
         return None
     render, _ = rasterize_forward(kf.camera, kf.pose, lmap.model)
-    if coverage(render, kf) < cfg.coverage_min:
+    lmap.coverage = coverage(render, kf)
+    if lmap.coverage < cfg.coverage_min:
         return "coverage"
     lmap.keyframe_render = (kf, lmap.model.version, render)
     return None
@@ -379,7 +382,8 @@ class LocalMap:
 
     ``keyframe_render`` is the reset check's render of a joining keyframe,
     as ``(keyframe, model.version, render)``; :func:`add_keyframe` uses it
-    for that keyframe and that model version, and clears it.
+    for that keyframe and that model version, and clears it.  ``coverage``
+    is the last reset check's coverage, ``None`` when it made no render.
     """
 
     model: SplatModel
@@ -388,6 +392,7 @@ class LocalMap:
     scene_scale: float = 1.0
     optimizer: _Adam | None = None
     keyframe_render: tuple[Keyframe, int, RenderOutput] | None = None
+    coverage: float | None = None
 
     @classmethod
     def start(cls, kf: Keyframe) -> "LocalMap":

@@ -194,18 +194,19 @@ class Pipeline:
         ``n_photo``/``photo_rms``).  Every row says what mapping did:
         ``reset`` is the trigger that archived the previous map
         (``"keyframes"``, ``"radius"`` or ``"coverage"``, see
-        :func:`mapping.should_reset_local_map`) or ``None``, and
-        ``spawned``/``pruned`` count the splats the keyframe added and
-        removed.  Refined scans report the mapping loss by term at the
-        first and last refine iteration
-        (``refine_loss_first``/``refine_loss_last``).
+        :func:`mapping.should_reset_local_map`) or ``None``,
+        ``coverage`` is the mean rendered opacity the reset check measured
+        (``None`` when it rendered nothing), and ``spawned``/``pruned``
+        count the splats the keyframe added and removed.  Refined scans
+        report the mapping loss by term at the first and last refine
+        iteration (``refine_loss_first``/``refine_loss_last``).
         """
         index = len(self.poses)
         cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
         sub = self._subsample(cloud)
         row: dict = {"scan": index, "n_points": int(cloud.shape[0]),
                      "n_used": int(sub.shape[0]), "fallback": False,
-                     "reset": None, "spawned": 0, "pruned": 0}
+                     "reset": None, "coverage": None, "spawned": 0, "pruned": 0}
 
         t0 = time.perf_counter()
         if self.lmap is None:
@@ -244,6 +245,7 @@ class Pipeline:
         if kf is not None:
             if self.lmap is not None:
                 row["reset"] = should_reset_local_map(self.lmap, kf)
+                row["coverage"] = self.lmap.coverage
                 if row["reset"]:
                     self._archive_active()
                     self.lmap = None

@@ -18,8 +18,8 @@ Forward model, per pixel ray ``v``:
 
 Intersections behind the pixel (``nu . v <= 0``) belong to the antipodal
 ray and are discarded.  Hits with ``alpha < 1/255`` are skipped, alpha is
-clamped to 0.99, and blending along a pixel stops once transmittance
-drops below 1e-4.
+clamped to 0.99, and a pair adds nothing once the transmittance in front
+of it is below 1e-4.
 
 Tiling: splats are binned to square pixel tiles (``RASTER_CONFIG.tile_size``
 pixels on a side) using a conservative angular bound: every point of the
@@ -30,25 +30,24 @@ ball is a closed-form box in azimuth/elevation.  Tiles are matched
 against that box by circular interval overlap in azimuth, which handles
 the seam of full-circle cameras for free.
 
-One loop, :func:`_blend_tiles`, walks the pixels of each tile through its
-splats front to back, ``chunk_size`` splats at a time, and stops once
-the tile is opaque.  The forward pass and the reference renderer share it
-and sum the blended channels; the reference feeds it full-width pixel
-bands with every splat in range order.
-
-Most pixel-splat pairs of a chunk add nothing: their alpha is under the
-cutoff, they lie behind the pixel, or the pixel is already opaque.  So
-only the terms that decide whether a pair counts (plane products, kernel
-coordinates, ``G``, ``alpha``) are computed for every pair of the chunk,
-and the hit point and its range only for the candidate pairs that pass
-the alpha cutoff.
+A render has two stages.  Screening (:func:`_near_pairs`) is dense and
+cheap: per tile, the plane products of every pixel-splat pair come from
+BLAS matmuls over bounded blocks, and a pair is kept only if its ray
+passes within the splat's binning radius of the centroid (15-25% of
+the binned pairs on the benchmark maps).  Blending (:func:`_blend`) works
+on batches of those near pairs, pixel-major and in blend order within a
+pixel, as 1-D passes: kernel terms, alpha, the hit range, exclusive
+transmittance by a cumprod along each pixel's run, weights, and per-pixel
+sums.  The forward pass and the reference renderer share both stages;
+the reference feeds them full-width pixel bands with every splat in range
+order.
 
 The backward pass never walks the tiles again.  A forward pass asked to
-``keep_pairs`` keeps, per chunk, only the pairs with non-zero blend weight
-(about a tenth of them): each pair's pixel and splat index, its
-transmittance and its six plane products.  From those the backward pass
-recomputes the kernel terms, the hit point and its range with the
-forward pass's own expressions, and accumulates analytic gradients of
+``keep_pairs`` keeps the pairs with non-zero blend weight: each pair's
+pixel and splat, its transmittance and its six plane products, and the
+render's per-splat arrays.  From those the backward pass recomputes the
+kernel terms and alpha with the forward pass's own expressions and the
+hit range from the pixel's ray, and accumulates analytic gradients of
 any scalar loss on the rendered range/normal/opacity images w.r.t. splat
 centroids, tangent frames, scales and opacities, on 1-D arrays over the
 kept pairs.
@@ -57,7 +56,6 @@ kept pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -85,6 +83,8 @@ _CUTOFF_SIGMA = float(np.sqrt(2.0 * np.log(255.0)))
 @dataclass(frozen=True)
 class RasterConfig:
     tile_size: int = 8
+    # bounds the screening block: at most tile_size**2 * chunk_size pairs,
+    # a full tile against chunk_size splats
     chunk_size: int = 256
     alpha_cutoff: float = 1.0 / 255.0
     alpha_clamp: float = 0.99
@@ -144,32 +144,22 @@ class SplatGradients:
         )
 
 
-class ChunkPairs(NamedTuple):
-    """The pairs of one chunk that add to the image, pixel-major.
-
-    ``pixel`` is the pair's pixel within its tile and ``splat`` its index
-    into ``ids``, the chunk's splat ids, both as the smallest unsigned int
-    that holds them.  ``values`` is (7, pairs) float64, one row per term:
-    the transmittance in front of the pair and the six plane products
-    ``a1, a2, a4, b1, b2, b4`` (see :func:`_pair_geometry`).
-    """
-
-    ids: np.ndarray
-    pixel: np.ndarray
-    splat: np.ndarray
-    values: np.ndarray
-
-
 @dataclass
 class BlendRecords:
     """Binning and identity snapshot of a render, and its contributing pairs.
 
-    ``pairs`` is ``None`` unless the render was asked to ``keep_pairs``;
-    then it holds one ``(rows, cols, chunks)`` entry per tile with a
-    contributing pair, ``chunks`` being that tile's :class:`ChunkPairs` in
-    blend order (a chunk without a contributing pair is left out).
-    :func:`rasterize_backward` takes the pairs out and leaves ``None``, so
-    a record serves one backward pass.
+    ``pairs`` and ``arrays`` are ``None`` unless the render was asked to
+    ``keep_pairs``.  Then ``pairs`` holds the pairs with ``w > 0`` as
+    ``(pix, spl, values)`` entries of whole blend batches, at least
+    ``_BATCH_PAIRS`` pairs each but the last: the pairs' flat pixel index
+    and splat id, each as the smallest unsigned int that holds it, and
+    their (7, pairs) float64 values, one row per term: the
+    transmittance in front of the pair and the six plane products ``a1,
+    a2, a4, b1, b2, b4`` (see :func:`_near_pairs`).  The pairs are
+    pixel-major and in blend order within a pixel, and a pixel's pairs all
+    lie in one entry.  ``arrays`` holds the render's per-splat camera-frame
+    arrays.  :func:`rasterize_backward` takes both out and leaves ``None``,
+    so a record serves one backward pass.
     """
 
     cam: SphericalCamera
@@ -181,6 +171,7 @@ class BlendRecords:
     pair_splats: np.ndarray
     tiles_x: int
     pairs: list | None = None
+    arrays: dict | None = None
 
 
 # --- splat preparation and tile binning ------------------------------------
@@ -193,15 +184,18 @@ def _splat_camera_arrays(model: SplatModel, pose: SE3Pose) -> dict:
     s = model.scales
     ta_c = ta @ R
     tb_c = tb @ R
+    Ba = s[:, :1] * ta_c
+    Bb = s[:, 1:] * tb_c
     Bc = (model.centers - pose.translation) @ R
     return {
-        "Ba": s[:, :1] * ta_c,
-        "Bb": s[:, 1:] * tb_c,
         "Bc": Bc,
-        "ncam": tn @ R,
+        # what a pair reads of its splat, one row per term: opacity, normal,
+        # B_a, B_b, B_c (a gathered term is then one contiguous row).  C
+        # order matters: np.take copies a whole array that is not C-contiguous
+        "terms": np.concatenate([model.opacities[None], (tn @ R).T, Ba.T, Bb.T, Bc.T],
+                                out=np.empty((13, len(model)))),
         "ta_cam": ta_c,
         "tb_cam": tb_c,
-        "opac": model.opacities,
         "scales": s,
         "ranges": np.linalg.norm(Bc, axis=1),
     }
@@ -312,60 +306,12 @@ def _bin_splats(cam: SphericalCamera, arrays: dict):
     return tile_ptr.astype(np.int64), pair_splats.astype(np.int64), tiles_x
 
 
-# --- pair geometry ----------------------------------------------------------
+# --- screening --------------------------------------------------------------
 
-
-def _pair_geometry(Hx, Hy, V, ray_ok, Ba, Bb, Bc, opac):
-    """Intersection quantities for P pixels x T splats.
-
-    Only the terms that decide whether a pair counts are dense (P, T): the
-    six plane products, the kernel coordinates ``sa``/``sb``, ``G`` and
-    ``alpha``.  The hit point ``nu``, its front-facing test and its range
-    ``|nu|`` are evaluated only at candidate pairs (usable denominator and
-    alpha above the cutoff), and the range is scattered into the dense
-    ``d``.  ``alpha`` and ``d`` are zero wherever the pair does not count.
-    The candidates' flat index, pixel, splat and front-facing test are
-    returned too.
-    """
-    cfg = RASTER_CONFIG
-    # one block, so that a kept pair's six products are one gather
-    planes = np.empty((6, Hx.shape[0], Ba.shape[0]))
-    a1, a2, a4, b1, b2, b4 = planes
-    for out, H, B in zip(planes, (Hx, Hx, Hx, Hy, Hy, Hy), (Ba, Bb, Bc) * 2):
-        np.matmul(H, B.T, out=out)
-    denom = a1 * b2 - a2 * b1
-    usable = np.abs(denom) >= cfg.denom_eps
-    safe = np.where(usable, denom, 1.0)
-    sa = (a2 * b4 - a4 * b2) / safe
-    sb = (a4 * b1 - a1 * b4) / safe
-    G = np.exp(-0.5 * (sa * sa + sb * sb))
-    alpha = np.minimum(opac[None, :] * G, cfg.alpha_clamp)
-    alpha *= usable & ray_ok[:, None] & (alpha >= cfg.alpha_cutoff)
-    # hit point, front-facing test and range at the candidate pairs only
-    k = np.flatnonzero(alpha != 0.0)
-    p = k // alpha.shape[1]
-    t = k - p * alpha.shape[1]
-    # (np.take gathers rows several times faster than fancy indexing)
-    nu = (
-        np.take(sa, k)[:, None] * np.take(Ba, t, axis=0)
-        + np.take(sb, k)[:, None] * np.take(Bb, t, axis=0)
-        + np.take(Bc, t, axis=0)
-    )
-    front = np.einsum("kc,kc->k", nu, np.take(V, p, axis=0)) > 0
-    np.put(alpha, k[~front], 0.0)
-    d = np.zeros_like(alpha)
-    np.put(d, k, np.linalg.norm(nu, axis=1) * front)
-    return {
-        "planes": planes,
-        "d": d,
-        "G": G,
-        "alpha": alpha,
-        # the candidate pairs: flat index, pixel, splat and front-facing test
-        "k": k, "p": p, "t": t, "front": front,
-    }
-
-
-# --- the tile loop ----------------------------------------------------------
+# the most near pairs a blend batch holds (unless one pixel has more); the
+# batches' 1-D temporaries, about forty arrays over their pairs, weigh on a
+# render's peak memory, so keep it small
+_BATCH_PAIRS = 4096
 
 
 def _binned_tiles(tile_ptr, pair_splats, tiles_x: int):
@@ -377,48 +323,125 @@ def _binned_tiles(tile_ptr, pair_splats, tiles_x: int):
         yield slice(r0, r0 + T), slice(c0, c0 + T), pair_splats[tile_ptr[t] : tile_ptr[t + 1]]
 
 
-def _blend_tiles(cam: SphericalCamera, arrays: dict, tiles):
-    """The one tile-and-chunk loop behind the forward and reference renders.
+def _near_pairs(cam: SphericalCamera, arrays: dict, tiles):
+    """Screen each tile's pixel-splat pairs; yield the near ones in batches.
 
     ``tiles`` yields (row slice, column slice, splat ids in blend order).
-    For each tile this yields ``(rows, cols, chunks)``; iterating ``chunks``
-    walks the splats ``chunk_size`` at a time over the tile's flattened
-    pixels, yielding ``(ids, g, w, t_pair)``: the chunk's splat ids, its
-    :func:`_pair_geometry` terms, blend weights and the transmittance in
-    front of each pair.  A tile's chunks stop once every pixel is opaque.
+    A pair is near when its pixel has a ray and the ray passes within the
+    splat's binning radius ``cutoff_sigma * max(scale)`` of the centroid:
+    ``a4^2 + b4^2``, with ``a4 = h_x . B_c`` and ``b4 = h_y . B_c``, is that
+    squared distance, so every pair whose alpha can reach the cutoff is
+    near.  The plane products are dense matmuls over blocks of a tile's
+    pixels against all its splats, at most ``tile_size**2 * chunk_size``
+    pairs a block: ``h_x``, ``h_y`` and the ray ``v`` against ``B_a``,
+    ``B_b`` and ``B_c``, in the order ``a1, a2, a4, b1, b2, b4, v.B_a,
+    v.B_b, v.B_c``.
+
+    Yields batches ``(pix, spl, planes)``: the near pairs' flat pixel
+    index, splat id and (9, pairs) plane products, pixel-major and in blend
+    order within a pixel.  A batch holds whole pixels of one block and at
+    most ``_BATCH_PAIRS`` pairs, unless one pixel has more.
     """
-    dirs = cam.pixel_directions
+    cfg = RASTER_CONFIG
     hx, hy, ray_ok = cam.pixel_ray_planes
-    stop = RASTER_CONFIG.min_transmittance
-    step = RASTER_CONFIG.chunk_size
-
-    def chunks(ids, V, PHx, PHy, Pok):
-        t_carry = np.ones(V.shape[0])
-        for k0 in range(0, ids.shape[0], step):
-            sub = ids[k0 : k0 + step]
-            g = _pair_geometry(
-                PHx, PHy, V, Pok,
-                arrays["Ba"][sub], arrays["Bb"][sub], arrays["Bc"][sub],
-                arrays["opac"][sub],
-            )
-            alpha = g["alpha"]
-            prod = np.cumprod(1.0 - alpha, axis=1)
-            excl = np.empty_like(prod)
-            excl[:, 0] = 1.0
-            excl[:, 1:] = prod[:, :-1]
-            t_pair = t_carry[:, None] * excl
-            w = alpha * t_pair * (t_pair >= stop)
-            yield sub, g, w, t_pair
-            t_carry = t_carry * prod[:, -1]
-            if t_carry.max() < stop:
-                return
-
+    dirs = cam.pixel_directions
+    flat = np.arange(cam.height * cam.width).reshape(cam.height, cam.width)
+    reach = cfg.cutoff_sigma * arrays["scales"].max(axis=1)
+    # slack against rounding in the plane products
+    reach2 = reach * reach * (1.0 + 1e-6)
+    block_pairs = cfg.tile_size**2 * cfg.chunk_size
+    # one buffer for every block (nine products and two work rows): a
+    # fresh one per block costs page faults
+    buf = np.empty(0)
     for rows, cols, ids in tiles:
-        V = dirs[rows, cols].reshape(-1, 3)
-        PHx = hx[rows, cols].reshape(-1, 3)
-        PHy = hy[rows, cols].reshape(-1, 3)
-        Pok = ray_ok[rows, cols].reshape(-1)
-        yield rows, cols, chunks(ids, V, PHx, PHy, Pok)
+        ok = ray_ok[rows, cols]
+        pix = flat[rows, cols][ok]
+        pixel_vectors = (hx[rows, cols][ok], hy[rows, cols][ok], dirs[rows, cols][ok])
+        # B_a, B_b and B_c of the tile's splats, one row per component
+        B = np.take(arrays["terms"][4:13], ids, axis=1)
+        n = ids.shape[0]
+        # blocks of about equal pixel counts
+        n_blocks = -(-pix.shape[0] * n // block_pairs)
+        step = max(-(-pix.shape[0] // max(n_blocks, 1)), 1)
+        for p0 in range(0, pix.shape[0], step):
+            P = min(step, pix.shape[0] - p0)
+            if buf.shape[0] < 11 * P * n:
+                buf = np.empty(11 * P * n)
+            planes = buf[: 11 * P * n].reshape(11, P, n)
+            for i in range(9):
+                np.matmul(pixel_vectors[i // 3][p0 : p0 + P], B[3 * (i % 3) : 3 * (i % 3) + 3],
+                          out=planes[i])
+            near = np.multiply(planes[2], planes[2], out=planes[9])
+            near += np.multiply(planes[5], planes[5], out=planes[10])
+            k = np.flatnonzero(near <= reach2[ids])
+            p = k // n
+            block = (np.take(pix[p0 : p0 + P], p), np.take(ids, k - p * n),
+                     np.take(planes[:9].reshape(9, -1), k, axis=1))
+            # cut at pixel ends: the last one within the batch size, or else
+            # the end of the first pixel
+            ends = np.concatenate(([0], np.cumsum(np.bincount(p, minlength=P))))
+            lo = 0
+            while lo < k.shape[0]:
+                hi = ends[np.searchsorted(ends, lo + _BATCH_PAIRS, "right") - 1]
+                if hi <= lo:
+                    hi = ends[np.searchsorted(ends, lo, "right")]
+                yield block[0][lo:hi], block[1][lo:hi], block[2][:, lo:hi]
+                lo = hi
+
+
+# --- blending ---------------------------------------------------------------
+
+
+def _runs(pix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Runs of one pixel in pixel-major pairs: (first pair of each run, run of each pair)."""
+    new = np.empty(pix.shape[0], dtype=bool)
+    new[:1] = True
+    np.not_equal(pix[1:], pix[:-1], out=new[1:])
+    return np.flatnonzero(new), np.cumsum(new) - 1
+
+
+def _kernel_coordinates(a1, a2, a4, b1, b2, b4):
+    """``(sa, sb, den, usable)``: the hit point in splat coordinates.
+
+    ``den`` is the homogeneous denominator, replaced by 1 where it is too
+    small to be ``usable``.
+    """
+    den = a1 * b2 - a2 * b1
+    usable = np.abs(den) >= RASTER_CONFIG.denom_eps
+    den = np.where(usable, den, 1.0)
+    return (a2 * b4 - a4 * b2) / den, (a4 * b1 - a1 * b4) / den, den, usable
+
+
+def _blend(terms: np.ndarray, pix, spl, planes) -> dict:
+    """Blend weights of one batch of :func:`_near_pairs`, as 1-D passes.
+
+    ``terms`` holds the splat terms of :func:`_splat_camera_arrays`.  The
+    hit point ``nu = sa*B_a + sb*B_b + B_c`` lies on the pixel's ray, so
+    ``nu . v`` is its range, and a hit with ``nu . v <= 0`` lies behind
+    the pixel.  Returns per pair ``G``, ``alpha`` (zero where the pair does
+    not count), the exclusive transmittance ``t``, the weight ``w``, the
+    range ``d`` and the opacity and normal of its splat (``sp``), with the
+    ``starts`` of the pixels' runs and the ``run`` of each pair.
+    """
+    cfg = RASTER_CONFIG
+    sa, sb, _, usable = _kernel_coordinates(*planes[:6])
+    d = sa * planes[6] + sb * planes[7] + planes[8]
+    G = np.exp(-0.5 * (sa * sa + sb * sb))
+    sp = np.take(terms[:4], spl, axis=1)
+    alpha = np.minimum(sp[0] * G, cfg.alpha_clamp)
+    alpha *= usable & (alpha >= cfg.alpha_cutoff) & (d > 0.0)
+    # exclusive transmittance: a cumprod along ones-padded rows, one per
+    # pixel, with the pixel's factors from its second column on
+    starts, run = _runs(pix)
+    n_runs = starts.shape[0]
+    width = int(np.bincount(run).max()) + 1
+    at = np.arange(pix.shape[0]) + np.take(np.arange(n_runs) * width - starts, run)
+    rows = np.ones(n_runs * width)
+    rows[at + 1] = 1.0 - alpha
+    t = np.take(np.cumprod(rows.reshape(n_runs, width), axis=1), at)
+    w = alpha * t * (t >= cfg.min_transmittance)
+    return {"G": G, "alpha": alpha, "t": t, "w": w, "d": d, "sp": sp,
+            "starts": starts, "run": run}
 
 
 # --- forward ---------------------------------------------------------------
@@ -427,55 +450,43 @@ def _blend_tiles(cam: SphericalCamera, arrays: dict, tiles):
 def _render(cam: SphericalCamera, arrays: dict, tiles, kept: list | None = None) -> RenderOutput:
     """Blend range, normal and opacity over ``tiles``; untouched pixels stay 0.
 
-    With a ``kept`` list, appends each tile's ``(rows, cols, chunks)``
-    entry of :class:`ChunkPairs` to it.
+    With a ``kept`` list, appends the pairs with ``w > 0`` to it as
+    ``(pix, spl, values)`` entries of at least ``_BATCH_PAIRS`` pairs each
+    but the last (see :class:`BlendRecords`).
     """
     H, W = cam.height, cam.width
-    D = np.zeros((H, W))
-    O = np.zeros((H, W))
-    Nimg = np.zeros((H, W, 3))
-    for rows, cols, chunks in _blend_tiles(cam, arrays, tiles):
-        shape = D[rows, cols].shape
-        P = shape[0] * shape[1]
-        d_acc = np.zeros(P)
-        o_acc = np.zeros(P)
-        n_acc = np.zeros((P, 3))
-        tile_pairs = []
-        for sub, g, w, t_pair in chunks:
-            d_acc += np.sum(w * g["d"], axis=1)
-            o_acc += np.sum(w, axis=1)
-            n_acc += w @ arrays["ncam"][sub]
-            if kept is not None:
-                chunk = _keep_pairs(sub, g, t_pair)
-                if chunk.pixel.size:
-                    tile_pairs.append(chunk)
-        if tile_pairs:
-            kept.append((rows, cols, tile_pairs))
-        D[rows, cols] = d_acc.reshape(shape)
-        O[rows, cols] = o_acc.reshape(shape)
-        Nimg[rows, cols] = n_acc.reshape(shape + (3,))
-    return RenderOutput(D, Nimg, O)
+    out = np.zeros((5, H * W))  # range, opacity, normal
+    terms = arrays["terms"]
+    held = []
+    pix_type = np.min_scalar_type(H * W - 1)
+    spl_type = np.min_scalar_type(max(terms.shape[1] - 1, 0))
 
+    def keep():
+        pix, spl, values = (np.concatenate(x, axis=-1) for x in zip(*held))
+        kept.append((pix.astype(pix_type), spl.astype(spl_type), values))
+        held.clear()
 
-def _keep_pairs(ids, g, t_pair) -> ChunkPairs:
-    """The pairs of a chunk with ``w > 0`` and the terms the backward pass reads.
-
-    A pair blends (``w > 0``) when it is a front-facing candidate with
-    transmittance at or above the early-stop threshold.
-    """
-    _, P, T = g["planes"].shape
-    t_k = np.take(t_pair, g["k"])
-    blends = g["front"] & (t_k >= RASTER_CONFIG.min_transmittance)
-    k = g["k"][blends]
-    values = np.empty((7, k.size))
-    values[0] = t_k[blends]
-    values[1:] = g["planes"].reshape(6, -1)[:, k]
-    return ChunkPairs(
-        ids,
-        g["p"][blends].astype(np.min_scalar_type(P - 1)),
-        g["t"][blends].astype(np.min_scalar_type(T - 1)),
-        values,
-    )
+    for pix, spl, planes in _near_pairs(cam, arrays, tiles):
+        b = _blend(terms, pix, spl, planes)
+        w, starts = b["w"], b["starts"]
+        sums = np.empty((5, pix.shape[0]))
+        np.multiply(w, b["d"], out=sums[0])
+        sums[1] = w
+        np.multiply(w, b["sp"][1:4], out=sums[2:])
+        # a pixel's pairs are contiguous: reduceat sums them in blend order
+        out[:, np.take(pix, starts)] = np.add.reduceat(sums, starts, axis=1)
+        if kept is not None and w.any():
+            k = np.flatnonzero(w)
+            values = np.empty((7, k.shape[0]))
+            values[0] = np.take(b["t"], k)
+            values[1:] = np.take(planes[:6], k, axis=1)
+            held.append((np.take(pix, k), np.take(spl, k), values))
+            if sum(x[0].shape[0] for x in held) >= _BATCH_PAIRS:
+                keep()
+    if held:
+        keep()
+    return RenderOutput(
+        out[0].reshape(H, W), np.moveaxis(out[2:], 0, -1).reshape(H, W, 3), out[1].reshape(H, W))
 
 
 def rasterize_forward(
@@ -484,8 +495,9 @@ def rasterize_forward(
     """Render the model from ``pose`` (sensor-in-world) onto the camera grid.
 
     ``keep_pairs`` keeps the contributing pixel-splat pairs in the records
-    for one :func:`rasterize_backward`; they take about 5 MB per 85k pairs,
-    so renders that no backward pass reads leave it off.
+    for one :func:`rasterize_backward`, with the splat arrays it reads; the
+    pairs take about 5 MB per 85k, so renders that no backward pass reads
+    leave it off.
     """
     arrays = _splat_camera_arrays(model, pose)
     tile_ptr, pair_splats, tiles_x = _bin_splats(cam, arrays)
@@ -493,7 +505,7 @@ def rasterize_forward(
     out = _render(cam, arrays, _binned_tiles(tile_ptr, pair_splats, tiles_x), kept)
     records = BlendRecords(
         cam, pose.copy(), RASTER_CONFIG, len(model), model.version,
-        tile_ptr, pair_splats, tiles_x, kept,
+        tile_ptr, pair_splats, tiles_x, kept, arrays if keep_pairs else None,
     )
     return out, records
 
@@ -529,20 +541,21 @@ def rasterize_backward(
 
     ``records`` and ``render`` must come from one
     ``rasterize_forward(..., keep_pairs=True)`` on the same (unmodified)
-    model.  The records' pairs are consumed: this sets ``records.pairs`` to
-    ``None``, and records without pairs (never kept, or already used)
-    raise ``GeometryError``, as does a changed model.  Splats touching no
-    pixel get zero gradients.
+    model.  The records' pairs and splat arrays are consumed: this sets
+    ``records.pairs`` and ``records.arrays`` to ``None``, and records
+    without pairs (never kept, or already used) raise ``GeometryError``, as
+    does a changed model.  Splats touching no pixel get zero gradients.
 
-    Each tile's kept pairs are handled in one pass of 1-D arrays over the
-    pairs.  Per pair the kernel terms, alpha, blend weight and range are
-    recomputed from the kept values with the forward pass's expressions.
-    The sum of later contributions behind a pair is a segmented cumsum over
-    its pixel's pairs in its chunk, where they are contiguous, plus
-    ``pre``, the pixel's sums over the tile's earlier chunks.  Per-splat
-    sums use ``np.bincount`` over the pairs' splat indices.
+    Each kept batch is handled as 1-D arrays over its pairs, which are
+    pixel-major and in blend order within a pixel (see
+    :class:`BlendRecords`).  Per pair the kernel terms, alpha and blend
+    weight are recomputed from the kept values with the forward pass's
+    expressions, and the range from the pixel's ray.  The sum of later contributions behind a pair is the
+    pixel's total minus a segmented cumsum over the pixel's run, and
+    per-splat sums use ``np.bincount`` over the pairs' splat ids.
     """
     pairs, records.pairs = records.pairs, None
+    arrays, records.arrays = records.arrays, None
     if pairs is None:
         raise GeometryError(
             "blend records hold no pairs: render with keep_pairs=True, once per backward pass")
@@ -550,18 +563,13 @@ def rasterize_backward(
         raise GeometryError("blend records are stale for this model")
     cam, pose = records.cam, records.pose
     N = len(model)
-    out = SplatGradients.zeros(N)
     if not pairs:
-        return out
+        return SplatGradients.zeros(N)
 
     cfg = RASTER_CONFIG
-    arrays = _splat_camera_arrays(model, pose)
-    # the per-splat terms a pair reads, one row per splat, and the
-    # per-pixel ones, one row per term (each gathered term is then one
-    # contiguous row over a tile's pairs)
-    splat_terms = np.column_stack(
-        [arrays["opac"], arrays["ncam"], arrays["Ba"], arrays["Bb"], arrays["Bc"]])
     hx, hy, _ = cam.pixel_ray_planes
+    # the per-pixel terms a pair reads, one row per term (each gathered
+    # term is then one contiguous row over a batch's pairs)
     pixel_terms = np.concatenate(
         [
             pixel_grads.d_range[None],
@@ -578,58 +586,42 @@ def rasterize_backward(
                 + np.einsum("hwc,hwc->hw", pixel_grads.d_normal, render.normal)
             )[None],
         ]
-    )
+    ).reshape(15, -1)
 
     # camera-frame accumulators, one column per splat, reduced to
     # parameters at the end: rows 3j..3j+2 are d/dB_j for B_a, B_b, B_c,
     # then d/dnormal (3 rows) and d/dopacity
     acc = np.zeros((13, N))
-    for i, (rows, cols, chunks) in enumerate(pairs):
-        pairs[i] = None  # free each tile's pairs once read
-        tile_terms = pixel_terms[:, rows, cols].reshape(pixel_terms.shape[0], -1)
-        P = tile_terms.shape[1]
-        # the tile's pairs in blend order: chunk by chunk, pixel-major in each;
-        # ``u`` indexes ``ids``, the splats of the tile's kept chunks
-        ids = np.concatenate([c.ids for c in chunks])
-        first = np.cumsum([0] + [c.ids.shape[0] for c in chunks[:-1]])
-        u = np.concatenate([c.splat.astype(np.intp) + f for c, f in zip(chunks, first)])
-        values = np.concatenate([c.values for c in chunks], axis=1)
-        # runs of one pixel within one chunk, numbered in blend order; each
-        # run's pairs are contiguous, so per-run terms reach them by repeat
-        n_chunks = len(chunks)
-        run = np.concatenate([c.pixel.astype(np.intp) + P * n for n, c in enumerate(chunks)])
-        per_run = np.bincount(run, minlength=n_chunks * P)
-        del chunks  # the last reference to the tile's records
-
-        sp = np.take(splat_terms, np.take(ids, u), axis=0).T
+    # a batch's per-pair terms of those rows, in one buffer for every batch
+    rows_buf = np.empty((13, max(pix.shape[0] for pix, _, _ in pairs)))
+    for i, (pix, spl, values) in enumerate(pairs):
+        pairs[i] = None  # free each batch's pairs once read
+        spl = spl.astype(np.intp)  # once, not in each bincount
+        sp = np.take(arrays["terms"], spl, axis=1)
         opac, ncam, Ba, Bb, Bc = sp[0], sp[1:4], sp[4:7], sp[7:10], sp[10:13]
-        px = np.repeat(np.tile(tile_terms, n_chunks), per_run, axis=1)
+        px = np.take(pixel_terms, pix, axis=1)
         gD, gO, gN, h_x, h_y, V, S_tot = (
             px[0], px[1], px[2:5], px[5:8], px[8:11], px[11:14], px[14])
 
         t_pair, a1, a2, a4, b1, b2, b4 = values
-        # the forward pass's expressions, so the values are its own bit for
-        # bit; kept pairs have a usable denominator
-        den = a1 * b2 - a2 * b1
-        sa = (a2 * b4 - a4 * b2) / den
-        sb = (a4 * b1 - a1 * b4) / den
+        # the forward pass's expressions, so the kernel terms, alpha and w
+        # are its own bit for bit; kept pairs have a usable denominator.
+        # The ray products come from 3-term dots, not the forward's matmuls,
+        # so the range may differ from the forward's in the last bit.
+        sa, sb, den, _ = _kernel_coordinates(a1, a2, a4, b1, b2, b4)
+        vBa, vBb = _dot3(V, Ba), _dot3(V, Bb)
+        d = sa * vBa + sb * vBb + _dot3(V, Bc)
         G = np.exp(-0.5 * (sa * sa + sb * sb))
         a_raw = opac * G
         alpha = np.minimum(a_raw, cfg.alpha_clamp)
         w = alpha * t_pair
-        nu = sa * Ba + sb * Bb + Bc
-        d = np.sqrt(nu[0] * nu[0] + nu[1] * nu[1] + nu[2] * nu[2])
 
         c = gD * d + gO + _dot3(gN, ncam)
         wc = w * c
-        # sum of wc up to each pair over its run, plus ``pre``, the sums of
-        # the pixel's runs in the tile's earlier chunks
+        # the pixel's total minus its sum of wc up to and including the pair
+        starts, run = _runs(pix)
         cs = np.cumsum(wc)
-        before = np.take(cs - wc, np.cumsum(per_run) - per_run, mode="clip")
-        pre = np.zeros((n_chunks, P))
-        np.cumsum(np.bincount(run, wc, minlength=n_chunks * P)[:-P].reshape(-1, P), axis=0,
-                  out=pre[1:])
-        later = S_tot - (np.repeat(pre.reshape(-1), per_run) + (cs - np.repeat(before, per_run)))
+        later = S_tot - (cs - np.take(np.take(cs - wc, starts), run))
         d_alpha = t_pair * c - later / (1.0 - alpha)
 
         # alpha routes: kernel coordinates and opacity (dead where clamped)
@@ -637,8 +629,8 @@ def rasterize_backward(
         k_alpha = np.where(free, -d_alpha * alpha, 0.0)
         # range route: the hit point is range * v, so d(range)/d(nu) = v
         dd = gD * w
-        dsa = k_alpha * sa + dd * _dot3(V, Ba)
-        dsb = k_alpha * sb + dd * _dot3(V, Bb)
+        dsa = k_alpha * sa + dd * vBa
+        dsb = k_alpha * sb + dd * vBb
 
         # homogeneous intersection point route: rho_a = gp x (a1, a2, a4),
         # rho_b = gp x (b1, b2, b4); per pair d(loss)/dB_j is
@@ -653,32 +645,27 @@ def rasterize_backward(
         )
         # the per-pair terms of each accumulator row: d/dB_j sums, over h_x,
         # h_y and v, the coefficient times the plane
-        terms = [
-            coef[0][j] * h_x[x] + coef[1][j] * h_y[x] + coef[2][j] * V[x]
-            for j in range(3)
-            for x in range(3)
-        ]
-        terms += [w * gN[0], w * gN[1], w * gN[2], np.where(free, d_alpha * G, 0.0)]
-        # bincount sums each splat's pairs; ``acc[:, ids] +=`` per pair would
-        # keep one term per splat
-        acc[:, ids] += np.stack([np.bincount(u, x, minlength=ids.shape[0]) for x in terms])
+        terms = rows_buf[:, : pix.shape[0]]
+        for j in range(3):
+            d_B = np.multiply(h_x, coef[0][j], out=terms[3 * j : 3 * j + 3])
+            d_B += h_y * coef[1][j]
+            d_B += V * coef[2][j]
+        np.multiply(gN, w, out=terms[9:12])
+        np.multiply(np.where(free, d_alpha, 0.0), G, out=terms[12])
+        for row, x in zip(acc, terms):
+            row += np.bincount(spl, x, minlength=N)
 
     acc_ba, acc_bb, acc_bc, acc_n = (acc[r : r + 3].T for r in (0, 3, 6, 9))
-    acc_o = acc[12]
 
     # camera-frame accumulators to world-frame parameter gradients
     R = pose.rotation
     s = arrays["scales"]
-    out.d_centers = acc_bc @ R.T
-    out.d_t_alpha = s[:, :1] * (acc_ba @ R.T)
-    out.d_t_beta = s[:, 1:] * (acc_bb @ R.T)
-    out.d_normal = acc_n @ R.T
-    out.d_scales = np.stack(
-        [
-            np.einsum("nc,nc->n", acc_ba, arrays["ta_cam"]),
-            np.einsum("nc,nc->n", acc_bb, arrays["tb_cam"]),
-        ],
-        axis=1,
+    return SplatGradients(
+        d_centers=acc_bc @ R.T,
+        d_t_alpha=s[:, :1] * (acc_ba @ R.T),
+        d_t_beta=s[:, 1:] * (acc_bb @ R.T),
+        d_normal=acc_n @ R.T,
+        d_scales=np.stack([np.einsum("nc,nc->n", acc_ba, arrays["ta_cam"]),
+                           np.einsum("nc,nc->n", acc_bb, arrays["tb_cam"])], axis=1),
+        d_opacity=acc[12],
     )
-    out.d_opacity = acc_o
-    return out

@@ -5,6 +5,7 @@ import pytest
 
 from splatscan import mapping
 from splatscan.io import read_ply
+from splatscan.mapping import coverage
 from splatscan.pipeline import Pipeline, RunConfig
 from splatscan.se3 import SE3Pose, so3_exp
 from splatscan.synth import ScanSpec, raycast_scan, room_with_boxes
@@ -135,6 +136,23 @@ def test_rows_name_the_reset_trigger(good_scans, monkeypatch, trigger):
     pipe = Pipeline(RunConfig(image_width=64, image_height=16, refine_iters=1))
     rows = [pipe.process_scan(s) for s in good_scans]
     assert [row["reset"] for row in rows] == [None, trigger]
+    # only the coverage trigger comes after the check's render
+    assert (rows[1]["coverage"] is None) == (trigger != "coverage")
     assert len(pipe.archive) == 1
     # the new map is seeded from the second scan alone
     assert rows[1]["spawned"] == rows[1]["n_splats"] > 0
+
+
+def test_rows_report_the_coverage_the_reset_check_measured(good_scans, monkeypatch):
+    measured = []
+
+    def recorded(render, kf):
+        measured.append(coverage(render, kf))
+        return measured[-1]
+
+    monkeypatch.setattr(mapping, "coverage", recorded)
+    pipe = Pipeline(RunConfig(image_width=64, image_height=16, refine_iters=1))
+    rows = [pipe.process_scan(s) for s in good_scans]
+    assert rows[0]["coverage"] is None  # no map to check against yet
+    assert [row["coverage"] for row in rows[1:]] == measured
+    assert 0.0 < measured[0] <= 1.0

@@ -11,7 +11,8 @@ from splatscan.rasterizer import (
     RASTER_CONFIG,
     PixelGradients,
     _binned_tiles,
-    _blend_tiles,
+    _blend,
+    _near_pairs,
     _splat_camera_arrays,
     rasterize_backward,
     rasterize_forward,
@@ -110,7 +111,7 @@ def _central_difference(cam, pose, model, pg, array, set_value, h):
 
 
 @pytest.fixture
-def grad_case(rng):
+def grad_case(rng, request):
     cam = SphericalCamera(24, 8, -0.6, 0.6, -0.25, 0.25)
     n = 12
     centers = np.stack([rng.uniform(2.5, 4.0, n), rng.uniform(-1.5, 1.5, n),
@@ -120,29 +121,40 @@ def grad_case(rng):
     model.append(centers, ta, tb, rng.uniform(0.15, 0.4, (n, 2)),
                  rng.uniform(0.3, 0.9, n), 0)
     pose = SE3Pose(so3_exp([0.02, -0.03, 0.05]), [0.1, 0.05, -0.02])
-    return _with_gradients(cam, pose, model, rng)
+    return _with_gradients(cam, pose, model, rng, getattr(request.cls, "batch_pairs", None))
 
 
-def _with_gradients(cam, pose, model, rng):
-    """(cam, pose, model, pixel gradients, splat gradients) of a random linear loss."""
+def _with_gradients(cam, pose, model, rng, batch_pairs=None):
+    """(cam, pose, model, pixel gradients, splat gradients) of a random linear loss.
+
+    ``batch_pairs``, if given, is the blend batch size of the render that
+    keeps the pairs.
+    """
     pg = _pixel_grads(cam, rng)
-    out, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
+    with pytest.MonkeyPatch.context() as m:
+        if batch_pairs is not None:
+            m.setattr(rasterizer, "_BATCH_PAIRS", batch_pairs)
+        out, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
     grads = rasterize_backward(model, rec, out, pg)
     return cam, pose, model, pg, grads
 
 
-def _branch_counts(cam, pose, model):
-    """(clamped pairs that blend, pairs cut off by the early stop) of a render."""
-    cfg = RASTER_CONFIG
+def _blended_batches(cam, pose, model):
+    """The :func:`_blend` terms of every batch of near pairs of a render."""
     _, rec = rasterize_forward(cam, pose, model)
     arrays = _splat_camera_arrays(model, pose)
     tiles = _binned_tiles(rec.tile_ptr, rec.pair_splats, rec.tiles_x)
+    return [_blend(arrays["terms"], *batch) for batch in _near_pairs(cam, arrays, tiles)]
+
+
+def _branch_counts(cam, pose, model):
+    """(clamped pairs that blend, pairs cut off by the transmittance threshold)."""
+    cfg = RASTER_CONFIG
     clamped = stopped = 0
-    for *_, chunks in _blend_tiles(cam, arrays, tiles):
-        for sub, g, w, t_pair in chunks:
-            a_raw = arrays["opac"][sub] * g["G"]
-            clamped += int(np.sum((w > 0) & (a_raw > cfg.alpha_clamp)))
-            stopped += int(np.sum((g["alpha"] > 0) & (t_pair < cfg.min_transmittance)))
+    for b in _blended_batches(cam, pose, model):
+        a_raw = b["sp"][0] * b["G"]
+        clamped += int(np.sum((b["w"] > 0) & (a_raw > cfg.alpha_clamp)))
+        stopped += int(np.sum((b["alpha"] > 0) & (b["t"] < cfg.min_transmittance)))
     return clamped, stopped
 
 
@@ -225,7 +237,7 @@ class TestBackwardOnAnOpaqueStack(TestBackwardMatchesCentralDifferences):
         model = SplatModel()
         model.append(pose.apply(np.vstack([in_view, outside])), ta, tb,
                      rng.uniform(0.5, 0.9, (m, 2)), rng.uniform(0.993, 0.998, m), 0)
-        return _with_gradients(cam, pose, model, rng)
+        return _with_gradients(cam, pose, model, rng, getattr(self, "batch_pairs", None))
 
     def test_reaches_the_clamp_and_the_early_stop(self, grad_case):
         cam, pose, model, _, _ = grad_case
@@ -242,19 +254,17 @@ class TestBackwardOnAnOpaqueStack(TestBackwardMatchesCentralDifferences):
             assert np.any(values[:-2])
 
 
+GRADIENTS = ("d_centers", "d_t_alpha", "d_t_beta", "d_normal", "d_scales", "d_opacity")
+
+
 class _InChunksOfFour:
-    """Renders four splats per chunk, so a tile's pixels carry their sums
-    of later contributions across several chunk records."""
+    """Screens tiles in blocks of ``tile_size**2 * 4`` pairs, so that a
+    tile's pixels are matched against its splats in several blocks."""
 
     @pytest.fixture(autouse=True)
     def _small_chunks(self, monkeypatch):
         monkeypatch.setattr(rasterizer, "RASTER_CONFIG",
                             dataclasses.replace(RASTER_CONFIG, chunk_size=4))
-
-    def test_tiles_keep_several_chunks(self, grad_case):
-        cam, pose, model, _, _ = grad_case
-        _, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
-        assert max(len(chunks) for _, _, chunks in rec.pairs) >= 3
 
 
 class TestBackwardInChunksOfFour(_InChunksOfFour, TestBackwardMatchesCentralDifferences):
@@ -265,32 +275,91 @@ class TestOpaqueStackInChunksOfFour(_InChunksOfFour, TestBackwardOnAnOpaqueStack
     pass
 
 
-@pytest.mark.parametrize("chunk_size", [1, 2])
+@pytest.mark.parametrize("chunk_size", [1, 2, 4])
 def test_gradients_do_not_depend_on_the_chunk_size(grad_case, monkeypatch, chunk_size):
     cam, pose, model, pg, grads = grad_case
+    out, _ = rasterize_forward(cam, pose, model)
     monkeypatch.setattr(rasterizer, "RASTER_CONFIG",
                         dataclasses.replace(RASTER_CONFIG, chunk_size=chunk_size))
-    out, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
-    assert max(len(chunks) for _, _, chunks in rec.pairs) > 4
-    chunked = rasterize_backward(model, rec, out, pg)
-    for name in ("d_centers", "d_t_alpha", "d_t_beta", "d_normal", "d_scales", "d_opacity"):
+    blocked, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
+    # a full tile is screened in three blocks or more
+    assert np.max(np.diff(rec.tile_ptr)) > 2 * chunk_size
+    # smaller blocks change only the rounding of the plane products
+    for c in CHANNELS:
+        scale = float(np.max(np.abs(getattr(out, c))))
+        assert float(np.max(np.abs(getattr(blocked, c) - getattr(out, c)))) <= 1e-13 * scale
+    chunked = rasterize_backward(model, rec, blocked, pg)
+    for name in GRADIENTS:
         _assert_close(getattr(chunked, name), getattr(grads, name), rel=1e-12)
+
+
+class _InBatchesOfOne:
+    """Takes the analytic gradients from a render that blends one pixel per
+    batch, so that every kept record holds one pixel.  The central
+    differences render at the default size, which gives the same images.
+    """
+
+    batch_pairs = 1
+
+    def test_each_record_holds_one_pixel(self, grad_case, monkeypatch):
+        cam, pose, model, _, _ = grad_case
+        monkeypatch.setattr(rasterizer, "_BATCH_PAIRS", 1)
+        _, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
+        assert len(rec.pairs) > 10
+        assert all(np.all(pix == pix[0]) for pix, _, _ in rec.pairs)
+
+
+class TestBackwardInBatchesOfOne(_InBatchesOfOne, TestBackwardMatchesCentralDifferences):
+    pass
+
+
+class TestOpaqueStackInBatchesOfOne(_InBatchesOfOne, TestBackwardOnAnOpaqueStack):
+    pass
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+def test_results_do_not_depend_on_the_batch_size(grad_case, monkeypatch, batch):
+    cam, pose, model, pg, grads = grad_case
+    out, _ = rasterize_forward(cam, pose, model)
+    n_default = len(_blended_batches(cam, pose, model))
+    monkeypatch.setattr(rasterizer, "_BATCH_PAIRS", batch)
+    # the batch size splits tiles
+    assert len(_blended_batches(cam, pose, model)) > n_default
+    small, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
+    for c in CHANNELS:
+        assert np.array_equal(getattr(small, c), getattr(out, c))
+    batched = rasterize_backward(model, rec, small, pg)
+    for name in GRADIENTS:
+        _assert_close(getattr(batched, name), getattr(grads, name), rel=1e-12)
+
+
+def test_the_near_test_is_conservative(full_cam, rng, monkeypatch):
+    """A 3x wider near test (and binning) finds no pair that adds to the image."""
+    model = random_model(150, rng, behind_frac=0.5)
+    pose = _pose()
+    out, _ = rasterize_forward(full_cam, pose, model)
+    monkeypatch.setattr(rasterizer, "RASTER_CONFIG", dataclasses.replace(
+        RASTER_CONFIG, cutoff_sigma=3.0 * RASTER_CONFIG.cutoff_sigma))
+    wide, _ = rasterize_forward(full_cam, pose, model)
+    for c in CHANNELS:
+        scale = float(np.max(np.abs(getattr(out, c))))
+        assert float(np.max(np.abs(getattr(wide, c) - getattr(out, c)))) <= 1e-13 * scale
 
 
 class TestRecordsServeOneBackwardPass:
     def test_records_without_pairs_raise(self, grad_case):
         cam, pose, model, pg, _ = grad_case
         out, rec = rasterize_forward(cam, pose, model)
-        assert rec.pairs is None
+        assert rec.pairs is None and rec.arrays is None
         with pytest.raises(GeometryError, match="keep_pairs"):
             rasterize_backward(model, rec, out, pg)
 
     def test_a_backward_pass_consumes_the_pairs(self, grad_case):
         cam, pose, model, pg, grads = grad_case
         out, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
-        assert rec.pairs
+        assert rec.pairs and rec.arrays is not None
         again = rasterize_backward(model, rec, out, pg)
-        assert rec.pairs is None
+        assert rec.pairs is None and rec.arrays is None
         assert np.array_equal(again.d_centers, grads.d_centers)
         with pytest.raises(GeometryError, match="keep_pairs"):
             rasterize_backward(model, rec, out, pg)
@@ -298,12 +367,23 @@ class TestRecordsServeOneBackwardPass:
     def test_kept_pairs_are_the_blending_pairs(self, grad_case):
         cam, pose, model, _, _ = grad_case
         _, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
-        kept = sum(c.pixel.size for _, _, chunks in rec.pairs for c in chunks)
-        arrays = _splat_camera_arrays(model, pose)
-        tiles = _binned_tiles(rec.tile_ptr, rec.pair_splats, rec.tiles_x)
-        blending = sum(int(np.sum(w > 0)) for *_, chunks in _blend_tiles(cam, arrays, tiles)
-                       for _, _, w, _ in chunks)
+        kept = sum(pix.size for pix, _, _ in rec.pairs)
+        blending = sum(int(np.sum(b["w"] > 0)) for b in _blended_batches(cam, pose, model))
         assert kept == blending > 0
+
+    def test_the_backward_pass_reads_the_forward_arrays(self, grad_case, monkeypatch):
+        cam, pose, model, pg, grads = grad_case
+        out, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _splat_camera_arrays(*args)
+
+        monkeypatch.setattr(rasterizer, "_splat_camera_arrays", counted)
+        again = rasterize_backward(model, rec, out, pg)
+        assert not calls
+        assert np.array_equal(again.d_centers, grads.d_centers)
 
 
 def test_tangent_raw_gradients_match_central_differences(rng):
