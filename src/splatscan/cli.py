@@ -182,7 +182,8 @@ def _parse_pose(text: str) -> SE3Pose:
 def _cmd_render(args) -> int:
     model = load_model(args.model)
     pose = _parse_pose(args.pose) if args.pose else SE3Pose.identity()
-    cam = SphericalCamera(args.width, args.height, -np.pi, np.pi,
+    # the last column stops one pitch short of +pi: -pi is the same ray
+    cam = SphericalCamera(args.width, args.height, -np.pi, np.pi - 2.0 * np.pi / args.width,
                           float(np.deg2rad(args.el_min)),
                           float(np.deg2rad(args.el_max)))
     render, _ = rasterize_forward(cam, pose, model)

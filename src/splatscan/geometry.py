@@ -15,13 +15,12 @@ The intrinsics are fixed by the image size and the angular bounds:
 
     fx = -(W - 1) / (az_max - az_min)
     fy = -(H - 1) / (el_max - el_min)
-    cx = (W / 2) * (1 + (az_max + az_min) / (az_max - az_min))
-    cy = (H / 2) * (1 + (el_max + el_min) / (el_max - el_min))
+    cx = -fx * az_max
+    cy = -fy * el_max
 
-For bounds that straddle zero this places the extreme angles within one
-pixel of the image corners (exactly at 0.5 px offsets for symmetric
-bounds); bounds far from zero shift the usable window and are accepted
-as-is.
+so the bounds land on pixel centres: az_max on column 0, az_min on
+column W - 1, el_max on row 0 and el_min on row H - 1.  Pixel (col, row)
+samples the ray at image coordinates (col, row) exactly.
 """
 
 from __future__ import annotations
@@ -103,11 +102,11 @@ class SphericalCamera:
 
     @property
     def cx(self) -> float:
-        return 0.5 * self.width * (1.0 + (self.az_max + self.az_min) / self.fov_h)
+        return -self.fx * self.az_max
 
     @property
     def cy(self) -> float:
-        return 0.5 * self.height * (1.0 + (self.el_max + self.el_min) / self.fov_v)
+        return -self.fy * self.el_max
 
     @property
     def full_circle(self) -> bool:
@@ -146,37 +145,16 @@ class SphericalCamera:
 
     @cached_property
     def pixel_grid(self) -> np.ndarray:
-        """(H, W, 2) continuous coordinates of every pixel center."""
+        """(H, W, 2) image coordinates of every pixel's sample: (col, row)."""
         u = np.arange(self.width, dtype=float)
         v = np.arange(self.height, dtype=float)
         uu, vv = np.meshgrid(u, v)
         return np.stack([uu, vv], axis=-1)
 
-    @property
-    def grid_offset(self) -> np.ndarray:
-        """Sub-pixel offset of stored samples from integer coordinates.
-
-        The projection maps the angular extremes near, not onto, the image
-        corners; a uniform sensor grid covering the bounds therefore lands at
-        integer coordinates plus a constant sub-pixel shift.  This is that shift,
-        wrapped to [-0.5, 0.5) so it is relative to the pixel each sample
-        rounds into.  Rays and lookups that stand in for stored samples
-        must include it.
-        """
-        first = np.array(
-            [self.fx * self.az_max + self.cx, self.fy * self.el_max + self.cy]
-        )
-        return (first + 0.5) % 1.0 - 0.5
-
-    @cached_property
-    def sample_grid(self) -> np.ndarray:
-        """(H, W, 2) continuous coordinates where each pixel's sample lives."""
-        return self.pixel_grid + self.grid_offset
-
     @cached_property
     def pixel_directions(self) -> np.ndarray:
-        """(H, W, 3) unit ray direction of every pixel's sample location."""
-        az, el = self.angles_of(self.sample_grid)
+        """(H, W, 3) unit ray direction of every pixel."""
+        az, el = self.angles_of(self.pixel_grid)
         return ray_direction(az, el)
 
     @cached_property

@@ -159,9 +159,8 @@ def read_ply(path) -> tuple[np.ndarray, np.ndarray | None]:
     return pts, normals
 
 
-def write_ply(path, points: np.ndarray, normals: np.ndarray | None = None,
-              binary: bool = True) -> None:
-    """Write points (optionally with normals) as double-precision PLY.
+def write_ply(path, points: np.ndarray, normals: np.ndarray | None = None) -> None:
+    """Write points (optionally with normals) as binary double-precision PLY.
 
     Double properties keep export → load round trips exact.
     """
@@ -175,19 +174,12 @@ def write_ply(path, points: np.ndarray, normals: np.ndarray | None = None,
         cols.append(normals)
         prop_names += ["nx", "ny", "nz"]
     data = np.concatenate(cols, axis=1)
-    header = ["ply"]
-    header.append(
-        "format binary_little_endian 1.0" if binary else "format ascii 1.0"
-    )
-    header.append(f"element vertex {points.shape[0]}")
+    header = ["ply", "format binary_little_endian 1.0", f"element vertex {points.shape[0]}"]
     header += [f"property double {n}" for n in prop_names]
     header.append("end_header")
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
-        if binary:
-            fh.write(np.ascontiguousarray(data).tobytes())
-        else:
-            np.savetxt(fh, data, fmt="%.17g")
+        fh.write(np.ascontiguousarray(data).tobytes())
 
 
 # --- trajectories -----------------------------------------------------------

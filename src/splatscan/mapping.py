@@ -258,7 +258,7 @@ def spawn_splats(
         p = w / total if total > 0 else None
         idx = rng.choice(idx, size=cfg.n_spawn, replace=False, p=p)
     rows, cols = np.unravel_index(idx, kf.range_image.shape)
-    uv = kf.camera.sample_grid[rows, cols]
+    uv = kf.camera.pixel_grid[rows, cols]
     d = kf.range_image.range[rows, cols]
     pts_s = kf.camera.back_project(uv, d)
 

@@ -104,7 +104,7 @@ def export_oriented_points(
         rows, cols = np.unravel_index(idx, m.shape)
         opac = render.opacity[rows, cols]
         depth = render.range[rows, cols] / opac
-        uv = kf.camera.sample_grid[rows, cols]
+        uv = kf.camera.pixel_grid[rows, cols]
         pts = kf.pose.apply(kf.camera.back_project(uv, depth))
         nrm = render.normal[rows, cols] / opac[:, None]
         norm = np.linalg.norm(nrm, axis=1, keepdims=True)

@@ -236,21 +236,20 @@ def _tile_hits(cam: SphericalCamera, arrays: dict):
     pad_az = cfg.bbox_pad_px * pitch_az
     pad_el = cfg.bbox_pad_px * pitch_el
 
-    # angular interval of each tile column / row (sample locations)
-    off_u, off_v = cam.grid_offset
+    # angular interval of each tile column / row (pixel centres)
     tc_idx = np.arange(tiles_x)
     c_first = tc_idx * T
     c_last = np.minimum(c_first + T, cam.width) - 1
-    az_first = (c_first + off_u - cam.cx) / cam.fx
-    az_last = (c_last + off_u - cam.cx) / cam.fx
+    az_first = (c_first - cam.cx) / cam.fx
+    az_last = (c_last - cam.cx) / cam.fx
     col_center = 0.5 * (az_first + az_last)
     col_hw = 0.5 * np.abs(az_first - az_last)
 
     tr_idx = np.arange(tiles_y)
     r_first = tr_idx * T
     r_last = np.minimum(r_first + T, cam.height) - 1
-    el_first = (r_first + off_v - cam.cy) / cam.fy
-    el_last = (r_last + off_v - cam.cy) / cam.fy
+    el_first = (r_first - cam.cy) / cam.fy
+    el_last = (r_last - cam.cy) / cam.fy
     row_center = 0.5 * (el_first + el_last)
     row_hw = 0.5 * np.abs(el_first - el_last)
 

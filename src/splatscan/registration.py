@@ -94,13 +94,13 @@ class RegistrationResult:
 class LeafTree:
     """Planar patches from recursive PCA splits of a point cloud.
 
-    ``usable`` marks leaves with a well-defined plane (at least 3
-    non-collinear points).
+    Only leaves with a well-defined plane (at least 3 non-collinear
+    points) are kept; ``kdtree`` indexes their centroids, or is None when
+    there are none.
     """
 
     centroids: np.ndarray
     normals: np.ndarray
-    usable: np.ndarray
     kdtree: cKDTree = field(repr=False, default=None)
 
 
@@ -116,22 +116,21 @@ def build_leaf_tree(points: np.ndarray, viewpoint: np.ndarray) -> LeafTree:
     if n == 0:
         raise RegistrationError("cannot build a leaf tree from an empty cloud")
     viewpoint = np.asarray(viewpoint, dtype=float).reshape(3)
-    cents, norms, usable = [], [], []
+    cents, norms = [], []
 
     stack = [np.arange(n)]
     while stack:
         idx = stack.pop()
+        if idx.size < 3:
+            continue
         sub = pts[idx]
         c = sub.mean(axis=0)
-        if idx.size < 3:
-            _push_leaf(cents, norms, usable, c, None, viewpoint)
-            continue
         cov = np.cov(sub.T, bias=True)
         evals, evecs = np.linalg.eigh(cov)  # ascending
         flat = evals[1] <= 1e-12 or evals[0] / evals[1] <= REGISTRATION_CONFIG.flatness_tau
         if flat or idx.size <= REGISTRATION_CONFIG.leaf_size:
-            normal = evecs[:, 0] if evals[1] > 1e-12 else None
-            _push_leaf(cents, norms, usable, c, normal, viewpoint)
+            if evals[1] > 1e-12:
+                _push_leaf(cents, norms, c, evecs[:, 0], viewpoint)
             continue
         axis = evecs[:, 2]
         proj = (sub - c) @ axis
@@ -139,28 +138,20 @@ def build_leaf_tree(points: np.ndarray, viewpoint: np.ndarray) -> LeafTree:
         left = proj <= med
         if left.all() or not left.any():
             # all projections equal: cannot split further
-            _push_leaf(cents, norms, usable, c, evecs[:, 0], viewpoint)
+            _push_leaf(cents, norms, c, evecs[:, 0], viewpoint)
             continue
         stack.append(idx[left])
         stack.append(idx[~left])
 
     centroids = np.array(cents).reshape(-1, 3)
     normals = np.array(norms).reshape(-1, 3)
-    usable_arr = np.array(usable, dtype=bool)
-    tree = cKDTree(centroids[usable_arr]) if usable_arr.any() else None
-    return LeafTree(centroids, normals, usable_arr, tree)
+    tree = cKDTree(centroids) if cents else None
+    return LeafTree(centroids, normals, tree)
 
 
-def _push_leaf(cents, norms, usable, c, normal, viewpoint):
+def _push_leaf(cents, norms, c, normal, viewpoint):
     cents.append(c)
-    ok = normal is not None
-    if ok:
-        if normal @ (viewpoint - c) < 0:
-            normal = -normal
-    else:
-        normal = np.zeros(3)
-    norms.append(normal)
-    usable.append(ok)
+    norms.append(-normal if normal @ (viewpoint - c) < 0 else normal)
 
 
 # --- model sampling ---------------------------------------------------------
@@ -195,7 +186,7 @@ def sample_model(model: SplatModel, cam: SphericalCamera, pose: SE3Pose) -> np.n
     m = (render.opacity > cfg.visibility_opacity) & (render.range > 0)
     depth_img = np.where(m, render.range / np.maximum(render.opacity, 1e-12), 0.0)
     m &= ~_jump_mask(depth_img, m, cfg.spread_gate, cam.full_circle)
-    uv = cam.sample_grid[m]
+    uv = cam.pixel_grid[m]
     pts_c = cam.back_project(uv, depth_img[m])
     return pose.apply(pts_c)
 
@@ -238,13 +229,12 @@ def _geo_system(tree: LeafTree, scan: np.ndarray, T: SE3Pose, trim_floor: float)
     ok = valid[:, 0]
     if not ok.any():
         return None
-    usable_ids = np.flatnonzero(tree.usable)
-    li_glob = usable_ids[np.where(valid, leaf_i, 0)]
-    diff = p_w[:, None, :] - tree.centroids[li_glob]
-    pd = np.abs(np.einsum("pkj,pkj->pk", tree.normals[li_glob], diff))
+    leaf_i = np.where(valid, leaf_i, 0)
+    diff = p_w[:, None, :] - tree.centroids[leaf_i]
+    pd = np.abs(np.einsum("pkj,pkj->pk", tree.normals[leaf_i], diff))
     pd[~valid] = np.inf
     best = pd.argmin(axis=1)
-    li = li_glob[np.arange(p_w.shape[0]), best][ok]
+    li = leaf_i[np.arange(p_w.shape[0]), best][ok]
     n = tree.normals[li]
     c = tree.centroids[li]
     q = scan[ok]
@@ -260,19 +250,16 @@ def _geo_system(tree: LeafTree, scan: np.ndarray, T: SE3Pose, trim_floor: float)
     return r, J
 
 
-def _bilinear_range(rimg: RangeImage, cam: SphericalCamera, uv: np.ndarray):
+def _bilinear_range(rimg: RangeImage, uv: np.ndarray):
     """Bilinear range sample with analytic image-space gradient.
 
-    Interpolates between stored samples, which live at integer indices
-    plus the camera's grid offset.  Requires all four supporting pixels
-    valid and inside the image; cells whose four ranges spread wider than
-    ``spread_gate`` (range discontinuities) are rejected.  Returns
-    (value, d/du, d/dv, ok).
+    Interpolates between stored samples, which live at integer image
+    coordinates.  Requires all four supporting pixels valid and inside the
+    image; cells whose four ranges spread wider than ``spread_gate`` (range
+    discontinuities) are rejected.  Returns (value, d/du, d/dv, ok).
     """
     H, W = rimg.shape
-    off = cam.grid_offset
-    u = uv[:, 0] - off[0]
-    v = uv[:, 1] - off[1]
+    u, v = uv[:, 0], uv[:, 1]
     i0 = np.floor(u).astype(int)
     j0 = np.floor(v).astype(int)
     ok = (i0 >= 0) & (i0 + 1 < W) & (j0 >= 0) & (j0 + 1 < H)
@@ -312,7 +299,7 @@ def _photo_system(
     r2 = rho2 + q[:, 2] ** 2
     good = rho2 > 1e-12
     uv = cam.project(q)
-    val, du, dv, ok = _bilinear_range(rimg, cam, uv)
+    val, du, dv, ok = _bilinear_range(rimg, uv)
     ok &= good
     if not ok.any():
         return None

@@ -1,4 +1,4 @@
-"""Rigid transforms in 3D and the exp/log maps used by the solvers.
+"""Rigid transforms in 3D and the exponential map used by the solvers.
 
 Conventions:
   * A pose ``T = (R, t)`` maps sensor-frame points into the world,
@@ -15,9 +15,7 @@ import numpy as np
 
 from .errors import GeometryError
 
-__all__ = ["SE3Pose", "se3_exp", "se3_log", "so3_exp", "so3_log", "skew"]
-
-_EPS = 1e-12
+__all__ = ["SE3Pose", "se3_exp", "so3_exp", "skew"]
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -37,27 +35,6 @@ def so3_exp(phi: np.ndarray) -> np.ndarray:
     s = np.sin(angle) / angle
     c = (1.0 - np.cos(angle)) / (angle * angle)
     return np.eye(3) + s * K + c * (K @ K)
-
-
-def so3_log(R: np.ndarray) -> np.ndarray:
-    """Rotation vector of ``R``; inverse of :func:`so3_exp` for angle < pi."""
-    cos_angle = np.clip((np.trace(R) - 1.0) * 0.5, -1.0, 1.0)
-    angle = float(np.arccos(cos_angle))
-    w = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    if angle < 1e-8:
-        return 0.5 * w
-    if angle > np.pi - 1e-6:
-        # near pi the antisymmetric part vanishes; recover axis from R + I
-        A = R + np.eye(3)
-        axis = A[:, int(np.argmax(np.diag(A)))]
-        n = np.linalg.norm(axis)
-        if n < _EPS:
-            raise GeometryError("cannot recover rotation axis near angle pi")
-        axis = axis / n
-        if np.dot(w, axis) < 0:
-            axis = -axis
-        return angle * axis
-    return 0.5 * angle / np.sin(angle) * w
 
 
 def _left_jacobian(phi: np.ndarray) -> np.ndarray:
@@ -88,11 +65,6 @@ class SE3Pose:
     @classmethod
     def identity(cls) -> "SE3Pose":
         return cls(np.eye(3), np.zeros(3))
-
-    @classmethod
-    def from_matrix(cls, M: np.ndarray) -> "SE3Pose":
-        M = np.asarray(M, dtype=float)
-        return cls(M[:3, :3].copy(), M[:3, 3].copy())
 
     def matrix(self) -> np.ndarray:
         M = np.eye(4)
@@ -140,9 +112,3 @@ def se3_exp(delta: np.ndarray) -> SE3Pose:
     t = _left_jacobian(phi) @ rho
     return SE3Pose(R, t)
 
-
-def se3_log(T: SE3Pose) -> np.ndarray:
-    """Twist ``(rho, phi)`` with ``se3_exp(se3_log(T)) == T``."""
-    phi = so3_log(T.rotation)
-    rho = np.linalg.solve(_left_jacobian(phi), T.translation)
-    return np.concatenate([rho, phi])

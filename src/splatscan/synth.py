@@ -6,10 +6,9 @@ have exact ground truth for ranges and normals.
 
 Scan grid convention: with image width W the azimuth of column j is
 ``pi - (j+1)*2*pi/W`` (columns sweep from just under +pi down to -pi)
-and rows span ``linspace(el_max, el_min, H)``.  With the default
-asymmetric vertical bounds this guarantees that every simulated point
-re-projects strictly inside the pixel grid of a camera estimated from
-the cloud itself.
+and rows span ``linspace(el_max, el_min, H)``.  This guarantees that
+every simulated point re-projects inside the pixel grid of a camera
+estimated from the cloud itself.
 """
 
 from __future__ import annotations

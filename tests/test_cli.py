@@ -7,9 +7,10 @@ import json
 import numpy as np
 import pytest
 
-from splatscan import mapping
+from splatscan import cli, mapping
 from splatscan.cli import main
 from splatscan.io import save_model
+from splatscan.rasterizer import rasterize_forward
 from splatscan.splats import SplatModel
 
 SMALL = ["--set", "image_width=64", "--set", "image_height=16", "--set", "refine_iters=1"]
@@ -97,13 +98,25 @@ def test_info_reads_the_archived_model(run_dir, capsys):
     assert f"model: {entry['n_splats']} splats" in capsys.readouterr().out
 
 
-def test_render_reads_the_archived_model(run_dir, tmp_path, capsys):
+def test_render_reads_the_archived_model(run_dir, tmp_path, capsys, monkeypatch):
+    cams = []
+
+    def capture(cam, *args, **kwargs):
+        cams.append(cam)
+        return rasterize_forward(cam, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "rasterize_forward", capture)
     prefix = tmp_path / "view"
     argv = ["render", str(run_dir / "map_000.splm"), "--out", str(prefix),
             "--width", "64", "--height", "16"]
     assert main(argv) == 0
     for channel in ("range", "normal", "opacity"):
         assert (tmp_path / f"view.{channel}.pfm").is_file(), channel
+    # 64 columns one pitch apart all round: the seam is not rendered twice
+    az, _ = cams[0].angles_of(np.array([[0.0, 0.0], [1.0, 0.0], [63.0, 0.0]]))
+    pitch = 2.0 * np.pi / 64
+    assert az[0] - az[1] == pytest.approx(pitch)
+    assert 2.0 * np.pi - (az[0] - az[2]) == pytest.approx(pitch)
 
 
 @pytest.mark.parametrize("damage, message", [

@@ -14,6 +14,8 @@ from splatscan.geometry import (
     smooth_range_image,
     spherical_coords,
 )
+from splatscan.se3 import SE3Pose, so3_exp
+from splatscan.synth import ScanSpec, raycast_scan, room_with_boxes
 
 finite = st.floats(-50.0, 50.0, allow_nan=False)
 
@@ -92,15 +94,6 @@ class TestCamera:
         _, _, ok = cam.pixel_of(np.array([-5.0, 0.0, 0.0]))   # behind
         assert not ok
 
-    def test_grid_offset_bounded_and_consistent(self):
-        for cam in (self.make(), SphericalCamera(33, 9, -2.0, 1.1, -0.4, 0.25)):
-            off = cam.grid_offset
-            assert np.all(off >= -0.5) and np.all(off < 0.5)
-            np.testing.assert_allclose(cam.sample_grid, cam.pixel_grid + off)
-            az, el = cam.angles_of(cam.sample_grid)
-            np.testing.assert_allclose(cam.pixel_directions,
-                                       ray_direction(az, el), atol=1e-12)
-
     def test_full_circle_detection(self):
         w = 64
         pitch = 2.0 * np.pi / w
@@ -154,6 +147,33 @@ class TestRangeImage:
         cam = SphericalCamera(8, 4, -1.0, 1.0, -0.5, 0.5)
         rimg = build_range_image(cam, np.zeros((10, 3)))
         assert not rimg.valid.any()
+
+    @pytest.mark.parametrize("spec", [
+        ScanSpec(1024, 16, el_min=-np.deg2rad(15.0), el_max=np.deg2rad(15.0)),
+        ScanSpec(128, 32, el_min=-0.7, el_max=0.7),
+        ScanSpec(),
+    ], ids=["1024x16-15deg", "128x32-0.7rad", "default"])
+    def test_every_scan_point_gets_its_own_pixel(self, spec):
+        pose = SE3Pose(so3_exp([0.0, 0.0, 0.4]), [0.5, -0.5, 0.1])
+        cloud = raycast_scan(room_with_boxes(seed=0), pose, spec).cloud
+        assert cloud.shape[0] == spec.width * spec.height
+        cam = estimate_camera(cloud, spec.width, spec.height)
+        assert build_range_image(cam, cloud).valid.all()
+        cols, rows, ok = cam.pixel_of(cloud)
+        assert ok.all()
+        dirs = cloud / np.linalg.norm(cloud, axis=1, keepdims=True)
+        np.testing.assert_allclose(cam.pixel_directions[rows, cols], dirs, atol=1e-12)
+
+    def test_points_go_to_the_nearest_sample(self):
+        spec = ScanSpec()
+        cam = SphericalCamera(spec.width, spec.height, -np.pi, np.pi - 2 * np.pi / spec.width,
+                              spec.el_min, spec.el_max)
+        pitch = (spec.el_max - spec.el_min) / (spec.height - 1)
+        el = np.linspace(spec.el_max, spec.el_min, spec.height)
+        p = ray_direction(0.0, [el[10] - 0.3 * pitch, el[10] + 0.3 * pitch])
+        _, rows, ok = cam.pixel_of(p)
+        assert ok.all()
+        np.testing.assert_array_equal(rows, [10, 10])
 
 
 class TestNormals:
@@ -222,12 +242,15 @@ class TestSmoothRangeImage:
 
 
 @settings(max_examples=25)
-@given(st.integers(3, 40), st.integers(3, 12))
-def test_sample_grid_covers_bounds(w, h):
+@given(st.integers(3, 40), st.integers(3, 12),
+       st.sampled_from([(-2.0, 1.3, -0.7, 0.5), (-1.0, 1.0, -0.7, 0.7),
+                        (-np.pi, np.pi, -np.pi / 2, np.pi / 2)]))
+def test_sample_grid_covers_bounds(w, h, bounds):
     """The outermost samples sit exactly on the angular bounds."""
-    cam = SphericalCamera(w, h, -2.0, 1.3, -0.7, 0.5)
-    az, el = cam.angles_of(cam.sample_grid)
+    cam = SphericalCamera(w, h, *bounds)
+    az, el = cam.angles_of(cam.pixel_grid)
     assert az[0, 0] == pytest.approx(cam.az_max, abs=1e-9)
     assert az[0, -1] == pytest.approx(cam.az_min, abs=1e-9)
     assert el[0, 0] == pytest.approx(cam.el_max, abs=1e-9)
     assert el[-1, 0] == pytest.approx(cam.el_min, abs=1e-9)
+    np.testing.assert_allclose(cam.pixel_directions, ray_direction(az, el), atol=1e-12)

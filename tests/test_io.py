@@ -20,14 +20,24 @@ from splatscan.splats import SplatModel, orthonormal_tangents
 SIZES = [0, 1, 7]
 
 
-@pytest.mark.parametrize("binary", [True, False], ids=["binary", "ascii"])
+def _write_ascii_ply(path, points, normals=None):
+    """An ASCII PLY of double properties, as another program would write it."""
+    names = ["x", "y", "z"] + ([] if normals is None else ["nx", "ny", "nz"])
+    data = points if normals is None else np.concatenate([points, normals], axis=1)
+    lines = ["ply", "format ascii 1.0", f"element vertex {len(points)}"]
+    lines += [f"property double {n}" for n in names] + ["end_header"]
+    lines += [" ".join(f"{v:.17g}" for v in row) for row in data]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("write", [write_ply, _write_ascii_ply], ids=["binary", "ascii"])
 @pytest.mark.parametrize("with_normals", [False, True], ids=["points", "normals"])
 @pytest.mark.parametrize("n", SIZES)
-def test_ply_round_trip_is_exact(tmp_path, rng, binary, with_normals, n):
+def test_ply_round_trip_is_exact(tmp_path, rng, write, with_normals, n):
     points = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-3, 4, (n, 1))
     normals = rng.normal(size=(n, 3)) if with_normals else None
     path = tmp_path / "cloud.ply"
-    write_ply(path, points, normals, binary=binary)
+    write(path, points, normals)
     got, got_normals = read_ply(path)
     assert got.shape == (n, 3)
     assert np.array_equal(got, points)
@@ -40,7 +50,7 @@ def test_ply_round_trip_is_exact(tmp_path, rng, binary, with_normals, n):
 
 def test_truncated_ascii_ply_raises(tmp_path, rng):
     path = tmp_path / "cloud.ply"
-    write_ply(path, rng.normal(size=(4, 3)), binary=False)
+    _write_ascii_ply(path, rng.normal(size=(4, 3)))
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-2]) + "\n")
     with pytest.raises(IngestionError, match="truncated"):

@@ -36,12 +36,15 @@ def _pose():
 class TestTiledMatchesReference:
     @pytest.mark.parametrize("behind_frac", [0.0, 0.5])
     def test_random_model_full_circle(self, full_cam, rng, behind_frac):
+        # the second camera's first and last rows look straight up and down
+        sphere = SphericalCamera(16, 9, -np.pi, np.pi - np.pi / 8, -np.pi / 2, np.pi / 2)
         model = random_model(150, rng, behind_frac=behind_frac)
-        for pose in (SE3Pose.identity(), _pose()):
-            tiled, _ = rasterize_forward(full_cam, pose, model)
-            ref = reference_rasterize(full_cam, pose, model)
-            assert _max_diff(tiled, ref) <= 1e-12
-            assert np.mean(ref.opacity > 0) > 0.3
+        for cam in (full_cam, sphere):
+            for pose in (SE3Pose.identity(), _pose()):
+                tiled, _ = rasterize_forward(cam, pose, model)
+                ref = reference_rasterize(cam, pose, model)
+                assert _max_diff(tiled, ref) <= 1e-12
+                assert np.mean(ref.opacity > 0) > 0.3
 
     def test_splats_straddle_the_seam(self, full_cam, rng):
         # centroids just either side of azimuth +-pi, large enough to cross it

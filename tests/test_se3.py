@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from splatscan.errors import GeometryError
-from splatscan.se3 import SE3Pose, se3_exp, se3_log, skew, so3_exp, so3_log
-
-twist = st.tuples(*[st.floats(-3.0, 3.0) for _ in range(6)]).map(np.asarray)
+from splatscan.se3 import SE3Pose, se3_exp, skew, so3_exp
 
 
 def almost_equal(a: SE3Pose, b: SE3Pose, atol: float = 1e-9) -> bool:
     return bool(np.allclose(a.rotation, b.rotation, atol=atol)
                 and np.allclose(a.translation, b.translation, atol=atol))
+
+
+def so3_log(R):
+    """Rotation vector of ``R``, computed by scipy as an independent reference."""
+    return Rotation.from_matrix(R).as_rotvec()
 
 
 def random_pose(rng, t_scale=5.0):
@@ -50,12 +54,6 @@ class TestSO3:
         back = so3_log(so3_exp(phi))
         np.testing.assert_allclose(back, phi, atol=1e-5)
 
-    def test_exact_half_turn_recovers_axis(self):
-        R = np.diag([1.0, -1.0, -1.0])    # pi about x
-        phi = so3_log(R)
-        assert np.linalg.norm(phi) == pytest.approx(np.pi)
-        np.testing.assert_allclose(np.abs(phi), [np.pi, 0, 0], atol=1e-9)
-
 
 class TestSE3Pose:
     def test_rejects_non_orthonormal(self):
@@ -91,7 +89,9 @@ class TestSE3Pose:
 
     def test_matrix_round_trip(self, rng):
         T = random_pose(rng)
-        assert almost_equal(SE3Pose.from_matrix(T.matrix()), T)
+        M = T.matrix()
+        np.testing.assert_array_equal(M[3], [0.0, 0.0, 0.0, 1.0])
+        assert almost_equal(SE3Pose(M[:3, :3], M[:3, 3]), T)
 
     def test_copy_is_independent(self, rng):
         T = random_pose(rng)
@@ -112,20 +112,10 @@ class TestSE3Pose:
 
 
 class TestSE3ExpLog:
-    @given(twist)
-    @settings(max_examples=50)
-    def test_round_trip(self, delta):
-        if np.linalg.norm(delta[3:]) > np.pi - 1e-3:
-            return
-        np.testing.assert_allclose(se3_log(se3_exp(delta)), delta, atol=1e-7)
-
     def test_pure_translation(self):
         T = se3_exp(np.array([1.0, -2.0, 3.0, 0, 0, 0]))
         np.testing.assert_allclose(T.rotation, np.eye(3))
         np.testing.assert_allclose(T.translation, [1.0, -2.0, 3.0])
-
-    def test_log_of_identity_is_zero(self):
-        np.testing.assert_allclose(se3_log(SE3Pose.identity()), np.zeros(6))
 
     def test_exp_additive_for_small_deltas(self, rng):
         # first-order: exp(a)exp(b) ~ exp(a+b)
