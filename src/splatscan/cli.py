@@ -20,7 +20,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .errors import (
     EvaluationError,
@@ -38,6 +37,7 @@ from .io import (
     load_scan,
     load_trajectory,
     parse_config_text,
+    quaternion_rotation,
     read_ply,
     save_trajectory,
     write_pfm,
@@ -172,11 +172,13 @@ def _cmd_eval_map(args) -> int:
 
 
 def _parse_pose(text: str) -> SE3Pose:
-    vals = [float(x) for x in text.replace(",", " ").split()]
+    try:
+        vals = [float(x) for x in text.replace(",", " ").split()]
+    except ValueError:
+        vals = []
     if len(vals) != 7:
         raise IngestionError("pose must be 7 numbers: tx ty tz qx qy qz qw")
-    R = Rotation.from_quat(vals[3:]).as_matrix()
-    return SE3Pose(R, vals[:3])
+    return SE3Pose(quaternion_rotation(vals[3:]), vals[:3])
 
 
 def _cmd_render(args) -> int:

@@ -21,6 +21,12 @@ The intrinsics are fixed by the image size and the angular bounds:
 so the bounds land on pixel centres: az_max on column 0, az_min on
 column W - 1, el_max on row 0 and el_min on row H - 1.  Pixel (col, row)
 samples the ray at image coordinates (col, row) exactly.
+
+Each pixel ray ``v`` is also the intersection of two orthonormal planes
+through the origin (:attr:`SphericalCamera.pixel_ray_planes`): the
+vertical plane ``h_x = (sin az, -cos az, 0)`` and ``h_y = h_x x v``.
+Both come from the pixel's angles, so the rays at the poles, which have
+no ``v x z``, get their planes too.
 """
 
 from __future__ import annotations
@@ -158,21 +164,17 @@ class SphericalCamera:
         return ray_direction(az, el)
 
     @cached_property
-    def pixel_ray_planes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(h_x, h_y, ok): two planes through the origin meeting in each pixel ray.
+    def pixel_ray_planes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(h_x, h_y): two orthonormal planes through the origin meeting in each pixel ray.
 
-        ``h_x = (v x z)/|v x z|`` and ``h_y = h_x x v``; ``ok`` is False
-        (and both planes zero) where the ray is parallel to z.
+        ``h_x = (sin az, -cos az, 0)`` from the pixel's azimuth is the
+        vertical plane of the ray, ``(v x z)/|v x z|``, and also its limit
+        at the poles, so every ray has its planes, the poles' included.
+        ``h_y = h_x x v`` completes the pair.
         """
-        dirs = self.pixel_directions
-        hx = np.stack([dirs[..., 1], -dirs[..., 0], np.zeros(dirs.shape[:2])], axis=-1)
-        n = np.linalg.norm(hx, axis=-1)
-        ok = n > 1e-9
-        hx = hx / np.maximum(n, 1e-9)[..., None]
-        hy = np.cross(hx, dirs)
-        hx[~ok] = 0.0
-        hy[~ok] = 0.0
-        return hx, hy, ok
+        az, _ = self.angles_of(self.pixel_grid)
+        hx = np.stack([np.sin(az), -np.cos(az), np.zeros_like(az)], axis=-1)
+        return hx, np.cross(hx, self.pixel_directions)
 
 
 def estimate_camera(points: np.ndarray, width: int, height: int) -> SphericalCamera:

@@ -29,6 +29,7 @@ __all__ = [
     "write_ply",
     "save_trajectory",
     "load_trajectory",
+    "quaternion_rotation",
     "save_model",
     "load_model",
     "is_model_file",
@@ -210,6 +211,21 @@ def save_trajectory(traj: Trajectory, path, fmt: str = "tum") -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def quaternion_rotation(q) -> np.ndarray:
+    """Rotation matrix of an ``(x, y, z, w)`` quaternion, normalized first.
+
+    A quaternion with a non-finite entry or a norm too small to normalize
+    raises :class:`IngestionError`.
+    """
+    q = np.asarray(q, dtype=float)
+    if np.all(np.isfinite(q)):
+        try:
+            return Rotation.from_quat(q).as_matrix()
+        except ValueError:
+            pass
+    raise IngestionError(f"quaternion {q.tolist()} must be finite and nonzero")
+
+
 def load_trajectory(path, fmt: str | None = None) -> Trajectory:
     """Read a TUM or KITTI trajectory; the format is inferred from the
     column count when not given (8 = TUM, 12 = KITTI)."""
@@ -228,8 +244,7 @@ def load_trajectory(path, fmt: str | None = None) -> Trajectory:
             raise IngestionError("TUM rows need 8 columns")
         stamps = rows[:, 0]
         for r in rows:
-            R = Rotation.from_quat(r[4:8]).as_matrix()
-            poses.append(SE3Pose(R, r[1:4].copy()))
+            poses.append(SE3Pose(quaternion_rotation(r[4:8]), r[1:4].copy()))
     elif fmt == "kitti":
         if rows.shape[1] != 12:
             raise IngestionError("KITTI rows need 12 columns")

@@ -42,7 +42,7 @@ from .geometry import (
 )
 from .rasterizer import PixelGradients, RenderOutput, rasterize_backward, rasterize_forward
 from .se3 import SE3Pose
-from .splats import PARAMS_PER_SPLAT, SplatModel, tangent_raw_gradients
+from .splats import PARAMS_PER_SPLAT, SplatModel
 
 __all__ = [
     "MappingConfig",
@@ -121,12 +121,16 @@ def make_keyframe(
 
 @dataclass
 class MappingLoss:
-    """The weighted objective, its unweighted terms and their gradients."""
+    """The weighted objective, its unweighted terms and their gradients.
+
+    ``pixel_grads`` feeds the rasterizer's backward pass; ``d_params`` is
+    the weighted scale hinge's gradient in the layout of ``SplatModel.params``.
+    """
 
     total: float
     parts: dict[str, float]
     pixel_grads: PixelGradients
-    d_scales: np.ndarray
+    d_params: np.ndarray
 
 
 def range_loss(render: RenderOutput, kf: Keyframe) -> tuple[float, np.ndarray]:
@@ -166,10 +170,14 @@ def opacity_loss(
 
 
 def scale_loss(model: SplatModel) -> tuple[float, np.ndarray]:
-    """Hinge on the larger scale above ``scale_cap``; gradient on that axis only."""
+    """Hinge on the larger scale above ``scale_cap``, and its parameter gradient.
+
+    The gradient is laid out like ``model.params`` and reaches only the
+    log scale of each hinged splat's larger axis.
+    """
     s = model.scales
     if s.shape[0] == 0:
-        return 0.0, np.zeros((0, 2))
+        return 0.0, np.zeros_like(model.params)
     mx = s.max(axis=1)
     over = mx - MAPPING_CONFIG.scale_cap
     L = float(np.sum(np.maximum(over, 0.0)))
@@ -177,11 +185,11 @@ def scale_loss(model: SplatModel) -> tuple[float, np.ndarray]:
     hot = over > 0
     arg = s.argmax(axis=1)
     g[hot, arg[hot]] = 1.0
-    return L, g
+    return L, model.param_gradients(scales=g)
 
 
 def mapping_loss(render: RenderOutput, model: SplatModel, kf: Keyframe) -> MappingLoss:
-    """Combined per-keyframe objective with pixel and scale gradients."""
+    """Combined per-keyframe objective with pixel and parameter gradients."""
     cfg = MAPPING_CONFIG
     L_d, g_d = range_loss(render, kf)
     L_o, g_o = opacity_loss(render, kf)
@@ -465,24 +473,8 @@ def refine(lmap: LocalMap, iters: int, rng: np.random.Generator) -> list[dict[st
         kf = lmap.keyframes[sample_keyframe_index(len(lmap.keyframes), cfg.kf_sample_p, rng)]
         render, rec = rasterize_forward(kf.camera, kf.pose, lmap.model, keep_pairs=True)
         ml = mapping_loss(render, lmap.model, kf)
-        g = rasterize_backward(lmap.model, rec, render, ml.pixel_grads)
-        ga, gb = tangent_raw_gradients(
-            lmap.model.raw_t_alpha,
-            lmap.model.raw_t_beta,
-            g.d_t_alpha,
-            g.d_t_beta,
-            g.d_normal,
-        )
-        s = lmap.model.scales
-        o = lmap.model.opacities
-        grads = SplatModel.param_rows(
-            len(lmap.model),
-            centers=g.d_centers,
-            raw_t_alpha=ga,
-            raw_t_beta=gb,
-            log_scales=(g.d_scales + ml.d_scales) * s,
-            logit_opacity=g.d_opacity * o * (1.0 - o),
-        )
+        grads = rasterize_backward(lmap.model, rec, render, ml.pixel_grads)
+        grads += ml.d_params
         lmap.optimizer.step(lmap.model, grads, lrs)
         np.clip(lmap.model.log_scales, lo, hi, out=lmap.model.log_scales)
         losses.append({"total": ml.total, **ml.parts})

@@ -3,8 +3,9 @@
 Forward model, per pixel ray ``v``:
 
   * Each pixel owns two planes through the sensor origin,
-    ``h_x = (v x z)/|v x z|`` and ``h_y = h_x x v``; their intersection is
-    the ray itself.
+    ``h_x = (sin az, -cos az, 0)`` (the ray's vertical plane, defined at
+    the poles too) and ``h_y = h_x x v``; their intersection is the ray
+    itself.
   * A splat defines the map ``H`` from splat coordinates (a, b, 0, 1) to
     world points.  Pulling both pixel planes back through the camera pose
     and ``H`` gives two lines in splat coordinates; their intersection
@@ -50,7 +51,9 @@ kernel terms and alpha with the forward pass's own expressions and the
 hit range from the pixel's ray, and accumulates analytic gradients of
 any scalar loss on the rendered range/normal/opacity images w.r.t. splat
 centroids, tangent frames, scales and opacities, on 1-D arrays over the
-kept pairs.
+kept pairs.  :meth:`SplatModel.param_gradients` chains those into one
+``(N, 12)`` matrix in the layout of ``SplatModel.params``, which is what
+the backward pass returns.
 """
 
 from __future__ import annotations
@@ -70,7 +73,6 @@ __all__ = [
     "RenderOutput",
     "BlendRecords",
     "PixelGradients",
-    "SplatGradients",
     "rasterize_forward",
     "rasterize_backward",
     "reference_rasterize",
@@ -91,7 +93,6 @@ class RasterConfig:
     min_transmittance: float = 1e-4
     denom_eps: float = 1e-12
     cutoff_sigma: float = _CUTOFF_SIGMA
-    bbox_pad_px: float = 0.5
 
 
 # the settings of every render
@@ -114,34 +115,6 @@ class PixelGradients:
     d_range: np.ndarray
     d_normal: np.ndarray
     d_opacity: np.ndarray
-
-
-@dataclass
-class SplatGradients:
-    """Per-splat loss gradients in plain parameter space.
-
-    Tangent-frame gradients are w.r.t. the orthonormal world-frame columns
-    (t_alpha, t_beta, normal); chain through the Gram-Schmidt retraction to
-    reach raw storage vectors.
-    """
-
-    d_centers: np.ndarray
-    d_t_alpha: np.ndarray
-    d_t_beta: np.ndarray
-    d_normal: np.ndarray
-    d_scales: np.ndarray
-    d_opacity: np.ndarray
-
-    @classmethod
-    def zeros(cls, n: int) -> "SplatGradients":
-        return cls(
-            np.zeros((n, 3)),
-            np.zeros((n, 3)),
-            np.zeros((n, 3)),
-            np.zeros((n, 3)),
-            np.zeros((n, 2)),
-            np.zeros(n),
-        )
 
 
 @dataclass
@@ -205,9 +178,18 @@ def _tile_hits(cam: SphericalCamera, arrays: dict):
     """Boolean splat/tile-row and splat/tile-column incidence matrices.
 
     A splat's support is bounded by the cone subtending its cutoff ball
-    (radius ``cutoff_sigma * max(scale)`` around the centroid); a tile is
-    hit when the cone's azimuth interval overlaps the tile's azimuth
-    interval (circularly) and likewise in elevation.
+    (radius ``reach = cutoff_sigma * max(scale)`` around the centroid); a
+    tile is hit when the cone's azimuth interval overlaps the tile's
+    azimuth interval (circularly) and likewise in elevation.
+
+    The tile intervals run from the first to the last pixel centre, with
+    no pad: a pixel samples its ray exactly at its integer image
+    coordinates, so those are the only rays the tile has.  Nothing the
+    blend counts is lost.  A near pair's ray passes within ``reach`` of the
+    centroid (see :func:`_near_pairs`), so the ray lies inside the cone.  A
+    pair whose ray lies outside the cone hits the splat's plane farther
+    than ``reach`` from the centroid, at ``|s| > cutoff_sigma``, where
+    alpha is below the 1/255 cutoff.
     """
     cfg = RASTER_CONFIG
     T = cfg.tile_size
@@ -230,11 +212,6 @@ def _tile_hits(cam: SphericalCamera, arrays: dict):
     dgam = np.arcsin(np.clip(sin_om / cos_el, 0.0, 1.0))
     dgam = np.where(near | pole, np.pi, dgam)
     omega = np.where(near, np.pi, omega)
-
-    pitch_az = 1.0 / abs(cam.fx)
-    pitch_el = 1.0 / abs(cam.fy)
-    pad_az = cfg.bbox_pad_px * pitch_az
-    pad_el = cfg.bbox_pad_px * pitch_el
 
     # angular interval of each tile column / row (pixel centres)
     tc_idx = np.arange(tiles_x)
@@ -259,12 +236,10 @@ def _tile_hits(cam: SphericalCamera, arrays: dict):
     np.mod(dc, 2.0 * np.pi, out=dc)
     dc -= np.pi
     np.abs(dc, out=dc)
-    reach_az = dgam[:, None] + col_hw[None, :]
-    reach_az += pad_az
-    col_hit = dc <= reach_az
+    col_hit = dc <= dgam[:, None] + col_hw[None, :]
 
     dr = np.abs(el_c[:, None] - row_center[None, :])
-    row_hit = dr <= omega[:, None] + row_hw[None, :] + pad_el
+    row_hit = dr <= omega[:, None] + row_hw[None, :]
 
     alive = r > 1e-9
     col_hit &= alive[:, None]
@@ -326,8 +301,8 @@ def _near_pairs(cam: SphericalCamera, arrays: dict, tiles):
     """Screen each tile's pixel-splat pairs; yield the near ones in batches.
 
     ``tiles`` yields (row slice, column slice, splat ids in blend order).
-    A pair is near when its pixel has a ray and the ray passes within the
-    splat's binning radius ``cutoff_sigma * max(scale)`` of the centroid:
+    A pair is near when the pixel's ray passes within the splat's binning
+    radius ``cutoff_sigma * max(scale)`` of the centroid:
     ``a4^2 + b4^2``, with ``a4 = h_x . B_c`` and ``b4 = h_y . B_c``, is that
     squared distance, so every pair whose alpha can reach the cutoff is
     near.  The plane products are dense matmuls over blocks of a tile's
@@ -342,7 +317,7 @@ def _near_pairs(cam: SphericalCamera, arrays: dict, tiles):
     most ``_BATCH_PAIRS`` pairs, unless one pixel has more.
     """
     cfg = RASTER_CONFIG
-    hx, hy, ray_ok = cam.pixel_ray_planes
+    hx, hy = cam.pixel_ray_planes
     dirs = cam.pixel_directions
     flat = np.arange(cam.height * cam.width).reshape(cam.height, cam.width)
     reach = cfg.cutoff_sigma * arrays["scales"].max(axis=1)
@@ -353,9 +328,9 @@ def _near_pairs(cam: SphericalCamera, arrays: dict, tiles):
     # fresh one per block costs page faults
     buf = np.empty(0)
     for rows, cols, ids in tiles:
-        ok = ray_ok[rows, cols]
-        pix = flat[rows, cols][ok]
-        pixel_vectors = (hx[rows, cols][ok], hy[rows, cols][ok], dirs[rows, cols][ok])
+        pix = flat[rows, cols].ravel()
+        pixel_vectors = (hx[rows, cols].reshape(-1, 3), hy[rows, cols].reshape(-1, 3),
+                         dirs[rows, cols].reshape(-1, 3))
         # B_a, B_b and B_c of the tile's splats, one row per component
         B = np.take(arrays["terms"][4:13], ids, axis=1)
         n = ids.shape[0]
@@ -535,15 +510,18 @@ def rasterize_backward(
     records: BlendRecords,
     render: RenderOutput,
     pixel_grads: PixelGradients,
-) -> SplatGradients:
-    """Gradients of a pixel-space loss w.r.t. splat parameters.
+) -> np.ndarray:
+    """Gradients of a pixel-space loss w.r.t. ``model.params``, as an ``(N, 12)`` matrix.
+
+    The matrix has the layout of ``model.params``, so it feeds the
+    optimizer as it is.
 
     ``records`` and ``render`` must come from one
     ``rasterize_forward(..., keep_pairs=True)`` on the same (unmodified)
     model.  The records' pairs and splat arrays are consumed: this sets
     ``records.pairs`` and ``records.arrays`` to ``None``, and records
     without pairs (never kept, or already used) raise ``GeometryError``, as
-    does a changed model.  Splats touching no pixel get zero gradients.
+    does a changed model.  Splats touching no pixel get zero rows.
 
     Each kept batch is handled as 1-D arrays over its pairs, which are
     pixel-major and in blend order within a pixel (see
@@ -563,10 +541,10 @@ def rasterize_backward(
     cam, pose = records.cam, records.pose
     N = len(model)
     if not pairs:
-        return SplatGradients.zeros(N)
+        return np.zeros_like(model.params)
 
     cfg = RASTER_CONFIG
-    hx, hy, _ = cam.pixel_ray_planes
+    hx, hy = cam.pixel_ray_planes
     # the per-pixel terms a pair reads, one row per term (each gathered
     # term is then one contiguous row over a batch's pairs)
     pixel_terms = np.concatenate(
@@ -656,15 +634,16 @@ def rasterize_backward(
 
     acc_ba, acc_bb, acc_bc, acc_n = (acc[r : r + 3].T for r in (0, 3, 6, 9))
 
-    # camera-frame accumulators to world-frame parameter gradients
+    # camera-frame accumulators to world-frame gradients of what the model
+    # reads out, then through its storage maps to the parameter layout
     R = pose.rotation
     s = arrays["scales"]
-    return SplatGradients(
-        d_centers=acc_bc @ R.T,
-        d_t_alpha=s[:, :1] * (acc_ba @ R.T),
-        d_t_beta=s[:, 1:] * (acc_bb @ R.T),
-        d_normal=acc_n @ R.T,
-        d_scales=np.stack([np.einsum("nc,nc->n", acc_ba, arrays["ta_cam"]),
-                           np.einsum("nc,nc->n", acc_bb, arrays["tb_cam"])], axis=1),
-        d_opacity=acc[12],
+    return model.param_gradients(
+        centers=acc_bc @ R.T,
+        t_alpha=s[:, :1] * (acc_ba @ R.T),
+        t_beta=s[:, 1:] * (acc_bb @ R.T),
+        normal=acc_n @ R.T,
+        scales=np.stack([np.einsum("nc,nc->n", acc_ba, arrays["ta_cam"]),
+                         np.einsum("nc,nc->n", acc_bb, arrays["tb_cam"])], axis=1),
+        opacities=acc[12],
     )

@@ -18,7 +18,9 @@ float64 values, in this order:
     center (3), raw t_alpha (3), raw t_beta (3), log scales (2), logit opacity (1)
 
 The model, its Adam moments and the ``.splm`` model file all use that
-row; this module is the only one that knows its columns.
+row, and so does a loss gradient: :meth:`SplatModel.param_gradients`
+chains gradients w.r.t. the plain-space values the model reads out into
+it.  This module is the only one that knows the row's columns.
 """
 
 from __future__ import annotations
@@ -207,6 +209,25 @@ class SplatModel:
             return z, z.copy(), z.copy()
         ta, tb = orthonormal_tangents(self.raw_t_alpha, self.raw_t_beta)
         return ta, tb, np.cross(ta, tb)
+
+    def param_gradients(self, *, centers=0.0, t_alpha=0.0, t_beta=0.0, normal=0.0,
+                        scales=0.0, opacities=0.0) -> np.ndarray:
+        """An ``(N, 12)`` gradient laid out like ``params``.
+
+        The arguments are a loss's gradients w.r.t. what the model reads
+        out: ``centers``, the frame of :meth:`tangent_frames`, ``scales``
+        and ``opacities``.  Each broadcasts to its array's shape; an omitted
+        one is zero.  The chain rule runs back through the storage maps:
+        Gram-Schmidt for the raw tangents, ``exp`` for the log scales and the
+        sigmoid for the logit opacity.
+        """
+        n = len(self)
+        frame = (np.broadcast_to(g, (n, 3)) for g in (t_alpha, t_beta, normal))
+        ga, gb = tangent_raw_gradients(self.raw_t_alpha, self.raw_t_beta, *frame)
+        o = self.opacities
+        return self.param_rows(n, centers=centers, raw_t_alpha=ga, raw_t_beta=gb,
+                               log_scales=scales * self.scales,
+                               logit_opacity=opacities * o * (1.0 - o))
 
     def touch(self):
         self.version += 1

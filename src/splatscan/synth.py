@@ -1,8 +1,10 @@
 """Analytic scenes and simulated spherical scans for testing.
 
 Primitives (finite planes, spheres, axis-aligned boxes) support
-closed-form raycasting and uniform surface sampling, so simulated scans
-have exact ground truth for ranges and normals.
+closed-form raycasting, which gives each ray's exact range, and uniform
+surface sampling, which gives points with their exact normals.  Scans
+come from the former; ground-truth point sets and seeded maps from the
+latter.
 
 Scan grid convention: with image width W the azimuth of column j is
 ``pi - (j+1)*2*pi/W`` (columns sweep from just under +pi down to -pi)
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import IngestionError
 from .evaluation import Trajectory
-from .geometry import NormalImage, RangeImage, SphericalCamera, ray_direction
+from .geometry import ray_direction
 from .se3 import SE3Pose
 
 __all__ = [
@@ -76,9 +78,7 @@ class Plane:
         lu = (hit - self.origin) @ self.e_u
         lv = (hit - self.origin) @ self.e_v
         ok = (t > _EPS) & (np.abs(lu) <= self.half_u) & (np.abs(lv) <= self.half_v)
-        t = np.where(ok, t, np.inf)
-        normals = np.broadcast_to(n, dirs.shape).copy()
-        return t, normals
+        return np.where(ok, t, np.inf)
 
     def surface_points(self, n: int, rng: np.random.Generator):
         u = rng.uniform(-self.half_u, self.half_u, size=n)
@@ -108,13 +108,7 @@ class Sphere:
         t0 = -b - sq
         t1 = -b + sq
         t = np.where(t0 > _EPS, t0, np.where(t1 > _EPS, t1, np.inf))
-        t = np.where(disc >= 0, t, np.inf)
-        with np.errstate(invalid="ignore"):
-            hit = origins + np.where(np.isfinite(t), t, 0.0)[:, None] * dirs
-        normals = hit - self.center
-        nn = np.linalg.norm(normals, axis=1, keepdims=True)
-        normals = np.divide(normals, np.maximum(nn, _EPS))
-        return t, normals
+        return np.where(disc >= 0, t, np.inf)
 
     def surface_points(self, n: int, rng: np.random.Generator):
         v = rng.normal(size=(n, 3))
@@ -156,20 +150,7 @@ class Box:
         t_far = tf.min(axis=1)
         t = np.where(t_near > _EPS, t_near, t_far)
         ok = (t_near <= t_far) & (t > _EPS) & np.isfinite(t)
-        t = np.where(ok, t, np.inf)
-        # normal of the face crossed at t
-        axis_near = np.argmax(tn, axis=1)
-        axis_far = np.argmin(tf, axis=1)
-        axis = np.where(t_near > _EPS, axis_near, axis_far)
-        sign = np.where(
-            t_near > _EPS,
-            -np.sign(np.take_along_axis(dirs, axis_near[:, None], 1)[:, 0]),
-            np.sign(np.take_along_axis(dirs, axis_far[:, None], 1)[:, 0]),
-        )
-        normals = np.zeros_like(dirs)
-        rows = np.arange(dirs.shape[0])
-        normals[rows, axis] = np.where(sign == 0, 1.0, sign)
-        return t, normals
+        return np.where(ok, t, np.inf)
 
     def surface_points(self, n: int, rng: np.random.Generator):
         hx, hy, hz = self.half_sizes
@@ -198,16 +179,12 @@ class Scene:
 
     primitives: list = field(default_factory=list)
 
-    def raycast(self, origins: np.ndarray, dirs: np.ndarray):
-        n_rays = dirs.shape[0]
-        best_t = np.full(n_rays, np.inf)
-        best_n = np.zeros((n_rays, 3))
+    def raycast(self, origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        """Distance to the nearest hit along each ray; inf where none."""
+        best_t = np.full(dirs.shape[0], np.inf)
         for prim in self.primitives:
-            t, nor = prim.raycast(origins, dirs)
-            closer = t < best_t
-            best_t = np.where(closer, t, best_t)
-            best_n[closer] = nor[closer]
-        return best_t, best_n
+            np.minimum(best_t, prim.raycast(origins, dirs), out=best_t)
+        return best_t
 
     def surface_points(self, n: int, rng: np.random.Generator):
         """Area-weighted uniform samples over all primitive surfaces."""
@@ -238,7 +215,7 @@ class Scene:
             good = dist > _EPS
             dirs = np.zeros_like(vec)
             dirs[good] = vec[good] / dist[good, None]
-            t, _ = self.raycast(np.broadcast_to(vp, q.shape).copy(), dirs)
+            t = self.raycast(np.broadcast_to(vp, q.shape).copy(), dirs)
             vis = good & (t >= dist - 1e-4)
             idx = np.nonzero(rest)[0]
             seen[idx[vis]] = True
@@ -260,16 +237,9 @@ class ScanSpec:
 
 @dataclass
 class SynthScan:
-    """Simulated scan: sensor-frame cloud plus its grid-aligned images.
-
-    ``range_image`` carries the (noisy) measured ranges; ``normal_image``
-    holds exact sensor-facing ground-truth normals at the hit points.
-    """
+    """Simulated scan: the sensor-frame points of its valid returns."""
 
     cloud: np.ndarray
-    range_image: RangeImage
-    normal_image: NormalImage
-    camera: SphericalCamera
 
 
 def _grid_angles(spec: ScanSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -298,7 +268,7 @@ def raycast_scan(
     dirs_s = ray_direction(azg.ravel(), elg.ravel())
     dirs_w = dirs_s @ pose.rotation.T
     origins = np.broadcast_to(pose.translation, dirs_w.shape).copy()
-    t, normals_w = scene.raycast(origins, dirs_w)
+    t = scene.raycast(origins, dirs_w)
 
     valid = np.isfinite(t) & (t <= spec.max_range)
     r = np.where(valid, t, 0.0)
@@ -308,20 +278,7 @@ def raycast_scan(
     if spec.dropout > 0:
         valid &= rng.random(size=r.shape) >= spec.dropout
     r = np.where(valid, r, 0.0)
-
-    H, W = spec.height, spec.width
-    cam = SphericalCamera(W, H, float(az.min()), float(az.max()), spec.el_min, spec.el_max)
-    rimg = RangeImage(r.reshape(H, W), valid.reshape(H, W))
-
-    # ground-truth normals in the sensor frame, oriented toward the sensor
-    n_s = normals_w @ pose.rotation
-    flip = np.sum(n_s * dirs_s, axis=1) > 0
-    n_s[flip] = -n_s[flip]
-    n_s[~valid] = 0.0
-    nimg = NormalImage(n_s.reshape(H, W, 3), valid.reshape(H, W))
-
-    cloud = (r[valid, None] * dirs_s[valid]).reshape(-1, 3)
-    return SynthScan(cloud, rimg, nimg, cam)
+    return SynthScan((r[valid, None] * dirs_s[valid]).reshape(-1, 3))
 
 
 def make_trajectory(kind: str, length: float, steps: int, dt: float = 0.1) -> Trajectory:

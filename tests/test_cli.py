@@ -124,14 +124,43 @@ def test_render_reads_the_archived_model(run_dir, tmp_path, capsys, monkeypatch)
     ("inf", "non-finite values in model file"),
 ])
 def test_info_reports_a_damaged_model(tmp_path, capsys, damage, message):
-    model = SplatModel()
-    model.append(np.ones((3, 3)), np.eye(3), np.roll(np.eye(3), 1, axis=1),
-                 np.full((3, 2), 0.1), np.full(3, 0.5), 0)
-    path = tmp_path / "map.splm"
-    save_model(path, model)
+    path = _small_model_file(tmp_path / "map.splm")
     data = path.read_bytes()
     path.write_bytes(data[:-20] if damage == "truncated"
                      else data[:-8] + np.float64(np.inf).tobytes())
     assert main(["info", str(path)]) == 2
     err = capsys.readouterr().err
     assert message in err and "unknown scan format" not in err
+
+
+def _small_model_file(path):
+    model = SplatModel()
+    model.append(np.ones((3, 3)), np.eye(3), np.roll(np.eye(3), 1, axis=1),
+                 np.full((3, 2), 0.1), np.full(3, 0.5), 0)
+    save_model(path, model)
+    return path
+
+
+def _one_error_line(err):
+    return err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("quaternion", ["0 0 0 0", "nan 0 0 1"])
+def test_eval_traj_rejects_a_row_without_a_rotation(tmp_path, capsys, quaternion):
+    ref = tmp_path / "ref.tum"
+    ref.write_text("0 0 0 0 0 0 0 1\n1 1 0 0 0 0 0 1\n")
+    est = tmp_path / "est.tum"
+    est.write_text(f"0 0 0 0 0 0 0 1\n1 1 0 0 {quaternion}\n")
+    assert main(["eval-traj", str(est), str(ref)]) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "quaternion" in err
+
+
+@pytest.mark.parametrize("pose", ["0,0,0,0,0,0,0", "0,0,0,0,0,inf,1", "0,0,0,x,0,0,1"])
+def test_render_rejects_a_pose_without_a_rotation(tmp_path, capsys, pose):
+    model = _small_model_file(tmp_path / "map.splm")
+    argv = ["render", str(model), "--out", str(tmp_path / "view"), "--pose", pose,
+            "--width", "16", "--height", "4"]
+    assert main(argv) == 2
+    assert _one_error_line(capsys.readouterr().err)
+    assert not list(tmp_path.glob("view.*"))

@@ -254,3 +254,20 @@ def test_sample_grid_covers_bounds(w, h, bounds):
     assert el[0, 0] == pytest.approx(cam.el_max, abs=1e-9)
     assert el[-1, 0] == pytest.approx(cam.el_min, abs=1e-9)
     np.testing.assert_allclose(cam.pixel_directions, ray_direction(az, el), atol=1e-12)
+
+
+@pytest.mark.parametrize("height", [9, 16])
+def test_every_pixel_ray_has_two_orthonormal_planes(height):
+    """Both planes contain the ray, the poles' rays included (height 9 puts
+    rows 0 and 8 on the poles), and h_x is the ray's vertical plane."""
+    cam = SphericalCamera(16, height, -np.pi, np.pi - np.pi / 8, -np.pi / 2, np.pi / 2)
+    hx, hy = cam.pixel_ray_planes
+    v = cam.pixel_directions
+    for a, b in ((hx, hx), (hy, hy), (hx, hy), (hx, v), (hy, v)):
+        expected = 1.0 if a is b else 0.0
+        np.testing.assert_allclose(np.sum(a * b, axis=-1), expected, atol=1e-12)
+    assert not hx[..., 2].any()
+    # away from the poles, h_x is (v x z) / |v x z|
+    vz = np.cross(v[1:-1], [0.0, 0.0, 1.0])
+    np.testing.assert_allclose(hx[1:-1], vz / np.linalg.norm(vz, axis=-1, keepdims=True),
+                               atol=1e-12)

@@ -9,10 +9,11 @@ from splatscan.mapping import (
     _learning_rates,
     add_keyframe,
     make_keyframe,
+    scale_loss,
     should_reset_local_map,
 )
 from splatscan.se3 import SE3Pose, so3_exp
-from splatscan.splats import SplatModel
+from splatscan.splats import SplatModel, orthonormal_tangents
 from splatscan.synth import ScanSpec, raycast_scan, room_with_boxes
 
 
@@ -31,6 +32,38 @@ def test_adam_step_moves_each_column_by_its_learning_rate():
              "logit_opacity": cfg.lr_logit_opacity}
     for name, lr in rates.items():
         np.testing.assert_allclose(getattr(moved, name), lr, rtol=1e-7, err_msg=name)
+
+
+def test_scale_hinge_gradient_matches_central_differences():
+    rng = np.random.default_rng(0)
+    cap = MAPPING_CONFIG.scale_cap
+    # rows 0-3 have their larger axis above the cap, rows 4-5 are below it;
+    # every row keeps clear of both kinks (larger axis at the cap, equal axes)
+    scales = cap * np.array([[1.8, 1.2], [0.9, 2.6], [1.6, 0.4], [4.0, 2.0],
+                             [0.6, 0.8], [0.2, 0.4]])
+    n = len(scales)
+    ta, tb = orthonormal_tangents(rng.normal(size=(n, 3)), rng.normal(size=(n, 3)))
+    model = SplatModel()
+    model.append(rng.normal(size=(n, 3)), ta, tb, scales, rng.uniform(0.2, 0.8, n), 0)
+    _, grads = scale_loss(model)
+    assert grads.shape == model.params.shape
+
+    h = 1e-6
+    num = np.zeros((n, 2))
+    for idx in np.ndindex(n, 2):
+        x = model.log_scales[idx]
+        vals = []
+        for step in (h, -h):
+            model.log_scales[idx] = x + step
+            vals.append(scale_loss(model)[0])
+        model.log_scales[idx] = x
+        num[idx] = (vals[0] - vals[1]) / (2.0 * h)
+    hinge = SplatModel(grads)
+    np.testing.assert_allclose(hinge.log_scales, num, rtol=0, atol=1e-8)
+    assert np.count_nonzero(num) == 4 and not num[4:].any()
+    # no other column of the parameter gradient moves
+    hinge.log_scales[:] = 0.0
+    assert not hinge.params.any()
 
 
 def test_add_keyframe_keeps_moments_aligned_with_splats():

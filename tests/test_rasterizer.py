@@ -46,6 +46,16 @@ class TestTiledMatchesReference:
                 assert _max_diff(tiled, ref) <= 1e-12
                 assert np.mean(ref.opacity > 0) > 0.3
 
+    def test_the_pole_rows_render(self, rng):
+        """Rows 0 and 8 of this camera look straight up and down; their rays
+        have planes like every other ray."""
+        sphere = SphericalCamera(16, 9, -np.pi, np.pi - np.pi / 8, -np.pi / 2, np.pi / 2)
+        model = random_model(400, rng, scale=(0.3, 0.8))
+        tiled, _ = rasterize_forward(sphere, SE3Pose.identity(), model)
+        ref = reference_rasterize(sphere, SE3Pose.identity(), model)
+        assert _max_diff(tiled, ref) <= 1e-12
+        assert tiled.opacity[0].max() > 0.1 and tiled.opacity[-1].max() > 0.1
+
     def test_splats_straddle_the_seam(self, full_cam, rng):
         # centroids just either side of azimuth +-pi, large enough to cross it
         n = 40
@@ -97,17 +107,17 @@ def _loss(cam, pose, model, pg):
                  + np.sum(pg.d_opacity * out.opacity))
 
 
-def _central_difference(cam, pose, model, pg, array, set_value, h):
-    """d(loss)/d(value) for every entry of ``array``; ``set_value`` writes one entry."""
-    grad = np.zeros(array.shape)
-    for idx in np.ndindex(*array.shape):
-        x = array[idx]
+def _central_difference(cam, pose, model, pg, columns, h=1e-6):
+    """d(loss)/d(entry) for every entry of ``columns``, a view into ``model.params``."""
+    grad = np.zeros(columns.shape)
+    for idx in np.ndindex(*columns.shape):
+        x = columns[idx]
         vals = []
         for step in (h, -h):
-            set_value(idx, x + step)
+            columns[idx] = x + step
             model.touch()
             vals.append(_loss(cam, pose, model, pg))
-        set_value(idx, x)
+        columns[idx] = x
         model.touch()
         grad[idx] = (vals[0] - vals[1]) / (2.0 * h)
     return grad
@@ -128,7 +138,7 @@ def grad_case(rng, request):
 
 
 def _with_gradients(cam, pose, model, rng, batch_pairs=None):
-    """(cam, pose, model, pixel gradients, splat gradients) of a random linear loss.
+    """(cam, pose, model, pixel gradients, (N, 12) parameter gradients) of a random linear loss.
 
     ``batch_pairs``, if given, is the blend batch size of the render that
     keeps the pairs.
@@ -167,46 +177,31 @@ def _assert_close(analytic, numeric, rel=1e-6):
     assert float(np.max(np.abs(numeric))) > 0
 
 
+def _assert_matches_central_differences(grad_case, *names):
+    """The named columns of the gradient against central differences over
+    the same columns of ``model.params``."""
+    cam, pose, model, pg, grads = grad_case
+    assert grads.shape == model.params.shape
+    for name in names:
+        num = _central_difference(cam, pose, model, pg, getattr(model, name))
+        _assert_close(getattr(SplatModel(grads), name), num)
+
+
 class TestBackwardMatchesCentralDifferences:
+    """The backward pass's (N, 12) gradient against central differences over
+    ``model.params``; the first four tests cover every column between them."""
+
     def test_centers(self, grad_case):
-        cam, pose, model, pg, grads = grad_case
-
-        def put(idx, v):
-            model.centers[idx] = v
-
-        num = _central_difference(cam, pose, model, pg, model.centers, put, 1e-6)
-        _assert_close(grads.d_centers, num)
+        _assert_matches_central_differences(grad_case, "centers")
 
     def test_scales(self, grad_case):
-        cam, pose, model, pg, grads = grad_case
-        scales = model.scales
-
-        def put(idx, v):
-            model.log_scales[idx] = np.log(v)
-
-        num = _central_difference(cam, pose, model, pg, scales, put, 1e-6)
-        _assert_close(grads.d_scales, num)
+        _assert_matches_central_differences(grad_case, "log_scales")
 
     def test_opacity(self, grad_case):
-        cam, pose, model, pg, grads = grad_case
-        opac = model.opacities
-
-        def put(idx, v):
-            model.logit_opacity[idx] = np.log(v) - np.log1p(-v)
-
-        num = _central_difference(cam, pose, model, pg, opac, put, 1e-6)
-        _assert_close(grads.d_opacity, num)
+        _assert_matches_central_differences(grad_case, "logit_opacity")
 
     def test_raw_tangents_through_gram_schmidt(self, grad_case):
-        cam, pose, model, pg, grads = grad_case
-        ga, gb = tangent_raw_gradients(model.raw_t_alpha, model.raw_t_beta,
-                                       grads.d_t_alpha, grads.d_t_beta, grads.d_normal)
-        for raw, analytic in ((model.raw_t_alpha, ga), (model.raw_t_beta, gb)):
-            def put(idx, v, raw=raw):
-                raw[idx] = v
-
-            num = _central_difference(cam, pose, model, pg, raw.copy(), put, 1e-6)
-            _assert_close(analytic, num)
+        _assert_matches_central_differences(grad_case, "raw_t_alpha", "raw_t_beta")
 
     def test_stale_records_raise(self, grad_case):
         cam, pose, model, pg, _ = grad_case
@@ -250,14 +245,8 @@ class TestBackwardOnAnOpaqueStack(TestBackwardMatchesCentralDifferences):
 
     def test_splats_outside_the_view_get_zero_gradients(self, grad_case):
         *_, grads = grad_case
-        for name in ("d_centers", "d_t_alpha", "d_t_beta", "d_normal", "d_scales",
-                     "d_opacity"):
-            values = getattr(grads, name)
-            assert not np.any(values[-2:])
-            assert np.any(values[:-2])
-
-
-GRADIENTS = ("d_centers", "d_t_alpha", "d_t_beta", "d_normal", "d_scales", "d_opacity")
+        assert not np.any(grads[-2:])
+        assert np.all(np.any(grads[:-2], axis=0))
 
 
 class _InChunksOfFour:
@@ -291,9 +280,7 @@ def test_gradients_do_not_depend_on_the_chunk_size(grad_case, monkeypatch, chunk
     for c in CHANNELS:
         scale = float(np.max(np.abs(getattr(out, c))))
         assert float(np.max(np.abs(getattr(blocked, c) - getattr(out, c)))) <= 1e-13 * scale
-    chunked = rasterize_backward(model, rec, blocked, pg)
-    for name in GRADIENTS:
-        _assert_close(getattr(chunked, name), getattr(grads, name), rel=1e-12)
+    _assert_close(rasterize_backward(model, rec, blocked, pg), grads, rel=1e-12)
 
 
 class _InBatchesOfOne:
@@ -331,9 +318,7 @@ def test_results_do_not_depend_on_the_batch_size(grad_case, monkeypatch, batch):
     small, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
     for c in CHANNELS:
         assert np.array_equal(getattr(small, c), getattr(out, c))
-    batched = rasterize_backward(model, rec, small, pg)
-    for name in GRADIENTS:
-        _assert_close(getattr(batched, name), getattr(grads, name), rel=1e-12)
+    _assert_close(rasterize_backward(model, rec, small, pg), grads, rel=1e-12)
 
 
 def test_the_near_test_is_conservative(full_cam, rng, monkeypatch):
@@ -363,9 +348,19 @@ class TestRecordsServeOneBackwardPass:
         assert rec.pairs and rec.arrays is not None
         again = rasterize_backward(model, rec, out, pg)
         assert rec.pairs is None and rec.arrays is None
-        assert np.array_equal(again.d_centers, grads.d_centers)
+        assert np.array_equal(again, grads)
         with pytest.raises(GeometryError, match="keep_pairs"):
             rasterize_backward(model, rec, out, pg)
+
+    def test_a_render_without_pairs_gives_zero_rows(self, grad_case):
+        cam, pose, _, pg, _ = grad_case
+        behind = SplatModel()
+        behind.append(pose.apply([[-3.0, 0.0, 0.0]]), [[0.0, 1.0, 0.0]], [[0.0, 0.0, 1.0]],
+                      [[0.2, 0.2]], [0.5], 0)
+        out, rec = rasterize_forward(cam, pose, behind, keep_pairs=True)
+        assert rec.pairs == []
+        grads = rasterize_backward(behind, rec, out, pg)
+        assert grads.shape == (1, 12) and not grads.any()
 
     def test_kept_pairs_are_the_blending_pairs(self, grad_case):
         cam, pose, model, _, _ = grad_case
@@ -386,7 +381,7 @@ class TestRecordsServeOneBackwardPass:
         monkeypatch.setattr(rasterizer, "_splat_camera_arrays", counted)
         again = rasterize_backward(model, rec, out, pg)
         assert not calls
-        assert np.array_equal(again.d_centers, grads.d_centers)
+        assert np.array_equal(again, grads)
 
 
 def test_tangent_raw_gradients_match_central_differences(rng):
