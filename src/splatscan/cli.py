@@ -37,8 +37,8 @@ from .io import (
     load_scan,
     load_trajectory,
     parse_config_text,
-    quaternion_rotation,
     read_ply,
+    read_pose,
     save_trajectory,
     write_pfm,
     write_ply,
@@ -178,7 +178,7 @@ def _parse_pose(text: str) -> SE3Pose:
         vals = []
     if len(vals) != 7:
         raise IngestionError("pose must be 7 numbers: tx ty tz qx qy qz qw")
-    return SE3Pose(quaternion_rotation(vals[3:]), vals[:3])
+    return read_pose(vals[:3], vals[3:])
 
 
 def _cmd_render(args) -> int:

@@ -29,7 +29,7 @@ __all__ = [
     "write_ply",
     "save_trajectory",
     "load_trajectory",
-    "quaternion_rotation",
+    "read_pose",
     "save_model",
     "load_model",
     "is_model_file",
@@ -211,19 +211,26 @@ def save_trajectory(traj: Trajectory, path, fmt: str = "tum") -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def quaternion_rotation(q) -> np.ndarray:
-    """Rotation matrix of an ``(x, y, z, w)`` quaternion, normalized first.
+def read_pose(translation, rotation) -> SE3Pose:
+    """The pose of a trajectory row or a ``--pose`` value.
 
-    A quaternion with a non-finite entry or a norm too small to normalize
-    raises :class:`IngestionError`.
+    ``rotation`` is an ``(x, y, z, w)`` quaternion, normalized first, or the
+    9 row-major entries of a matrix, snapped onto SO(3).  A non-finite
+    translation, or a quaternion with a non-finite entry or a norm too small
+    to normalize, raises :class:`IngestionError`.
     """
-    q = np.asarray(q, dtype=float)
-    if np.all(np.isfinite(q)):
+    t = np.array(translation, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise IngestionError(f"translation {t.tolist()} must be finite")
+    rot = np.asarray(rotation, dtype=float)
+    if rot.size == 9:
+        return SE3Pose(rot.reshape(3, 3), t).orthonormalized()
+    if np.all(np.isfinite(rot)):
         try:
-            return Rotation.from_quat(q).as_matrix()
+            return SE3Pose(Rotation.from_quat(rot).as_matrix(), t)
         except ValueError:
             pass
-    raise IngestionError(f"quaternion {q.tolist()} must be finite and nonzero")
+    raise IngestionError(f"quaternion {rot.tolist()} must be finite and nonzero")
 
 
 def load_trajectory(path, fmt: str | None = None) -> Trajectory:
@@ -238,20 +245,16 @@ def load_trajectory(path, fmt: str | None = None) -> Trajectory:
             raise IngestionError(
                 f"cannot infer trajectory format from {rows.shape[1]} columns"
             )
-    poses = []
     if fmt == "tum":
         if rows.shape[1] != 8:
             raise IngestionError("TUM rows need 8 columns")
         stamps = rows[:, 0]
-        for r in rows:
-            poses.append(SE3Pose(quaternion_rotation(r[4:8]), r[1:4].copy()))
+        poses = [read_pose(r[1:4], r[4:8]) for r in rows]
     elif fmt == "kitti":
         if rows.shape[1] != 12:
             raise IngestionError("KITTI rows need 12 columns")
         stamps = np.arange(rows.shape[0], dtype=float)
-        for r in rows:
-            M = r.reshape(3, 4)
-            poses.append(SE3Pose(M[:, :3].copy(), M[:, 3].copy()).orthonormalized())
+        poses = [read_pose(M[:, 3], M[:, :3]) for M in rows.reshape(-1, 3, 4)]
     else:
         raise IngestionError(f"unknown trajectory format {fmt!r}")
     return Trajectory(stamps, poses)

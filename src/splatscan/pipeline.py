@@ -190,10 +190,10 @@ class Pipeline:
         the origin, zero angular extent) still gets its row, flagged
         ``fallback`` with a ``fallback_reason``; it adds nothing to the map.
         Registered scans report the solver's iterations and convergence and
-        each residual family's count and RMS (``n_geo``/``geo_rms``,
-        ``n_photo``/``photo_rms``).  Every row says what mapping did:
-        ``reset`` is the trigger that archived the previous map
-        (``"keyframes"``, ``"radius"`` or ``"coverage"``, see
+        each residual family's count and RMS at the registered pose
+        (``n_geo``/``geo_rms``, ``n_photo``/``photo_rms``).  Every row says
+        what mapping did: ``reset`` is the trigger that archived the previous
+        map (``"keyframes"``, ``"radius"`` or ``"coverage"``, see
         :func:`mapping.should_reset_local_map`) or ``None``,
         ``coverage`` is the mean rendered opacity the reset check measured
         (``None`` when it rendered nothing), and ``spawned``/``pruned``

@@ -12,7 +12,10 @@ oriented reference in two forms:
 Both residual families are robustified with Huber weights and normalized
 by residual count, then minimized by Gauss-Newton on the right-update
 ``T <- T * exp(delta)`` with Levenberg damping when a step fails to
-reduce the objective.
+reduce the objective.  A trial pose evaluates the residuals it is scored
+by, so an accepted trial is the next linearisation point; the residuals
+are evaluated afresh only when a phase adds a family or the trim floor
+anneals.
 
 The schedule is fixed: a geometric phase (point-to-plane only) for the
 first ``max_iters // 2`` iterations, then a joint phase (both families)
@@ -220,11 +223,8 @@ def _geo_system(tree: LeafTree, scan: np.ndarray, T: SE3Pose, trim_floor: float)
         return None
     cfg = REGISTRATION_CONFIG
     p_w = T.apply(scan)
-    k = min(cfg.assoc_k, tree.kdtree.n)
-    dist, leaf_i = tree.kdtree.query(p_w, k=k, distance_upper_bound=cfg.assoc_gate)
-    if k == 1:
-        dist = dist[:, None]
-        leaf_i = leaf_i[:, None]
+    # a tree with fewer leaves pads its answers with inf, which ``valid`` drops
+    dist, leaf_i = tree.kdtree.query(p_w, k=cfg.assoc_k, distance_upper_bound=cfg.assoc_gate)
     valid = np.isfinite(dist)
     ok = valid[:, 0]
     if not ok.any():
@@ -372,17 +372,21 @@ def register(
     # to roughly scan resolution so the warp term stays cheap
     X_w = model_pts[:: s * s]
 
-    # residual families: (system at a pose and trim floor, Huber delta, trim floor)
-    families = {
-        "geo": (lambda T, floor: _geo_system(tree, geo_scan, T, floor),
-                cfg.huber_geo, cfg.trim_floor_geo),
-        "photo": (lambda T, floor: _photo_system(X_w, scan_img, cam, T, floor),
-                  cfg.huber_photo, cfg.trim_floor_photo),
+    systems = {
+        "geo": lambda T, floor: _geo_system(tree, geo_scan, T, floor),
+        "photo": lambda T, floor: _photo_system(X_w, scan_img, cam, T, floor),
     }
-    last = {name: np.zeros(0) for name in families}
+    huber = {"geo": cfg.huber_geo, "photo": cfg.huber_photo}
+    trim_floor = {"geo": cfg.trim_floor_geo, "photo": cfg.trim_floor_photo}
+
+    def evaluate(T, floors):
+        """Each family's ``(r, J)`` at ``T``; one without residuals is left out."""
+        found = {name: systems[name](T, floor) for name, floor in floors.items()}
+        return {name: f for name, f in found.items() if f is not None}
+
     T = initial.copy()
+    lin, floors = {}, {}  # the linearisation at T, and the trim floors it was built at
     it_total = 0
-    converged = False
 
     # geometric phase, then joint phase; budgets count iterations in total
     for active, budget in ((("geo",), cfg.max_iters // 2), (("geo", "photo"), cfg.max_iters)):
@@ -394,59 +398,48 @@ def register(
             # residuals would be trimmed once the rest has converged; keep
             # the trim loose at first and tighten it geometrically
             anneal = cfg.assoc_gate * 0.5 ** it_total
-            H = np.zeros((6, 6))
-            b = np.zeros(6)
-            # each family's normal equations, weighted by 1 / residual count;
-            # terms keeps what re-scores it at a trial pose
-            terms = []
-            obj0 = 0.0
-            n_res = 0
-            for name in active:
-                system, huber, floor = families[name]
-                floor = max(floor, anneal)
-                found = system(T, floor)
-                if found is None:
-                    continue
-                r, J = found
-                w = _huber_weights(r, huber)
-                s = 1.0 / r.shape[0]
-                H += s * (J.T * w) @ J
-                b += s * (J.T @ (w * r))
-                obj0 += s * _huber_value(r, huber)
-                terms.append((system, floor, huber, s))
-                n_res += r.shape[0]
-                last[name] = r
-            if n_res < cfg.min_residuals:
+            old, floors = floors, {name: max(trim_floor[name], anneal) for name in active}
+            # only a family new to the phase or whose floor moved is evaluated
+            # again; the rest of the linearisation is the accepted trial's
+            stale = {name: f for name, f in floors.items() if old.get(name) != f}
+            lin = {name: rJ for name, rJ in lin.items() if name not in stale} | evaluate(T, stale)
+            if sum(r.shape[0] for r, _ in lin.values()) < cfg.min_residuals:
                 raise RegistrationError("too few residuals survive association")
 
+            # each family's normal equations, weighted by 1 / residual count
+            weight = {name: 1.0 / r.shape[0] for name, (r, _) in lin.items()}
+            H, b, obj0 = np.zeros((6, 6)), np.zeros(6), 0.0
+            for name, (r, J) in lin.items():
+                w = _huber_weights(r, huber[name])
+                H += weight[name] * (J.T * w) @ J
+                b += weight[name] * (J.T @ (w * r))
+                obj0 += weight[name] * _huber_value(r, huber[name])
+
             accepted = False
-            while lam <= cfg.damping_max:
+            while not accepted and lam <= cfg.damping_max:
                 try:
                     delta = np.linalg.solve(H + lam * np.eye(6), -b)
                 except np.linalg.LinAlgError:
-                    lam = max(lam, 1e-8) * 10.0
-                    continue
-                if not np.all(np.isfinite(delta)):
-                    lam = max(lam, 1e-8) * 10.0
-                    continue
-                T_try = T.retract(delta)
-                trial = [(system(T_try, floor), huber, s) for system, floor, huber, s in terms]
-                obj = [s * _huber_value(f[0], huber) for f, huber, s in trial if f is not None]
-                if obj and sum(obj) <= obj0 + 1e-12:
-                    T = T_try
-                    lam = max(lam * 0.25, cfg.damping_init)
-                    accepted = True
-                    break
-                lam = max(lam, 1e-8) * 10.0
+                    delta = np.full(6, np.nan)
+                if np.all(np.isfinite(delta)):
+                    T_try = T.retract(delta)
+                    trial = evaluate(T_try, floors)
+                    # scored like the linearisation: its families, its weights
+                    obj = [weight[name] * _huber_value(trial[name][0], huber[name])
+                           for name in lin if name in trial]
+                    accepted = bool(obj) and sum(obj) <= obj0 + 1e-12
+                lam = max(lam * 0.25, cfg.damping_init) if accepted else max(lam, 1e-8) * 10.0
             if not accepted:
                 break  # damping exhausted: keep current estimate for this phase
+            T, lin = T_try, trial  # the accepted trial is the next linearisation
             if np.linalg.norm(delta) < cfg.tol:
                 converged = True
                 break
 
-    T = T.orthonormalized()
-    geo_r, photo_r = last["geo"], last["photo"]
+    # residual statistics of the linearisation at the returned pose
+    geo_r, photo_r = (lin[name][0] if name in lin else np.zeros(0) for name in systems)
     rms = lambda r: float(np.sqrt(np.mean(r * r))) if r.size else 0.0
     return RegistrationResult(
-        T, converged, it_total, rms(geo_r), rms(photo_r), geo_r.size, photo_r.size
+        T.orthonormalized(), converged, it_total, rms(geo_r), rms(photo_r),
+        geo_r.size, photo_r.size,
     )

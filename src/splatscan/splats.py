@@ -219,11 +219,13 @@ class SplatModel:
         and ``opacities``.  Each broadcasts to its array's shape; an omitted
         one is zero.  The chain rule runs back through the storage maps:
         Gram-Schmidt for the raw tangents, ``exp`` for the log scales and the
-        sigmoid for the logit opacity.
+        sigmoid for the logit opacity.  The chain is linear, so without a
+        frame gradient the raw-tangent columns are 0 and Gram-Schmidt is skipped.
         """
         n = len(self)
-        frame = (np.broadcast_to(g, (n, 3)) for g in (t_alpha, t_beta, normal))
-        ga, gb = tangent_raw_gradients(self.raw_t_alpha, self.raw_t_beta, *frame)
+        frame = [np.broadcast_to(g, (n, 3)) for g in (t_alpha, t_beta, normal)]
+        ga, gb = (tangent_raw_gradients(self.raw_t_alpha, self.raw_t_beta, *frame)
+                  if any(g.any() for g in frame) else (0.0, 0.0))
         o = self.opacities
         return self.param_rows(n, centers=centers, raw_t_alpha=ga, raw_t_beta=gb,
                                log_scales=scales * self.scales,

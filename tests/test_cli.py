@@ -145,18 +145,24 @@ def _one_error_line(err):
     return err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("quaternion", ["0 0 0 0", "nan 0 0 1"])
-def test_eval_traj_rejects_a_row_without_a_rotation(tmp_path, capsys, quaternion):
+@pytest.mark.parametrize("tail", ["0 0 0 0", "nan 0 0 1", "nan 0 0 0 0 0 1", "1 0 inf 0 0 0 1"])
+def test_eval_traj_rejects_a_row_without_a_rotation(tmp_path, capsys, tail):
+    # ``tail`` is the end of the second row: its quaternion, or its
+    # translation and quaternion
     ref = tmp_path / "ref.tum"
     ref.write_text("0 0 0 0 0 0 0 1\n1 1 0 0 0 0 0 1\n")
+    fields = "1 1 0 0 0 0 0 1".split()
+    fields[-len(tail.split()):] = tail.split()
     est = tmp_path / "est.tum"
-    est.write_text(f"0 0 0 0 0 0 0 1\n1 1 0 0 {quaternion}\n")
+    est.write_text(f"0 0 0 0 0 0 0 1\n{' '.join(fields)}\n")
     assert main(["eval-traj", str(est), str(ref)]) == 2
     err = capsys.readouterr().err
-    assert _one_error_line(err) and "quaternion" in err
+    assert _one_error_line(err)
+    assert ("quaternion" if len(tail.split()) == 4 else "translation") in err
 
 
-@pytest.mark.parametrize("pose", ["0,0,0,0,0,0,0", "0,0,0,0,0,inf,1", "0,0,0,x,0,0,1"])
+@pytest.mark.parametrize("pose", ["0,0,0,0,0,0,0", "0,0,0,0,0,inf,1", "0,0,0,x,0,0,1",
+                                  "nan,0,0,0,0,0,1", "0,0,-inf,0,0,0,1"])
 def test_render_rejects_a_pose_without_a_rotation(tmp_path, capsys, pose):
     model = _small_model_file(tmp_path / "map.splm")
     argv = ["render", str(model), "--out", str(tmp_path / "view"), "--pose", pose,

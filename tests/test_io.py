@@ -78,6 +78,13 @@ def test_trajectory_round_trip(tmp_path, rng, fmt, n):
             assert np.array_equal(got.stamps, traj.stamps)
 
 
+def test_kitti_row_with_a_nan_translation_raises(tmp_path):
+    path = tmp_path / "traj.txt"
+    path.write_text("1 0 0 nan 0 1 0 0 0 0 1 0\n")
+    with pytest.raises(IngestionError, match="translation"):
+        load_trajectory(path)
+
+
 def test_empty_trajectory_file_raises(tmp_path):
     path = tmp_path / "traj.txt"
     path.write_text("")
