@@ -34,7 +34,7 @@ __all__ = [
 
 @dataclass
 class Trajectory:
-    """Timestamped poses (sensor in world), timestamps strictly increasing."""
+    """Timestamped poses (sensor in world), timestamps finite and strictly increasing."""
 
     stamps: np.ndarray
     poses: list[SE3Pose]
@@ -43,6 +43,8 @@ class Trajectory:
         self.stamps = np.asarray(self.stamps, dtype=float).reshape(-1)
         if len(self.stamps) != len(self.poses):
             raise EvaluationError("timestamps and poses disagree in length")
+        if not np.all(np.isfinite(self.stamps)):
+            raise EvaluationError("timestamps must be finite")
         if len(self.stamps) > 1 and np.any(np.diff(self.stamps) <= 0):
             raise EvaluationError("timestamps must be strictly increasing")
 
@@ -174,6 +176,8 @@ def reconstruction_metrics(
     ref = np.asarray(ref, dtype=float).reshape(-1, 3)
     if est.shape[0] == 0 or ref.shape[0] == 0:
         raise EvaluationError("empty cloud in reconstruction metrics")
+    if not (np.all(np.isfinite(est)) and np.all(np.isfinite(ref))):
+        raise EvaluationError("non-finite point in reconstruction metrics")
     if voxel is not None:
         est = voxel_downsample(est, voxel)
         ref = voxel_downsample(ref, voxel)

@@ -23,23 +23,22 @@ clamped to 0.99, and a pair adds nothing once the transmittance in front
 of it is below 1e-4.
 
 Tiling: splats are binned to square pixel tiles (``RASTER_CONFIG.tile_size``
-pixels on a side) using a conservative angular bound: every point of the
-splat with non-negligible density lies inside a ball of radius
-``3.33 * max(scale)`` around the centroid (3.33 sigma is where a fully
-opaque splat falls to alpha = 1/255), and the image footprint of that
-ball is a closed-form box in azimuth/elevation.  Tiles are matched
-against that box by circular interval overlap in azimuth, which handles
-the seam of full-circle cameras for free.
+pixels on a side) by their cutoff ellipse: alpha reaches 1/255 only where
+``|s| <= c = sqrt(2 ln(255 o))``, so a splat with ``o < 1/255`` gets no
+tile.  The ellipse's extents along the centroid's horizontal radial,
+lateral and vertical directions give it one azimuth and one elevation
+interval (:func:`_bin_splats`), which become pixel-centre columns and rows
+and then tile ranges.  On cameras whose columns cross the azimuth seam the
+interval also gets copies one turn away, clipped to the image.
 
 A render has two stages.  Screening (:func:`_near_pairs`) is dense and
 cheap: per tile, the plane products of every pixel-splat pair come from
 BLAS matmuls over bounded blocks, and a pair is kept only if its ray
-passes within the splat's binning radius of the centroid (15-25% of
-the binned pairs on the benchmark maps).  Blending (:func:`_blend`) works
-on batches of those near pairs, pixel-major and in blend order within a
-pixel, as 1-D passes: kernel terms, alpha, the hit range, exclusive
-transmittance by a cumprod along each pixel's run, weights, and per-pixel
-sums.  The forward pass and the reference renderer share both stages;
+passes within ``c * max(scale)`` of the centroid.  Blending
+(:func:`_blend`) works on batches of those near pairs, pixel-major and in
+blend order within a pixel, as 1-D passes: kernel terms, alpha, the hit
+range, exclusive transmittance by a cumprod along each pixel's run,
+weights, and per-pixel sums.  The forward pass and the reference renderer share both stages;
 the reference feeds them full-width pixel bands with every splat in range
 order.
 
@@ -78,10 +77,6 @@ __all__ = [
     "reference_rasterize",
 ]
 
-# alpha = 1/255 is reached at |s| = sqrt(2 ln 255) sigma for opacity 1
-_CUTOFF_SIGMA = float(np.sqrt(2.0 * np.log(255.0)))
-
-
 @dataclass(frozen=True)
 class RasterConfig:
     tile_size: int = 8
@@ -92,7 +87,6 @@ class RasterConfig:
     alpha_clamp: float = 0.99
     min_transmittance: float = 1e-4
     denom_eps: float = 1e-12
-    cutoff_sigma: float = _CUTOFF_SIGMA
 
 
 # the settings of every render
@@ -123,10 +117,10 @@ class BlendRecords:
 
     ``pairs`` and ``arrays`` are ``None`` unless the render was asked to
     ``keep_pairs``.  Then ``pairs`` holds the pairs with ``w > 0`` as
-    ``(pix, spl, values)`` entries of whole blend batches, at least
-    ``_BATCH_PAIRS`` pairs each but the last: the pairs' flat pixel index
-    and splat id, each as the smallest unsigned int that holds it, and
-    their (7, pairs) float64 values, one row per term: the
+    ``(pix, spl, values)`` entries, each ending at the first pixel end at
+    or past ``_BATCH_PAIRS`` pairs (the last may be short): the pairs'
+    flat pixel index and splat id, each as the smallest unsigned int that
+    holds it, and their (7, pairs) float64 values, one row per term: the
     transmittance in front of the pair and the six plane products ``a1,
     a2, a4, b1, b2, b4`` (see :func:`_near_pairs`).  The pairs are
     pixel-major and in blend order within a pixel, and a pixel's pairs all
@@ -161,7 +155,6 @@ def _splat_camera_arrays(model: SplatModel, pose: SE3Pose) -> dict:
     Bb = s[:, 1:] * tb_c
     Bc = (model.centers - pose.translation) @ R
     return {
-        "Bc": Bc,
         # what a pair reads of its splat, one row per term: opacity, normal,
         # B_a, B_b, B_c (a gathered term is then one contiguous row).  C
         # order matters: np.take copies a whole array that is not C-contiguous
@@ -174,77 +167,16 @@ def _splat_camera_arrays(model: SplatModel, pose: SE3Pose) -> dict:
     }
 
 
-def _tile_hits(cam: SphericalCamera, arrays: dict):
-    """Boolean splat/tile-row and splat/tile-column incidence matrices.
+def _kernel_cutoff(opacity: np.ndarray) -> np.ndarray:
+    """Per-splat kernel radius ``c``: ``o exp(-|s|^2 / 2) >= alpha_cutoff``
+    exactly when ``|s| <= c = sqrt(2 ln(o / alpha_cutoff))``.  A splat with
+    ``o < alpha_cutoff`` gets ``c = 0`` here and no tile in :func:`_bin_splats`."""
+    return np.sqrt(2.0 * np.log(np.maximum(opacity / RASTER_CONFIG.alpha_cutoff, 1.0)))
 
-    A splat's support is bounded by the cone subtending its cutoff ball
-    (radius ``reach = cutoff_sigma * max(scale)`` around the centroid); a
-    tile is hit when the cone's azimuth interval overlaps the tile's
-    azimuth interval (circularly) and likewise in elevation.
 
-    The tile intervals run from the first to the last pixel centre, with
-    no pad: a pixel samples its ray exactly at its integer image
-    coordinates, so those are the only rays the tile has.  Nothing the
-    blend counts is lost.  A near pair's ray passes within ``reach`` of the
-    centroid (see :func:`_near_pairs`), so the ray lies inside the cone.  A
-    pair whose ray lies outside the cone hits the splat's plane farther
-    than ``reach`` from the centroid, at ``|s| > cutoff_sigma``, where
-    alpha is below the 1/255 cutoff.
-    """
-    cfg = RASTER_CONFIG
-    T = cfg.tile_size
-    tiles_x = (cam.width + T - 1) // T
-    tiles_y = (cam.height + T - 1) // T
-
-    Bc = arrays["Bc"]
-    r = arrays["ranges"]
-    reach = cfg.cutoff_sigma * arrays["scales"].max(axis=1)
-    near = r <= reach + 1e-12  # ball contains the sensor: whole image
-    sin_om = np.clip(reach / np.maximum(r, 1e-12), 0.0, 1.0)
-    omega = np.arcsin(sin_om)
-
-    az_c = np.arctan2(Bc[:, 1], Bc[:, 0])
-    el_c = np.arctan2(Bc[:, 2], np.hypot(Bc[:, 0], Bc[:, 1]))
-
-    # azimuth half-extent of the cone; saturates past the poles
-    pole = np.abs(el_c) + omega >= np.pi / 2 - 1e-9
-    cos_el = np.maximum(np.cos(el_c), 1e-12)
-    dgam = np.arcsin(np.clip(sin_om / cos_el, 0.0, 1.0))
-    dgam = np.where(near | pole, np.pi, dgam)
-    omega = np.where(near, np.pi, omega)
-
-    # angular interval of each tile column / row (pixel centres)
-    tc_idx = np.arange(tiles_x)
-    c_first = tc_idx * T
-    c_last = np.minimum(c_first + T, cam.width) - 1
-    az_first = (c_first - cam.cx) / cam.fx
-    az_last = (c_last - cam.cx) / cam.fx
-    col_center = 0.5 * (az_first + az_last)
-    col_hw = 0.5 * np.abs(az_first - az_last)
-
-    tr_idx = np.arange(tiles_y)
-    r_first = tr_idx * T
-    r_last = np.minimum(r_first + T, cam.height) - 1
-    el_first = (r_first - cam.cy) / cam.fy
-    el_last = (r_last - cam.cy) / cam.fy
-    row_center = 0.5 * (el_first + el_last)
-    row_hw = 0.5 * np.abs(el_first - el_last)
-
-    # (N, tiles_x) arrays set a render's peak memory: update them in place
-    dc = az_c[:, None] - col_center[None, :]
-    dc += np.pi
-    np.mod(dc, 2.0 * np.pi, out=dc)
-    dc -= np.pi
-    np.abs(dc, out=dc)
-    col_hit = dc <= dgam[:, None] + col_hw[None, :]
-
-    dr = np.abs(el_c[:, None] - row_center[None, :])
-    row_hit = dr <= omega[:, None] + row_hw[None, :]
-
-    alive = r > 1e-9
-    col_hit &= alive[:, None]
-    row_hit &= alive[:, None]
-    return row_hit, col_hit, tiles_x, tiles_y
+def _dot3(x, y) -> np.ndarray:
+    """Per-pair dot product of two 3-vectors given as three rows each."""
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
 
 def _ragged_arange(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,28 +188,87 @@ def _ragged_arange(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, within
 
 
-def _bin_splats(cam: SphericalCamera, arrays: dict):
-    """Assign splats to tiles; per tile the list is sorted by centroid range."""
-    row_hit, col_hit, tiles_x, tiles_y = _tile_hits(cam, arrays)
-    n = row_hit.shape[0]
-    nr = row_hit.sum(axis=1)
-    nc = col_hit.sum(axis=1)
-    rows_owner, rows_tile = np.nonzero(row_hit)
-    cols_owner, cols_tile = np.nonzero(col_hit)
-    rstart = np.searchsorted(rows_owner, np.arange(n))
-    cstart = np.searchsorted(cols_owner, np.arange(n))
+def _tile_span(lo, hi, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """First and last tile of the pixel centres in ``[lo, hi]`` (image
+    coordinates, 1e-9 px of slack) among ``size`` pixels; an empty span
+    ends at tile -1."""
+    T = RASTER_CONFIG.tile_size
+    first = np.maximum(np.ceil(lo - 1e-9), 0.0)
+    last = np.minimum(np.floor(hi + 1e-9), size - 1.0)
+    empty = ~(first <= last)  # also where a bound is NaN
+    return ((np.where(empty, 0.0, first) // T).astype(np.int64),
+            np.where(empty, -1.0, last // T).astype(np.int64))
 
-    owner, within = _ragged_arange(nr * nc)
-    tr = rows_tile[rstart[owner] + within // nc[owner]]
-    tc = cols_tile[cstart[owner] + within % nc[owner]]
-    tile_id = tr * tiles_x + tc
-    order = np.lexsort((owner, arrays["ranges"][owner], tile_id))
-    tile_id = tile_id[order]
-    pair_splats = owner[order]
-    tile_ptr = np.concatenate(
-        [[0], np.cumsum(np.bincount(tile_id, minlength=tiles_x * tiles_y))]
-    )
-    return tile_ptr.astype(np.int64), pair_splats.astype(np.int64), tiles_x
+
+def _bin_splats(cam: SphericalCamera, arrays: dict):
+    """Assign splats to tiles; per tile the list is sorted by centroid range.
+
+    Alpha reaches the cutoff only inside the splat's cutoff ellipse,
+    ``B_c + a B_a + b B_b`` with ``a^2 + b^2 <= c^2`` (:func:`_kernel_cutoff`),
+    which reaches ``c hypot(B_a.u, B_b.u)`` from the centroid along a unit
+    ``u``.  Those extents along the centroid's horizontal radial and lateral
+    directions and the vertical bound the azimuth to within ``atan2(e_lat,
+    h_c - e_rad)`` of the centroid's (pi where ``h_c - e_rad <= 0``: around
+    the sensor or over a pole), and the elevation by the corners of the
+    height and horizontal-distance ranges.  Each extent has 1e-9 of the
+    centroid's range as slack against rounding.  The azimuth interval also
+    has copies one turn (``2 pi |fx|`` columns) away, for cameras whose
+    columns cross the seam; a piece's tiles start after those of the pieces
+    left of it, so no tile is binned twice.
+    """
+    T = RASTER_CONFIG.tile_size
+    tiles_x = (cam.width + T - 1) // T
+    tiles_y = (cam.height + T - 1) // T
+
+    terms = arrays["terms"]
+    Ba, Bb, (x, y, z) = terms[4:7], terms[7:10], terms[10:13]
+    c = _kernel_cutoff(terms[0])
+    slack = 1e-9 * (arrays["ranges"] + c * arrays["scales"].max(axis=1))
+
+    def extent(u):
+        return c * np.hypot(_dot3(Ba, u), _dot3(Bb, u)) + slack
+
+    h_c = np.hypot(x, y)
+    # the horizontal radial unit vector; zero on the z axis, where h_c -
+    # e_rad < 0 anyway
+    rx, ry = (v / np.where(h_c > 0.0, h_c, 1.0) for v in (x, y))
+    e_rad = extent((rx, ry, 0.0))
+    e_lat = extent((-ry, rx, 0.0))
+    e_z = extent((0.0, 0.0, 1.0))
+    h_lo = h_c - e_rad
+    half_az = np.where(h_lo > 0.0, np.arctan2(e_lat, h_lo), np.pi)
+    h_lo = np.maximum(h_lo, 0.0)
+    h_hi = np.hypot(h_c + e_rad, e_lat)
+    z_lo, z_hi = z - e_z, z + e_z
+    el_lo = np.arctan2(z_lo, np.where(z_lo > 0.0, h_hi, h_lo))
+    el_hi = np.arctan2(z_hi, np.where(z_hi > 0.0, h_lo, h_hi))
+
+    # fx and fy are negative: the top row and the left column hold the
+    # largest angles
+    row_first, row_last = _tile_span(cam.fy * el_hi + cam.cy, cam.fy * el_lo + cam.cy,
+                                     cam.height)
+    # a splat fainter than the cutoff gets no row
+    row_last[~(terms[0] >= RASTER_CONFIG.alpha_cutoff)] = -1
+    n_rows = np.maximum(row_last - row_first + 1, 0)
+
+    u_c = cam.fx * np.arctan2(y, x) + cam.cx
+    half = (abs(cam.fx) * half_az)[:, None]
+    shift = 2.0 * np.pi * abs(cam.fx) * np.array([-1.0, 0.0, 1.0])
+    col_first, col_last = _tile_span(u_c[:, None] + shift - half, u_c[:, None] + shift + half,
+                                     cam.width)
+    col_first[:, 1:] = np.maximum(col_first[:, 1:],
+                                  np.maximum.accumulate(col_last, axis=1)[:, :-1] + 1)
+    n_cols = np.maximum(col_last - col_first + 1, 0)
+
+    # one entry per (splat, piece, row, column): piece-major, then row-major
+    piece, within = _ragged_arange((n_cols * n_rows[:, None]).ravel())
+    spl = piece // 3
+    width = n_cols.ravel()[piece]
+    tile_id = ((row_first[spl] + within // width) * tiles_x
+               + col_first.ravel()[piece] + within % width)
+    order = np.lexsort((spl, arrays["ranges"][spl], tile_id))
+    counts = np.bincount(tile_id, minlength=tiles_x * tiles_y)
+    return np.concatenate([[0], np.cumsum(counts)]), spl[order], tiles_x
 
 
 # --- screening --------------------------------------------------------------
@@ -301,15 +292,17 @@ def _near_pairs(cam: SphericalCamera, arrays: dict, tiles):
     """Screen each tile's pixel-splat pairs; yield the near ones in batches.
 
     ``tiles`` yields (row slice, column slice, splat ids in blend order).
-    A pair is near when the pixel's ray passes within the splat's binning
-    radius ``cutoff_sigma * max(scale)`` of the centroid:
-    ``a4^2 + b4^2``, with ``a4 = h_x . B_c`` and ``b4 = h_y . B_c``, is that
-    squared distance, so every pair whose alpha can reach the cutoff is
-    near.  The plane products are dense matmuls over blocks of a tile's
-    pixels against all its splats, at most ``tile_size**2 * chunk_size``
-    pairs a block: ``h_x``, ``h_y`` and the ray ``v`` against ``B_a``,
-    ``B_b`` and ``B_c``, in the order ``a1, a2, a4, b1, b2, b4, v.B_a,
-    v.B_b, v.B_c``.
+    A pair is near when the pixel's ray passes within ``c * max(scale)`` of
+    the centroid, with ``c`` the splat's kernel radius
+    (:func:`_kernel_cutoff`): ``a4^2 + b4^2``, with ``a4 = h_x . B_c`` and
+    ``b4 = h_y . B_c``, is that squared distance.  A hit at ``|s| <= c``
+    lies within ``c * max(scale)`` of the centroid, so every pair whose
+    alpha can reach the cutoff is near, and a faint splat screens fewer
+    pairs than an opaque one of the same shape.  The plane products are
+    dense matmuls over blocks of a tile's pixels against all its splats, at
+    most ``tile_size**2 * chunk_size`` pairs a block: ``h_x``, ``h_y`` and
+    the ray ``v`` against ``B_a``, ``B_b`` and ``B_c``, in the order ``a1,
+    a2, a4, b1, b2, b4, v.B_a, v.B_b, v.B_c``.
 
     Yields batches ``(pix, spl, planes)``: the near pairs' flat pixel
     index, splat id and (9, pairs) plane products, pixel-major and in blend
@@ -320,7 +313,7 @@ def _near_pairs(cam: SphericalCamera, arrays: dict, tiles):
     hx, hy = cam.pixel_ray_planes
     dirs = cam.pixel_directions
     flat = np.arange(cam.height * cam.width).reshape(cam.height, cam.width)
-    reach = cfg.cutoff_sigma * arrays["scales"].max(axis=1)
+    reach = _kernel_cutoff(arrays["terms"][0]) * arrays["scales"].max(axis=1)
     # slack against rounding in the plane products
     reach2 = reach * reach * (1.0 + 1e-6)
     block_pairs = cfg.tile_size**2 * cfg.chunk_size
@@ -425,8 +418,8 @@ def _render(cam: SphericalCamera, arrays: dict, tiles, kept: list | None = None)
     """Blend range, normal and opacity over ``tiles``; untouched pixels stay 0.
 
     With a ``kept`` list, appends the pairs with ``w > 0`` to it as
-    ``(pix, spl, values)`` entries of at least ``_BATCH_PAIRS`` pairs each
-    but the last (see :class:`BlendRecords`).
+    ``(pix, spl, values)`` entries, each cut at the first pixel end at or
+    past ``_BATCH_PAIRS`` pairs (see :class:`BlendRecords`).
     """
     H, W = cam.height, cam.width
     out = np.zeros((5, H * W))  # range, opacity, normal
@@ -454,9 +447,16 @@ def _render(cam: SphericalCamera, arrays: dict, tiles, kept: list | None = None)
             values = np.empty((7, k.shape[0]))
             values[0] = np.take(b["t"], k)
             values[1:] = np.take(planes[:6], k, axis=1)
-            held.append((np.take(pix, k), np.take(spl, k), values))
-            if sum(x[0].shape[0] for x in held) >= _BATCH_PAIRS:
+            part = (np.take(pix, k), np.take(spl, k), values)
+            # an entry ends at the first pixel end at or past _BATCH_PAIRS pairs
+            ends = np.append(np.flatnonzero(np.diff(part[0])) + 1, k.shape[0])
+            i = np.searchsorted(ends, _BATCH_PAIRS - sum(x[0].shape[0] for x in held))
+            if i < ends.shape[0]:
+                held.append(tuple(x[..., : ends[i]] for x in part))
                 keep()
+                part = tuple(x[..., ends[i] :] for x in part)
+            if part[0].shape[0]:
+                held.append(part)
     if held:
         keep()
     return RenderOutput(
@@ -498,11 +498,6 @@ def reference_rasterize(cam: SphericalCamera, pose: SE3Pose, model: SplatModel) 
 
 
 # --- backward ---------------------------------------------------------------
-
-
-def _dot3(x, y) -> np.ndarray:
-    """Per-pair dot product of two 3-vectors given as three rows each."""
-    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
 
 def rasterize_backward(

@@ -9,7 +9,7 @@ import pytest
 
 from splatscan import cli, mapping
 from splatscan.cli import main
-from splatscan.io import save_model
+from splatscan.io import save_model, write_ply
 from splatscan.rasterizer import rasterize_forward
 from splatscan.splats import SplatModel
 
@@ -159,6 +159,30 @@ def test_eval_traj_rejects_a_row_without_a_rotation(tmp_path, capsys, tail):
     err = capsys.readouterr().err
     assert _one_error_line(err)
     assert ("quaternion" if len(tail.split()) == 4 else "translation") in err
+
+
+@pytest.mark.parametrize("stamps", [(0, "nan", 2), (0, 1, "inf")])
+def test_eval_traj_rejects_a_non_finite_stamp(tmp_path, capsys, stamps):
+    ref = tmp_path / "ref.tum"
+    ref.write_text("".join(f"{t} {t} 0 0 0 0 0 1\n" for t in range(3)))
+    est = tmp_path / "est.tum"
+    est.write_text("".join(f"{t} {i} 0 0 0 0 0 1\n" for i, t in enumerate(stamps)))
+    assert main(["eval-traj", str(est), str(ref)]) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "finite" in err
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("side", ["est", "ref"])
+def test_eval_map_rejects_a_non_finite_point(tmp_path, capsys, bad, side):
+    clouds = {name: np.random.default_rng(0).uniform(-2.0, 2.0, (50, 3))
+              for name in ("est", "ref")}
+    clouds[side][7, 1] = bad
+    for name, cloud in clouds.items():
+        write_ply(tmp_path / f"{name}.ply", cloud)
+    assert main(["eval-map", str(tmp_path / "est.ply"), str(tmp_path / "ref.ply")]) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "non-finite" in err
 
 
 @pytest.mark.parametrize("pose", ["0,0,0,0,0,0,0", "0,0,0,0,0,inf,1", "0,0,0,x,0,0,1",

@@ -2,11 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_model, surface_model
 from splatscan import rasterizer
 from splatscan.errors import GeometryError
-from splatscan.geometry import SphericalCamera
+from splatscan.geometry import SphericalCamera, ray_direction
 from splatscan.rasterizer import (
     RASTER_CONFIG,
     PixelGradients,
@@ -89,6 +91,116 @@ class TestTiledMatchesReference:
         assert rec.pair_splats.size == 0
         for c in CHANNELS:
             assert not np.any(getattr(tiled, c))
+
+
+# --- binning by the cutoff ellipse -------------------------------------------
+
+
+def _one_splat(center, tilt, spin, roll, scales, opacity):
+    """One splat at ``center`` whose normal is ``tilt`` away from the ray
+    through it (pi/2 is edge-on: the splat's plane holds the sensor),
+    turned by ``spin`` about that ray; ``roll`` turns its tangents about
+    the normal."""
+    center = np.asarray(center, dtype=float)
+    d = center / np.linalg.norm(center)
+    e1 = np.cross([0.0, 0.0, 1.0], d) if np.hypot(d[0], d[1]) > 1e-6 else np.array([0.0, 1.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(d, e1)
+    w = np.cos(spin) * e1 + np.sin(spin) * e2
+    across = np.cos(spin) * e2 - np.sin(spin) * e1
+    # (across, along, normal) is orthonormal
+    along = np.cos(tilt) * w - np.sin(tilt) * d
+    ta = np.cos(roll) * across + np.sin(roll) * along
+    tb = np.cos(roll) * along - np.sin(roll) * across
+    model = SplatModel()
+    model.append(center[None], ta[None], tb[None], [scales], [opacity], 0)
+    return model
+
+
+# the -90..90 sphere's first and last rows look straight up and down; the
+# -170..170 camera's columns leave a gap across the seam, which a splat at
+# azimuth pi reaches from both ends
+PROPERTY_CAMERAS = {
+    "full_cam": SphericalCamera(64, 16, -np.pi, np.pi, -np.deg2rad(20.0), np.deg2rad(15.0)),
+    "sphere": SphericalCamera(16, 9, -np.pi, np.pi - np.pi / 8, -np.pi / 2, np.pi / 2),
+    "gap_at_seam": SphericalCamera(34, 12, -np.deg2rad(170.0), np.deg2rad(170.0),
+                                   -np.deg2rad(40.0), np.deg2rad(40.0)),
+}
+
+one_splat = st.builds(
+    lambda az, el, r, tilt, spin, roll, scale, ratio, swap, opacity: _one_splat(
+        r * ray_direction(az, el), tilt, spin, roll,
+        (scale / ratio, scale) if swap else (scale, scale / ratio), opacity),
+    # anywhere, or straddling +-pi
+    az=st.floats(-np.pi, np.pi) | st.floats(np.pi - 0.3, np.pi + 0.3),
+    # anywhere, or near a pole
+    el=st.floats(-1.4, 1.4) | st.floats(1.4, np.pi / 2) | st.floats(-np.pi / 2, -1.4),
+    # out in the scene, or close enough for a large splat to enclose the sensor
+    r=st.floats(1.0, 8.0) | st.floats(0.02, 0.6),
+    # face-on to edge-on, and grazing
+    tilt=st.floats(0.0, np.pi / 2) | st.just(np.pi / 2) | st.floats(np.pi / 2 - 1e-3, np.pi / 2),
+    spin=st.floats(0.0, 2.0 * np.pi),
+    roll=st.floats(0.0, 2.0 * np.pi),
+    scale=st.floats(0.05, 1.5),
+    ratio=st.floats(1.0, 100.0),
+    swap=st.booleans(),
+    # just above the 1/255 cutoff, or anything up to opaque
+    opacity=st.floats(1.0001 / 255.0, 1.05 / 255.0) | st.floats(0.01, 1.0 - 1e-9),
+)
+
+
+@pytest.mark.parametrize("name", PROPERTY_CAMERAS)
+@settings(deadline=None, max_examples=150)
+@given(model=one_splat)
+def test_one_splat_renders_tiled_as_the_reference(name, model):
+    cam = PROPERTY_CAMERAS[name]
+    tiled, _ = rasterize_forward(cam, SE3Pose.identity(), model)
+    ref = reference_rasterize(cam, SE3Pose.identity(), model)
+    assert _max_diff(tiled, ref) <= 1e-12
+
+
+def test_edge_on_and_grazing_splats_render_as_the_reference(full_cam):
+    """Splats seen from 1 to 0 degrees off their plane: thin slivers
+    across the image, down to none at all."""
+    tilts = np.pi / 2 - np.deg2rad([1.0, 0.3, 0.1, 0.01, 0.0])
+    model = SplatModel(np.vstack([
+        _one_splat(3.0 * ray_direction(az, 0.1 * np.sin(3 * az)), tilts[i % 5], 0.7 * i,
+                   0.3 * i, (0.8, 0.4), 0.9).params
+        for i, az in enumerate(np.linspace(-np.pi, np.pi, 20, endpoint=False))]))
+    tiled, _ = rasterize_forward(full_cam, SE3Pose.identity(), model)
+    ref = reference_rasterize(full_cam, SE3Pose.identity(), model)
+    assert _max_diff(tiled, ref) <= 1e-12
+    assert np.sum(ref.opacity > 0.1) > 20
+
+
+def _tile_count(cam, model):
+    _, rec = rasterize_forward(cam, SE3Pose.identity(), model)
+    return rec.pair_splats.size
+
+
+def test_an_edge_on_splat_bins_into_fewer_tiles_than_face_on(full_cam):
+    center = 4.0 * full_cam.pixel_directions[8, 20]
+    face_on = _tile_count(full_cam, _one_splat(center, 0.0, 0.0, 0.0, (1.0, 1.0), 0.9))
+    edge_on = _tile_count(full_cam, _one_splat(center, np.pi / 2, 0.0, 0.0, (1.0, 1.0), 0.9))
+    assert 0 < edge_on < face_on
+
+
+def test_a_splat_below_the_alpha_cutoff_bins_into_no_tile(full_cam):
+    center = 4.0 * full_cam.pixel_directions[8, 20]
+    assert _tile_count(full_cam, _one_splat(center, 0.0, 0.0, 0.0, (0.5, 0.5), 0.99 / 255)) == 0
+    assert _tile_count(full_cam, _one_splat(center, 0.0, 0.0, 0.0, (0.5, 0.5), 1.01 / 255)) > 0
+
+
+def test_a_faint_splat_screens_fewer_near_pairs(full_cam):
+    def near_pairs(opacity):
+        model = _one_splat(4.0 * full_cam.pixel_directions[8, 20], 0.3, 0.0, 0.0, (0.6, 0.4),
+                           opacity)
+        _, rec = rasterize_forward(full_cam, SE3Pose.identity(), model)
+        arrays = _splat_camera_arrays(model, SE3Pose.identity())
+        tiles = _binned_tiles(rec.tile_ptr, rec.pair_splats, rec.tiles_x)
+        return sum(pix.size for pix, _, _ in _near_pairs(full_cam, arrays, tiles))
+
+    assert 0 < near_pairs(0.05) < near_pairs(0.95)
 
 
 # --- gradients --------------------------------------------------------------
@@ -321,13 +433,23 @@ def test_results_do_not_depend_on_the_batch_size(grad_case, monkeypatch, batch):
     _assert_close(rasterize_backward(model, rec, small, pg), grads, rel=1e-12)
 
 
+def test_kept_entries_end_at_the_first_pixel_end_past_the_batch_size(grad_case, monkeypatch):
+    cam, pose, model, _, _ = grad_case
+    monkeypatch.setattr(rasterizer, "_BATCH_PAIRS", 7)
+    _, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
+    assert len(rec.pairs) > 10
+    for (pix, _, _), (after, _, _) in zip(rec.pairs, rec.pairs[1:]):
+        assert pix.size - np.sum(pix == pix[-1]) < 7 <= pix.size
+        assert after[0] != pix[-1]
+
+
 def test_the_near_test_is_conservative(full_cam, rng, monkeypatch):
     """A 3x wider near test (and binning) finds no pair that adds to the image."""
     model = random_model(150, rng, behind_frac=0.5)
     pose = _pose()
     out, _ = rasterize_forward(full_cam, pose, model)
-    monkeypatch.setattr(rasterizer, "RASTER_CONFIG", dataclasses.replace(
-        RASTER_CONFIG, cutoff_sigma=3.0 * RASTER_CONFIG.cutoff_sigma))
+    cutoff = rasterizer._kernel_cutoff
+    monkeypatch.setattr(rasterizer, "_kernel_cutoff", lambda opacity: 3.0 * cutoff(opacity))
     wide, _ = rasterize_forward(full_cam, pose, model)
     for c in CHANNELS:
         scale = float(np.max(np.abs(getattr(out, c))))
