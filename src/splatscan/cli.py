@@ -3,7 +3,7 @@
 Subcommands:
   run        odometry+mapping over an ordered scan sequence
   synth      simulate a scan sequence through a synthetic scene
-  eval-traj  RPE table of an estimated trajectory against ground truth
+  eval-traj  ATE and RPE table of an estimated trajectory against ground truth
   eval-map   accuracy/completeness/F-score of one cloud against another
   render     range/normal/opacity images of a model from a pose
   info       summary statistics of a model or scan file (a file that
@@ -28,7 +28,7 @@ from .errors import (
     IngestionError,
     RegistrationError,
 )
-from .evaluation import reconstruction_metrics, relative_pose_error
+from .evaluation import aligned_ate, reconstruction_metrics, relative_pose_error
 from .geometry import SphericalCamera
 from .io import (
     apply_overrides,
@@ -156,6 +156,7 @@ def _cmd_eval_traj(args) -> int:
     for frac in sorted(rpe.per_delta):
         print(f"RPE @ {rpe.deltas_m[frac]:8.2f} m : {rpe.per_delta[frac]:7.3f} %")
     print(f"RPE mean       : {rpe.mean_percent:7.3f} %")
+    print(f"ATE (aligned)  : {aligned_ate(est, ref, max_dt=args.max_dt):7.3f} cm")
     return 0
 
 
@@ -267,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--seed", type=int, help="RNG seed")
     synth.set_defaults(func=_cmd_synth)
 
-    et = sub.add_parser("eval-traj", help="relative pose error vs ground truth")
+    et = sub.add_parser("eval-traj", help="ATE and relative pose error vs ground truth")
     et.add_argument("est", help="estimated trajectory (TUM or KITTI)")
     et.add_argument("ref", help="reference trajectory")
     et.add_argument("--max-dt", type=float, default=0.05,

@@ -1,6 +1,8 @@
 """Trajectory and reconstruction quality metrics.
 
-Relative pose error follows the usual odometry protocol: estimated and
+Absolute trajectory error (ATE) is the RMS position error after the
+first associated estimated pose is moved onto its reference.  Relative
+pose error follows the usual odometry protocol: estimated and
 reference trajectories are associated by nearest timestamp, then for a
 set of path-length deltas every start pose is paired with the first pose
 at least that far along the reference path, and the translational error
@@ -26,6 +28,7 @@ __all__ = [
     "RPEResult",
     "ReconMetrics",
     "associate",
+    "aligned_ate",
     "relative_pose_error",
     "voxel_downsample",
     "reconstruction_metrics",
@@ -76,6 +79,20 @@ def associate(
     if not np.any(ok):
         raise EvaluationError("no timestamp overlap between trajectories")
     return np.nonzero(ok)[0], pick[ok]
+
+
+def aligned_ate(est: Trajectory, ref: Trajectory, max_dt: float = 0.05) -> float:
+    """RMS position error in centimeters, first associated pose aligned.
+
+    The rigid motion that carries the first timestamp-matched estimated
+    pose onto its reference is applied to every estimated pose, so a run
+    that starts at the identity is scored against a reference that does not.
+    """
+    ei, ri = associate(est, ref, max_dt)
+    A = ref.poses[ri[0]].compose(est.poses[ei[0]].inverse())
+    err = np.stack([A.compose(est.poses[i]).translation - ref.poses[j].translation
+                    for i, j in zip(ei, ri)])
+    return float(100.0 * np.sqrt(np.mean(np.sum(err * err, axis=1))))
 
 
 @dataclass

@@ -186,6 +186,10 @@ class Pipeline:
     def process_scan(self, cloud: np.ndarray, stamp: float | None = None) -> dict:
         """Ingest one sensor-frame scan; returns the per-scan report row.
 
+        Non-finite rows are dropped first, as :func:`io.load_scan` drops
+        them; ``n_points`` counts the finite points and ``n_used`` those
+        subsampled from them.
+
         A scan that fails registration or yields no keyframe (empty, all at
         the origin, zero angular extent) still gets its row, flagged
         ``fallback`` with a ``fallback_reason``; it adds nothing to the map.
@@ -203,6 +207,7 @@ class Pipeline:
         """
         index = len(self.poses)
         cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
+        cloud = cloud[np.isfinite(cloud).all(axis=1)]
         sub = self._subsample(cloud)
         row: dict = {"scan": index, "n_points": int(cloud.shape[0]),
                      "n_used": int(sub.shape[0]), "fallback": False,

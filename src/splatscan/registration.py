@@ -12,14 +12,22 @@ oriented reference in two forms:
 Both residual families are robustified with Huber weights and normalized
 by residual count, then minimized by Gauss-Newton on the right-update
 ``T <- T * exp(delta)`` with Levenberg damping when a step fails to
-reduce the objective.  A trial pose evaluates the residuals it is scored
-by, so an accepted trial is the next linearisation point; the residuals
-are evaluated afresh only when a phase adds a family or the trim floor
-anneals.
+reduce the objective.  Each family is evaluated in two steps: the pose
+step associates (kd query or projection) and gives the untrimmed
+residuals at a pose; the floor step (:func:`_trim`) drops residuals
+beyond the trim threshold and builds the Jacobian of the rest.  A trial
+pose runs both steps for the residuals it is scored by, so an accepted
+trial is the next linearisation point.  Each pose is associated once:
+when a phase adds a family it is associated at the current pose, and
+when an annealed trim floor moves the residuals already there are only
+re-trimmed.  After a refused trial the damping keeps rising, with 6x6
+solves only, until the step differs from the refused one by more than
+``retry_change``; a nearly equal step would be refused again.
 
 The schedule is fixed: a geometric phase (point-to-plane only) for the
 first ``max_iters // 2`` iterations, then a joint phase (both families)
-until ``max_iters`` iterations in total have run.
+until ``max_iters`` iterations in total have run.  A phase ends early once
+an accepted step is shorter than ``tol``, or when the damping runs out.
 
 Every setting has one value in use and lives in :data:`REGISTRATION_CONFIG`,
 read directly here as renders read ``rasterizer.RASTER_CONFIG``.  A study
@@ -64,7 +72,11 @@ class RegistrationConfig:
     trim_floor_photo: float = 0.02
     spread_gate: float = 0.5      # reject warp cells spanning a range discontinuity
     max_iters: int = 30
-    tol: float = 1e-6
+    # a phase converges once an accepted step's norm is below this, and a
+    # report row's ``converged`` says the joint phase did; the norm mixes
+    # meters and radians: 0.1 mm, or 1e-4 rad (1 mm at 10 m), a tenth of the
+    # 1 cm range noise
+    tol: float = 1e-4
     visibility_opacity: float = 0.5
     leaf_size: int = 64
     flatness_tau: float = 0.02
@@ -73,6 +85,7 @@ class RegistrationConfig:
     geo_supersample: int = 2      # render the reference at this multiple of scan resolution
     damping_init: float = 1e-6
     damping_max: float = 1e6
+    retry_change: float = 0.01    # after a refusal, damp until the step moves by this share
 
 
 # the settings of every registration
@@ -209,15 +222,14 @@ def _huber_value(r: np.ndarray, delta: float) -> float:
     return float(np.sum(np.where(a <= delta, quad, lin)))
 
 
-def _geo_system(tree: LeafTree, scan: np.ndarray, T: SE3Pose, trim_floor: float):
-    """Point-to-plane residuals and Jacobians at the current pose.
+def _geo_system(tree: LeafTree, scan: np.ndarray, T: SE3Pose):
+    """Point-to-plane residuals at ``T``, untrimmed, and their Jacobian.
 
     Each point considers its ``assoc_k`` nearest leaf centroids and keeps
     the one whose plane it is closest to; near edges the nearest centroid
-    is often on the wrong surface.  Residuals beyond ``trim_factor`` times
-    the median are dropped as mis-associations.  ``trim_floor`` keeps the
-    threshold from collapsing while part of the pose error is still large;
-    the solver anneals it downward across iterations.
+    is often on the wrong surface.  Returns ``(r, jacobian)``, where
+    ``jacobian(keep)`` gives the rows of the residuals ``keep`` selects, or
+    None when no point has a leaf within the association gate.
     """
     if tree.kdtree is None:
         return None
@@ -236,18 +248,15 @@ def _geo_system(tree: LeafTree, scan: np.ndarray, T: SE3Pose, trim_floor: float)
     best = pd.argmin(axis=1)
     li = leaf_i[np.arange(p_w.shape[0]), best][ok]
     n = tree.normals[li]
-    c = tree.centroids[li]
     q = scan[ok]
-    r = np.sum(n * (p_w[ok] - c), axis=1)
-    keep = np.abs(r) <= max(cfg.trim_factor * np.median(np.abs(r)), trim_floor)
-    if not keep.any():
-        return None
-    n, c, q, r = n[keep], c[keep], q[keep], r[keep]
-    nR = n @ T.rotation  # row i: n_i^T R
-    Jt = nR
-    Jr = np.cross(q, nR)  # -n^T R [q]x == (q x (R^T n))^T row-wise
-    J = np.concatenate([Jt, Jr], axis=1)
-    return r, J
+    r = np.sum(n * (p_w[ok] - tree.centroids[li]), axis=1)
+
+    def jacobian(keep):
+        nR = n[keep] @ T.rotation  # row i: n_i^T R
+        # -n^T R [q]x == (q x (R^T n))^T row-wise
+        return np.concatenate([nR, np.cross(q[keep], nR)], axis=1)
+
+    return r, jacobian
 
 
 def _bilinear_range(rimg: RangeImage, uv: np.ndarray):
@@ -284,52 +293,53 @@ def _bilinear_range(rimg: RangeImage, uv: np.ndarray):
     return val, du, dv, ok
 
 
-def _photo_system(
-    X_w: np.ndarray,
-    rimg: RangeImage,
-    cam: SphericalCamera,
-    T: SE3Pose,
-    trim_floor: float,
-):
-    """Range-warp residuals: |q| - D_scan(project(q)), q = T^-1 X_w."""
-    cfg = REGISTRATION_CONFIG
-    Tin = T.inverse()
-    q = Tin.apply(X_w)
+def _photo_system(X_w: np.ndarray, rimg: RangeImage, cam: SphericalCamera, T: SE3Pose):
+    """Range-warp residuals |q| - D_scan(project(q)), q = T^-1 X_w, untrimmed.
+
+    Returns ``(r, jacobian)`` as :func:`_geo_system` does, or None when no
+    anchor warps onto a valid cell of the scan image.
+    """
+    q = T.inverse().apply(X_w)
     rho2 = q[:, 0] ** 2 + q[:, 1] ** 2
     r2 = rho2 + q[:, 2] ** 2
-    good = rho2 > 1e-12
-    uv = cam.project(q)
-    val, du, dv, ok = _bilinear_range(rimg, uv)
-    ok &= good
+    val, du, dv, ok = _bilinear_range(rimg, cam.project(q))
+    ok &= rho2 > 1e-12
     if not ok.any():
         return None
-    q = q[ok]
-    rho2 = rho2[ok]
-    r2 = r2[ok]
+    q, rho2, r2, du, dv = q[ok], rho2[ok], r2[ok], du[ok], dv[ok]
     rng_q = np.sqrt(r2)
-    r = rng_q - val[ok]
-    du = du[ok]
-    dv = dv[ok]
-    keep = np.abs(r) <= max(cfg.trim_factor * np.median(np.abs(r)), trim_floor)
+
+    def jacobian(keep):
+        qk, rho2k, r2k, rngk = q[keep], rho2[keep], r2[keep], rng_q[keep]
+        x, y, z = qk[:, 0], qk[:, 1], qk[:, 2]
+        rho = np.sqrt(rho2k)
+        # image coordinates of the warped point: u = fx*atan2(y,x)+cx, v = fy*el+cy
+        du_dq = cam.fx * np.stack([-y / rho2k, x / rho2k, np.zeros_like(x)], axis=1)
+        dv_dq = cam.fy * np.stack(
+            [-x * z / (r2k * rho), -y * z / (r2k * rho), rho / r2k], axis=1
+        )
+        dr_dq = qk / rngk[:, None] - du[keep, None] * du_dq - dv[keep, None] * dv_dq
+        # right perturbation: dq/d(rho) = -I, dq/d(phi) = [q]x; row: dr_dq^T [q]x
+        return np.concatenate([-dr_dq, np.cross(dr_dq, qk)], axis=1)
+
+    return rng_q - val[ok], jacobian
+
+
+def _trim(found, trim_floor: float):
+    """A family's ``(r, J)`` with mis-associations dropped, or None.
+
+    Residuals beyond ``trim_factor`` times the median are dropped.
+    ``trim_floor`` keeps the threshold from collapsing while part of the
+    pose error is still large; the solver anneals it downward across
+    iterations.
+    """
+    if found is None:
+        return None
+    r, jacobian = found
+    keep = np.abs(r) <= max(REGISTRATION_CONFIG.trim_factor * np.median(np.abs(r)), trim_floor)
     if not keep.any():
         return None
-    q, rho2, r2, rng_q, r, du, dv = (
-        a[keep] for a in (q, rho2, r2, rng_q, r, du, dv)
-    )
-
-    x, y, z = q[:, 0], q[:, 1], q[:, 2]
-    rho = np.sqrt(rho2)
-    # image coordinates of the warped point: u = fx*atan2(y,x)+cx, v = fy*el+cy
-    du_dq = cam.fx * np.stack([-y / rho2, x / rho2, np.zeros_like(x)], axis=1)
-    dv_dq = cam.fy * np.stack(
-        [-x * z / (r2 * rho), -y * z / (r2 * rho), rho / r2], axis=1
-    )
-    dr_dq = q / rng_q[:, None] - du[:, None] * du_dq - dv[:, None] * dv_dq
-    # right perturbation: dq/d(rho) = -I, dq/d(phi) = [q]x
-    Jt = -dr_dq
-    Jr = np.cross(dr_dq, q)  # row: dr_dq^T [q]x
-    J = np.concatenate([Jt, Jr], axis=1)
-    return r, J
+    return r[keep], jacobian(keep)
 
 
 # --- solver -----------------------------------------------------------------
@@ -373,19 +383,26 @@ def register(
     X_w = model_pts[:: s * s]
 
     systems = {
-        "geo": lambda T, floor: _geo_system(tree, geo_scan, T, floor),
-        "photo": lambda T, floor: _photo_system(X_w, scan_img, cam, T, floor),
+        "geo": lambda T: _geo_system(tree, geo_scan, T),
+        "photo": lambda T: _photo_system(X_w, scan_img, cam, T),
     }
     huber = {"geo": cfg.huber_geo, "photo": cfg.huber_photo}
     trim_floor = {"geo": cfg.trim_floor_geo, "photo": cfg.trim_floor_photo}
 
-    def evaluate(T, floors):
-        """Each family's ``(r, J)`` at ``T``; one without residuals is left out."""
-        found = {name: systems[name](T, floor) for name, floor in floors.items()}
-        return {name: f for name, f in found.items() if f is not None}
+    def evaluate(T, floors, found):
+        """Each family's trimmed ``(r, J)`` at ``T``; one without residuals is
+        left out.  ``found`` holds the untrimmed residuals already computed
+        at ``T``; a family missing from it is associated and added."""
+        for name in floors:
+            if name not in found:
+                found[name] = systems[name](T)
+        trimmed = {name: _trim(found[name], floor) for name, floor in floors.items()}
+        return {name: f for name, f in trimmed.items() if f is not None}
 
     T = initial.copy()
-    lin, floors = {}, {}  # the linearisation at T, and the trim floors it was built at
+    # the untrimmed residuals at T, the linearisation built from them, and
+    # the trim floors it was built at
+    found, lin, floors = {}, {}, {}
     it_total = 0
 
     # geometric phase, then joint phase; budgets count iterations in total
@@ -399,10 +416,11 @@ def register(
             # the trim loose at first and tighten it geometrically
             anneal = cfg.assoc_gate * 0.5 ** it_total
             old, floors = floors, {name: max(trim_floor[name], anneal) for name in active}
-            # only a family new to the phase or whose floor moved is evaluated
+            # only a family new to the phase or whose floor moved is trimmed
             # again; the rest of the linearisation is the accepted trial's
             stale = {name: f for name, f in floors.items() if old.get(name) != f}
-            lin = {name: rJ for name, rJ in lin.items() if name not in stale} | evaluate(T, stale)
+            lin = {name: rJ for name, rJ in lin.items() if name not in stale}
+            lin |= evaluate(T, stale, found)
             if sum(r.shape[0] for r, _ in lin.values()) < cfg.min_residuals:
                 raise RegistrationError("too few residuals survive association")
 
@@ -415,23 +433,29 @@ def register(
                 b += weight[name] * (J.T @ (w * r))
                 obj0 += weight[name] * _huber_value(r, huber[name])
 
-            accepted = False
+            accepted, refused = False, None
             while not accepted and lam <= cfg.damping_max:
                 try:
                     delta = np.linalg.solve(H + lam * np.eye(6), -b)
                 except np.linalg.LinAlgError:
                     delta = np.full(6, np.nan)
-                if np.all(np.isfinite(delta)):
-                    T_try = T.retract(delta)
-                    trial = evaluate(T_try, floors)
+                # a step that damping has barely moved since the last refusal
+                # would be refused again: raise the damping before trying one
+                moved = refused is None or (np.linalg.norm(delta - refused)
+                                            > cfg.retry_change * np.linalg.norm(refused))
+                if np.all(np.isfinite(delta)) and moved:
+                    T_try, found_try = T.retract(delta), {}
+                    trial = evaluate(T_try, floors, found_try)
                     # scored like the linearisation: its families, its weights
                     obj = [weight[name] * _huber_value(trial[name][0], huber[name])
                            for name in lin if name in trial]
                     accepted = bool(obj) and sum(obj) <= obj0 + 1e-12
+                    refused = None if accepted else delta
                 lam = max(lam * 0.25, cfg.damping_init) if accepted else max(lam, 1e-8) * 10.0
             if not accepted:
                 break  # damping exhausted: keep current estimate for this phase
-            T, lin = T_try, trial  # the accepted trial is the next linearisation
+            # the accepted trial is the next linearisation
+            T, found, lin = T_try, found_try, trial
             if np.linalg.norm(delta) < cfg.tol:
                 converged = True
                 break

@@ -161,6 +161,19 @@ def test_eval_traj_rejects_a_row_without_a_rotation(tmp_path, capsys, tail):
     assert ("quaternion" if len(tail.split()) == 4 else "translation") in err
 
 
+def test_eval_traj_prints_the_aligned_ate(tmp_path, capsys):
+    # the estimate starts at the origin, the reference 5 m away; after
+    # alignment only the last pose is off, by 0.3 m in y
+    ref = tmp_path / "ref.tum"
+    ref.write_text("".join(f"{t} {5 + t} 2 0 0 0 0 1\n" for t in range(4)))
+    est = tmp_path / "est.tum"
+    est.write_text("".join(f"{t} {t} {0.3 * (t == 3)} 0 0 0 0 1\n" for t in range(4)))
+    assert main(["eval-traj", str(est), str(ref)]) == 0
+    out = capsys.readouterr().out
+    ate = [line for line in out.splitlines() if line.startswith("ATE")]
+    assert ate == [f"ATE (aligned)  : {100 * np.sqrt(0.3 ** 2 / 4):7.3f} cm"]
+
+
 @pytest.mark.parametrize("stamps", [(0, "nan", 2), (0, 1, "inf")])
 def test_eval_traj_rejects_a_non_finite_stamp(tmp_path, capsys, stamps):
     ref = tmp_path / "ref.tum"

@@ -54,6 +54,23 @@ def test_one_trajectory_row_per_scan(good_scans, name, position):
     assert report["fallbacks"] >= 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_row_is_dropped(good_scans, bad):
+    # one corrupt return added to each scan: the run is the one without it
+    dirty = [np.insert(scan, 3 + i, np.where(np.arange(3) == i, bad, 1.0), axis=0)
+             for i, scan in enumerate(good_scans)]
+    runs = []
+    for scans in (good_scans, dirty):
+        pipe = Pipeline(RunConfig(image_width=64, image_height=16, refine_iters=1))
+        runs.append(([pipe.process_scan(s) for s in scans], pipe.trajectory.poses))
+    (clean_rows, clean_poses), (rows, poses) = runs
+    assert len(poses) == len(dirty)
+    assert not any(row["fallback"] for row in rows)
+    assert [row["n_points"] for row in rows] == [len(s) for s in good_scans]
+    for p, q in zip(poses, clean_poses):
+        np.testing.assert_array_equal(p.matrix(), q.matrix())
+
+
 def _run(scans, seed, out_dir):
     pipe = Pipeline(RunConfig(image_width=64, image_height=16, refine_iters=1, seed=seed,
                               out_dir=str(out_dir)))

@@ -6,7 +6,8 @@ from scipy.spatial.transform import Rotation
 from conftest import surface_model
 from splatscan import registration
 from splatscan.geometry import estimate_camera
-from splatscan.registration import REGISTRATION_CONFIG, LeafTree, _geo_system, register
+from splatscan.registration import (REGISTRATION_CONFIG, LeafTree, _geo_system, _trim,
+                                    build_leaf_tree, register)
 from splatscan.se3 import SE3Pose, so3_exp
 from splatscan.synth import ScanSpec, raycast_scan, room_with_boxes
 
@@ -68,7 +69,7 @@ def test_geo_system_on_fewer_leaves_than_candidates(n_leaves):
     T = SE3Pose(so3_exp([0.01, -0.02, 0.03]), [0.02, -0.01, 0.01])
     scan = np.array([[0.1, 0.2, 0.03], [-0.2, 0.1, -0.05], [0.9, 0.0, 0.4],
                      [0.6, -0.1, 0.35], [5.0, 5.0, 5.0]])
-    r, J = _geo_system(tree, scan, T, trim_floor=1.0)
+    r, J = _trim(_geo_system(tree, scan, T), trim_floor=1.0)
 
     p_w = T.apply(scan)
     d = np.linalg.norm(p_w[:, None] - centroids, axis=2)
@@ -84,39 +85,113 @@ def test_geo_system_on_fewer_leaves_than_candidates(n_leaves):
                                atol=1e-15)
 
 
-def test_each_pose_and_floor_is_evaluated_once(monkeypatch):
-    """An accepted trial is the next linearisation point: no residual family
-    is evaluated twice at one pose and trim floor, and the reported counts
-    and RMS are those of the last evaluation at the returned pose."""
+@pytest.fixture(scope="module")
+def offset_problem():
+    """A map, a scan and a start 15 cm and 3 deg off the true pose."""
     rng = np.random.default_rng(7)
     scene = room_with_boxes(seed=0)
     model = surface_model(scene, TRUE.translation, 6000, rng, scale=0.12)
     scan = raycast_scan(scene, TRUE, SPEC, rng).cloud
     cam = estimate_camera(scan, SPEC.width, SPEC.height)
-    calls = {"geo": [], "photo": []}
+    start = TRUE.compose(SE3Pose(so3_exp([0.0, 0.0, np.deg2rad(OFFSET_DEG)]),
+                                 [OFFSET_M, 0.0, 0.0]))
+    return model, scan, cam, start
+
+
+def test_each_pose_and_floor_is_evaluated_once(offset_problem, monkeypatch):
+    """An accepted trial is the next linearisation point: no residual family
+    is associated twice at one pose nor trimmed twice at one pose and trim
+    floor, and the reported counts and RMS are those of the last trim at the
+    returned pose."""
+    pose_of = {}  # id of a family's untrimmed residuals -> the pose they are at
+    associated = {"geo": [], "photo": []}
+    trims = []
 
     def recorded(name, system):
         def wrapped(*args):
             found = system(*args)
-            T, floor = args[-2:]
-            calls[name].append((T.matrix(), floor, found))
+            M = args[-1].matrix()
+            associated[name].append((M, found))
+            pose_of[id(found)] = (name, M)
             return found
         return wrapped
+
+    def recorded_trim(found, trim_floor):
+        trimmed = _trim(found, trim_floor)
+        if found is not None:
+            name, M = pose_of[id(found)]
+            trims.append((name, M, trim_floor, trimmed))
+        return trimmed
 
     monkeypatch.setattr(registration, "_geo_system", recorded("geo", _geo_system))
     monkeypatch.setattr(registration, "_photo_system",
                         recorded("photo", registration._photo_system))
-    start = TRUE.compose(SE3Pose(so3_exp([0.0, 0.0, np.deg2rad(OFFSET_DEG)]),
-                                 [OFFSET_M, 0.0, 0.0]))
-    result = register(model, scan, cam, start)
+    monkeypatch.setattr(registration, "_trim", recorded_trim)
+    result = register(*offset_problem)
 
-    for name, seen in calls.items():
-        keys = [(M.tobytes(), floor) for M, floor, _ in seen]
+    for name, seen in associated.items():
+        keys = [M.tobytes() for M, _ in seen]
         assert len(set(keys)) == len(keys), f"{name}: {len(keys) - len(set(keys))} repeats"
-    at_pose = lambda name: [found for M, _, found in calls[name]
-                            if np.allclose(M, result.pose.matrix(), rtol=0, atol=1e-12)]
+    keys = [(name, M.tobytes(), floor) for name, M, floor, _ in trims]
+    assert len(set(keys)) == len(keys), f"{len(keys) - len(set(keys))} repeated trims"
+    at_pose = lambda family: [trimmed for name, M, _, trimmed in trims if name == family
+                              and np.allclose(M, result.pose.matrix(), rtol=0, atol=1e-12)]
     for name, n, rms in (("geo", result.n_geo, result.geo_rms),
                          ("photo", result.n_photo, result.photo_rms)):
         r, _ = at_pose(name)[-1]
         assert n == r.size > 0
         assert rms == float(np.sqrt(np.mean(r * r)))
+
+
+class _CountingTree:
+    """A kd-tree that counts its queries."""
+
+    def __init__(self, tree):
+        self.tree, self.n, self.queries = tree, tree.n, 0
+
+    def query(self, *args, **kwargs):
+        self.queries += 1
+        return self.tree.query(*args, **kwargs)
+
+
+def test_each_pose_is_associated_once(offset_problem, monkeypatch):
+    """Moving an annealed trim floor re-trims the residuals at the current
+    pose; only a pose not seen before queries the leaf tree."""
+    trees, poses = [], []
+
+    def counted_tree(*args):
+        tree = build_leaf_tree(*args)
+        tree.kdtree = _CountingTree(tree.kdtree)
+        trees.append(tree.kdtree)
+        return tree
+
+    def recorded(tree, scan, T):
+        poses.append(T.matrix().tobytes())
+        return _geo_system(tree, scan, T)
+
+    monkeypatch.setattr(registration, "build_leaf_tree", counted_tree)
+    monkeypatch.setattr(registration, "_geo_system", recorded)
+    register(*offset_problem)
+    (tree,) = trees
+    assert tree.queries == len(set(poses)) > 1
+
+
+def test_no_trial_repeats_the_step_refused_before_it(offset_problem, monkeypatch):
+    """After a refusal the damping rises until the step moves by more than
+    ``retry_change`` of its length; only then is a trial evaluated."""
+    trials = []  # (linearisation pose, step) of every evaluated trial
+    retract = SE3Pose.retract
+
+    def recorded(self, delta):
+        trials.append((self, np.array(delta)))
+        return retract(self, delta)
+
+    monkeypatch.setattr(SE3Pose, "retract", recorded)
+    register(*offset_problem)
+    # a trial from the same linearisation as the one before it follows a refusal
+    retries = [(prev, step) for (base0, prev), (base1, step) in zip(trials, trials[1:])
+               if base1 is base0]
+    assert retries
+    for prev, step in retries:
+        change = np.linalg.norm(step - prev)
+        assert change > REGISTRATION_CONFIG.retry_change * np.linalg.norm(prev)
