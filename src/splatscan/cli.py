@@ -9,8 +9,10 @@ Subcommands:
   info       summary statistics of a model or scan file (a file that
              starts with the model magic SPLM is a model, any other a scan)
 
-Exit codes: 0 success, 1 usage, 2 unreadable or malformed data,
-3 numerical failure.  Diagnostics go to stderr, results to stdout.
+``run`` takes each :class:`pipeline.RunConfig` setting as a typed flag, or
+from an ``@FILE`` of one argument a line.  Exit codes: 0 success, 1 usage,
+2 unreadable or malformed data, 3 numerical failure.  Diagnostics go to
+stderr, results to stdout.
 """
 
 from __future__ import annotations
@@ -31,12 +33,10 @@ from .errors import (
 from .evaluation import aligned_ate, reconstruction_metrics, relative_pose_error
 from .geometry import SphericalCamera
 from .io import (
-    apply_overrides,
     is_model_file,
     load_model,
     load_scan,
     load_trajectory,
-    parse_config_text,
     read_ply,
     read_pose,
     save_trajectory,
@@ -61,36 +61,17 @@ _SCAN_EXTS = (".ply", ".bin")
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the contract here is 1."""
+    """argparse exits 2 on usage errors; the contract here is 1.  An @FILE
+    holds one argument a line; blank and ``#`` lines are skipped."""
+
+    def convert_arg_line_to_args(self, arg_line):
+        line = arg_line.strip()
+        return [line] if line and not line.startswith("#") else []
 
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(1)
-
-
-def _kv(text: str) -> tuple[str, str]:
-    if "=" not in text:
-        raise argparse.ArgumentTypeError(f"expected key=value, got {text!r}")
-    k, v = text.split("=", 1)
-    return k.strip(), v.strip()
-
-
-def _build_run_config(args) -> RunConfig:
-    overrides = {}
-    if args.config:
-        cfg_path = Path(args.config)
-        if not cfg_path.is_file():
-            raise IngestionError(f"config file not found: {cfg_path}")
-        overrides.update(parse_config_text(cfg_path.read_text()))
-    overrides.update(args.set or [])
-    if "out_dir" in overrides:
-        raise IngestionError("config key 'out_dir' is set by --out only")
-    cfg = RunConfig(out_dir=args.out)
-    apply_overrides(cfg, overrides)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    return cfg
 
 
 def _scan_paths(inputs: list[str]) -> list[Path]:
@@ -109,7 +90,9 @@ def _scan_paths(inputs: list[str]) -> list[Path]:
 
 
 def _cmd_run(args) -> int:
-    cfg = _build_run_config(args)
+    cfg = RunConfig(image_width=args.width, image_height=args.height,
+                    refine_iters=args.refine_iters, seed=args.seed,
+                    scan_period=args.scan_period, out_dir=args.out)
     paths = _scan_paths(args.scans)
     pipe = Pipeline(cfg)
     for p in paths:
@@ -195,7 +178,7 @@ def _cmd_render(args) -> int:
     write_pfm(f"{prefix}.range.pfm", render.range)
     write_pfm(f"{prefix}.normal.pfm", render.normal)
     write_pfm(f"{prefix}.opacity.pfm", render.opacity)
-    covered = float((render.opacity > 0.5).mean())
+    covered = float(render.surface()[0].mean())
     print(f"rendered {len(model)} splats at {args.width}x{args.height}; "
           f"{covered * 100:.1f}% of pixels confidently covered -> {prefix}.*.pfm")
     return 0
@@ -233,18 +216,24 @@ def build_parser() -> argparse.ArgumentParser:
                      description="LiDAR odometry and mapping with surface splats")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    run = sub.add_parser("run", help="process a scan sequence", epilog=(
-        "config keys for --config and --set: image_width, image_height (range image "
-        "size, from the sensor); refine_iters (map refinement steps per scan: quality "
-        "against speed); seed (as --seed); scan_period (seconds between scans, for "
-        "trajectory timestamps).  out_dir is set by --out only."))
+    defaults = RunConfig()
+    run = sub.add_parser("run", help="process a scan sequence", fromfile_prefix_chars="@",
+                         allow_abbrev=False, epilog="@FILE reads one argument a line "
+                         "(as --width=64), skipping blank and # lines")
     run.add_argument("scans", nargs="+",
                      help="scan files in order, or one directory of scans")
     run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--config", help="config file of key = value lines (keys below)")
-    run.add_argument("--set", action="append", type=_kv, metavar="KEY=VALUE",
-                     help="override one config key (repeatable; keys below)")
-    run.add_argument("--seed", type=int, help="RNG seed for a deterministic run")
+    # the five RunConfig settings; out_dir is --out
+    run.add_argument("--width", type=int, default=defaults.image_width,
+                     help="range image columns, from the sensor (default %(default)s)")
+    run.add_argument("--height", type=int, default=defaults.image_height,
+                     help="range image rows, from the sensor (default %(default)s)")
+    run.add_argument("--refine-iters", type=int, default=defaults.refine_iters,
+                     help="map refinement steps per scan (default %(default)s)")
+    run.add_argument("--seed", type=int, default=defaults.seed,
+                     help="RNG seed of a deterministic run (default %(default)s)")
+    run.add_argument("--scan-period", type=float, default=defaults.scan_period,
+                     help="seconds between scans, for timestamps (default %(default)s)")
     run.add_argument("--verbose", action="store_true",
                      help="per-scan progress on stderr")
     run.set_defaults(func=_cmd_run)

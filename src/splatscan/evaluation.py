@@ -34,6 +34,9 @@ __all__ = [
     "reconstruction_metrics",
 ]
 
+RPE_FRACTIONS = (0.1, 0.2, 0.3, 0.4, 0.5)  # RPE deltas, as shares of the path length
+MAX_DIST_M = 2.0  # reconstruction distances are clamped here, so outliers cannot dominate
+
 
 @dataclass
 class Trajectory:
@@ -107,10 +110,9 @@ class RPEResult:
 def relative_pose_error(
     est: Trajectory,
     ref: Trajectory,
-    fractions: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5),
     max_dt: float = 0.05,
 ) -> RPEResult:
-    """Percent translational RPE over reference-path-length deltas."""
+    """Percent translational RPE over the path-length deltas of ``RPE_FRACTIONS``."""
     ei, ri = associate(est, ref, max_dt)
     if len(ei) < 2:
         raise EvaluationError("need at least two associated poses")
@@ -125,7 +127,7 @@ def relative_pose_error(
 
     per: dict[float, float] = {}
     meters: dict[float, float] = {}
-    for frac in fractions:
+    for frac in RPE_FRACTIONS:
         delta = frac * total
         errs = []
         j = 0
@@ -180,14 +182,12 @@ def reconstruction_metrics(
     est: np.ndarray,
     ref: np.ndarray,
     threshold: float = 0.2,
-    max_dist: float = 2.0,
     voxel: float | None = None,
 ) -> ReconMetrics:
     """Accuracy/completeness/F-score of ``est`` against reference ``ref``.
 
-    Distances are clamped at ``max_dist`` before averaging so stray
-    outliers cannot dominate.  ``voxel`` optionally downsamples both
-    clouds first.
+    Distances are clamped at ``MAX_DIST_M`` before averaging.  ``voxel``
+    optionally downsamples both clouds first.
     """
     est = np.asarray(est, dtype=float).reshape(-1, 3)
     ref = np.asarray(ref, dtype=float).reshape(-1, 3)
@@ -200,8 +200,8 @@ def reconstruction_metrics(
         ref = voxel_downsample(ref, voxel)
     d_er, _ = cKDTree(ref).query(est)
     d_re, _ = cKDTree(est).query(ref)
-    acc = float(np.mean(np.minimum(d_er, max_dist)))
-    com = float(np.mean(np.minimum(d_re, max_dist)))
+    acc = float(np.mean(np.minimum(d_er, MAX_DIST_M)))
+    com = float(np.mean(np.minimum(d_re, MAX_DIST_M)))
     prec = float(np.mean(d_er <= threshold) * 100.0)
     rec = float(np.mean(d_re <= threshold) * 100.0)
     f = 0.0 if prec + rec == 0 else 2.0 * prec * rec / (prec + rec)

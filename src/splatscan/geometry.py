@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 _MIN_RANGE = 1e-9
+_SMOOTH_SIZE = 3  # median window of smooth_range_image, pixels a side
 
 
 def spherical_coords(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -250,8 +251,9 @@ def build_range_image(cam: SphericalCamera, points: np.ndarray) -> RangeImage:
     return RangeImage(img, valid)
 
 
-def smooth_range_image(rimg: RangeImage, wrap: bool = False, size: int = 3) -> RangeImage:
-    """Median-filter the valid ranges; the valid mask is unchanged.
+def smooth_range_image(rimg: RangeImage, wrap: bool = False) -> RangeImage:
+    """Median-filter the valid ranges over ``_SMOOTH_SIZE`` windows; the valid
+    mask is unchanged.
 
     Invalid pixels are excluded from every window (they enter as +inf);
     a pixel whose window is mostly invalid keeps its original value.
@@ -259,10 +261,10 @@ def smooth_range_image(rimg: RangeImage, wrap: bool = False, size: int = 3) -> R
     range noise turns into large orientation noise.
     """
     filled = np.where(rimg.valid, rimg.range, np.inf)
-    k = size // 2
+    k = _SMOOTH_SIZE // 2
     if wrap and k:
         filled = np.pad(filled, ((0, 0), (k, k)), mode="wrap")
-    sm = ndimage.median_filter(filled, size=size, mode="nearest")
+    sm = ndimage.median_filter(filled, size=_SMOOTH_SIZE, mode="nearest")
     if wrap and k:
         sm = sm[:, k:-k]
     out = np.where(rimg.valid & np.isfinite(sm), sm, rimg.range)

@@ -1,4 +1,4 @@
-"""File formats: scans, trajectories, models, float images and config text.
+"""File formats: scans, trajectories, models, float images and run reports.
 
 Everything here is deliberately boring.  Scans arrive as raw float32
 x,y,z,intensity records or as PLY; trajectories go out in the two common
@@ -10,9 +10,7 @@ that knows portable float maps can open them.
 from __future__ import annotations
 
 import json
-import re
 import struct
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +32,6 @@ __all__ = [
     "load_model",
     "is_model_file",
     "write_pfm",
-    "parse_config_text",
-    "apply_overrides",
     "write_report",
 ]
 
@@ -327,69 +323,6 @@ def write_pfm(path, image: np.ndarray) -> None:
         fh.write(f"{image.shape[1]} {image.shape[0]}\n".encode())
         fh.write(b"-1.0\n")
         fh.write(np.ascontiguousarray(image[::-1]).tobytes())
-
-
-# --- config text ------------------------------------------------------------
-
-_BOOLS = {"true": True, "false": False, "yes": True, "no": False}
-
-
-def _coerce(text: str):
-    t = text.strip()
-    low = t.lower()
-    if low in _BOOLS:
-        return _BOOLS[low]
-    try:
-        return int(t)
-    except ValueError:
-        pass
-    try:
-        return float(t)
-    except ValueError:
-        pass
-    return t
-
-
-def parse_config_text(text: str) -> dict:
-    """Parse ``key = value`` lines into a dict.
-
-    Blank lines and ``#`` comments are skipped; values become bool, int
-    or float when they look like one, otherwise stay strings.
-    """
-    out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        m = re.fullmatch(r"([A-Za-z_][\w.]*)\s*[=:]\s*(.+)", line)
-        if m is None:
-            raise IngestionError(f"config line {lineno} unparseable: {raw!r}")
-        out[m.group(1)] = _coerce(m.group(2))
-    return out
-
-
-def apply_overrides(cfg, mapping: dict) -> None:
-    """Assign keys onto the fields of a flat dataclass.
-
-    Unknown keys and values that do not convert to the field's type
-    raise, so typos in config files fail loudly instead of silently
-    running defaults.  Text values are read as in
-    :func:`parse_config_text`; an int is accepted for a float field.
-    """
-    names = {f.name for f in fields(cfg)}
-    for key, value in mapping.items():
-        if key not in names:
-            raise IngestionError(f"unknown config key {key!r}")
-        current = getattr(cfg, key)
-        if isinstance(current, (bool, int, float)):
-            v = _coerce(value) if isinstance(value, str) else value
-            kinds = (type(current),) if not isinstance(current, float) else (int, float)
-            if isinstance(v, bool) != isinstance(current, bool) or not isinstance(v, kinds):
-                raise IngestionError(
-                    f"config key {key!r} expects {type(current).__name__}, got {value!r}"
-                )
-            value = type(current)(v)
-        setattr(cfg, key, value)
 
 
 def write_report(path, report: dict) -> None:

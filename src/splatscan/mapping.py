@@ -75,7 +75,6 @@ class MappingConfig:
     w_normal: float = 0.1
     w_scale: float = 1.0
     scale_cap: float = 0.5        # meters; hinge above this
-    densify_opacity: float = 0.5  # rendered opacity below -> under-covered
     densify_range_err: float = 0.1
     kf_sample_p: float = 0.4      # geometric bias toward recent keyframes
     max_keyframes: int = 100
@@ -94,6 +93,9 @@ class MappingConfig:
 
 # the settings of every map
 MAPPING_CONFIG = MappingConfig()
+
+_OPACITY_EPS = 1e-6  # opacity_loss clamps opacity here before the log
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -157,15 +159,13 @@ def normal_loss(render: RenderOutput, kf: Keyframe) -> tuple[float, np.ndarray]:
     return L, g
 
 
-def opacity_loss(
-    render: RenderOutput, kf: Keyframe, eps: float = 1e-6
-) -> tuple[float, np.ndarray]:
+def opacity_loss(render: RenderOutput, kf: Keyframe) -> tuple[float, np.ndarray]:
     """Negative log opacity over valid pixels; pushes surfaces opaque."""
     M = kf.range_image.valid
     O = render.opacity
-    clamped = np.maximum(O, eps)
+    clamped = np.maximum(O, _OPACITY_EPS)
     L = float(np.sum(-np.log(clamped[M])))
-    g = np.where(M & (O > eps), -1.0 / clamped, 0.0)
+    g = np.where(M & (O > _OPACITY_EPS), -1.0 / clamped, 0.0)
     return L, g
 
 
@@ -293,9 +293,10 @@ def spawn_splats(
 
 
 def densify_mask(render: RenderOutput, kf: Keyframe) -> np.ndarray:
-    """Valid pixels the current model explains poorly (thin or wrong range)."""
+    """Valid pixels the current model explains poorly: no surface (see
+    :meth:`RenderOutput.surface`) or a wrong range."""
     M = kf.range_image.valid
-    thin = render.opacity <= MAPPING_CONFIG.densify_opacity
+    thin = ~render.surface()[0]
     wrong = np.abs(render.range - kf.range_image.range) >= MAPPING_CONFIG.densify_range_err
     return M & (thin | wrong)
 
@@ -312,9 +313,9 @@ def should_reset_local_map(lmap: "LocalMap", kf: Keyframe) -> str | None:
     """The trigger that makes ``kf`` open a fresh local map, or ``None`` to join.
 
     Three triggers, checked in this order: ``"keyframes"``, the keyframe
-    budget is exhausted; ``"radius"``, the sensor has left the map's
-    neighborhood; ``"coverage"``, the model barely covers the new view.
-    A coverage render that lets ``kf`` join is left on the map for
+    budget is exhausted; ``"radius"``, the sensor has left the neighborhood
+    of the map's first keyframe; ``"coverage"``, the model barely covers the
+    new view.  A coverage render that lets ``kf`` join is left on the map for
     :func:`add_keyframe`, which would render the same view.  The check's
     coverage is left on ``lmap.coverage``, ``None`` when it made no render.
     """
@@ -322,7 +323,8 @@ def should_reset_local_map(lmap: "LocalMap", kf: Keyframe) -> str | None:
     lmap.coverage = None
     if len(lmap.keyframes) >= cfg.max_keyframes:
         return "keyframes"
-    if np.linalg.norm(kf.pose.translation - lmap.origin.translation) > cfg.reset_radius:
+    origin = lmap.keyframes[0].pose.translation
+    if np.linalg.norm(kf.pose.translation - origin) > cfg.reset_radius:
         return "radius"
     if len(lmap.model) == 0:
         return None
@@ -340,8 +342,7 @@ def should_reset_local_map(lmap: "LocalMap", kf: Keyframe) -> str | None:
 class _Adam:
     """Adam moments for every column of ``SplatModel.params``, resized with the model."""
 
-    def __init__(self, n: int, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self, n: int):
         self.t = 0
         self.m = np.zeros((n, PARAMS_PER_SPLAT))
         self.v = np.zeros((n, PARAMS_PER_SPLAT))
@@ -357,14 +358,14 @@ class _Adam:
     def step(self, model: SplatModel, grads: np.ndarray, lrs: np.ndarray):
         """Update ``model.params`` from ``(N, 12)`` gradients and ``(12,)`` step sizes."""
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - _ADAM_BETA1**self.t
+        b2c = 1.0 - _ADAM_BETA2**self.t
         m, v = self.m, self.v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * grads
-        v *= self.beta2
-        v += (1.0 - self.beta2) * grads * grads
-        model.params -= lrs * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        m *= _ADAM_BETA1
+        m += (1.0 - _ADAM_BETA1) * grads
+        v *= _ADAM_BETA2
+        v += (1.0 - _ADAM_BETA2) * grads * grads
+        model.params -= lrs * (m / b1c) / (np.sqrt(v / b2c) + _ADAM_EPS)
         model.touch()
 
 
@@ -396,7 +397,6 @@ class LocalMap:
 
     model: SplatModel
     keyframes: list[Keyframe] = field(default_factory=list)
-    origin: SE3Pose = field(default_factory=SE3Pose.identity)
     scene_scale: float = 1.0
     optimizer: _Adam | None = None
     keyframe_render: tuple[Keyframe, int, RenderOutput] | None = None
@@ -404,10 +404,11 @@ class LocalMap:
 
     @classmethod
     def start(cls, kf: Keyframe) -> "LocalMap":
-        """Open an empty map anchored at ``kf``; :func:`add_keyframe` then seeds it."""
+        """Open an empty map scaled to ``kf``'s ranges; :func:`add_keyframe` then
+        seeds it from ``kf``, its first keyframe."""
         ranges = kf.range_image.range[kf.range_image.valid]
         scale = float(np.median(ranges)) if ranges.size else 1.0
-        return cls(SplatModel(), [], kf.pose.copy(), max(scale, 1e-3), _Adam(0))
+        return cls(SplatModel(), [], max(scale, 1e-3), _Adam(0))
 
 
 def add_keyframe(lmap: LocalMap, kf: Keyframe, rng: np.random.Generator) -> dict:

@@ -85,16 +85,16 @@ def export_oriented_points(
     """Sample the map as world-frame oriented points, keyframe by keyframe.
 
     Renders the model at each keyframe pose, picks up to ``EXPORT_PER_KEYFRAME``
-    confidently covered pixels (opacity above 0.5) uniformly,
-    back-projects them at the opacity-normalized range and attaches the
-    normalized blended normal.
+    pixels that show a surface (see :meth:`RenderOutput.surface`) uniformly,
+    back-projects them at the surface's range and attaches the normalized
+    blended normal.
     """
     if not lmap.keyframes:
         raise ExportError("local map has no keyframes to export")
     pts_out, nrm_out = [], []
     for kf in lmap.keyframes:
         render, _ = rasterize_forward(kf.camera, kf.pose, lmap.model)
-        m = (render.opacity > 0.5) & (render.range > 0)
+        m, depth = render.surface()
         idx = np.flatnonzero(m.ravel())
         if idx.size == 0:
             continue
@@ -103,9 +103,8 @@ def export_oriented_points(
             idx.sort()
         rows, cols = np.unravel_index(idx, m.shape)
         opac = render.opacity[rows, cols]
-        depth = render.range[rows, cols] / opac
         uv = kf.camera.pixel_grid[rows, cols]
-        pts = kf.pose.apply(kf.camera.back_project(uv, depth))
+        pts = kf.pose.apply(kf.camera.back_project(uv, depth[rows, cols]))
         nrm = render.normal[rows, cols] / opac[:, None]
         norm = np.linalg.norm(nrm, axis=1, keepdims=True)
         good = norm[:, 0] > 1e-9
@@ -132,14 +131,11 @@ class Pipeline:
     def __init__(self, cfg: RunConfig | None = None):
         self.cfg = cfg or RunConfig()
         self.rng = np.random.default_rng(self.cfg.seed)
-        self.pose = SE3Pose.identity()
-        self.prev_pose: SE3Pose | None = None
         self.stamps: list[float] = []
         self.poses: list[SE3Pose] = []
         self.lmap: LocalMap | None = None
         self.archive: list[ArchiveEntry] = []
         self.scan_rows: list[dict] = []
-        self.first_scan_of_map = 0
         self.n_exported = 0
 
     # --- helpers ---------------------------------------------------------
@@ -152,11 +148,15 @@ class Pipeline:
         idx.sort()
         return cloud[idx]
 
+    @property
+    def pose(self) -> SE3Pose:
+        """The latest scan's pose."""
+        return self.poses[-1]
+
     def _predicted_pose(self) -> SE3Pose:
-        if self.prev_pose is None:
-            return self.pose.copy()
-        step = self.prev_pose.inverse().compose(self.pose)
-        return self.pose.compose(step)
+        # constant velocity; every pose before the first map is the identity
+        *prev, last = self.poses[-2:]
+        return last.compose(prev[0].inverse().compose(last)) if prev else last.copy()
 
     def _archive_active(self) -> ArchiveEntry:
         lmap = self.lmap
@@ -174,7 +174,7 @@ class Pipeline:
             model_path,
             len(lmap.model),
             len(lmap.keyframes),
-            self.first_scan_of_map,
+            lmap.keyframes[0].index,
             len(self.poses) - 1,
         )
         self.archive.append(entry)
@@ -232,9 +232,6 @@ class Pipeline:
                 row["fallback_reason"] = str(e)
         row["register_ms"] = 1000.0 * (time.perf_counter() - t0)
 
-        self.prev_pose, self.pose = self.pose, new_pose
-        if self.lmap is None:
-            self.prev_pose = None
         stamp = float(stamp) if stamp is not None else index * self.cfg.scan_period
         self.stamps.append(stamp)
         self.poses.append(new_pose.copy())
@@ -256,7 +253,6 @@ class Pipeline:
                     self.lmap = None
             if self.lmap is None:
                 self.lmap = LocalMap.start(kf)
-                self.first_scan_of_map = index
             row.update(add_keyframe(self.lmap, kf, self.rng))
             losses = refine(self.lmap, self.cfg.refine_iters, self.rng)
             if losses:

@@ -101,6 +101,17 @@ class RenderOutput:
     normal: np.ndarray
     opacity: np.ndarray
 
+    def surface(self) -> tuple[np.ndarray, np.ndarray]:
+        """Pixels that show a surface (opacity above 0.5), and its range there.
+
+        The range channel blends by opacity mass, so it understates the range
+        where coverage is partial; dividing by opacity removes that bias.
+        ``depth`` is 0 off the surface.
+        """
+        mask = self.opacity > 0.5
+        depth = np.divide(self.range, self.opacity, out=np.zeros_like(self.range), where=mask)
+        return mask, depth
+
 
 @dataclass
 class PixelGradients:

@@ -77,7 +77,6 @@ class RegistrationConfig:
     # meters and radians: 0.1 mm, or 1e-4 rad (1 mm at 10 m), a tenth of the
     # 1 cm range noise
     tol: float = 1e-4
-    visibility_opacity: float = 0.5
     leaf_size: int = 64
     flatness_tau: float = 0.02
     min_residuals: int = 10
@@ -188,20 +187,14 @@ def _jump_mask(depth: np.ndarray, valid: np.ndarray, gate: float, wrap: bool):
 
 
 def sample_model(model: SplatModel, cam: SphericalCamera, pose: SE3Pose) -> np.ndarray:
-    """World points of confidently covered rendered pixels.
+    """World points of the pixels where the model, rendered at ``pose``,
+    shows a surface (see :meth:`RenderOutput.surface`).
 
-    Renders the model at ``pose`` and back-projects every pixel with
-    positive range and opacity above the visibility threshold.  The raw
-    range channel is a blend weighted by opacity mass, so it understates
-    metric range wherever coverage is partial; dividing by accumulated
-    opacity removes that bias.  Pixels on a range discontinuity are
-    dropped: their blended range lies between the two surfaces.
+    Pixels on a range discontinuity are dropped: their blended range lies
+    between the two surfaces.
     """
-    cfg = REGISTRATION_CONFIG
-    render, _ = rasterize_forward(cam, pose, model)
-    m = (render.opacity > cfg.visibility_opacity) & (render.range > 0)
-    depth_img = np.where(m, render.range / np.maximum(render.opacity, 1e-12), 0.0)
-    m &= ~_jump_mask(depth_img, m, cfg.spread_gate, cam.full_circle)
+    m, depth_img = rasterize_forward(cam, pose, model)[0].surface()
+    m &= ~_jump_mask(depth_img, m, REGISTRATION_CONFIG.spread_gate, cam.full_circle)
     uv = cam.pixel_grid[m]
     pts_c = cam.back_project(uv, depth_img[m])
     return pose.apply(pts_c)
@@ -354,12 +347,14 @@ def register(
 ) -> RegistrationResult:
     """Align a sensor-frame scan to the model, starting from ``initial``.
 
-    Raises :class:`RegistrationError` when the model renders to nothing
-    useful or the normal equations stay singular; callers are expected to
-    fall back to their motion model.
+    Non-finite rows of ``scan`` are dropped first, as :func:`io.load_scan`
+    drops them.  Raises :class:`RegistrationError` when the model renders to
+    nothing useful or the normal equations stay singular; callers are
+    expected to fall back to their motion model.
     """
     cfg = REGISTRATION_CONFIG
     scan = np.asarray(scan, dtype=float).reshape(-1, 3)
+    scan = scan[np.isfinite(scan).all(axis=1)]
     if scan.shape[0] == 0:
         raise RegistrationError("empty scan")
 

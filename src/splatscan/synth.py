@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _EPS = 1e-9
+_TRAJECTORY_DT = 0.1  # seconds between the poses of make_trajectory
 
 
 @dataclass
@@ -281,15 +282,15 @@ def raycast_scan(
     return SynthScan((r[valid, None] * dirs_s[valid]).reshape(-1, 3))
 
 
-def make_trajectory(kind: str, length: float, steps: int, dt: float = 0.1) -> Trajectory:
+def make_trajectory(kind: str, length: float, steps: int) -> Trajectory:
     """Simple planar trajectories: 'line', 'arc' or 'figure8'.
 
     ``length`` is the total path length in meters; heading follows the
-    direction of travel.
+    direction of travel; poses are ``_TRAJECTORY_DT`` seconds apart.
     """
     if steps < 1:
         raise IngestionError("trajectory needs at least one step")
-    stamps = dt * np.arange(steps)
+    stamps = _TRAJECTORY_DT * np.arange(steps)
 
     def rotz(a):
         c, s = np.cos(a), np.sin(a)

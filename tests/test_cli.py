@@ -10,10 +10,11 @@ import pytest
 from splatscan import cli, mapping
 from splatscan.cli import main
 from splatscan.io import save_model, write_ply
+from splatscan.pipeline import Pipeline, RunConfig
 from splatscan.rasterizer import rasterize_forward
 from splatscan.splats import SplatModel
 
-SMALL = ["--set", "image_width=64", "--set", "image_height=16", "--set", "refine_iters=1"]
+SMALL = ["--width", "64", "--height", "16", "--refine-iters", "1"]
 
 
 @pytest.fixture(scope="module")
@@ -42,42 +43,54 @@ def test_missing_scan_file(tmp_path, capsys):
     assert "scan file not found" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override, message", [
-    ("mapping.no_such_key=1", "unknown config key"),
-    ("raster.tile_size=16", "unknown config key"),
-    ("mapping=3", "unknown config key"),
-    # fixed settings: one value in use, so no key sets them
-    ("mapping.w_scale=1", "unknown config key"),
-    ("registration.max_iters=3", "unknown config key"),
-    ("scan_fraction=0.3", "unknown config key"),
-    ("keyframe_every=2", "unknown config key"),
-    ("refine_iters=abc", "expects int"),
-    ("refine_iters=2.5", "expects int"),
-    ("scan_period=yes", "expects float"),
+@pytest.mark.parametrize("setting, message", [
+    # no run setting is spelled like these: fixed values, out_dir (--out
+    # sets it), key=value forms, a config option, an abbreviation
+    ("--no-such-key 1", "unrecognized arguments"),
+    ("--tile-size 16", "unrecognized arguments"),
+    ("--mapping 3", "unrecognized arguments"),
+    ("--w-scale 1", "unrecognized arguments"),
+    ("--max-iters 3", "unrecognized arguments"),
+    ("--scan-fraction 0.3", "unrecognized arguments"),
+    ("--keyframe-every 2", "unrecognized arguments"),
+    ("--out-dir elsewhere", "unrecognized arguments"),
+    ("--set refine_iters=1", "unrecognized arguments"),
+    ("--config run.cfg", "unrecognized arguments"),
+    ("--refine 1", "unrecognized arguments"),
+    ("--refine-iters abc", "invalid int value: 'abc'"),
+    ("--refine-iters 2.5", "invalid int value: '2.5'"),
+    ("--scan-period yes", "invalid float value: 'yes'"),
+    ("@no-such-file", "No such file or directory"),
 ])
-def test_bad_override_is_malformed_data(scans, tmp_path, capsys, override, message):
-    assert main(["run", str(scans), "--out", str(tmp_path), "--set", override]) == 2
+def test_bad_setting_is_a_usage_error(scans, tmp_path, capsys, setting, message):
+    assert main(["run", str(scans), "--out", str(tmp_path / "out")] + setting.split()) == 1
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("source", ["set", "config"])
-def test_out_dir_comes_from_out_only(scans, tmp_path, capsys, source):
-    other = tmp_path / "other"
-    if source == "set":
-        extra = ["--set", f"out_dir={other}"]
-    else:
-        config = tmp_path / "run.cfg"
-        config.write_text(f"out_dir = {other}\n")
-        extra = ["--config", str(config)]
-    assert main(["run", str(scans), "--out", str(tmp_path / "out")] + SMALL + extra) == 2
-    assert "--out" in capsys.readouterr().err
-    assert not other.exists() and not (tmp_path / "out").exists()
+def test_settings_file_runs_as_its_flags(scans, tmp_path, monkeypatch):
+    configs = []
+
+    def pipeline(cfg):
+        configs.append(dataclasses.replace(cfg, out_dir=None))
+        return Pipeline(cfg)
+
+    monkeypatch.setattr(cli, "Pipeline", pipeline)
+    settings = tmp_path / "small.args"
+    settings.write_text("# a small run\n--width=64\n\n--height\n16\n  # one step\n"
+                        "--refine-iters=1\n")
+    assert main(["run", str(scans), "--out", str(tmp_path / "file"), f"@{settings}"]) == 0
+    assert main(["run", str(scans), "--out", str(tmp_path / "flags")] + SMALL) == 0
+    assert configs[0] == configs[1] == RunConfig(image_width=64, image_height=16,
+                                                 refine_iters=1)
+    trajectories = [(tmp_path / d / "trajectory.tum").read_text() for d in ("file", "flags")]
+    assert trajectories[0] == trajectories[1]
 
 
 def test_nothing_to_export_is_a_numerical_failure(scans, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(mapping, "MAPPING_CONFIG",
                         dataclasses.replace(mapping.MAPPING_CONFIG, opacity_init=0.01))
-    argv = ["run", str(scans), "--out", str(tmp_path)] + SMALL + ["--set", "refine_iters=0"]
+    argv = ["run", str(scans), "--out", str(tmp_path)] + SMALL + ["--refine-iters", "0"]
     assert main(argv) == 3
     assert "no confidently rendered pixels" in capsys.readouterr().err
 

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from splatscan.cli import main
 from splatscan.errors import IngestionError
 from splatscan.evaluation import Trajectory
 from splatscan.io import (
@@ -16,6 +17,7 @@ from splatscan.io import (
 )
 from splatscan.se3 import SE3Pose, so3_exp
 from splatscan.splats import SplatModel, orthonormal_tangents
+from splatscan.synth import Box, Plane, Scene, Sphere, load_scene, room_with_boxes, save_scene
 
 SIZES = [0, 1, 7]
 
@@ -173,3 +175,52 @@ def test_pfm_round_trip_is_exact_in_float32(tmp_path, rng, shape):
     got = read_pfm(path)
     assert got.shape == shape
     assert np.array_equal(got, image.astype(np.float32))
+
+
+def test_scene_round_trip_is_exact(tmp_path, rng):
+    scene = room_with_boxes(seed=0)
+    save_scene(tmp_path / "scene.txt", scene)
+    loaded = load_scene(tmp_path / "scene.txt")
+    assert [type(p) for p in loaded.primitives] == [type(p) for p in scene.primitives]
+    assert {Box, Sphere} == set(map(type, scene.primitives))
+    for a, b in zip(scene.primitives, loaded.primitives):
+        for name, value in vars(a).items():
+            assert np.array_equal(getattr(b, name), value), name
+    # inside the 12 x 12 x 4 m room, whose walls every ray then hits
+    origins = rng.uniform([-5.0, -5.0, -1.5], [5.0, 5.0, 1.5], (2000, 3))
+    dirs = rng.normal(size=(2000, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    hits = scene.raycast(origins, dirs)
+    assert np.isfinite(hits).all()
+    assert np.array_equal(loaded.raycast(origins, dirs), hits)
+
+
+def test_plane_records_round_trip(tmp_path, rng):
+    """A plane's axes are orthonormalised again on load, which moves them by
+    rounding (at most 2.2e-16 over these planes); the rest is exact."""
+    planes = [Plane(rng.uniform(-5.0, 5.0, 3), *so3_exp(rng.normal(size=3)).T[:2],
+                    *rng.uniform(0.1, 3.0, 2)) for _ in range(200)]
+    save_scene(tmp_path / "scene.txt", Scene(planes))
+    for a, b in zip(planes, load_scene(tmp_path / "scene.txt").primitives):
+        assert np.array_equal(b.origin, a.origin)
+        assert (b.half_u, b.half_v) == (a.half_u, a.half_v)
+        np.testing.assert_allclose(b.e_u, a.e_u, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(b.e_v, a.e_v, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("sphere 0 0 0 1\nbox 0 0 0 1 1\n", "unrecognized record 'box'"),
+    ("sphere 0 0 0 1\ncone 0 0 0 1\n", "unrecognized record 'cone'"),
+    ("sphere 0 0 x 1\n", "bad number"),
+    ("# only a comment\n", "no primitives found"),
+])
+def test_malformed_scene_record(tmp_path, capsys, text, message):
+    path = tmp_path / "scene.txt"
+    path.write_text(text)
+    with pytest.raises(IngestionError, match=message):
+        load_scene(path)
+    argv = ["synth", "--out", str(tmp_path / "out"), "--scene", str(path), "--steps", "1",
+            "--width", "8", "--height", "4"]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

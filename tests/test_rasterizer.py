@@ -323,6 +323,24 @@ class TestBackwardMatchesCentralDifferences:
             rasterize_backward(model, rec, out, pg)
 
 
+def _opaque_stack(rng):
+    """(cam, pose, model) of :class:`TestBackwardOnAnOpaqueStack`."""
+    cam = SphericalCamera(24, 8, -0.6, 0.6, -0.25, 0.25)
+    pose = SE3Pose(so3_exp([0.02, -0.03, 0.05]), [0.1, 0.05, -0.02])
+    n = 16
+    rows, cols = rng.integers(1, 7, n), rng.integers(2, 22, n)
+    in_view = np.linspace(2.5, 4.5, n)[:, None] * cam.pixel_directions[rows, cols]
+    outside = [[-3.0, 0.5, 0.0], [-4.0, -0.5, 0.2]]
+    m = n + 2
+    ta, tb = orthonormal_tangents(
+        pose.rotation @ [0.0, 1.0, 0.0] + rng.normal(0.0, 0.1, (m, 3)),
+        pose.rotation @ [0.0, 0.0, 1.0] + rng.normal(0.0, 0.1, (m, 3)))
+    model = SplatModel()
+    model.append(pose.apply(np.vstack([in_view, outside])), ta, tb,
+                 rng.uniform(0.5, 0.9, (m, 2)), rng.uniform(0.993, 0.998, m), 0)
+    return cam, pose, model
+
+
 class TestBackwardOnAnOpaqueStack(TestBackwardMatchesCentralDifferences):
     """The same checks on 16 camera-facing splats stacked 2.5 to 4.5 m along
     the view, each centred on a pixel ray.
@@ -334,20 +352,7 @@ class TestBackwardOnAnOpaqueStack(TestBackwardMatchesCentralDifferences):
 
     @pytest.fixture
     def grad_case(self, rng):
-        cam = SphericalCamera(24, 8, -0.6, 0.6, -0.25, 0.25)
-        pose = SE3Pose(so3_exp([0.02, -0.03, 0.05]), [0.1, 0.05, -0.02])
-        n = 16
-        rows, cols = rng.integers(1, 7, n), rng.integers(2, 22, n)
-        in_view = np.linspace(2.5, 4.5, n)[:, None] * cam.pixel_directions[rows, cols]
-        outside = [[-3.0, 0.5, 0.0], [-4.0, -0.5, 0.2]]
-        m = n + 2
-        ta, tb = orthonormal_tangents(
-            pose.rotation @ [0.0, 1.0, 0.0] + rng.normal(0.0, 0.1, (m, 3)),
-            pose.rotation @ [0.0, 0.0, 1.0] + rng.normal(0.0, 0.1, (m, 3)))
-        model = SplatModel()
-        model.append(pose.apply(np.vstack([in_view, outside])), ta, tb,
-                     rng.uniform(0.5, 0.9, (m, 2)), rng.uniform(0.993, 0.998, m), 0)
-        return _with_gradients(cam, pose, model, rng, getattr(self, "batch_pairs", None))
+        return _with_gradients(*_opaque_stack(rng), rng, getattr(self, "batch_pairs", None))
 
     def test_reaches_the_clamp_and_the_early_stop(self, grad_case):
         cam, pose, model, _, _ = grad_case
@@ -359,6 +364,22 @@ class TestBackwardOnAnOpaqueStack(TestBackwardMatchesCentralDifferences):
         *_, grads = grad_case
         assert not np.any(grads[-2:])
         assert np.all(np.any(grads[:-2], axis=0))
+
+
+@pytest.mark.parametrize("case", ["shell", "half_behind", "opaque_stack"])
+def test_range_is_positive_wherever_opacity_is(full_cam, rng, case):
+    """Every blended pair lies in front of the sensor, so
+    :meth:`RenderOutput.surface` needs no test on range."""
+    if case == "opaque_stack":
+        cam, pose, model = _opaque_stack(rng)
+    else:
+        cam, pose = full_cam, _pose()
+        model = random_model(300, rng, behind_frac=0.5 if case == "half_behind" else 0.0)
+    out, _ = rasterize_forward(cam, pose, model)
+    assert np.all(out.range[out.opacity > 0] > 0)
+    mask, depth = out.surface()
+    assert mask.any() and np.array_equal(mask, out.opacity > 0.5)
+    assert np.all(depth[mask] > 0) and not np.any(depth[~mask])
 
 
 class _InChunksOfFour:

@@ -195,3 +195,11 @@ def test_no_trial_repeats_the_step_refused_before_it(offset_problem, monkeypatch
     for prev, step in retries:
         change = np.linalg.norm(step - prev)
         assert change > REGISTRATION_CONFIG.retry_change * np.linalg.norm(prev)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_scan_rows_are_dropped(offset_problem, bad):
+    model, scan, cam, start = offset_problem
+    dirty = np.insert(scan, 5, [1.0, bad, 0.5], axis=0)
+    clean = register(model, scan, cam, start).pose.matrix()
+    assert np.array_equal(register(model, dirty, cam, start).pose.matrix(), clean)
