@@ -74,6 +74,30 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer of at least {low}: {text!r}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    """An argparse type: a finite float above 0."""
+    value = float(text)
+    if not (np.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive: {text!r}")
+    return value
+
+
+_positive_float.__name__ = "float"  # argparse names the type in "invalid float value"
+
+
 def _scan_paths(inputs: list[str]) -> list[Path]:
     if len(inputs) == 1 and Path(inputs[0]).is_dir():
         found = sorted(
@@ -224,16 +248,18 @@ def build_parser() -> argparse.ArgumentParser:
                      help="scan files in order, or one directory of scans")
     run.add_argument("--out", required=True, help="output directory")
     # the five RunConfig settings; out_dir is --out
-    run.add_argument("--width", type=int, default=defaults.image_width,
-                     help="range image columns, from the sensor (default %(default)s)")
-    run.add_argument("--height", type=int, default=defaults.image_height,
-                     help="range image rows, from the sensor (default %(default)s)")
-    run.add_argument("--refine-iters", type=int, default=defaults.refine_iters,
+    run.add_argument("--width", type=_int_at_least(2), default=defaults.image_width,
+                     help="range image columns, from the sensor, at least 2 "
+                     "(default %(default)s)")
+    run.add_argument("--height", type=_int_at_least(2), default=defaults.image_height,
+                     help="range image rows, from the sensor, at least 2 (default %(default)s)")
+    run.add_argument("--refine-iters", type=_int_at_least(0), default=defaults.refine_iters,
                      help="map refinement steps per scan (default %(default)s)")
     run.add_argument("--seed", type=int, default=defaults.seed,
                      help="RNG seed of a deterministic run (default %(default)s)")
-    run.add_argument("--scan-period", type=float, default=defaults.scan_period,
-                     help="seconds between scans, for timestamps (default %(default)s)")
+    run.add_argument("--scan-period", type=_positive_float, default=defaults.scan_period,
+                     help="seconds between scans, for timestamps, above 0 "
+                     "(default %(default)s)")
     run.add_argument("--verbose", action="store_true",
                      help="per-scan progress on stderr")
     run.set_defaults(func=_cmd_run)

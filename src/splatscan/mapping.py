@@ -315,8 +315,9 @@ def should_reset_local_map(lmap: "LocalMap", kf: Keyframe) -> str | None:
     Three triggers, checked in this order: ``"keyframes"``, the keyframe
     budget is exhausted; ``"radius"``, the sensor has left the neighborhood
     of the map's first keyframe; ``"coverage"``, the model barely covers the
-    new view.  A coverage render that lets ``kf`` join is left on the map for
-    :func:`add_keyframe`, which would render the same view.  The check's
+    new view.  The coverage render blends range and opacity only; one that
+    lets ``kf`` join is left on the map for :func:`add_keyframe`, which
+    would render the same view and reads no normals either.  The check's
     coverage is left on ``lmap.coverage``, ``None`` when it made no render.
     """
     cfg = MAPPING_CONFIG
@@ -328,7 +329,7 @@ def should_reset_local_map(lmap: "LocalMap", kf: Keyframe) -> str | None:
         return "radius"
     if len(lmap.model) == 0:
         return None
-    render, _ = rasterize_forward(kf.camera, kf.pose, lmap.model)
+    render, _ = rasterize_forward(kf.camera, kf.pose, lmap.model, normals=False)
     lmap.coverage = coverage(render, kf)
     if lmap.coverage < cfg.coverage_min:
         return "coverage"
@@ -427,7 +428,7 @@ def add_keyframe(lmap: LocalMap, kf: Keyframe, rng: np.random.Generator) -> dict
         if shared is not None and shared[0] is kf and shared[1] == lmap.model.version:
             render = shared[2]
         else:
-            render, _ = rasterize_forward(kf.camera, kf.pose, lmap.model)
+            render, _ = rasterize_forward(kf.camera, kf.pose, lmap.model, normals=False)
         mask = densify_mask(render, kf)
         keep = lmap.model.opacities >= MAPPING_CONFIG.prune_opacity
         if not keep.all():

@@ -33,14 +33,19 @@ interval also gets copies one turn away, clipped to the image.
 
 A render has two stages.  Screening (:func:`_near_pairs`) is dense and
 cheap: per tile, the plane products of every pixel-splat pair come from
-BLAS matmuls over bounded blocks, and a pair is kept only if its ray
-passes within ``c * max(scale)`` of the centroid.  Blending
+one stacked BLAS matmul per bounded block, and a pair is kept only if its
+ray passes within ``c * max(scale)`` of the centroid.  Blending
 (:func:`_blend`) works on batches of those near pairs, pixel-major and in
 blend order within a pixel, as 1-D passes: kernel terms, alpha, the hit
 range, exclusive transmittance by a cumprod along each pixel's run,
-weights, and per-pixel sums.  The forward pass and the reference renderer share both stages;
-the reference feeds them full-width pixel bands with every splat in range
-order.
+weights, and per-pixel sums.  A batch gathers whole blocks, of as many
+tiles as fit in ``_BATCH_PAIRS`` pairs, and carries each pixel's pair
+count from screening, which gives the pixels' runs.  Range and opacity
+are always blended, the normal only for callers that read it
+(``normals=True``, the default); leaving it out changes no bit of the
+other two.  The forward pass and the reference renderer share both
+stages; the reference feeds them full-width pixel bands with every splat
+in range order.
 
 The backward pass never walks the tiles again.  A forward pass asked to
 ``keep_pairs`` keeps the pairs with non-zero blend weight: each pair's
@@ -95,10 +100,13 @@ RASTER_CONFIG = RasterConfig()
 
 @dataclass
 class RenderOutput:
-    """Blended range, camera-frame normal and opacity images."""
+    """Blended range, camera-frame normal and opacity images.
+
+    ``normal`` is None for a render made with ``normals=False``.
+    """
 
     range: np.ndarray
-    normal: np.ndarray
+    normal: np.ndarray | None
     opacity: np.ndarray
 
     def surface(self) -> tuple[np.ndarray, np.ndarray]:
@@ -309,16 +317,19 @@ def _near_pairs(cam: SphericalCamera, arrays: dict, tiles):
     ``b4 = h_y . B_c``, is that squared distance.  A hit at ``|s| <= c``
     lies within ``c * max(scale)`` of the centroid, so every pair whose
     alpha can reach the cutoff is near, and a faint splat screens fewer
-    pairs than an opaque one of the same shape.  The plane products are
-    dense matmuls over blocks of a tile's pixels against all its splats, at
-    most ``tile_size**2 * chunk_size`` pairs a block: ``h_x``, ``h_y`` and
-    the ray ``v`` against ``B_a``, ``B_b`` and ``B_c``, in the order ``a1,
-    a2, a4, b1, b2, b4, v.B_a, v.B_b, v.B_c``.
+    pairs than an opaque one of the same shape.  The plane products come
+    from one stacked matmul per block of a tile's pixels against all its
+    splats, at most ``tile_size**2 * chunk_size`` pairs a block: ``h_x``,
+    ``h_y`` and the ray ``v`` against ``B_a``, ``B_b`` and ``B_c``, in the
+    order ``a1, a2, a4, b1, b2, b4, v.B_a, v.B_b, v.B_c``.
 
-    Yields batches ``(pix, spl, planes)``: the near pairs' flat pixel
-    index, splat id and (9, pairs) plane products, pixel-major and in blend
-    order within a pixel.  A batch holds whole pixels of one block and at
-    most ``_BATCH_PAIRS`` pairs, unless one pixel has more.
+    Yields batches ``(pix, spl, planes, counts)``: the near pairs' flat
+    pixel index, splat id and (9, pairs) plane products, pixel-major and in
+    blend order within a pixel, and the number of pairs of each pixel that
+    has any, in order.  A batch holds whole blocks, of one tile or several,
+    up to ``_BATCH_PAIRS`` pairs; a block with more is cut at pixel ends,
+    so only a pixel with more than ``_BATCH_PAIRS`` pairs makes a larger
+    batch.
     """
     cfg = RASTER_CONFIG
     hx, hy = cam.pixel_ray_planes
@@ -331,13 +342,17 @@ def _near_pairs(cam: SphericalCamera, arrays: dict, tiles):
     # one buffer for every block (nine products and two work rows): a
     # fresh one per block costs page faults
     buf = np.empty(0)
+    # whole blocks waiting for the batch to fill
+    held, n_held = [], 0
     for rows, cols, ids in tiles:
         pix = flat[rows, cols].ravel()
-        pixel_vectors = (hx[rows, cols].reshape(-1, 3), hy[rows, cols].reshape(-1, 3),
-                         dirs[rows, cols].reshape(-1, 3))
-        # B_a, B_b and B_c of the tile's splats, one row per component
+        # h_x, h_y and v of the tile's pixels, as (3, 1, pixels, 3)
+        pixel_vectors = np.stack((hx[rows, cols], hy[rows, cols], dirs[rows, cols]))
+        pixel_vectors = pixel_vectors.reshape(3, 1, -1, 3)
+        # B_a, B_b and B_c of the tile's splats, as (1, 3, 3, splats)
         B = np.take(arrays["terms"][4:13], ids, axis=1)
         n = ids.shape[0]
+        B = B.reshape(1, 3, 3, n)
         # blocks of about equal pixel counts
         n_blocks = -(-pix.shape[0] * n // block_pairs)
         step = max(-(-pix.shape[0] // max(n_blocks, 1)), 1)
@@ -346,25 +361,40 @@ def _near_pairs(cam: SphericalCamera, arrays: dict, tiles):
             if buf.shape[0] < 11 * P * n:
                 buf = np.empty(11 * P * n)
             planes = buf[: 11 * P * n].reshape(11, P, n)
-            for i in range(9):
-                np.matmul(pixel_vectors[i // 3][p0 : p0 + P], B[3 * (i % 3) : 3 * (i % 3) + 3],
-                          out=planes[i])
+            np.matmul(pixel_vectors[:, :, p0 : p0 + P], B, out=planes[:9].reshape(3, 3, P, n))
             near = np.multiply(planes[2], planes[2], out=planes[9])
             near += np.multiply(planes[5], planes[5], out=planes[10])
             k = np.flatnonzero(near <= reach2[ids])
+            m = k.shape[0]
             p = k // n
+            counts = np.bincount(p)
+            counts = counts[counts > 0]
             block = (np.take(pix[p0 : p0 + P], p), np.take(ids, k - p * n),
                      np.take(planes[:9].reshape(9, -1), k, axis=1))
+            if n_held + m > _BATCH_PAIRS and held:
+                yield _joined(held)
+                held, n_held = [], 0
             # cut at pixel ends: the last one within the batch size, or else
             # the end of the first pixel
-            ends = np.concatenate(([0], np.cumsum(np.bincount(p, minlength=P))))
-            lo = 0
-            while lo < k.shape[0]:
-                hi = ends[np.searchsorted(ends, lo + _BATCH_PAIRS, "right") - 1]
-                if hi <= lo:
-                    hi = ends[np.searchsorted(ends, lo, "right")]
-                yield block[0][lo:hi], block[1][lo:hi], block[2][:, lo:hi]
-                lo = hi
+            ends = np.cumsum(counts)
+            lo = r = 0
+            while m - lo > _BATCH_PAIRS:
+                j = max(np.searchsorted(ends, lo + _BATCH_PAIRS, "right"), r + 1)
+                hi = ends[j - 1]
+                yield *(x[..., lo:hi] for x in block), counts[r:j]
+                lo, r = hi, j
+            if lo < m:
+                held.append((*(x[..., lo:] for x in block), counts[r:]))
+                n_held += m - lo
+    if held:
+        yield _joined(held)
+
+
+def _joined(batches: list) -> tuple:
+    """One batch of :func:`_near_pairs` from consecutive ones."""
+    if len(batches) == 1:
+        return batches[0]
+    return tuple(np.concatenate(x, axis=-1) for x in zip(*batches))
 
 
 # --- blending ---------------------------------------------------------------
@@ -390,51 +420,56 @@ def _kernel_coordinates(a1, a2, a4, b1, b2, b4):
     return (a2 * b4 - a4 * b2) / den, (a4 * b1 - a1 * b4) / den, den, usable
 
 
-def _blend(terms: np.ndarray, pix, spl, planes) -> dict:
+def _blend(splat_rows: np.ndarray, pix, spl, planes, counts) -> dict:
     """Blend weights of one batch of :func:`_near_pairs`, as 1-D passes.
 
-    ``terms`` holds the splat terms of :func:`_splat_camera_arrays`.  The
-    hit point ``nu = sa*B_a + sb*B_b + B_c`` lies on the pixel's ray, so
-    ``nu . v`` is its range, and a hit with ``nu . v <= 0`` lies behind
-    the pixel.  Returns per pair ``G``, ``alpha`` (zero where the pair does
-    not count), the exclusive transmittance ``t``, the weight ``w``, the
-    range ``d`` and the opacity and normal of its splat (``sp``), with the
-    ``starts`` of the pixels' runs and the ``run`` of each pair.
+    ``splat_rows`` holds the leading rows of the splat terms of
+    :func:`_splat_camera_arrays` that a pair reads: opacity, and then the
+    normal where it is blended.  The hit point ``nu = sa*B_a + sb*B_b +
+    B_c`` lies on the pixel's ray, so ``nu . v`` is its range, and a hit
+    with ``nu . v <= 0`` lies behind the pixel.  The pixels' runs come from
+    the batch's ``counts``.  Returns per pair ``G``, ``alpha`` (zero where
+    the pair does not count), the exclusive transmittance ``t``, the weight
+    ``w``, the range ``d`` and the ``splat_rows`` of its splat (``sp``),
+    with the ``starts`` of the pixels' runs.
     """
     cfg = RASTER_CONFIG
     sa, sb, _, usable = _kernel_coordinates(*planes[:6])
     d = sa * planes[6] + sb * planes[7] + planes[8]
     G = np.exp(-0.5 * (sa * sa + sb * sb))
-    sp = np.take(terms[:4], spl, axis=1)
+    sp = np.take(splat_rows, spl, axis=1)
     alpha = np.minimum(sp[0] * G, cfg.alpha_clamp)
     alpha *= usable & (alpha >= cfg.alpha_cutoff) & (d > 0.0)
     # exclusive transmittance: a cumprod along ones-padded rows, one per
     # pixel, with the pixel's factors from its second column on
-    starts, run = _runs(pix)
-    n_runs = starts.shape[0]
-    width = int(np.bincount(run).max()) + 1
-    at = np.arange(pix.shape[0]) + np.take(np.arange(n_runs) * width - starts, run)
+    n_runs = counts.shape[0]
+    starts = np.cumsum(counts) - counts
+    width = int(counts.max()) + 1
+    at = np.arange(pix.shape[0]) + np.repeat(np.arange(n_runs) * width - starts, counts)
     rows = np.ones(n_runs * width)
     rows[at + 1] = 1.0 - alpha
     t = np.take(np.cumprod(rows.reshape(n_runs, width), axis=1), at)
     w = alpha * t * (t >= cfg.min_transmittance)
-    return {"G": G, "alpha": alpha, "t": t, "w": w, "d": d, "sp": sp,
-            "starts": starts, "run": run}
+    return {"G": G, "alpha": alpha, "t": t, "w": w, "d": d, "sp": sp, "starts": starts}
 
 
 # --- forward ---------------------------------------------------------------
 
 
-def _render(cam: SphericalCamera, arrays: dict, tiles, kept: list | None = None) -> RenderOutput:
-    """Blend range, normal and opacity over ``tiles``; untouched pixels stay 0.
+def _render(cam: SphericalCamera, arrays: dict, tiles, kept: list | None = None,
+            normals: bool = True) -> RenderOutput:
+    """Blend range and opacity, and the normal if ``normals``, over ``tiles``;
+    untouched pixels stay 0.
 
     With a ``kept`` list, appends the pairs with ``w > 0`` to it as
     ``(pix, spl, values)`` entries, each cut at the first pixel end at or
     past ``_BATCH_PAIRS`` pairs (see :class:`BlendRecords`).
     """
     H, W = cam.height, cam.width
-    out = np.zeros((5, H * W))  # range, opacity, normal
+    out = np.zeros((5 if normals else 2, H * W))  # range, opacity, normal
     terms = arrays["terms"]
+    # what a pair reads of its splat: opacity, then the normal
+    splat_rows = terms[: 4 if normals else 1]
     held = []
     pix_type = np.min_scalar_type(H * W - 1)
     spl_type = np.min_scalar_type(max(terms.shape[1] - 1, 0))
@@ -444,13 +479,14 @@ def _render(cam: SphericalCamera, arrays: dict, tiles, kept: list | None = None)
         kept.append((pix.astype(pix_type), spl.astype(spl_type), values))
         held.clear()
 
-    for pix, spl, planes in _near_pairs(cam, arrays, tiles):
-        b = _blend(terms, pix, spl, planes)
+    for pix, spl, planes, counts in _near_pairs(cam, arrays, tiles):
+        b = _blend(splat_rows, pix, spl, planes, counts)
         w, starts = b["w"], b["starts"]
-        sums = np.empty((5, pix.shape[0]))
+        sums = np.empty((out.shape[0], pix.shape[0]))
         np.multiply(w, b["d"], out=sums[0])
         sums[1] = w
-        np.multiply(w, b["sp"][1:4], out=sums[2:])
+        if normals:
+            np.multiply(w, b["sp"][1:4], out=sums[2:])
         # a pixel's pairs are contiguous: reduceat sums them in blend order
         out[:, np.take(pix, starts)] = np.add.reduceat(sums, starts, axis=1)
         if kept is not None and w.any():
@@ -470,24 +506,31 @@ def _render(cam: SphericalCamera, arrays: dict, tiles, kept: list | None = None)
                 held.append(part)
     if held:
         keep()
-    return RenderOutput(
-        out[0].reshape(H, W), np.moveaxis(out[2:], 0, -1).reshape(H, W, 3), out[1].reshape(H, W))
+    normal = np.moveaxis(out[2:], 0, -1).reshape(H, W, 3) if normals else None
+    return RenderOutput(out[0].reshape(H, W), normal, out[1].reshape(H, W))
 
 
 def rasterize_forward(
-    cam: SphericalCamera, pose: SE3Pose, model: SplatModel, *, keep_pairs: bool = False
+    cam: SphericalCamera, pose: SE3Pose, model: SplatModel, *, keep_pairs: bool = False,
+    normals: bool = True,
 ) -> tuple[RenderOutput, BlendRecords]:
     """Render the model from ``pose`` (sensor-in-world) onto the camera grid.
 
     ``keep_pairs`` keeps the contributing pixel-splat pairs in the records
     for one :func:`rasterize_backward`, with the splat arrays it reads; the
     pairs take about 5 MB per 85k, so renders that no backward pass reads
-    leave it off.
+    leave it off.  ``normals=False`` blends range and opacity only and
+    leaves ``normal`` None, for callers that read no normals; range and
+    opacity keep the bits of the full render.  The backward pass reads the normal
+    image, so a render that keeps its pairs must blend it (``ValueError``
+    otherwise).
     """
+    if keep_pairs and not normals:
+        raise ValueError("a render that keeps its pairs for the backward pass blends normals")
     arrays = _splat_camera_arrays(model, pose)
     tile_ptr, pair_splats, tiles_x = _bin_splats(cam, arrays)
     kept = [] if keep_pairs else None
-    out = _render(cam, arrays, _binned_tiles(tile_ptr, pair_splats, tiles_x), kept)
+    out = _render(cam, arrays, _binned_tiles(tile_ptr, pair_splats, tiles_x), kept, normals)
     records = BlendRecords(
         cam, pose.copy(), RASTER_CONFIG, len(model), model.version,
         tile_ptr, pair_splats, tiles_x, kept, arrays if keep_pairs else None,

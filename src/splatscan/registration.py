@@ -124,7 +124,11 @@ def build_leaf_tree(points: np.ndarray, viewpoint: np.ndarray) -> LeafTree:
     or hold at most ``leaf_size`` points.
 
     Leaf normals are the smallest-eigenvalue directions, oriented toward
-    ``viewpoint``.
+    ``viewpoint``.  A node centres its points once, as a (3, n) matrix
+    ``X``; its covariance is ``X X^T / n``, its points project on the
+    largest-eigenvalue direction, and it splits at their median, which
+    ``np.partition`` gives as ``np.median`` would: the middle projection,
+    or the mean of the two middle ones.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     n = pts.shape[0]
@@ -140,16 +144,20 @@ def build_leaf_tree(points: np.ndarray, viewpoint: np.ndarray) -> LeafTree:
             continue
         sub = pts[idx]
         c = sub.mean(axis=0)
-        cov = np.cov(sub.T, bias=True)
-        evals, evecs = np.linalg.eigh(cov)  # ascending
+        X = (sub - c).T
+        evals, evecs = np.linalg.eigh(X @ X.T * (1.0 / idx.size))  # ascending
         flat = evals[1] <= 1e-12 or evals[0] / evals[1] <= REGISTRATION_CONFIG.flatness_tau
         if flat or idx.size <= REGISTRATION_CONFIG.leaf_size:
             if evals[1] > 1e-12:
                 _push_leaf(cents, norms, c, evecs[:, 0], viewpoint)
             continue
-        axis = evecs[:, 2]
-        proj = (sub - c) @ axis
-        med = np.median(proj)
+        proj = evecs[:, 2] @ X
+        half = idx.size // 2
+        if idx.size % 2:
+            med = np.partition(proj, half)[half]
+        else:
+            part = np.partition(proj, (half - 1, half))
+            med = 0.5 * (part[half - 1] + part[half])
         left = proj <= med
         if left.all() or not left.any():
             # all projections equal: cannot split further
@@ -187,13 +195,13 @@ def _jump_mask(depth: np.ndarray, valid: np.ndarray, gate: float, wrap: bool):
 
 
 def sample_model(model: SplatModel, cam: SphericalCamera, pose: SE3Pose) -> np.ndarray:
-    """World points of the pixels where the model, rendered at ``pose``,
-    shows a surface (see :meth:`RenderOutput.surface`).
+    """World points of the pixels where the model, rendered at ``pose``
+    without normals, shows a surface (see :meth:`RenderOutput.surface`).
 
     Pixels on a range discontinuity are dropped: their blended range lies
     between the two surfaces.
     """
-    m, depth_img = rasterize_forward(cam, pose, model)[0].surface()
+    m, depth_img = rasterize_forward(cam, pose, model, normals=False)[0].surface()
     m &= ~_jump_mask(depth_img, m, REGISTRATION_CONFIG.spread_gate, cam.full_circle)
     uv = cam.pixel_grid[m]
     pts_c = cam.back_project(uv, depth_img[m])
@@ -220,9 +228,11 @@ def _geo_system(tree: LeafTree, scan: np.ndarray, T: SE3Pose):
 
     Each point considers its ``assoc_k`` nearest leaf centroids and keeps
     the one whose plane it is closest to; near edges the nearest centroid
-    is often on the wrong surface.  Returns ``(r, jacobian)``, where
-    ``jacobian(keep)`` gives the rows of the residuals ``keep`` selects, or
-    None when no point has a leaf within the association gate.
+    is often on the wrong surface.  A candidate's signed distance is ``n.p
+    - n.c``, from the leaves' plane offsets ``n.c``, and the kept one's is
+    the residual.  Returns ``(r, jacobian)``, where ``jacobian(keep)`` gives
+    the rows of the residuals ``keep`` selects, or None when no point has a
+    leaf within the association gate.
     """
     if tree.kdtree is None:
         return None
@@ -235,14 +245,14 @@ def _geo_system(tree: LeafTree, scan: np.ndarray, T: SE3Pose):
     if not ok.any():
         return None
     leaf_i = np.where(valid, leaf_i, 0)
-    diff = p_w[:, None, :] - tree.centroids[leaf_i]
-    pd = np.abs(np.einsum("pkj,pkj->pk", tree.normals[leaf_i], diff))
-    pd[~valid] = np.inf
-    best = pd.argmin(axis=1)
-    li = leaf_i[np.arange(p_w.shape[0]), best][ok]
+    offsets = np.einsum("lj,lj->l", tree.normals, tree.centroids)
+    signed = np.einsum("pkj,pj->pk", tree.normals[leaf_i], p_w) - offsets[leaf_i]
+    pd = np.where(valid, np.abs(signed), np.inf)
+    pick = (np.arange(p_w.shape[0]), pd.argmin(axis=1))
+    li = leaf_i[pick][ok]
     n = tree.normals[li]
     q = scan[ok]
-    r = np.sum(n * (p_w[ok] - tree.centroids[li]), axis=1)
+    r = signed[pick][ok]
 
     def jacobian(keep):
         nR = n[keep] @ T.rotation  # row i: n_i^T R

@@ -60,6 +60,15 @@ def test_missing_scan_file(tmp_path, capsys):
     ("--refine-iters abc", "invalid int value: 'abc'"),
     ("--refine-iters 2.5", "invalid int value: '2.5'"),
     ("--scan-period yes", "invalid float value: 'yes'"),
+    # values no run can use, refused before a scan is read
+    ("--width 0", "argument --width: must be an integer of at least 2: '0'"),
+    ("--width -5", "argument --width: must be an integer of at least 2: '-5'"),
+    ("--height 1", "argument --height: must be an integer of at least 2: '1'"),
+    ("--refine-iters -3", "argument --refine-iters: must be an integer of at least 0: '-3'"),
+    ("--scan-period 0", "argument --scan-period: must be finite and positive: '0'"),
+    ("--scan-period -0.1", "argument --scan-period: must be finite and positive: '-0.1'"),
+    ("--scan-period nan", "argument --scan-period: must be finite and positive: 'nan'"),
+    ("--scan-period inf", "argument --scan-period: must be finite and positive: 'inf'"),
     ("@no-such-file", "No such file or directory"),
 ])
 def test_bad_setting_is_a_usage_error(scans, tmp_path, capsys, setting, message):

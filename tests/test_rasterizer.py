@@ -15,6 +15,7 @@ from splatscan.rasterizer import (
     _binned_tiles,
     _blend,
     _near_pairs,
+    _runs,
     _splat_camera_arrays,
     rasterize_backward,
     rasterize_forward,
@@ -198,9 +199,84 @@ def test_a_faint_splat_screens_fewer_near_pairs(full_cam):
         _, rec = rasterize_forward(full_cam, SE3Pose.identity(), model)
         arrays = _splat_camera_arrays(model, SE3Pose.identity())
         tiles = _binned_tiles(rec.tile_ptr, rec.pair_splats, rec.tiles_x)
-        return sum(pix.size for pix, _, _ in _near_pairs(full_cam, arrays, tiles))
+        return sum(pix.size for pix, _, _, _ in _near_pairs(full_cam, arrays, tiles))
 
     assert 0 < near_pairs(0.05) < near_pairs(0.95)
+
+
+# --- blend batches and channels ----------------------------------------------
+
+
+def _near_batches(cam, pose, model):
+    """Every batch of near pairs of a tiled render."""
+    _, rec = rasterize_forward(cam, pose, model)
+    arrays = _splat_camera_arrays(model, pose)
+    return list(_near_pairs(cam, arrays, _binned_tiles(rec.tile_ptr, rec.pair_splats,
+                                                       rec.tiles_x)))
+
+
+def _tile_of(cam, pix):
+    T = RASTER_CONFIG.tile_size
+    return (pix // cam.width // T) * -(-cam.width // T) + pix % cam.width // T
+
+
+def _assert_whole_runs(batches):
+    """Each batch's counts are its pixels' runs, and no pixel is in two batches."""
+    seen = []
+    for pix, _, _, counts in batches:
+        starts, _ = _runs(pix)
+        assert np.array_equal(np.diff(np.append(starts, pix.size)), counts)
+        seen.append(pix[starts])
+    seen = np.concatenate(seen)
+    assert np.unique(seen).size == seen.size
+
+
+def test_blend_batches_span_tiles(full_cam, rng):
+    model = random_model(150, rng)
+    batches = _near_batches(full_cam, _pose(), model)
+    _assert_whole_runs(batches)
+    assert all(pix.size <= rasterizer._BATCH_PAIRS for pix, _, _, _ in batches)
+    assert max(np.unique(_tile_of(full_cam, pix)).size for pix, _, _, _ in batches) > 2
+    tiled, _ = rasterize_forward(full_cam, _pose(), model)
+    ref = reference_rasterize(full_cam, _pose(), model)
+    assert _max_diff(tiled, ref) <= 1e-12
+    assert np.mean(ref.opacity > 0) > 0.3
+
+
+def test_a_tile_with_more_near_pairs_than_a_batch_is_cut_at_pixel_ends(rng):
+    """Hundreds of large splats in front of a three-tile camera: every pixel
+    has about as many near pairs, so each tile passes the batch size."""
+    cam = SphericalCamera(24, 8, -0.6, 0.6, -0.25, 0.25)
+    n = 250
+    centers = np.stack([rng.uniform(2.5, 4.0, n), rng.uniform(-1.0, 1.0, n),
+                        rng.uniform(-0.4, 0.4, n)], axis=1)
+    ta, tb = orthonormal_tangents(rng.normal(size=(n, 3)), rng.normal(size=(n, 3)))
+    model = SplatModel()
+    model.append(centers, ta, tb, rng.uniform(0.3, 0.8, (n, 2)), rng.uniform(0.3, 0.9, n), 0)
+    batches = _near_batches(cam, SE3Pose.identity(), model)
+    _assert_whole_runs(batches)
+    per_tile = np.bincount(np.concatenate([_tile_of(cam, pix) for pix, _, _, _ in batches]))
+    assert per_tile.max() > rasterizer._BATCH_PAIRS
+    assert all(pix.size <= rasterizer._BATCH_PAIRS for pix, _, _, _ in batches)
+    tiled, _ = rasterize_forward(cam, SE3Pose.identity(), model)
+    ref = reference_rasterize(cam, SE3Pose.identity(), model)
+    assert _max_diff(tiled, ref) <= 1e-12
+
+
+def test_a_render_without_normals_blends_the_same_range_and_opacity(full_cam, rng):
+    model = random_model(150, rng, behind_frac=0.5)
+    # a camera that does not close the circle
+    partial = SphericalCamera(40, 12, -1.0, 2.0, -0.3, 0.4)
+    for cam in (full_cam, partial):
+        full, _ = rasterize_forward(cam, _pose(), model)
+        bare, _ = rasterize_forward(cam, _pose(), model, normals=False)
+        assert bare.normal is None
+        assert np.array_equal(bare.range, full.range)
+        assert np.array_equal(bare.opacity, full.opacity)
+        assert np.mean(full.opacity > 0) > 0.3
+    # the backward pass reads the normal image
+    with pytest.raises(ValueError, match="blends normals"):
+        rasterize_forward(full_cam, _pose(), model, keep_pairs=True, normals=False)
 
 
 # --- gradients --------------------------------------------------------------
@@ -269,7 +345,7 @@ def _blended_batches(cam, pose, model):
     _, rec = rasterize_forward(cam, pose, model)
     arrays = _splat_camera_arrays(model, pose)
     tiles = _binned_tiles(rec.tile_ptr, rec.pair_splats, rec.tiles_x)
-    return [_blend(arrays["terms"], *batch) for batch in _near_pairs(cam, arrays, tiles)]
+    return [_blend(arrays["terms"][:4], *batch) for batch in _near_pairs(cam, arrays, tiles)]
 
 
 def _branch_counts(cam, pose, model):

@@ -6,8 +6,8 @@ from scipy.spatial.transform import Rotation
 from conftest import surface_model
 from splatscan import registration
 from splatscan.geometry import estimate_camera
-from splatscan.registration import (REGISTRATION_CONFIG, LeafTree, _geo_system, _trim,
-                                    build_leaf_tree, register)
+from splatscan.registration import (REGISTRATION_CONFIG, LeafTree, _geo_system, _push_leaf,
+                                    _trim, build_leaf_tree, register)
 from splatscan.se3 import SE3Pose, so3_exp
 from splatscan.synth import ScanSpec, raycast_scan, room_with_boxes
 
@@ -58,6 +58,27 @@ def test_register_recovers_vertical_offset(errors):
         assert abs(t[2]) < 0.01
 
 
+def _assert_brute_force_association(tree, scan, T, atol):
+    """``_geo_system`` keeps, among the ``assoc_k`` nearest leaves within the
+    gate, the one whose plane is closest; returns which points have one."""
+    centroids, normals = tree.centroids, tree.normals
+    r, J = _trim(_geo_system(tree, scan, T), trim_floor=1.0)
+    p_w = T.apply(scan)
+    diff = p_w[:, None] - centroids
+    d = np.linalg.norm(diff, axis=2)
+    rank = np.argsort(np.argsort(d, axis=1, kind="stable"), axis=1)
+    candidate = (d <= REGISTRATION_CONFIG.assoc_gate) & (rank < REGISTRATION_CONFIG.assoc_k)
+    pd = np.where(candidate, np.abs(np.einsum("lj,plj->pl", normals, diff)), np.inf)
+    ok = np.isfinite(pd).any(axis=1)
+    leaf = pd.argmin(axis=1)[ok]
+    n = normals[leaf]
+    np.testing.assert_allclose(r, np.sum(n * (p_w[ok] - centroids[leaf]), axis=1), atol=atol)
+    nR = n @ T.rotation
+    np.testing.assert_allclose(J, np.concatenate([nR, np.cross(scan[ok], nR)], axis=1),
+                               atol=atol)
+    return ok
+
+
 @pytest.mark.parametrize("n_leaves", [1, 2])
 def test_geo_system_on_fewer_leaves_than_candidates(n_leaves):
     # planes z = 0 and x = 1; each point keeps the closest plane among the
@@ -69,20 +90,79 @@ def test_geo_system_on_fewer_leaves_than_candidates(n_leaves):
     T = SE3Pose(so3_exp([0.01, -0.02, 0.03]), [0.02, -0.01, 0.01])
     scan = np.array([[0.1, 0.2, 0.03], [-0.2, 0.1, -0.05], [0.9, 0.0, 0.4],
                      [0.6, -0.1, 0.35], [5.0, 5.0, 5.0]])
-    r, J = _trim(_geo_system(tree, scan, T), trim_floor=1.0)
-
-    p_w = T.apply(scan)
-    d = np.linalg.norm(p_w[:, None] - centroids, axis=2)
-    pd = np.where(d <= REGISTRATION_CONFIG.assoc_gate,
-                  np.abs(np.einsum("lj,plj->pl", normals, p_w[:, None] - centroids)), np.inf)
-    ok = np.isfinite(pd).any(axis=1)
+    ok = _assert_brute_force_association(tree, scan, T, atol=1e-15)
     assert ok.tolist() == [True, True, n_leaves == 2, True, False]
-    leaf = pd.argmin(axis=1)[ok]
-    n = normals[leaf]
-    np.testing.assert_allclose(r, np.sum(n * (p_w[ok] - centroids[leaf]), axis=1), atol=1e-15)
-    nR = n @ T.rotation
-    np.testing.assert_allclose(J, np.concatenate([nR, np.cross(scan[ok], nR)], axis=1),
-                               atol=1e-15)
+
+
+def test_geo_system_on_more_leaves_than_candidates():
+    """Eight tilted planes around the origin, so a point's nearest leaves
+    are not all on its own plane and the candidates beyond ``assoc_k`` are
+    left out."""
+    rng = np.random.default_rng(3)
+    az = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+    centroids = np.stack([0.8 * np.cos(az), 0.8 * np.sin(az), 0.1 * np.sin(3 * az)], axis=1)
+    normals = centroids + rng.normal(scale=0.3, size=(8, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    tree = LeafTree(centroids, normals, cKDTree(centroids))
+    assert tree.kdtree.n > REGISTRATION_CONFIG.assoc_k
+    T = SE3Pose(so3_exp([0.01, -0.02, 0.03]), [0.02, -0.01, 0.01])
+    scan = rng.uniform(-1.5, 1.5, (400, 3))
+    ok = _assert_brute_force_association(tree, scan, T, atol=1e-12)
+    assert 0 < ok.sum() < ok.size
+
+
+def _reference_leaf_tree(points, viewpoint):
+    """:func:`build_leaf_tree` with ``np.cov`` and ``np.median`` at each node."""
+    cfg = REGISTRATION_CONFIG
+    cents, norms = [], []
+    stack = [np.arange(points.shape[0])]
+    while stack:
+        idx = stack.pop()
+        if idx.size < 3:
+            continue
+        sub = points[idx]
+        c = sub.mean(axis=0)
+        evals, evecs = np.linalg.eigh(np.cov(sub.T, bias=True))
+        flat = evals[1] <= 1e-12 or evals[0] / evals[1] <= cfg.flatness_tau
+        if flat or idx.size <= cfg.leaf_size:
+            if evals[1] > 1e-12:
+                _push_leaf(cents, norms, c, evecs[:, 0], viewpoint)
+            continue
+        proj = (sub - c) @ evecs[:, 2]
+        left = proj <= np.median(proj)
+        if left.all() or not left.any():
+            _push_leaf(cents, norms, c, evecs[:, 0], viewpoint)
+            continue
+        stack.append(idx[left])
+        stack.append(idx[~left])
+    return np.array(cents), np.array(norms)
+
+
+def _grid_box():
+    """The faces of a box sampled on a 24 x 24 grid each: even-sized nodes
+    have exact ties at the median."""
+    a = np.arange(24.0) * 0.1
+    grid = np.stack(np.meshgrid(a, a, indexing="ij"), axis=-1).reshape(-1, 2)
+    faces = [np.insert(grid, axis, v, axis=1) for axis in range(3) for v in (0.0, 2.3)]
+    return np.unique(np.vstack(faces), axis=0), np.array([1.1, 1.2, 1.3])
+
+
+def _room_sample():
+    scene = room_with_boxes(seed=0)
+    viewpoint = np.array([0.5, -0.5, 0.0])
+    pts, _ = scene.visible_surface_points(5000, viewpoint[None], np.random.default_rng(0))
+    return pts, viewpoint
+
+
+@pytest.mark.parametrize("cloud", [_grid_box, _room_sample])
+def test_leaf_tree_splits_as_the_covariance_and_median_reference(cloud):
+    points, viewpoint = cloud()
+    centroids, normals = _reference_leaf_tree(points, viewpoint)
+    tree = build_leaf_tree(points, viewpoint)
+    assert len(centroids) > 20
+    assert tree.centroids.shape == centroids.shape
+    assert np.array_equal(tree.centroids, centroids)
+    np.testing.assert_allclose(tree.normals, normals, rtol=0, atol=1e-12)
 
 
 @pytest.fixture(scope="module")
