@@ -129,6 +129,10 @@ def _cmd_run(args) -> int:
     print(f"processed {report['n_scans']} scans, {report['n_maps']} local maps, "
           f"{report['n_exported_points']} exported points, "
           f"{report['fallbacks']} fallbacks -> {args.out}")
+    # every output is written before a map that failed to export fails the run
+    for entry in pipe.archive:
+        if entry.export_error is not None:
+            raise ExportError(entry.export_error)
     return 0
 
 

@@ -50,9 +50,6 @@ __all__ = [
     "Keyframe",
     "LocalMap",
     "make_keyframe",
-    "range_loss",
-    "normal_loss",
-    "opacity_loss",
     "scale_loss",
     "mapping_loss",
     "MappingLoss",
@@ -87,14 +84,13 @@ class MappingConfig:
     lr_logit_opacity: float = 5e-2
     scale_floor: float = 1e-4
     opacity_init: float = 0.5
-    footprint_gain: float = 1.0
     range_weight_floor: float = 1.0  # meters
 
 
 # the settings of every map
 MAPPING_CONFIG = MappingConfig()
 
-_OPACITY_EPS = 1e-6  # opacity_loss clamps opacity here before the log
+_OPACITY_EPS = 1e-6  # mapping_loss clamps opacity here before the log
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -135,40 +131,6 @@ class MappingLoss:
     d_params: np.ndarray
 
 
-def range_loss(render: RenderOutput, kf: Keyframe) -> tuple[float, np.ndarray]:
-    """Range-weighted L1 on the range channel over the keyframe's valid mask."""
-    M = kf.range_image.valid
-    w = 1.0 / np.maximum(kf.range_image.range, MAPPING_CONFIG.range_weight_floor)
-    diff = render.range - kf.range_image.range
-    L = float(np.sum(w[M] * np.abs(diff[M])))
-    g = np.where(M, w * np.sign(diff), 0.0)
-    return L, g
-
-
-def normal_loss(render: RenderOutput, kf: Keyframe) -> tuple[float, np.ndarray]:
-    """One minus dot product against the keyframe normals where both exist.
-
-    The keyframe normals are unit and fixed; the rendered normal is the
-    raw blend (not re-normalized), so the gradient is just the negated
-    target.
-    """
-    M = kf.range_image.valid & kf.normal_image.valid
-    dots = np.sum(render.normal * kf.normal_image.normals, axis=-1)
-    L = float(np.sum(1.0 - dots[M]))
-    g = np.where(M[..., None], -kf.normal_image.normals, 0.0)
-    return L, g
-
-
-def opacity_loss(render: RenderOutput, kf: Keyframe) -> tuple[float, np.ndarray]:
-    """Negative log opacity over valid pixels; pushes surfaces opaque."""
-    M = kf.range_image.valid
-    O = render.opacity
-    clamped = np.maximum(O, _OPACITY_EPS)
-    L = float(np.sum(-np.log(clamped[M])))
-    g = np.where(M & (O > _OPACITY_EPS), -1.0 / clamped, 0.0)
-    return L, g
-
-
 def scale_loss(model: SplatModel) -> tuple[float, np.ndarray]:
     """Hinge on the larger scale above ``scale_cap``, and its parameter gradient.
 
@@ -189,11 +151,29 @@ def scale_loss(model: SplatModel) -> tuple[float, np.ndarray]:
 
 
 def mapping_loss(render: RenderOutput, model: SplatModel, kf: Keyframe) -> MappingLoss:
-    """Combined per-keyframe objective with pixel and parameter gradients."""
+    """The objective of the module docstring on one keyframe's render, with
+    its pixel gradients and the scale hinge's parameter gradient.
+
+    The normal term counts only where the keyframe normal is valid too.  The
+    rendered normal is the raw blend (not re-normalized), so its gradient is
+    the negated keyframe normal.  Pixels whose opacity is at the clamp get no
+    opacity gradient.
+    """
     cfg = MAPPING_CONFIG
-    L_d, g_d = range_loss(render, kf)
-    L_o, g_o = opacity_loss(render, kf)
-    L_n, g_n = normal_loss(render, kf)
+    M = kf.range_image.valid
+    D_kf = kf.range_image.range
+    w = 1.0 / np.maximum(D_kf, cfg.range_weight_floor)
+    diff = render.range - D_kf
+    L_d = float(np.sum(w[M] * np.abs(diff[M])))
+    g_d = np.where(M, w * np.sign(diff), 0.0)
+    O = render.opacity
+    clamped = np.maximum(O, _OPACITY_EPS)
+    L_o = float(np.sum(-np.log(clamped[M])))
+    g_o = np.where(M & (O > _OPACITY_EPS), -1.0 / clamped, 0.0)
+    N_kf = kf.normal_image.normals
+    M_n = M & kf.normal_image.valid
+    L_n = float(np.sum(1.0 - np.sum(render.normal * N_kf, axis=-1)[M_n]))
+    g_n = np.where(M_n[..., None], -N_kf, 0.0)
     L_s, g_s = scale_loss(model)
     total = L_d + cfg.w_opacity * L_o + cfg.w_normal * L_n + cfg.w_scale * L_s
     return MappingLoss(
@@ -249,11 +229,12 @@ def spawn_splats(
 ) -> int:
     """Create splats at up to ``n_spawn`` masked keyframe pixels.
 
-    Pixels are drawn without replacement, weighted by the range-gradient
-    magnitude (uniform when it vanishes everywhere).  Each splat sits on
-    the back-projected surface point, aligned to the keyframe normal
-    (falling back to facing the sensor), scaled to the pixel footprint.
-    Returns the number spawned.
+    When more pixels are masked, they are drawn without replacement,
+    weighted by the range-gradient magnitude; if fewer than ``n_spawn``
+    carry a weight, all of those are taken and the rest drawn uniformly
+    from the others.  Each splat sits on the back-projected surface point,
+    aligned to the keyframe normal (falling back to facing the sensor),
+    scaled to the pixel footprint.  Returns the number spawned.
     """
     cfg = MAPPING_CONFIG
     mask = mask & kf.range_image.valid
@@ -262,9 +243,13 @@ def spawn_splats(
         return 0
     if idx.size > cfg.n_spawn:
         w = _range_gradient_weights(kf).ravel()[idx]
-        total = w.sum()
-        p = w / total if total > 0 else None
-        idx = rng.choice(idx, size=cfg.n_spawn, replace=False, p=p)
+        hot = w > 0
+        n_hot = int(np.count_nonzero(hot))
+        if n_hot >= cfg.n_spawn:
+            idx = rng.choice(idx, size=cfg.n_spawn, replace=False, p=w / w.sum())
+        else:
+            rest = rng.choice(idx[~hot], size=cfg.n_spawn - n_hot, replace=False)
+            idx = np.concatenate([idx[hot], rest])
     rows, cols = np.unravel_index(idx, kf.range_image.shape)
     uv = kf.camera.pixel_grid[rows, cols]
     d = kf.range_image.range[rows, cols]
@@ -284,10 +269,7 @@ def spawn_splats(
 
     pitch_az = 1.0 / abs(kf.camera.fx)
     pitch_el = 1.0 / abs(kf.camera.fy)
-    scales = np.stack(
-        [cfg.footprint_gain * d * pitch_az, cfg.footprint_gain * d * pitch_el], axis=1
-    )
-    scales = np.maximum(scales, cfg.scale_floor)
+    scales = np.maximum(np.stack([d * pitch_az, d * pitch_el], axis=1), cfg.scale_floor)
     model.append(centers, ta, tb, scales, np.full(idx.size, cfg.opacity_init), kf.index)
     return idx.size
 
@@ -475,7 +457,7 @@ def refine(lmap: LocalMap, iters: int, rng: np.random.Generator) -> list[dict[st
         kf = lmap.keyframes[sample_keyframe_index(len(lmap.keyframes), cfg.kf_sample_p, rng)]
         render, rec = rasterize_forward(kf.camera, kf.pose, lmap.model, keep_pairs=True)
         ml = mapping_loss(render, lmap.model, kf)
-        grads = rasterize_backward(lmap.model, rec, render, ml.pixel_grads)
+        grads = rasterize_backward(lmap.model, rec, ml.pixel_grads)
         grads += ml.d_params
         lmap.optimizer.step(lmap.model, grads, lrs)
         np.clip(lmap.model.log_scales, lo, hi, out=lmap.model.log_scales)

@@ -6,6 +6,8 @@ is reset (archived) when it fills up, stops covering the current view,
 or is left behind spatially.  Each archived map ``NNN`` leaves two files
 in ``out_dir``: ``map_NNN.ply``, the map exported as oriented points, and
 ``map_NNN.splm``, its splats as a model file (see :func:`io.save_model`).
+A map that cannot be exported keeps its model file, gets no PLY, and its
+:class:`ArchiveEntry` says why; the run goes on.
 One trajectory row is produced per scan no matter what happens inside.
 Every scan makes a keyframe from ``SCAN_FRACTION`` of its points; a study
 that sweeps that fraction should bring back only it as a :class:`RunConfig`
@@ -69,7 +71,11 @@ class RunConfig:
 
 @dataclass
 class ArchiveEntry:
-    """What remains of a finalized local map after its splats are freed."""
+    """What remains of a finalized local map after its splats are freed.
+
+    ``export_error`` is the reason the map has no oriented points, ``None``
+    when it was exported.
+    """
 
     export_path: str | None
     model_path: str | None
@@ -77,6 +83,7 @@ class ArchiveEntry:
     n_keyframes: int
     first_scan: int
     last_scan: int
+    export_error: str | None = None
 
 
 def export_oriented_points(
@@ -160,15 +167,20 @@ class Pipeline:
 
     def _archive_active(self) -> ArchiveEntry:
         lmap = self.lmap
-        path = model_path = None
-        pts, nrm = export_oriented_points(lmap, self.rng)
+        path = model_path = error = None
+        try:
+            pts, nrm = export_oriented_points(lmap, self.rng)
+        except ExportError as e:
+            pts, error = None, str(e)
         if self.cfg.out_dir is not None:
             out = Path(self.cfg.out_dir)
             out.mkdir(parents=True, exist_ok=True)
             stem = out / f"map_{len(self.archive):03d}"
-            path, model_path = f"{stem}.ply", f"{stem}.splm"
-            write_ply(path, pts, nrm)
+            model_path = f"{stem}.splm"
             save_model(model_path, lmap.model)
+            if pts is not None:
+                path = f"{stem}.ply"
+                write_ply(path, pts, nrm)
         entry = ArchiveEntry(
             path,
             model_path,
@@ -176,9 +188,11 @@ class Pipeline:
             len(lmap.keyframes),
             lmap.keyframes[0].index,
             len(self.poses) - 1,
+            error,
         )
         self.archive.append(entry)
-        self.n_exported += pts.shape[0]
+        if pts is not None:
+            self.n_exported += pts.shape[0]
         return entry
 
     # --- main loop -------------------------------------------------------
@@ -272,7 +286,11 @@ class Pipeline:
         return Trajectory(np.asarray(self.stamps), [p.copy() for p in self.poses])
 
     def finalize(self) -> dict:
-        """Archive the active map and write trajectory, points and report."""
+        """Archive the active map and write trajectory, points and report.
+
+        Maps that could not be exported are in the report's ``archive`` with
+        their ``export_error``; every output is written all the same.
+        """
         if self.lmap is not None and self.lmap.keyframes:
             self._archive_active()
             self.lmap = None

@@ -47,15 +47,16 @@ other two.  The forward pass and the reference renderer share both
 stages; the reference feeds them full-width pixel bands with every splat
 in range order.
 
-The backward pass never walks the tiles again.  A forward pass asked to
-``keep_pairs`` keeps the pairs with non-zero blend weight: each pair's
-pixel and splat, its transmittance and its six plane products, and the
-render's per-splat arrays.  From those the backward pass recomputes the
-kernel terms and alpha with the forward pass's own expressions and the
-hit range from the pixel's ray, and accumulates analytic gradients of
-any scalar loss on the rendered range/normal/opacity images w.r.t. splat
-centroids, tangent frames, scales and opacities, on 1-D arrays over the
-kept pairs.  :meth:`SplatModel.param_gradients` chains those into one
+The backward pass never walks the tiles again and reads no image.  A
+forward pass asked to ``keep_pairs`` keeps the pairs with non-zero blend
+weight: each pair's pixel and splat, its transmittance and its six plane
+products, and the render's per-splat arrays.  From those and the pixel
+gradients of any scalar loss on the rendered range/normal/opacity images,
+the backward pass recomputes the kernel terms and alpha with the forward
+pass's own expressions and the hit range from the pixel's ray, and
+accumulates analytic gradients w.r.t. splat centroids, tangent frames,
+scales and opacities, on 1-D arrays over the kept pairs.
+:meth:`SplatModel.param_gradients` chains those into one
 ``(N, 12)`` matrix in the layout of ``SplatModel.params``, which is what
 the backward pass returns.
 """
@@ -143,9 +144,10 @@ class BlendRecords:
     transmittance in front of the pair and the six plane products ``a1,
     a2, a4, b1, b2, b4`` (see :func:`_near_pairs`).  The pairs are
     pixel-major and in blend order within a pixel, and a pixel's pairs all
-    lie in one entry.  ``arrays`` holds the render's per-splat camera-frame
-    arrays.  :func:`rasterize_backward` takes both out and leaves ``None``,
-    so a record serves one backward pass.
+    lie in one entry, which alone gives the sums behind each of its pairs.
+    ``arrays`` holds the render's per-splat camera-frame arrays, normals
+    included.  :func:`rasterize_backward` takes both out and leaves
+    ``None``, so a record serves one backward pass.
     """
 
     cam: SphericalCamera
@@ -521,12 +523,9 @@ def rasterize_forward(
     pairs take about 5 MB per 85k, so renders that no backward pass reads
     leave it off.  ``normals=False`` blends range and opacity only and
     leaves ``normal`` None, for callers that read no normals; range and
-    opacity keep the bits of the full render.  The backward pass reads the normal
-    image, so a render that keeps its pairs must blend it (``ValueError``
-    otherwise).
+    opacity keep the bits of the full render, and kept pairs are the same
+    either way.
     """
-    if keep_pairs and not normals:
-        raise ValueError("a render that keeps its pairs for the backward pass blends normals")
     arrays = _splat_camera_arrays(model, pose)
     tile_ptr, pair_splats, tiles_x = _bin_splats(cam, arrays)
     kept = [] if keep_pairs else None
@@ -557,7 +556,6 @@ def reference_rasterize(cam: SphericalCamera, pose: SE3Pose, model: SplatModel) 
 def rasterize_backward(
     model: SplatModel,
     records: BlendRecords,
-    render: RenderOutput,
     pixel_grads: PixelGradients,
 ) -> np.ndarray:
     """Gradients of a pixel-space loss w.r.t. ``model.params``, as an ``(N, 12)`` matrix.
@@ -565,20 +563,21 @@ def rasterize_backward(
     The matrix has the layout of ``model.params``, so it feeds the
     optimizer as it is.
 
-    ``records`` and ``render`` must come from one
-    ``rasterize_forward(..., keep_pairs=True)`` on the same (unmodified)
-    model.  The records' pairs and splat arrays are consumed: this sets
-    ``records.pairs`` and ``records.arrays`` to ``None``, and records
+    ``records`` must come from ``rasterize_forward(..., keep_pairs=True)``
+    on the same (unmodified) model, and ``pixel_grads`` holds d(loss)/d(image)
+    for its images.  The records' pairs and splat arrays are consumed: this
+    sets ``records.pairs`` and ``records.arrays`` to ``None``, and records
     without pairs (never kept, or already used) raise ``GeometryError``, as
     does a changed model.  Splats touching no pixel get zero rows.
 
-    Each kept batch is handled as 1-D arrays over its pairs, which are
+    Each kept entry is handled as 1-D arrays over its pairs, which are
     pixel-major and in blend order within a pixel (see
     :class:`BlendRecords`).  Per pair the kernel terms, alpha and blend
     weight are recomputed from the kept values with the forward pass's
-    expressions, and the range from the pixel's ray.  The sum of later contributions behind a pair is the
-    pixel's total minus a segmented cumsum over the pixel's run, and
-    per-splat sums use ``np.bincount`` over the pairs' splat ids.
+    expressions, and the range from the pixel's ray.  The sum of later
+    contributions behind a pair is a cumsum over the entry taken at the
+    end of the pair's run minus the same cumsum at the pair, and per-splat
+    sums use ``np.bincount`` over the pairs' splat ids.
     """
     pairs, records.pairs = records.pairs, None
     arrays, records.arrays = records.arrays, None
@@ -604,15 +603,8 @@ def rasterize_backward(
             np.moveaxis(hx, -1, 0),
             np.moveaxis(hy, -1, 0),
             np.moveaxis(cam.pixel_directions, -1, 0),
-            # every channel projected on its pixel gradient, so that the sums
-            # of later contributions take one cumsum for all channels
-            (
-                pixel_grads.d_range * render.range
-                + pixel_grads.d_opacity * render.opacity
-                + np.einsum("hwc,hwc->hw", pixel_grads.d_normal, render.normal)
-            )[None],
         ]
-    ).reshape(15, -1)
+    ).reshape(14, -1)
 
     # camera-frame accumulators, one column per splat, reduced to
     # parameters at the end: rows 3j..3j+2 are d/dB_j for B_a, B_b, B_c,
@@ -626,8 +618,7 @@ def rasterize_backward(
         sp = np.take(arrays["terms"], spl, axis=1)
         opac, ncam, Ba, Bb, Bc = sp[0], sp[1:4], sp[4:7], sp[7:10], sp[10:13]
         px = np.take(pixel_terms, pix, axis=1)
-        gD, gO, gN, h_x, h_y, V, S_tot = (
-            px[0], px[1], px[2:5], px[5:8], px[8:11], px[11:14], px[14])
+        gD, gO, gN, h_x, h_y, V = px[0], px[1], px[2:5], px[5:8], px[8:11], px[11:14]
 
         t_pair, a1, a2, a4, b1, b2, b4 = values
         # the forward pass's expressions, so the kernel terms, alpha and w
@@ -642,12 +633,13 @@ def rasterize_backward(
         alpha = np.minimum(a_raw, cfg.alpha_clamp)
         w = alpha * t_pair
 
+        # every channel projected on its pixel gradient; the sum of w*c behind
+        # a pair is the cumsum at its run's last pair minus its own
         c = gD * d + gO + _dot3(gN, ncam)
-        wc = w * c
-        # the pixel's total minus its sum of wc up to and including the pair
         starts, run = _runs(pix)
-        cs = np.cumsum(wc)
-        later = S_tot - (cs - np.take(np.take(cs - wc, starts), run))
+        cs = np.cumsum(w * c)
+        last = np.append(starts[1:], pix.shape[0]) - 1
+        later = np.take(np.take(cs, last), run) - cs
         d_alpha = t_pair * c - later / (1.0 - alpha)
 
         # alpha routes: kernel coordinates and opacity (dead where clamped)

@@ -102,6 +102,8 @@ def test_nothing_to_export_is_a_numerical_failure(scans, tmp_path, capsys, monke
     argv = ["run", str(scans), "--out", str(tmp_path)] + SMALL + ["--refine-iters", "0"]
     assert main(argv) == 3
     assert "no confidently rendered pixels" in capsys.readouterr().err
+    # the outputs are written before the run fails
+    assert (tmp_path / "trajectory.tum").is_file()
 
 
 @pytest.fixture(scope="module")

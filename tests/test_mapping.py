@@ -1,17 +1,25 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from splatscan import mapping
+from splatscan.geometry import NormalImage, RangeImage, SphericalCamera
 from splatscan.mapping import (
     MAPPING_CONFIG,
+    Keyframe,
     LocalMap,
     _Adam,
     _learning_rates,
+    _range_gradient_weights,
     add_keyframe,
     make_keyframe,
+    mapping_loss,
     scale_loss,
     should_reset_local_map,
+    spawn_splats,
 )
+from splatscan.rasterizer import rasterize_backward, rasterize_forward
 from splatscan.se3 import SE3Pose, so3_exp
 from splatscan.splats import SplatModel, orthonormal_tangents
 from splatscan.synth import ScanSpec, raycast_scan, room_with_boxes
@@ -64,6 +72,75 @@ def test_scale_hinge_gradient_matches_central_differences():
     # no other column of the parameter gradient moves
     hinge.log_scales[:] = 0.0
     assert not hinge.params.any()
+
+
+def _toy_keyframe(cam, range_image, valid, rng):
+    """A keyframe at the identity with random unit normals valid at 80% of
+    the pixels."""
+    H, W = range_image.shape
+    normals = rng.normal(size=(H, W, 3))
+    normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
+    return Keyframe(0, SE3Pose.identity(), cam, RangeImage(range_image, valid),
+                    NormalImage(normals, rng.random((H, W)) < 0.8))
+
+
+def test_mapping_loss_gradients_match_central_differences():
+    """What refine steps by, the backward pass of mapping_loss's pixel
+    gradients plus its ``d_params``, against central differences of its
+    total over every column of ``model.params``."""
+    rng = np.random.default_rng(5)
+    cam = SphericalCamera(24, 8, -0.6, 0.6, -0.25, 0.25)
+    kf = _toy_keyframe(cam, rng.uniform(2.5, 4.0, (8, 24)), rng.random((8, 24)) < 0.9, rng)
+    n = 12
+    centers = np.stack([rng.uniform(2.5, 4.0, n), rng.uniform(-1.5, 1.5, n),
+                        rng.uniform(-0.6, 0.6, n)], axis=1)
+    ta, tb = orthonormal_tangents(rng.normal(size=(n, 3)), rng.normal(size=(n, 3)))
+    model = SplatModel()
+    # the larger scales put some splats on the scale hinge
+    model.append(centers, ta, tb, rng.uniform(0.15, 0.7, (n, 2)), rng.uniform(0.3, 0.9, n), 0)
+
+    render, rec = rasterize_forward(cam, kf.pose, model, keep_pairs=True)
+    ml = mapping_loss(render, model, kf)
+    assert all(ml.parts[term] > 0 for term in ("range", "opacity", "normal", "scale"))
+    grads = rasterize_backward(model, rec, ml.pixel_grads) + ml.d_params
+
+    h = 1e-6
+    num = np.zeros_like(grads)
+    for idx in np.ndindex(*num.shape):
+        x = model.params[idx]
+        vals = []
+        for step in (h, -h):
+            model.params[idx] = x + step
+            model.touch()
+            vals.append(mapping_loss(rasterize_forward(cam, kf.pose, model)[0], model, kf).total)
+        model.params[idx] = x
+        model.touch()
+        num[idx] = (vals[0] - vals[1]) / (2.0 * h)
+    scale = float(np.max(np.abs(num)))
+    assert scale > 0
+    assert float(np.max(np.abs(grads - num))) <= 1e-6 * scale
+
+
+def test_spawn_takes_every_weighted_pixel_when_fewer_than_the_cap(monkeypatch):
+    """A 3x3 patch nearer than its surroundings gives 20 pixels a range
+    gradient: those are all spawned, and 80 more drawn from the rest."""
+    monkeypatch.setattr(mapping, "MAPPING_CONFIG",
+                        dataclasses.replace(MAPPING_CONFIG, n_spawn=100))
+    cam = SphericalCamera(64, 16, -np.pi, np.pi, -np.deg2rad(20.0), np.deg2rad(15.0))
+    D = np.full((16, 64), 5.0)
+    D[6:9, 30:33] = 4.0
+    rng = np.random.default_rng(0)
+    kf = _toy_keyframe(cam, D, np.ones(D.shape, dtype=bool), rng)
+    weighted = _range_gradient_weights(kf) > 0
+    assert np.count_nonzero(weighted) == 20
+
+    model = SplatModel()
+    assert spawn_splats(model, kf, kf.range_image.valid, rng) == len(model) == 100
+    # each weighted pixel's splat sits on its back-projected point
+    rows, cols = np.nonzero(weighted)
+    points = cam.back_project(cam.pixel_grid[rows, cols], D[rows, cols])
+    gaps = np.linalg.norm(model.centers[None] - points[:, None], axis=-1)
+    assert np.all(gaps.min(axis=1) < 1e-9)
 
 
 def test_add_keyframe_keeps_moments_aligned_with_splats():

@@ -8,7 +8,7 @@ from splatscan.io import read_ply
 from splatscan.mapping import coverage
 from splatscan.pipeline import Pipeline, RunConfig
 from splatscan.se3 import SE3Pose, so3_exp
-from splatscan.synth import ScanSpec, raycast_scan, room_with_boxes
+from splatscan.synth import ScanSpec, make_trajectory, raycast_scan, room_with_boxes
 
 # each one raises GeometryError in camera estimation: no point off the origin,
 # or zero angular extent
@@ -173,3 +173,30 @@ def test_rows_report_the_coverage_the_reset_check_measured(good_scans, monkeypat
     assert rows[0]["coverage"] is None  # no map to check against yet
     assert [row["coverage"] for row in rows[1:]] == measured
     assert 0.0 < measured[0] <= 1.0
+
+
+def test_a_map_that_cannot_be_exported_is_archived_without_points(tmp_path):
+    """A first scan scaled by 1e6 makes a map that covers none of the next
+    view, so the second scan resets it, and its export finds no surface."""
+    scene = room_with_boxes(seed=0)
+    rng = np.random.default_rng(0)
+    scans = [raycast_scan(scene, p, ScanSpec(64, 16), rng).cloud
+             for p in make_trajectory("arc", 3.0, 5).poses]
+    scans[0] = scans[0] * 1e6
+    pipe = Pipeline(RunConfig(image_width=64, image_height=16, refine_iters=2,
+                              out_dir=str(tmp_path)))
+    rows = [pipe.process_scan(s) for s in scans]
+    assert [row["scan"] for row in rows] == list(range(5))
+    assert rows[1]["reset"] == "coverage"
+    # the reset left a fresh map, which every later scan joins
+    assert [row["reset"] for row in rows[2:]] == [None] * 3
+    assert [kf.index for kf in pipe.lmap.keyframes] == [1, 2, 3, 4]
+
+    report = pipe.finalize()
+    failed, exported = report["archive"]
+    assert failed["export_error"] == "no confidently rendered pixels in any keyframe"
+    assert failed["export_path"] is None and (tmp_path / "map_000.splm").is_file()
+    assert exported["export_error"] is None
+    assert report["n_exported_points"] == len(read_ply(exported["export_path"])[0]) > 0
+    for name in ("trajectory.tum", "trajectory.kitti", "report.json"):
+        assert (tmp_path / name).is_file()

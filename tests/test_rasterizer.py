@@ -274,9 +274,13 @@ def test_a_render_without_normals_blends_the_same_range_and_opacity(full_cam, rn
         assert np.array_equal(bare.range, full.range)
         assert np.array_equal(bare.opacity, full.opacity)
         assert np.mean(full.opacity > 0) > 0.3
-    # the backward pass reads the normal image
-    with pytest.raises(ValueError, match="blends normals"):
-        rasterize_forward(full_cam, _pose(), model, keep_pairs=True, normals=False)
+    # the backward pass reads no image, so the kept pairs serve it either way
+    pg = _pixel_grads(full_cam, rng)
+    grads = []
+    for normals in (True, False):
+        _, rec = rasterize_forward(full_cam, _pose(), model, keep_pairs=True, normals=normals)
+        grads.append(rasterize_backward(model, rec, pg))
+    assert np.array_equal(grads[0], grads[1]) and grads[0].any()
 
 
 # --- gradients --------------------------------------------------------------
@@ -335,8 +339,8 @@ def _with_gradients(cam, pose, model, rng, batch_pairs=None):
     with pytest.MonkeyPatch.context() as m:
         if batch_pairs is not None:
             m.setattr(rasterizer, "_BATCH_PAIRS", batch_pairs)
-        out, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
-    grads = rasterize_backward(model, rec, out, pg)
+        _, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
+    grads = rasterize_backward(model, rec, pg)
     return cam, pose, model, pg, grads
 
 
@@ -393,10 +397,10 @@ class TestBackwardMatchesCentralDifferences:
 
     def test_stale_records_raise(self, grad_case):
         cam, pose, model, pg, _ = grad_case
-        out, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
+        _, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
         model.touch()
         with pytest.raises(GeometryError):
-            rasterize_backward(model, rec, out, pg)
+            rasterize_backward(model, rec, pg)
 
 
 def _opaque_stack(rng):
@@ -489,7 +493,7 @@ def test_gradients_do_not_depend_on_the_chunk_size(grad_case, monkeypatch, chunk
     for c in CHANNELS:
         scale = float(np.max(np.abs(getattr(out, c))))
         assert float(np.max(np.abs(getattr(blocked, c) - getattr(out, c)))) <= 1e-13 * scale
-    _assert_close(rasterize_backward(model, rec, blocked, pg), grads, rel=1e-12)
+    _assert_close(rasterize_backward(model, rec, pg), grads, rel=1e-12)
 
 
 class _InBatchesOfOne:
@@ -527,7 +531,7 @@ def test_results_do_not_depend_on_the_batch_size(grad_case, monkeypatch, batch):
     small, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
     for c in CHANNELS:
         assert np.array_equal(getattr(small, c), getattr(out, c))
-    _assert_close(rasterize_backward(model, rec, small, pg), grads, rel=1e-12)
+    _assert_close(rasterize_backward(model, rec, pg), grads, rel=1e-12)
 
 
 def test_kept_entries_end_at_the_first_pixel_end_past_the_batch_size(grad_case, monkeypatch):
@@ -556,29 +560,29 @@ def test_the_near_test_is_conservative(full_cam, rng, monkeypatch):
 class TestRecordsServeOneBackwardPass:
     def test_records_without_pairs_raise(self, grad_case):
         cam, pose, model, pg, _ = grad_case
-        out, rec = rasterize_forward(cam, pose, model)
+        _, rec = rasterize_forward(cam, pose, model)
         assert rec.pairs is None and rec.arrays is None
         with pytest.raises(GeometryError, match="keep_pairs"):
-            rasterize_backward(model, rec, out, pg)
+            rasterize_backward(model, rec, pg)
 
     def test_a_backward_pass_consumes_the_pairs(self, grad_case):
         cam, pose, model, pg, grads = grad_case
-        out, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
+        _, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
         assert rec.pairs and rec.arrays is not None
-        again = rasterize_backward(model, rec, out, pg)
+        again = rasterize_backward(model, rec, pg)
         assert rec.pairs is None and rec.arrays is None
         assert np.array_equal(again, grads)
         with pytest.raises(GeometryError, match="keep_pairs"):
-            rasterize_backward(model, rec, out, pg)
+            rasterize_backward(model, rec, pg)
 
     def test_a_render_without_pairs_gives_zero_rows(self, grad_case):
         cam, pose, _, pg, _ = grad_case
         behind = SplatModel()
         behind.append(pose.apply([[-3.0, 0.0, 0.0]]), [[0.0, 1.0, 0.0]], [[0.0, 0.0, 1.0]],
                       [[0.2, 0.2]], [0.5], 0)
-        out, rec = rasterize_forward(cam, pose, behind, keep_pairs=True)
+        _, rec = rasterize_forward(cam, pose, behind, keep_pairs=True)
         assert rec.pairs == []
-        grads = rasterize_backward(behind, rec, out, pg)
+        grads = rasterize_backward(behind, rec, pg)
         assert grads.shape == (1, 12) and not grads.any()
 
     def test_kept_pairs_are_the_blending_pairs(self, grad_case):
@@ -590,7 +594,7 @@ class TestRecordsServeOneBackwardPass:
 
     def test_the_backward_pass_reads_the_forward_arrays(self, grad_case, monkeypatch):
         cam, pose, model, pg, grads = grad_case
-        out, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
+        _, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
         calls = []
 
         def counted(*args):
@@ -598,7 +602,7 @@ class TestRecordsServeOneBackwardPass:
             return _splat_camera_arrays(*args)
 
         monkeypatch.setattr(rasterizer, "_splat_camera_arrays", counted)
-        again = rasterize_backward(model, rec, out, pg)
+        again = rasterize_backward(model, rec, pg)
         assert not calls
         assert np.array_equal(again, grads)
 
