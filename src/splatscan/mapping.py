@@ -3,8 +3,11 @@
 A local map is a splat model plus the keyframes that shaped it.  Each
 keyframe stores its estimated camera, the measured range image and the
 normals derived from it.  Refinement renders the model at a sampled
-keyframe, scores it against that keyframe's images and follows analytic
-gradients with Adam.
+keyframe and follows the analytic gradients of its score against that
+keyframe's images with Adam.  The objective's range, opacity and normal
+terms are per pixel, so the render takes their gradients batch by batch
+as it blends (see :func:`mapping_loss`), and no pass after it reads the
+images again.
 
 The objective per keyframe, summed over pixels of the valid mask:
 
@@ -40,7 +43,7 @@ from .geometry import (
     shift_image,
     smooth_range_image,
 )
-from .rasterizer import PixelGradients, RenderOutput, rasterize_backward, rasterize_forward
+from .rasterizer import RenderOutput, rasterize_backward, rasterize_forward
 from .se3 import SE3Pose
 from .splats import PARAMS_PER_SPLAT, SplatModel
 
@@ -119,16 +122,58 @@ def make_keyframe(
 
 @dataclass
 class MappingLoss:
-    """The weighted objective, its unweighted terms and their gradients.
+    """The objective of the module docstring, bound to one keyframe and model.
 
-    ``pixel_grads`` feeds the rasterizer's backward pass; ``d_params`` is
-    the weighted scale hinge's gradient in the layout of ``SplatModel.params``.
+    :meth:`pixel_grads` is the rule :func:`rasterize_forward` applies to
+    each blend batch; ``d_params`` is the weighted scale hinge's gradient in
+    the layout of ``SplatModel.params``, and ``scale`` the unweighted hinge;
+    :meth:`terms` scores a finished render.  ``valid`` and ``pixels`` are
+    what the rule reads of the keyframe, per flat pixel: the valid mask, and
+    rows of its range, the range weight and the weighted normal term's
+    gradient (3 rows).
     """
 
-    total: float
-    parts: dict[str, float]
-    pixel_grads: PixelGradients
+    kf: Keyframe
+    scale: float
     d_params: np.ndarray
+    valid: np.ndarray
+    pixels: np.ndarray
+
+    def pixel_grads(self, pix: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """d(loss)/d(image) at the flat pixels ``pix`` from their blended
+        ``values``: rows range, opacity and normal, in both.
+
+        Pixels whose opacity is at the clamp get no opacity gradient.  The
+        rendered normal is the raw blend (not re-normalized), so its
+        gradient is the negated keyframe normal, where both normals are valid.
+        """
+        g = np.take(self.pixels, pix, axis=1)
+        M = np.take(self.valid, pix)
+        O = values[1]
+        clamped = np.maximum(O, _OPACITY_EPS)
+        g[0] = np.where(M, g[1] * np.sign(values[0] - g[0]), 0.0)
+        g[1] = MAPPING_CONFIG.w_opacity * np.where(M & (O > _OPACITY_EPS), -1.0 / clamped, 0.0)
+        return g
+
+    def terms(self, render: RenderOutput) -> dict[str, float]:
+        """The weighted ``total`` and the unweighted ``range``, ``opacity``,
+        ``normal`` and ``scale`` terms on ``render``, this keyframe's view of
+        the bound model.  The normal term counts only where the keyframe
+        normal is valid too."""
+        cfg = MAPPING_CONFIG
+        kf = self.kf
+        M = kf.range_image.valid
+        D_kf = kf.range_image.range
+        w = 1.0 / np.maximum(D_kf, cfg.range_weight_floor)
+        diff = render.range - D_kf
+        L_d = float(np.sum(w[M] * np.abs(diff[M])))
+        clamped = np.maximum(render.opacity, _OPACITY_EPS)
+        L_o = float(np.sum(-np.log(clamped[M])))
+        M_n = M & kf.normal_image.valid
+        L_n = float(np.sum(1.0 - np.sum(render.normal * kf.normal_image.normals, axis=-1)[M_n]))
+        total = L_d + cfg.w_opacity * L_o + cfg.w_normal * L_n + cfg.w_scale * self.scale
+        return {"total": total, "range": L_d, "opacity": L_o, "normal": L_n,
+                "scale": self.scale}
 
 
 def scale_loss(model: SplatModel) -> tuple[float, np.ndarray]:
@@ -150,38 +195,17 @@ def scale_loss(model: SplatModel) -> tuple[float, np.ndarray]:
     return L, model.param_gradients(scales=g)
 
 
-def mapping_loss(render: RenderOutput, model: SplatModel, kf: Keyframe) -> MappingLoss:
-    """The objective of the module docstring on one keyframe's render, with
-    its pixel gradients and the scale hinge's parameter gradient.
-
-    The normal term counts only where the keyframe normal is valid too.  The
-    rendered normal is the raw blend (not re-normalized), so its gradient is
-    the negated keyframe normal.  Pixels whose opacity is at the clamp get no
-    opacity gradient.
-    """
+def mapping_loss(model: SplatModel, kf: Keyframe) -> MappingLoss:
+    """Bind the objective of the module docstring to ``model`` and one keyframe."""
     cfg = MAPPING_CONFIG
     M = kf.range_image.valid
     D_kf = kf.range_image.range
-    w = 1.0 / np.maximum(D_kf, cfg.range_weight_floor)
-    diff = render.range - D_kf
-    L_d = float(np.sum(w[M] * np.abs(diff[M])))
-    g_d = np.where(M, w * np.sign(diff), 0.0)
-    O = render.opacity
-    clamped = np.maximum(O, _OPACITY_EPS)
-    L_o = float(np.sum(-np.log(clamped[M])))
-    g_o = np.where(M & (O > _OPACITY_EPS), -1.0 / clamped, 0.0)
-    N_kf = kf.normal_image.normals
     M_n = M & kf.normal_image.valid
-    L_n = float(np.sum(1.0 - np.sum(render.normal * N_kf, axis=-1)[M_n]))
-    g_n = np.where(M_n[..., None], -N_kf, 0.0)
+    g_n = cfg.w_normal * np.where(M_n[..., None], -kf.normal_image.normals, 0.0)
+    pixels = np.concatenate([D_kf[None], 1.0 / np.maximum(D_kf, cfg.range_weight_floor)[None],
+                             np.moveaxis(g_n, -1, 0)]).reshape(5, -1)
     L_s, g_s = scale_loss(model)
-    total = L_d + cfg.w_opacity * L_o + cfg.w_normal * L_n + cfg.w_scale * L_s
-    return MappingLoss(
-        total,
-        {"range": L_d, "opacity": L_o, "normal": L_n, "scale": L_s},
-        PixelGradients(g_d, cfg.w_normal * g_n, cfg.w_opacity * g_o),
-        cfg.w_scale * g_s,
-    )
+    return MappingLoss(kf, L_s, cfg.w_scale * g_s, M.ravel(), pixels)
 
 
 # --- spawning ---------------------------------------------------------------
@@ -440,8 +464,9 @@ def sample_keyframe_index(n: int, p: float, rng: np.random.Generator) -> int:
 def refine(lmap: LocalMap, iters: int, rng: np.random.Generator) -> list[dict[str, float]]:
     """Adam refinement over randomly sampled keyframes.
 
-    Each iteration renders one keyframe, backpropagates the mapping loss
-    and steps every column of the model's parameters, then clamps scales into
+    Each iteration binds the mapping loss to one keyframe, renders it
+    there while taking the loss's gradient in the same pass, and steps every
+    column of the model's parameters, then clamps scales into
     ``[scale_floor, 10 * scale_cap]``.  Returns one entry per iteration:
     the weighted ``total`` and the unweighted ``range``, ``opacity``,
     ``normal`` and ``scale`` terms, all before the step.
@@ -455,12 +480,13 @@ def refine(lmap: LocalMap, iters: int, rng: np.random.Generator) -> list[dict[st
     hi = np.log(10.0 * cfg.scale_cap)
     for _ in range(iters):
         kf = lmap.keyframes[sample_keyframe_index(len(lmap.keyframes), cfg.kf_sample_p, rng)]
-        render, rec = rasterize_forward(kf.camera, kf.pose, lmap.model, keep_pairs=True)
-        ml = mapping_loss(render, lmap.model, kf)
-        grads = rasterize_backward(lmap.model, rec, ml.pixel_grads)
+        ml = mapping_loss(lmap.model, kf)
+        render, rec = rasterize_forward(kf.camera, kf.pose, lmap.model,
+                                        pixel_grads=ml.pixel_grads)
+        grads = rasterize_backward(lmap.model, rec)
         grads += ml.d_params
         lmap.optimizer.step(lmap.model, grads, lrs)
         np.clip(lmap.model.log_scales, lo, hi, out=lmap.model.log_scales)
-        losses.append({"total": ml.total, **ml.parts})
+        losses.append(ml.terms(render))
     return losses
 

@@ -73,8 +73,9 @@ class RunConfig:
 class ArchiveEntry:
     """What remains of a finalized local map after its splats are freed.
 
-    ``export_error`` is the reason the map has no oriented points, ``None``
-    when it was exported.
+    ``first_scan`` and ``last_scan`` are the scans of the map's first and
+    last keyframes.  ``export_error`` is the reason the map has no oriented
+    points, ``None`` when it was exported.
     """
 
     export_path: str | None
@@ -187,7 +188,7 @@ class Pipeline:
             len(lmap.model),
             len(lmap.keyframes),
             lmap.keyframes[0].index,
-            len(self.poses) - 1,
+            lmap.keyframes[-1].index,
             error,
         )
         self.archive.append(entry)

@@ -47,18 +47,20 @@ other two.  The forward pass and the reference renderer share both
 stages; the reference feeds them full-width pixel bands with every splat
 in range order.
 
-The backward pass never walks the tiles again and reads no image.  A
-forward pass asked to ``keep_pairs`` keeps the pairs with non-zero blend
-weight: each pair's pixel and splat, its transmittance and its six plane
-products, and the render's per-splat arrays.  From those and the pixel
-gradients of any scalar loss on the rendered range/normal/opacity images,
-the backward pass recomputes the kernel terms and alpha with the forward
-pass's own expressions and the hit range from the pixel's ray, and
-accumulates analytic gradients w.r.t. splat centroids, tangent frames,
-scales and opacities, on 1-D arrays over the kept pairs.
-:meth:`SplatModel.param_gradients` chains those into one
-``(N, 12)`` matrix in the layout of ``SplatModel.params``, which is what
-the backward pass returns.
+A render asked for gradients takes them in the same pass and keeps
+nothing for a later one.  The caller's ``pixel_grads`` rule gives the
+gradient of a scalar loss on the rendered range/opacity/normal images at
+each blend batch's pixels, from their blended values.  Every pixel's pairs
+lie in one batch, so the batch then has all it needs: from the terms it
+blended with (kernel coordinates, alpha, weights, range, plane products
+and splat rows) and its pixels' planes, it takes the analytic gradients
+w.r.t. each splat's camera-frame ``B_a``, ``B_b``, ``B_c``, normal and
+opacity over its pairs with ``w > 0``, as 1-D arrays.  Those are summed
+per entry of the tiles' splat lists (a batch's tiles are consecutive, so
+it touches one short range of entries), then per splat into one
+``(13, N)`` array.  :func:`rasterize_backward` chains that through
+:meth:`SplatModel.param_gradients` into one ``(N, 12)`` matrix in the
+layout of ``SplatModel.params``.
 """
 
 from __future__ import annotations
@@ -77,7 +79,6 @@ __all__ = [
     "RASTER_CONFIG",
     "RenderOutput",
     "BlendRecords",
-    "PixelGradients",
     "rasterize_forward",
     "rasterize_backward",
     "reference_rasterize",
@@ -123,31 +124,14 @@ class RenderOutput:
 
 
 @dataclass
-class PixelGradients:
-    """d(loss)/d(rendered image) for each channel; zeros where unused."""
-
-    d_range: np.ndarray
-    d_normal: np.ndarray
-    d_opacity: np.ndarray
-
-
-@dataclass
 class BlendRecords:
-    """Binning and identity snapshot of a render, and its contributing pairs.
+    """Binning and identity snapshot of a render, and its loss's splat sums.
 
-    ``pairs`` and ``arrays`` are ``None`` unless the render was asked to
-    ``keep_pairs``.  Then ``pairs`` holds the pairs with ``w > 0`` as
-    ``(pix, spl, values)`` entries, each ending at the first pixel end at
-    or past ``_BATCH_PAIRS`` pairs (the last may be short): the pairs'
-    flat pixel index and splat id, each as the smallest unsigned int that
-    holds it, and their (7, pairs) float64 values, one row per term: the
-    transmittance in front of the pair and the six plane products ``a1,
-    a2, a4, b1, b2, b4`` (see :func:`_near_pairs`).  The pairs are
-    pixel-major and in blend order within a pixel, and a pixel's pairs all
-    lie in one entry, which alone gives the sums behind each of its pairs.
-    ``arrays`` holds the render's per-splat camera-frame arrays, normals
-    included.  :func:`rasterize_backward` takes both out and leaves
-    ``None``, so a record serves one backward pass.
+    ``splat_grads`` is ``None`` unless the render was given ``pixel_grads``.
+    Then it holds, one column per splat, the gradient of that loss w.r.t.
+    the splat's camera-frame terms: rows ``3j..3j+2`` are ``d/dB_j`` for
+    ``B_a``, ``B_b`` and ``B_c``, rows 9-11 ``d/dnormal`` and row 12
+    ``d/dopacity``.
     """
 
     cam: SphericalCamera
@@ -158,8 +142,7 @@ class BlendRecords:
     tile_ptr: np.ndarray
     pair_splats: np.ndarray
     tiles_x: int
-    pairs: list | None = None
-    arrays: dict | None = None
+    splat_grads: np.ndarray | None = None
 
 
 # --- splat preparation and tile binning ------------------------------------
@@ -170,10 +153,8 @@ def _splat_camera_arrays(model: SplatModel, pose: SE3Pose) -> dict:
     R = pose.rotation
     ta, tb, tn = model.tangent_frames()
     s = model.scales
-    ta_c = ta @ R
-    tb_c = tb @ R
-    Ba = s[:, :1] * ta_c
-    Bb = s[:, 1:] * tb_c
+    Ba = s[:, :1] * (ta @ R)
+    Bb = s[:, 1:] * (tb @ R)
     Bc = (model.centers - pose.translation) @ R
     return {
         # what a pair reads of its splat, one row per term: opacity, normal,
@@ -181,8 +162,6 @@ def _splat_camera_arrays(model: SplatModel, pose: SE3Pose) -> dict:
         # order matters: np.take copies a whole array that is not C-contiguous
         "terms": np.concatenate([model.opacities[None], (tn @ R).T, Ba.T, Bb.T, Bc.T],
                                 out=np.empty((13, len(model)))),
-        "ta_cam": ta_c,
-        "tb_cam": tb_c,
         "scales": s,
         "ranges": np.linalg.norm(Bc, axis=1),
     }
@@ -301,18 +280,21 @@ _BATCH_PAIRS = 4096
 
 
 def _binned_tiles(tile_ptr, pair_splats, tiles_x: int):
-    """(row slice, column slice, splat ids) of every tile that holds a splat."""
+    """(row slice, column slice, splat ids, index of the first id in
+    ``pair_splats``) of every tile that holds a splat."""
     T = RASTER_CONFIG.tile_size
     for t in np.flatnonzero(np.diff(tile_ptr)):
         r0 = (t // tiles_x) * T
         c0 = (t % tiles_x) * T
-        yield slice(r0, r0 + T), slice(c0, c0 + T), pair_splats[tile_ptr[t] : tile_ptr[t + 1]]
+        yield (slice(r0, r0 + T), slice(c0, c0 + T), pair_splats[tile_ptr[t] : tile_ptr[t + 1]],
+               tile_ptr[t])
 
 
 def _near_pairs(cam: SphericalCamera, arrays: dict, tiles):
     """Screen each tile's pixel-splat pairs; yield the near ones in batches.
 
-    ``tiles`` yields (row slice, column slice, splat ids in blend order).
+    ``tiles`` yields (row slice, column slice, splat ids in blend order,
+    index of the first id in the list the ids come from).
     A pair is near when the pixel's ray passes within ``c * max(scale)`` of
     the centroid, with ``c`` the splat's kernel radius
     (:func:`_kernel_cutoff`): ``a4^2 + b4^2``, with ``a4 = h_x . B_c`` and
@@ -325,13 +307,13 @@ def _near_pairs(cam: SphericalCamera, arrays: dict, tiles):
     ``h_y`` and the ray ``v`` against ``B_a``, ``B_b`` and ``B_c``, in the
     order ``a1, a2, a4, b1, b2, b4, v.B_a, v.B_b, v.B_c``.
 
-    Yields batches ``(pix, spl, planes, counts)``: the near pairs' flat
-    pixel index, splat id and (9, pairs) plane products, pixel-major and in
-    blend order within a pixel, and the number of pairs of each pixel that
-    has any, in order.  A batch holds whole blocks, of one tile or several,
-    up to ``_BATCH_PAIRS`` pairs; a block with more is cut at pixel ends,
-    so only a pixel with more than ``_BATCH_PAIRS`` pairs makes a larger
-    batch.
+    Yields batches ``(pix, spl, planes, at, counts)``: the near pairs' flat
+    pixel index, splat id, (9, pairs) plane products and the index of the
+    splat id in the list, pixel-major and in blend order within a pixel,
+    and the number of pairs of each pixel that has any, in order.  A batch
+    holds whole blocks, of one tile or several, up to ``_BATCH_PAIRS``
+    pairs; a block with more is cut at pixel ends, so only a pixel with
+    more than ``_BATCH_PAIRS`` pairs makes a larger batch.
     """
     cfg = RASTER_CONFIG
     hx, hy = cam.pixel_ray_planes
@@ -346,7 +328,7 @@ def _near_pairs(cam: SphericalCamera, arrays: dict, tiles):
     buf = np.empty(0)
     # whole blocks waiting for the batch to fill
     held, n_held = [], 0
-    for rows, cols, ids in tiles:
+    for rows, cols, ids, first in tiles:
         pix = flat[rows, cols].ravel()
         # h_x, h_y and v of the tile's pixels, as (3, 1, pixels, 3)
         pixel_vectors = np.stack((hx[rows, cols], hy[rows, cols], dirs[rows, cols]))
@@ -371,8 +353,9 @@ def _near_pairs(cam: SphericalCamera, arrays: dict, tiles):
             p = k // n
             counts = np.bincount(p)
             counts = counts[counts > 0]
-            block = (np.take(pix[p0 : p0 + P], p), np.take(ids, k - p * n),
-                     np.take(planes[:9].reshape(9, -1), k, axis=1))
+            col = k - p * n
+            block = (np.take(pix[p0 : p0 + P], p), np.take(ids, col),
+                     np.take(planes[:9].reshape(9, -1), k, axis=1), col + first)
             if n_held + m > _BATCH_PAIRS and held:
                 yield _joined(held)
                 held, n_held = [], 0
@@ -402,14 +385,6 @@ def _joined(batches: list) -> tuple:
 # --- blending ---------------------------------------------------------------
 
 
-def _runs(pix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Runs of one pixel in pixel-major pairs: (first pair of each run, run of each pair)."""
-    new = np.empty(pix.shape[0], dtype=bool)
-    new[:1] = True
-    np.not_equal(pix[1:], pix[:-1], out=new[1:])
-    return np.flatnonzero(new), np.cumsum(new) - 1
-
-
 def _kernel_coordinates(a1, a2, a4, b1, b2, b4):
     """``(sa, sb, den, usable)``: the hit point in splat coordinates.
 
@@ -430,13 +405,15 @@ def _blend(splat_rows: np.ndarray, pix, spl, planes, counts) -> dict:
     normal where it is blended.  The hit point ``nu = sa*B_a + sb*B_b +
     B_c`` lies on the pixel's ray, so ``nu . v`` is its range, and a hit
     with ``nu . v <= 0`` lies behind the pixel.  The pixels' runs come from
-    the batch's ``counts``.  Returns per pair ``G``, ``alpha`` (zero where
-    the pair does not count), the exclusive transmittance ``t``, the weight
-    ``w``, the range ``d`` and the ``splat_rows`` of its splat (``sp``),
-    with the ``starts`` of the pixels' runs.
+    the batch's ``counts``.  Returns per pair the kernel coordinates ``sa``,
+    ``sb`` and denominator ``den`` (see :func:`_kernel_coordinates`), ``G``,
+    ``alpha`` (zero where the pair does not count), the exclusive
+    transmittance ``t``, the weight ``w``, the range ``d`` and the
+    ``splat_rows`` of its splat (``sp``), with the ``starts`` of the
+    pixels' runs.
     """
     cfg = RASTER_CONFIG
-    sa, sb, _, usable = _kernel_coordinates(*planes[:6])
+    sa, sb, den, usable = _kernel_coordinates(*planes[:6])
     d = sa * planes[6] + sb * planes[7] + planes[8]
     G = np.exp(-0.5 * (sa * sa + sb * sb))
     sp = np.take(splat_rows, spl, axis=1)
@@ -452,36 +429,96 @@ def _blend(splat_rows: np.ndarray, pix, spl, planes, counts) -> dict:
     rows[at + 1] = 1.0 - alpha
     t = np.take(np.cumprod(rows.reshape(n_runs, width), axis=1), at)
     w = alpha * t * (t >= cfg.min_transmittance)
-    return {"G": G, "alpha": alpha, "t": t, "w": w, "d": d, "sp": sp, "starts": starts}
+    return {"sa": sa, "sb": sb, "den": den, "G": G, "alpha": alpha, "t": t, "w": w, "d": d,
+            "sp": sp, "starts": starts}
+
+
+def _add_splat_grads(acc: np.ndarray, rays: np.ndarray, b: dict, pix, planes, at,
+                     sums: np.ndarray, grads: np.ndarray) -> None:
+    """Add one blend batch's share of a loss's splat sums to ``acc``, one
+    column per entry of the tiles' splat lists (``at``).
+
+    ``b`` is the batch's :func:`_blend` terms, ``sums`` its per-pair blended
+    channels (``w`` times range, one, normal) and ``grads`` the loss's
+    gradient at its pixels, one column per run.  ``rays`` holds every
+    pixel's ``h_x``, ``h_y`` and ``v`` as (9, pixels).  Only pairs with
+    ``w > 0`` add anything, so only those are read.
+    """
+    k = np.flatnonzero(b["w"])
+    if k.shape[0] == 0:
+        return
+    sa, sb, den, G, alpha, w = (np.take(b[x], k) for x in ("sa", "sb", "den", "G", "alpha", "w"))
+    opac = np.take(b["sp"][0], k)
+    a1, a2, a4, b1, b2, b4, vBa, vBb = np.take(planes[:8], k, axis=1)
+    # each run's bounds among the taken pairs, and its pixel's gradient per pair
+    bounds = np.searchsorted(k, np.append(b["starts"], pix.shape[0]))
+    n = bounds[1:] - bounds[:-1]
+    g = np.repeat(grads, n, axis=1)
+    # w * c, with c every channel of the pair projected on its pixel gradient
+    wc = np.einsum("ij,ij->j", g, np.take(sums, k, axis=1))
+    # the sum of w*c behind a pair is the cumsum at its run's last pair minus its own
+    cs = np.cumsum(wc)
+    later = np.repeat(np.take(cs, bounds[1:] - 1), n) - cs
+    # d(loss)/d(alpha) is t*c - later/(1 - alpha); times -alpha it is the
+    # kernel route's factor (dead where clamped)
+    k_alpha = np.where(opac * G <= RASTER_CONFIG.alpha_clamp,
+                       alpha * later / (1.0 - alpha) - wc, 0.0)
+    # range route: the hit point is range * v, so d(range)/d(nu) = v
+    dd = g[0] * w
+    dsa = k_alpha * sa + dd * vBa
+    dsb = k_alpha * sb + dd * vBb
+
+    # homogeneous intersection point route: with gp = d(loss)/d(sa*den,
+    # sb*den, den), per pair d(loss)/dB_j sums, over h_x, h_y and v, the
+    # plane times coef[plane, j]: (b1, b2, b4) x gp, gp x (a1, a2, a4) and
+    # dd * (sa, sb, 1)
+    gp1 = dsa / den
+    gp2 = dsb / den
+    gp3 = -(sa * gp1 + sb * gp2)
+    coef = np.empty((3, 3, k.shape[0]))
+    coef[0] = b2 * gp3 - b4 * gp2, b4 * gp1 - b1 * gp3, b1 * gp2 - b2 * gp1
+    coef[1] = gp2 * a4 - gp3 * a2, gp3 * a1 - gp1 * a4, gp1 * a2 - gp2 * a1
+    coef[2] = dd * sa, dd * sb, dd
+    # the per-pair terms of each row of acc
+    terms = np.empty((13, k.shape[0]))
+    px = np.take(rays, np.take(pix, k), axis=1).reshape(3, 3, -1)
+    np.einsum("ijp,ikp->jkp", coef, px, out=terms[:9].reshape(3, 3, -1))
+    if g.shape[0] > 2:
+        np.multiply(g[2:5], w, out=terms[9:12])
+    else:
+        terms[9:12] = 0.0
+    # d(loss)/d(opacity) is d(loss)/d(alpha) * G, and G = alpha / opacity where free
+    np.divide(k_alpha, -opac, out=terms[12])
+    # a batch's tiles are consecutive, so their list entries are one short range
+    at = np.take(at, k)
+    lo = at.min()
+    span = int(at.max()) + 1 - lo
+    cells = (at - lo) + span * np.arange(13)[:, None]
+    acc[:, lo : lo + span] += np.bincount(cells.ravel(), terms.ravel(),
+                                          minlength=13 * span).reshape(13, span)
 
 
 # --- forward ---------------------------------------------------------------
 
 
-def _render(cam: SphericalCamera, arrays: dict, tiles, kept: list | None = None,
-            normals: bool = True) -> RenderOutput:
+def _render(cam: SphericalCamera, arrays: dict, tiles, normals: bool = True,
+            pixel_grads=None, acc: np.ndarray | None = None) -> RenderOutput:
     """Blend range and opacity, and the normal if ``normals``, over ``tiles``;
     untouched pixels stay 0.
 
-    With a ``kept`` list, appends the pairs with ``w > 0`` to it as
-    ``(pix, spl, values)`` entries, each cut at the first pixel end at or
-    past ``_BATCH_PAIRS`` pairs (see :class:`BlendRecords`).
+    With ``pixel_grads``, also adds the loss's gradient w.r.t. each splat's
+    camera-frame terms (the rows of :class:`BlendRecords`) into ``acc``, one
+    column per entry of the tiles' splat lists.
     """
     H, W = cam.height, cam.width
     out = np.zeros((5 if normals else 2, H * W))  # range, opacity, normal
     terms = arrays["terms"]
     # what a pair reads of its splat: opacity, then the normal
     splat_rows = terms[: 4 if normals else 1]
-    held = []
-    pix_type = np.min_scalar_type(H * W - 1)
-    spl_type = np.min_scalar_type(max(terms.shape[1] - 1, 0))
-
-    def keep():
-        pix, spl, values = (np.concatenate(x, axis=-1) for x in zip(*held))
-        kept.append((pix.astype(pix_type), spl.astype(spl_type), values))
-        held.clear()
-
-    for pix, spl, planes, counts in _near_pairs(cam, arrays, tiles):
+    if pixel_grads is not None:
+        hx, hy = cam.pixel_ray_planes
+        rays = np.concatenate([hx, hy, cam.pixel_directions], axis=-1).reshape(-1, 9).T.copy()
+    for pix, spl, planes, at, counts in _near_pairs(cam, arrays, tiles):
         b = _blend(splat_rows, pix, spl, planes, counts)
         w, starts = b["w"], b["starts"]
         sums = np.empty((out.shape[0], pix.shape[0]))
@@ -490,50 +527,39 @@ def _render(cam: SphericalCamera, arrays: dict, tiles, kept: list | None = None,
         if normals:
             np.multiply(w, b["sp"][1:4], out=sums[2:])
         # a pixel's pairs are contiguous: reduceat sums them in blend order
-        out[:, np.take(pix, starts)] = np.add.reduceat(sums, starts, axis=1)
-        if kept is not None and w.any():
-            k = np.flatnonzero(w)
-            values = np.empty((7, k.shape[0]))
-            values[0] = np.take(b["t"], k)
-            values[1:] = np.take(planes[:6], k, axis=1)
-            part = (np.take(pix, k), np.take(spl, k), values)
-            # an entry ends at the first pixel end at or past _BATCH_PAIRS pairs
-            ends = np.append(np.flatnonzero(np.diff(part[0])) + 1, k.shape[0])
-            i = np.searchsorted(ends, _BATCH_PAIRS - sum(x[0].shape[0] for x in held))
-            if i < ends.shape[0]:
-                held.append(tuple(x[..., : ends[i]] for x in part))
-                keep()
-                part = tuple(x[..., ends[i] :] for x in part)
-            if part[0].shape[0]:
-                held.append(part)
-    if held:
-        keep()
+        first = np.take(pix, starts)
+        blended = np.add.reduceat(sums, starts, axis=1)
+        out[:, first] = blended
+        if pixel_grads is not None:
+            _add_splat_grads(acc, rays, b, pix, planes, at, sums, pixel_grads(first, blended))
     normal = np.moveaxis(out[2:], 0, -1).reshape(H, W, 3) if normals else None
     return RenderOutput(out[0].reshape(H, W), normal, out[1].reshape(H, W))
 
 
 def rasterize_forward(
-    cam: SphericalCamera, pose: SE3Pose, model: SplatModel, *, keep_pairs: bool = False,
-    normals: bool = True,
+    cam: SphericalCamera, pose: SE3Pose, model: SplatModel, *, normals: bool = True,
+    pixel_grads=None,
 ) -> tuple[RenderOutput, BlendRecords]:
     """Render the model from ``pose`` (sensor-in-world) onto the camera grid.
 
-    ``keep_pairs`` keeps the contributing pixel-splat pairs in the records
-    for one :func:`rasterize_backward`, with the splat arrays it reads; the
-    pairs take about 5 MB per 85k, so renders that no backward pass reads
-    leave it off.  ``normals=False`` blends range and opacity only and
-    leaves ``normal`` None, for callers that read no normals; range and
-    opacity keep the bits of the full render, and kept pairs are the same
-    either way.
+    ``normals=False`` blends range and opacity only and leaves ``normal``
+    None, for callers that read no normals; range and opacity keep the bits
+    of the full render.  ``pixel_grads`` is a loss's rule for its gradient
+    w.r.t. the images: called with a blend batch's flat pixel indices and
+    their blended values, as (channels, pixels) rows of range, opacity and
+    then the normal, it returns their gradients in the same layout.  The
+    render then leaves the loss's splat sums in ``records.splat_grads`` for
+    :func:`rasterize_backward`; the images are the same bits either way.
     """
     arrays = _splat_camera_arrays(model, pose)
     tile_ptr, pair_splats, tiles_x = _bin_splats(cam, arrays)
-    kept = [] if keep_pairs else None
-    out = _render(cam, arrays, _binned_tiles(tile_ptr, pair_splats, tiles_x), kept, normals)
-    records = BlendRecords(
-        cam, pose.copy(), RASTER_CONFIG, len(model), model.version,
-        tile_ptr, pair_splats, tiles_x, kept, arrays if keep_pairs else None,
-    )
+    acc = None if pixel_grads is None else np.zeros((13, pair_splats.shape[0]))
+    out = _render(cam, arrays, _binned_tiles(tile_ptr, pair_splats, tiles_x), normals,
+                  pixel_grads, acc)
+    splat_grads = None if acc is None else np.stack(
+        [np.bincount(pair_splats, row, minlength=len(model)) for row in acc])
+    records = BlendRecords(cam, pose.copy(), RASTER_CONFIG, len(model), model.version,
+                           tile_ptr, pair_splats, tiles_x, splat_grads)
     return out, records
 
 
@@ -546,145 +572,39 @@ def reference_rasterize(cam: SphericalCamera, pose: SE3Pose, model: SplatModel) 
     arrays = _splat_camera_arrays(model, pose)
     order = np.lexsort((np.arange(len(model)), arrays["ranges"]))
     T = RASTER_CONFIG.tile_size
-    bands = ((slice(r0, r0 + T), slice(0, cam.width), order) for r0 in range(0, cam.height, T))
+    bands = ((slice(r0, r0 + T), slice(0, cam.width), order, 0)
+             for r0 in range(0, cam.height, T))
     return _render(cam, arrays, bands)
 
 
 # --- backward ---------------------------------------------------------------
 
 
-def rasterize_backward(
-    model: SplatModel,
-    records: BlendRecords,
-    pixel_grads: PixelGradients,
-) -> np.ndarray:
+def rasterize_backward(model: SplatModel, records: BlendRecords) -> np.ndarray:
     """Gradients of a pixel-space loss w.r.t. ``model.params``, as an ``(N, 12)`` matrix.
 
     The matrix has the layout of ``model.params``, so it feeds the
-    optimizer as it is.
-
-    ``records`` must come from ``rasterize_forward(..., keep_pairs=True)``
-    on the same (unmodified) model, and ``pixel_grads`` holds d(loss)/d(image)
-    for its images.  The records' pairs and splat arrays are consumed: this
-    sets ``records.pairs`` and ``records.arrays`` to ``None``, and records
-    without pairs (never kept, or already used) raise ``GeometryError``, as
-    does a changed model.  Splats touching no pixel get zero rows.
-
-    Each kept entry is handled as 1-D arrays over its pairs, which are
-    pixel-major and in blend order within a pixel (see
-    :class:`BlendRecords`).  Per pair the kernel terms, alpha and blend
-    weight are recomputed from the kept values with the forward pass's
-    expressions, and the range from the pixel's ray.  The sum of later
-    contributions behind a pair is a cumsum over the entry taken at the
-    end of the pair's run minus the same cumsum at the pair, and per-splat
-    sums use ``np.bincount`` over the pairs' splat ids.
+    optimizer as it is.  ``records`` must come from ``rasterize_forward``
+    with the loss's ``pixel_grads``, on the same (unmodified) model; other
+    records raise ``GeometryError``.  This chains their camera-frame splat
+    sums to world-frame gradients of what the model reads out, and then
+    through its storage maps.  Splats touching no pixel get zero rows.
     """
-    pairs, records.pairs = records.pairs, None
-    arrays, records.arrays = records.arrays, None
-    if pairs is None:
-        raise GeometryError(
-            "blend records hold no pairs: render with keep_pairs=True, once per backward pass")
+    if records.splat_grads is None:
+        raise GeometryError("blend records hold no gradients: render with pixel_grads")
     if records.n_splats != len(model) or records.model_version != model.version:
         raise GeometryError("blend records are stale for this model")
-    cam, pose = records.cam, records.pose
-    N = len(model)
-    if not pairs:
-        return np.zeros_like(model.params)
-
-    cfg = RASTER_CONFIG
-    hx, hy = cam.pixel_ray_planes
-    # the per-pixel terms a pair reads, one row per term (each gathered
-    # term is then one contiguous row over a batch's pairs)
-    pixel_terms = np.concatenate(
-        [
-            pixel_grads.d_range[None],
-            pixel_grads.d_opacity[None],
-            np.moveaxis(pixel_grads.d_normal, -1, 0),
-            np.moveaxis(hx, -1, 0),
-            np.moveaxis(hy, -1, 0),
-            np.moveaxis(cam.pixel_directions, -1, 0),
-        ]
-    ).reshape(14, -1)
-
-    # camera-frame accumulators, one column per splat, reduced to
-    # parameters at the end: rows 3j..3j+2 are d/dB_j for B_a, B_b, B_c,
-    # then d/dnormal (3 rows) and d/dopacity
-    acc = np.zeros((13, N))
-    # a batch's per-pair terms of those rows, in one buffer for every batch
-    rows_buf = np.empty((13, max(pix.shape[0] for pix, _, _ in pairs)))
-    for i, (pix, spl, values) in enumerate(pairs):
-        pairs[i] = None  # free each batch's pairs once read
-        spl = spl.astype(np.intp)  # once, not in each bincount
-        sp = np.take(arrays["terms"], spl, axis=1)
-        opac, ncam, Ba, Bb, Bc = sp[0], sp[1:4], sp[4:7], sp[7:10], sp[10:13]
-        px = np.take(pixel_terms, pix, axis=1)
-        gD, gO, gN, h_x, h_y, V = px[0], px[1], px[2:5], px[5:8], px[8:11], px[11:14]
-
-        t_pair, a1, a2, a4, b1, b2, b4 = values
-        # the forward pass's expressions, so the kernel terms, alpha and w
-        # are its own bit for bit; kept pairs have a usable denominator.
-        # The ray products come from 3-term dots, not the forward's matmuls,
-        # so the range may differ from the forward's in the last bit.
-        sa, sb, den, _ = _kernel_coordinates(a1, a2, a4, b1, b2, b4)
-        vBa, vBb = _dot3(V, Ba), _dot3(V, Bb)
-        d = sa * vBa + sb * vBb + _dot3(V, Bc)
-        G = np.exp(-0.5 * (sa * sa + sb * sb))
-        a_raw = opac * G
-        alpha = np.minimum(a_raw, cfg.alpha_clamp)
-        w = alpha * t_pair
-
-        # every channel projected on its pixel gradient; the sum of w*c behind
-        # a pair is the cumsum at its run's last pair minus its own
-        c = gD * d + gO + _dot3(gN, ncam)
-        starts, run = _runs(pix)
-        cs = np.cumsum(w * c)
-        last = np.append(starts[1:], pix.shape[0]) - 1
-        later = np.take(np.take(cs, last), run) - cs
-        d_alpha = t_pair * c - later / (1.0 - alpha)
-
-        # alpha routes: kernel coordinates and opacity (dead where clamped)
-        free = a_raw <= cfg.alpha_clamp
-        k_alpha = np.where(free, -d_alpha * alpha, 0.0)
-        # range route: the hit point is range * v, so d(range)/d(nu) = v
-        dd = gD * w
-        dsa = k_alpha * sa + dd * vBa
-        dsb = k_alpha * sb + dd * vBb
-
-        # homogeneous intersection point route: rho_a = gp x (a1, a2, a4),
-        # rho_b = gp x (b1, b2, b4); per pair d(loss)/dB_j is
-        # -rho_b[j] h_x + rho_a[j] h_y + dd s_j v with s = (sa, sb, 1)
-        gp1 = dsa / den
-        gp2 = dsb / den
-        gp3 = -(sa * dsa + sb * dsb) / den
-        coef = (
-            (gp3 * b2 - gp2 * b4, gp1 * b4 - gp3 * b1, gp2 * b1 - gp1 * b2),
-            (gp2 * a4 - gp3 * a2, gp3 * a1 - gp1 * a4, gp1 * a2 - gp2 * a1),
-            (dd * sa, dd * sb, dd),
-        )
-        # the per-pair terms of each accumulator row: d/dB_j sums, over h_x,
-        # h_y and v, the coefficient times the plane
-        terms = rows_buf[:, : pix.shape[0]]
-        for j in range(3):
-            d_B = np.multiply(h_x, coef[0][j], out=terms[3 * j : 3 * j + 3])
-            d_B += h_y * coef[1][j]
-            d_B += V * coef[2][j]
-        np.multiply(gN, w, out=terms[9:12])
-        np.multiply(np.where(free, d_alpha, 0.0), G, out=terms[12])
-        for row, x in zip(acc, terms):
-            row += np.bincount(spl, x, minlength=N)
-
-    acc_ba, acc_bb, acc_bc, acc_n = (acc[r : r + 3].T for r in (0, 3, 6, 9))
-
-    # camera-frame accumulators to world-frame gradients of what the model
-    # reads out, then through its storage maps to the parameter layout
-    R = pose.rotation
-    s = arrays["scales"]
+    # world frame: rows B_a, B_b, B_c, normal
+    R = records.pose.rotation
+    g_ba, g_bb, g_bc, g_n = ((R @ records.splat_grads[r : r + 3]).T for r in (0, 3, 6, 9))
+    ta, tb, _ = model.tangent_frames()
+    s = model.scales
     return model.param_gradients(
-        centers=acc_bc @ R.T,
-        t_alpha=s[:, :1] * (acc_ba @ R.T),
-        t_beta=s[:, 1:] * (acc_bb @ R.T),
-        normal=acc_n @ R.T,
-        scales=np.stack([np.einsum("nc,nc->n", acc_ba, arrays["ta_cam"]),
-                         np.einsum("nc,nc->n", acc_bb, arrays["tb_cam"])], axis=1),
-        opacities=acc[12],
+        centers=g_bc,
+        t_alpha=s[:, :1] * g_ba,
+        t_beta=s[:, 1:] * g_bb,
+        normal=g_n,
+        scales=np.stack([np.einsum("nc,nc->n", g_ba, ta), np.einsum("nc,nc->n", g_bb, tb)],
+                        axis=1),
+        opacities=records.splat_grads[12],
     )

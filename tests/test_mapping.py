@@ -15,6 +15,7 @@ from splatscan.mapping import (
     add_keyframe,
     make_keyframe,
     mapping_loss,
+    refine,
     scale_loss,
     should_reset_local_map,
     spawn_splats,
@@ -85,9 +86,9 @@ def _toy_keyframe(cam, range_image, valid, rng):
 
 
 def test_mapping_loss_gradients_match_central_differences():
-    """What refine steps by, the backward pass of mapping_loss's pixel
-    gradients plus its ``d_params``, against central differences of its
-    total over every column of ``model.params``."""
+    """What refine steps by, the backward pass of a render that takes
+    mapping_loss's pixel gradients plus its ``d_params``, against central
+    differences of its total over every column of ``model.params``."""
     rng = np.random.default_rng(5)
     cam = SphericalCamera(24, 8, -0.6, 0.6, -0.25, 0.25)
     kf = _toy_keyframe(cam, rng.uniform(2.5, 4.0, (8, 24)), rng.random((8, 24)) < 0.9, rng)
@@ -99,10 +100,11 @@ def test_mapping_loss_gradients_match_central_differences():
     # the larger scales put some splats on the scale hinge
     model.append(centers, ta, tb, rng.uniform(0.15, 0.7, (n, 2)), rng.uniform(0.3, 0.9, n), 0)
 
-    render, rec = rasterize_forward(cam, kf.pose, model, keep_pairs=True)
-    ml = mapping_loss(render, model, kf)
-    assert all(ml.parts[term] > 0 for term in ("range", "opacity", "normal", "scale"))
-    grads = rasterize_backward(model, rec, ml.pixel_grads) + ml.d_params
+    ml = mapping_loss(model, kf)
+    render, rec = rasterize_forward(cam, kf.pose, model, pixel_grads=ml.pixel_grads)
+    terms = ml.terms(render)
+    assert all(terms[term] > 0 for term in ("range", "opacity", "normal", "scale"))
+    grads = rasterize_backward(model, rec) + ml.d_params
 
     h = 1e-6
     num = np.zeros_like(grads)
@@ -112,7 +114,8 @@ def test_mapping_loss_gradients_match_central_differences():
         for step in (h, -h):
             model.params[idx] = x + step
             model.touch()
-            vals.append(mapping_loss(rasterize_forward(cam, kf.pose, model)[0], model, kf).total)
+            render = rasterize_forward(cam, kf.pose, model)[0]
+            vals.append(mapping_loss(model, kf).terms(render)["total"])
         model.params[idx] = x
         model.touch()
         num[idx] = (vals[0] - vals[1]) / (2.0 * h)
@@ -227,3 +230,16 @@ def test_a_render_of_another_keyframe_is_not_used(two_keyframes, renders):
     add_keyframe(lmap, kf1, np.random.default_rng(4))
     assert len(renders) == 2
     assert renders[1] is kf1.pose
+
+
+def test_refine_reports_the_terms_of_a_plain_render(two_keyframes):
+    """The render that takes the gradients blends the images a plain render
+    does, so refine's first loss entry is mapping_loss's terms on one."""
+    kf0, _ = two_keyframes
+    lmap = _seeded_map(kf0)
+    before = SplatModel(lmap.model.params)
+    render, _ = rasterize_forward(kf0.camera, kf0.pose, before)
+    expected = mapping_loss(before, kf0).terms(render)
+    losses = refine(lmap, 2, np.random.default_rng(6))
+    assert losses[0] == expected
+    assert losses[1] != expected

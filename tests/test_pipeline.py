@@ -197,6 +197,8 @@ def test_a_map_that_cannot_be_exported_is_archived_without_points(tmp_path):
     assert failed["export_error"] == "no confidently rendered pixels in any keyframe"
     assert failed["export_path"] is None and (tmp_path / "map_000.splm").is_file()
     assert exported["export_error"] is None
+    # the scan that reset map 0 opens map 1 and belongs to it alone
+    assert [(e["first_scan"], e["last_scan"]) for e in report["archive"]] == [(0, 0), (1, 4)]
     assert report["n_exported_points"] == len(read_ply(exported["export_path"])[0]) > 0
     for name in ("trajectory.tum", "trajectory.kitti", "report.json"):
         assert (tmp_path / name).is_file()

@@ -11,11 +11,9 @@ from splatscan.errors import GeometryError
 from splatscan.geometry import SphericalCamera, ray_direction
 from splatscan.rasterizer import (
     RASTER_CONFIG,
-    PixelGradients,
     _binned_tiles,
     _blend,
     _near_pairs,
-    _runs,
     _splat_camera_arrays,
     rasterize_backward,
     rasterize_forward,
@@ -199,7 +197,7 @@ def test_a_faint_splat_screens_fewer_near_pairs(full_cam):
         _, rec = rasterize_forward(full_cam, SE3Pose.identity(), model)
         arrays = _splat_camera_arrays(model, SE3Pose.identity())
         tiles = _binned_tiles(rec.tile_ptr, rec.pair_splats, rec.tiles_x)
-        return sum(pix.size for pix, _, _, _ in _near_pairs(full_cam, arrays, tiles))
+        return sum(pix.size for pix, *_ in _near_pairs(full_cam, arrays, tiles))
 
     assert 0 < near_pairs(0.05) < near_pairs(0.95)
 
@@ -223,8 +221,8 @@ def _tile_of(cam, pix):
 def _assert_whole_runs(batches):
     """Each batch's counts are its pixels' runs, and no pixel is in two batches."""
     seen = []
-    for pix, _, _, counts in batches:
-        starts, _ = _runs(pix)
+    for pix, *_, counts in batches:
+        starts = np.flatnonzero(np.append(True, pix[1:] != pix[:-1]))
         assert np.array_equal(np.diff(np.append(starts, pix.size)), counts)
         seen.append(pix[starts])
     seen = np.concatenate(seen)
@@ -235,8 +233,8 @@ def test_blend_batches_span_tiles(full_cam, rng):
     model = random_model(150, rng)
     batches = _near_batches(full_cam, _pose(), model)
     _assert_whole_runs(batches)
-    assert all(pix.size <= rasterizer._BATCH_PAIRS for pix, _, _, _ in batches)
-    assert max(np.unique(_tile_of(full_cam, pix)).size for pix, _, _, _ in batches) > 2
+    assert all(pix.size <= rasterizer._BATCH_PAIRS for pix, *_ in batches)
+    assert max(np.unique(_tile_of(full_cam, pix)).size for pix, *_ in batches) > 2
     tiled, _ = rasterize_forward(full_cam, _pose(), model)
     ref = reference_rasterize(full_cam, _pose(), model)
     assert _max_diff(tiled, ref) <= 1e-12
@@ -255,9 +253,9 @@ def test_a_tile_with_more_near_pairs_than_a_batch_is_cut_at_pixel_ends(rng):
     model.append(centers, ta, tb, rng.uniform(0.3, 0.8, (n, 2)), rng.uniform(0.3, 0.9, n), 0)
     batches = _near_batches(cam, SE3Pose.identity(), model)
     _assert_whole_runs(batches)
-    per_tile = np.bincount(np.concatenate([_tile_of(cam, pix) for pix, _, _, _ in batches]))
+    per_tile = np.bincount(np.concatenate([_tile_of(cam, pix) for pix, *_ in batches]))
     assert per_tile.max() > rasterizer._BATCH_PAIRS
-    assert all(pix.size <= rasterizer._BATCH_PAIRS for pix, _, _, _ in batches)
+    assert all(pix.size <= rasterizer._BATCH_PAIRS for pix, *_ in batches)
     tiled, _ = rasterize_forward(cam, SE3Pose.identity(), model)
     ref = reference_rasterize(cam, SE3Pose.identity(), model)
     assert _max_diff(tiled, ref) <= 1e-12
@@ -274,29 +272,49 @@ def test_a_render_without_normals_blends_the_same_range_and_opacity(full_cam, rn
         assert np.array_equal(bare.range, full.range)
         assert np.array_equal(bare.opacity, full.opacity)
         assert np.mean(full.opacity > 0) > 0.3
-    # the backward pass reads no image, so the kept pairs serve it either way
-    pg = _pixel_grads(full_cam, rng)
+    # a loss that reads no normal takes the same gradients from either render
+    rows = _pixel_grads(full_cam, rng)
+    rows[2:] = 0.0
     grads = []
-    for normals in (True, False):
-        _, rec = rasterize_forward(full_cam, _pose(), model, keep_pairs=True, normals=normals)
-        grads.append(rasterize_backward(model, rec, pg))
+    for normals, rule in ((True, _rule(rows)), (False, _rule(rows[:2]))):
+        _, rec = rasterize_forward(full_cam, _pose(), model, normals=normals, pixel_grads=rule)
+        grads.append(rasterize_backward(model, rec))
     assert np.array_equal(grads[0], grads[1]) and grads[0].any()
+
+
+def test_a_render_that_takes_gradients_blends_the_same_images(full_cam, rng):
+    model = random_model(150, rng, behind_frac=0.5)
+    partial = SphericalCamera(40, 12, -1.0, 2.0, -0.3, 0.4)
+    for cam in (full_cam, partial):
+        plain, _ = rasterize_forward(cam, _pose(), model)
+        taking, rec = rasterize_forward(cam, _pose(), model,
+                                        pixel_grads=_rule(_pixel_grads(cam, rng)))
+        for c in CHANNELS:
+            assert np.array_equal(getattr(taking, c), getattr(plain, c))
+        assert rec.splat_grads.shape == (13, len(model)) and rec.splat_grads.any()
+        assert np.mean(plain.opacity > 0) > 0.3
 
 
 # --- gradients --------------------------------------------------------------
 
 
 def _pixel_grads(cam, rng):
+    """Random pixel gradients as (5, pixels) rows: range, opacity, normal."""
     H, W = cam.height, cam.width
-    return PixelGradients(rng.normal(size=(H, W)), rng.normal(size=(H, W, 3)),
-                          rng.normal(size=(H, W)))
+    d_range, d_normal, d_opacity = (rng.normal(size=shape) for shape in ((H, W), (H, W, 3), (H, W)))
+    return np.vstack([d_range.ravel(), d_opacity.ravel(), d_normal.reshape(-1, 3).T])
+
+
+def _rule(rows):
+    """The ``pixel_grads`` rule of the linear loss whose pixel gradients are ``rows``."""
+    return lambda pix, values: rows[:, pix]
 
 
 def _loss(cam, pose, model, pg):
     """Linear loss sum(pg * image): its pixel gradients are ``pg`` itself."""
     out, _ = rasterize_forward(cam, pose, model)
-    return float(np.sum(pg.d_range * out.range) + np.sum(pg.d_normal * out.normal)
-                 + np.sum(pg.d_opacity * out.opacity))
+    return float(np.sum(pg[0] * out.range.ravel()) + np.sum(pg[1] * out.opacity.ravel())
+                 + np.sum(pg[2:] * out.normal.reshape(-1, 3).T))
 
 
 def _central_difference(cam, pose, model, pg, columns, h=1e-6):
@@ -333,14 +351,14 @@ def _with_gradients(cam, pose, model, rng, batch_pairs=None):
     """(cam, pose, model, pixel gradients, (N, 12) parameter gradients) of a random linear loss.
 
     ``batch_pairs``, if given, is the blend batch size of the render that
-    keeps the pairs.
+    takes the gradients.
     """
     pg = _pixel_grads(cam, rng)
     with pytest.MonkeyPatch.context() as m:
         if batch_pairs is not None:
             m.setattr(rasterizer, "_BATCH_PAIRS", batch_pairs)
-        _, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
-    grads = rasterize_backward(model, rec, pg)
+        _, rec = rasterize_forward(cam, pose, model, pixel_grads=_rule(pg))
+    grads = rasterize_backward(model, rec)
     return cam, pose, model, pg, grads
 
 
@@ -349,7 +367,8 @@ def _blended_batches(cam, pose, model):
     _, rec = rasterize_forward(cam, pose, model)
     arrays = _splat_camera_arrays(model, pose)
     tiles = _binned_tiles(rec.tile_ptr, rec.pair_splats, rec.tiles_x)
-    return [_blend(arrays["terms"][:4], *batch) for batch in _near_pairs(cam, arrays, tiles)]
+    return [_blend(arrays["terms"][:4], pix, spl, planes, counts)
+            for pix, spl, planes, _, counts in _near_pairs(cam, arrays, tiles)]
 
 
 def _branch_counts(cam, pose, model):
@@ -397,10 +416,10 @@ class TestBackwardMatchesCentralDifferences:
 
     def test_stale_records_raise(self, grad_case):
         cam, pose, model, pg, _ = grad_case
-        _, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
+        _, rec = rasterize_forward(cam, pose, model, pixel_grads=_rule(pg))
         model.touch()
         with pytest.raises(GeometryError):
-            rasterize_backward(model, rec, pg)
+            rasterize_backward(model, rec)
 
 
 def _opaque_stack(rng):
@@ -486,30 +505,23 @@ def test_gradients_do_not_depend_on_the_chunk_size(grad_case, monkeypatch, chunk
     out, _ = rasterize_forward(cam, pose, model)
     monkeypatch.setattr(rasterizer, "RASTER_CONFIG",
                         dataclasses.replace(RASTER_CONFIG, chunk_size=chunk_size))
-    blocked, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
+    blocked, rec = rasterize_forward(cam, pose, model, pixel_grads=_rule(pg))
     # a full tile is screened in three blocks or more
     assert np.max(np.diff(rec.tile_ptr)) > 2 * chunk_size
     # smaller blocks change only the rounding of the plane products
     for c in CHANNELS:
         scale = float(np.max(np.abs(getattr(out, c))))
         assert float(np.max(np.abs(getattr(blocked, c) - getattr(out, c)))) <= 1e-13 * scale
-    _assert_close(rasterize_backward(model, rec, pg), grads, rel=1e-12)
+    _assert_close(rasterize_backward(model, rec), grads, rel=1e-12)
 
 
 class _InBatchesOfOne:
     """Takes the analytic gradients from a render that blends one pixel per
-    batch, so that every kept record holds one pixel.  The central
-    differences render at the default size, which gives the same images.
+    batch.  The central differences render at the default size, which
+    gives the same images.
     """
 
     batch_pairs = 1
-
-    def test_each_record_holds_one_pixel(self, grad_case, monkeypatch):
-        cam, pose, model, _, _ = grad_case
-        monkeypatch.setattr(rasterizer, "_BATCH_PAIRS", 1)
-        _, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
-        assert len(rec.pairs) > 10
-        assert all(np.all(pix == pix[0]) for pix, _, _ in rec.pairs)
 
 
 class TestBackwardInBatchesOfOne(_InBatchesOfOne, TestBackwardMatchesCentralDifferences):
@@ -528,20 +540,10 @@ def test_results_do_not_depend_on_the_batch_size(grad_case, monkeypatch, batch):
     monkeypatch.setattr(rasterizer, "_BATCH_PAIRS", batch)
     # the batch size splits tiles
     assert len(_blended_batches(cam, pose, model)) > n_default
-    small, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
+    small, rec = rasterize_forward(cam, pose, model, pixel_grads=_rule(pg))
     for c in CHANNELS:
         assert np.array_equal(getattr(small, c), getattr(out, c))
-    _assert_close(rasterize_backward(model, rec, pg), grads, rel=1e-12)
-
-
-def test_kept_entries_end_at_the_first_pixel_end_past_the_batch_size(grad_case, monkeypatch):
-    cam, pose, model, _, _ = grad_case
-    monkeypatch.setattr(rasterizer, "_BATCH_PAIRS", 7)
-    _, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
-    assert len(rec.pairs) > 10
-    for (pix, _, _), (after, _, _) in zip(rec.pairs, rec.pairs[1:]):
-        assert pix.size - np.sum(pix == pix[-1]) < 7 <= pix.size
-        assert after[0] != pix[-1]
+    _assert_close(rasterize_backward(model, rec), grads, rel=1e-12)
 
 
 def test_the_near_test_is_conservative(full_cam, rng, monkeypatch):
@@ -558,53 +560,22 @@ def test_the_near_test_is_conservative(full_cam, rng, monkeypatch):
 
 
 class TestRecordsServeOneBackwardPass:
-    def test_records_without_pairs_raise(self, grad_case):
-        cam, pose, model, pg, _ = grad_case
+    def test_records_without_gradients_raise(self, grad_case):
+        cam, pose, model, _, _ = grad_case
         _, rec = rasterize_forward(cam, pose, model)
-        assert rec.pairs is None and rec.arrays is None
-        with pytest.raises(GeometryError, match="keep_pairs"):
-            rasterize_backward(model, rec, pg)
-
-    def test_a_backward_pass_consumes_the_pairs(self, grad_case):
-        cam, pose, model, pg, grads = grad_case
-        _, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
-        assert rec.pairs and rec.arrays is not None
-        again = rasterize_backward(model, rec, pg)
-        assert rec.pairs is None and rec.arrays is None
-        assert np.array_equal(again, grads)
-        with pytest.raises(GeometryError, match="keep_pairs"):
-            rasterize_backward(model, rec, pg)
+        assert rec.splat_grads is None
+        with pytest.raises(GeometryError, match="pixel_grads"):
+            rasterize_backward(model, rec)
 
     def test_a_render_without_pairs_gives_zero_rows(self, grad_case):
         cam, pose, _, pg, _ = grad_case
         behind = SplatModel()
         behind.append(pose.apply([[-3.0, 0.0, 0.0]]), [[0.0, 1.0, 0.0]], [[0.0, 0.0, 1.0]],
                       [[0.2, 0.2]], [0.5], 0)
-        _, rec = rasterize_forward(cam, pose, behind, keep_pairs=True)
-        assert rec.pairs == []
-        grads = rasterize_backward(behind, rec, pg)
+        _, rec = rasterize_forward(cam, pose, behind, pixel_grads=_rule(pg))
+        assert rec.pair_splats.size == 0
+        grads = rasterize_backward(behind, rec)
         assert grads.shape == (1, 12) and not grads.any()
-
-    def test_kept_pairs_are_the_blending_pairs(self, grad_case):
-        cam, pose, model, _, _ = grad_case
-        _, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
-        kept = sum(pix.size for pix, _, _ in rec.pairs)
-        blending = sum(int(np.sum(b["w"] > 0)) for b in _blended_batches(cam, pose, model))
-        assert kept == blending > 0
-
-    def test_the_backward_pass_reads_the_forward_arrays(self, grad_case, monkeypatch):
-        cam, pose, model, pg, grads = grad_case
-        _, rec = rasterize_forward(cam, pose, model, keep_pairs=True)
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return _splat_camera_arrays(*args)
-
-        monkeypatch.setattr(rasterizer, "_splat_camera_arrays", counted)
-        again = rasterize_backward(model, rec, pg)
-        assert not calls
-        assert np.array_equal(again, grads)
 
 
 def test_tangent_raw_gradients_match_central_differences(rng):
