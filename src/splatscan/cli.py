@@ -74,28 +74,28 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer of at least ``low``."""
+def _number(kind, ok, rule: str):
+    """An argparse type: a finite ``kind`` (int or float) that ``rule`` allows, as ``ok`` tests."""
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be an integer of at least {low}: {text!r}")
+    def parse(text: str):
+        value = kind(text)
+        if not (np.isfinite(value) and ok(value)):
+            raise argparse.ArgumentTypeError(f"must be {rule}: {text!r}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
     return parse
 
 
-def _positive_float(text: str) -> float:
-    """An argparse type: a finite float above 0."""
-    value = float(text)
-    if not (np.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive: {text!r}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least ``low``."""
+    return _number(int, lambda v: v >= low, f"an integer of at least {low}")
 
 
-_positive_float.__name__ = "float"  # argparse names the type in "invalid float value"
+_positive_float = _number(float, lambda v: v > 0.0, "finite and positive")
+_nonnegative_float = _number(float, lambda v: v >= 0.0, "finite and at least 0")
+_probability = _number(float, lambda v: 0.0 <= v < 1.0, "at least 0 and below 1")
+_elevation = _number(float, lambda v: -90.0 <= v <= 90.0, "degrees within [-90, 90]")
 
 
 def _scan_paths(inputs: list[str]) -> list[Path]:
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="range image rows, from the sensor, at least 2 (default %(default)s)")
     run.add_argument("--refine-iters", type=_int_at_least(0), default=defaults.refine_iters,
                      help="map refinement steps per scan (default %(default)s)")
-    run.add_argument("--seed", type=int, default=defaults.seed,
+    run.add_argument("--seed", type=_int_at_least(0), default=defaults.seed,
                      help="RNG seed of a deterministic run (default %(default)s)")
     run.add_argument("--scan-period", type=_positive_float, default=defaults.scan_period,
                      help="seconds between scans, for timestamps, above 0 "
@@ -271,20 +271,21 @@ def build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synth", help="simulate a scan sequence")
     synth.add_argument("--out", required=True, help="output directory")
     synth.add_argument("--scene", help="scene file; omit for a random box room")
-    synth.add_argument("--size", type=float, default=12.0, help="room size (m)")
-    synth.add_argument("--room-height", type=float, default=4.0)
-    synth.add_argument("--boxes", type=int, default=4)
+    synth.add_argument("--size", type=_positive_float, default=12.0, help="room size (m)")
+    synth.add_argument("--room-height", type=_positive_float, default=4.0)
+    synth.add_argument("--boxes", type=_int_at_least(0), default=4)
     synth.add_argument("--trajectory", default="line",
                        choices=("line", "arc", "figure8"))
-    synth.add_argument("--length", type=float, default=5.0, help="path length (m)")
-    synth.add_argument("--steps", type=int, default=20, help="number of scans")
-    synth.add_argument("--width", type=int, default=256)
-    synth.add_argument("--height", type=int, default=32)
-    synth.add_argument("--el-min", type=float, default=-16.0, help="degrees")
-    synth.add_argument("--el-max", type=float, default=14.0, help="degrees")
-    synth.add_argument("--noise", type=float, default=0.0, help="range sigma (m)")
-    synth.add_argument("--dropout", type=float, default=0.0)
-    synth.add_argument("--seed", type=int, help="RNG seed")
+    synth.add_argument("--length", type=_nonnegative_float, default=5.0, help="path length (m)")
+    synth.add_argument("--steps", type=_int_at_least(1), default=20, help="number of scans")
+    synth.add_argument("--width", type=_int_at_least(2), default=256)
+    synth.add_argument("--height", type=_int_at_least(2), default=32)
+    synth.add_argument("--el-min", type=_elevation, default=-16.0, help="degrees")
+    synth.add_argument("--el-max", type=_elevation, default=14.0, help="degrees")
+    synth.add_argument("--noise", type=_nonnegative_float, default=0.0, help="range sigma (m)")
+    synth.add_argument("--dropout", type=_probability, default=0.0,
+                       help="probability of losing a return, below 1")
+    synth.add_argument("--seed", type=_int_at_least(0), help="RNG seed")
     synth.set_defaults(func=_cmd_synth)
 
     et = sub.add_parser("eval-traj", help="ATE and relative pose error vs ground truth")
@@ -306,10 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
     ren.add_argument("model", help="model file (map_NNN.splm from run)")
     ren.add_argument("--out", required=True, help="output path prefix")
     ren.add_argument("--pose", help="tx,ty,tz,qx,qy,qz,qw (default identity)")
-    ren.add_argument("--width", type=int, default=512)
-    ren.add_argument("--height", type=int, default=64)
-    ren.add_argument("--el-min", type=float, default=-25.0, help="degrees")
-    ren.add_argument("--el-max", type=float, default=15.0, help="degrees")
+    ren.add_argument("--width", type=_int_at_least(2), default=512)
+    ren.add_argument("--height", type=_int_at_least(2), default=64)
+    ren.add_argument("--el-min", type=_elevation, default=-25.0, help="degrees")
+    ren.add_argument("--el-max", type=_elevation, default=15.0, help="degrees")
     ren.set_defaults(func=_cmd_render)
 
     info = sub.add_parser("info", help="summarize a model or scan file", epilog=(
@@ -325,6 +326,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if "el_min" in vars(args) and args.el_min >= args.el_max:
+            parser.error("--el-min must be below --el-max")
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ExportError, GeometryError, RegistrationError
+from .errors import EvaluationError, ExportError, GeometryError, RegistrationError
 from .evaluation import Trajectory
 from .geometry import estimate_camera
 from .io import save_model, save_trajectory, write_ply, write_report
@@ -219,8 +219,15 @@ class Pipeline:
         count the splats the keyframe added and removed.  Refined scans
         report the mapping loss by term at the first and last refine
         iteration (``refine_loss_first``/``refine_loss_last``).
+
+        ``stamp`` defaults to ``index * scan_period``.  One that is not finite,
+        or not above the last, raises :class:`EvaluationError`; nothing changes.
         """
         index = len(self.poses)
+        stamp = float(stamp) if stamp is not None else index * self.cfg.scan_period
+        if not np.isfinite(stamp) or (self.stamps and stamp <= self.stamps[-1]):
+            raise EvaluationError(f"scan {index}: stamp {stamp} refused: timestamps must "
+                                  "be finite and strictly increasing")
         cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
         cloud = cloud[np.isfinite(cloud).all(axis=1)]
         sub = self._subsample(cloud)
@@ -247,7 +254,6 @@ class Pipeline:
                 row["fallback_reason"] = str(e)
         row["register_ms"] = 1000.0 * (time.perf_counter() - t0)
 
-        stamp = float(stamp) if stamp is not None else index * self.cfg.scan_period
         self.stamps.append(stamp)
         self.poses.append(new_pose.copy())
 

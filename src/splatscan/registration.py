@@ -12,17 +12,17 @@ oriented reference in two forms:
 Both residual families are robustified with Huber weights and normalized
 by residual count, then minimized by Gauss-Newton on the right-update
 ``T <- T * exp(delta)`` with Levenberg damping when a step fails to
-reduce the objective.  Each family is evaluated in two steps: the pose
-step associates (kd query or projection) and gives the untrimmed
-residuals at a pose; the floor step (:func:`_trim`) drops residuals
-beyond the trim threshold and builds the Jacobian of the rest.  A trial
-pose runs both steps for the residuals it is scored by, so an accepted
-trial is the next linearisation point.  Each pose is associated once:
-when a phase adds a family it is associated at the current pose, and
-when an annealed trim floor moves the residuals already there are only
-re-trimmed.  After a refused trial the damping keeps rising, with 6x6
-solves only, until the step differs from the refused one by more than
-``retry_change``; a nearly equal step would be refused again.
+reduce the objective.  Each iteration trims each active family's
+untrimmed residuals at the current pose ``T`` at the iteration's annealed
+floor (:func:`_trim`) and builds their Jacobian once.  A trial pose is
+associated and scored on its trimmed residuals only, with the
+linearisation's families and weights; it builds no Jacobian.  An accepted
+trial's residuals become those at ``T``, so each pose is associated once:
+a family is associated at ``T`` only when a phase adds it, and one that
+finds nothing there stays recorded as empty.  After a refused trial the
+damping keeps rising, with 6x6 solves only, until the step differs from
+the refused one by more than ``retry_change``; a nearly equal step would
+be refused again.
 
 The schedule is fixed: a geometric phase (point-to-plane only) for the
 first ``max_iters // 2`` iterations, then a joint phase (both families)
@@ -68,8 +68,7 @@ class RegistrationConfig:
     assoc_gate: float = 1.0
     assoc_k: int = 3              # leaf candidates; closest plane wins
     trim_factor: float = 5.0      # drop residuals beyond this multiple of the median
-    trim_floor_geo: float = 0.02  # meters; trim threshold never shrinks below
-    trim_floor_photo: float = 0.02
+    trim_floor: float = 0.02      # meters; the trim threshold never shrinks below
     spread_gate: float = 0.5      # reject warp cells spanning a range discontinuity
     max_iters: int = 30
     # a phase converges once an accepted step's norm is below this, and a
@@ -328,21 +327,17 @@ def _photo_system(X_w: np.ndarray, rimg: RangeImage, cam: SphericalCamera, T: SE
     return rng_q - val[ok], jacobian
 
 
-def _trim(found, trim_floor: float):
-    """A family's ``(r, J)`` with mis-associations dropped, or None.
+def _trim(r: np.ndarray, floor: float) -> np.ndarray:
+    """Which residuals to keep: those within ``trim_factor`` times the median
+    or within ``floor``, which the solver anneals downward across iterations
+    so the threshold does not collapse while part of the pose error is large."""
+    a = np.abs(r)
+    return a <= max(REGISTRATION_CONFIG.trim_factor * np.median(a), floor)
 
-    Residuals beyond ``trim_factor`` times the median are dropped.
-    ``trim_floor`` keeps the threshold from collapsing while part of the
-    pose error is still large; the solver anneals it downward across
-    iterations.
-    """
-    if found is None:
-        return None
-    r, jacobian = found
-    keep = np.abs(r) <= max(REGISTRATION_CONFIG.trim_factor * np.median(np.abs(r)), trim_floor)
-    if not keep.any():
-        return None
-    return r[keep], jacobian(keep)
+
+def _kept(found, floor: float) -> np.ndarray:
+    """The residuals of a family's ``(r, jacobian)`` that :func:`_trim` keeps."""
+    return found[0][_trim(found[0], floor)]
 
 
 # --- solver -----------------------------------------------------------------
@@ -387,27 +382,16 @@ def register(
     # to roughly scan resolution so the warp term stays cheap
     X_w = model_pts[:: s * s]
 
-    systems = {
-        "geo": lambda T: _geo_system(tree, geo_scan, T),
-        "photo": lambda T: _photo_system(X_w, scan_img, cam, T),
+    # each family's system, which associates at a pose, and its Huber threshold
+    families = {
+        "geo": (lambda T: _geo_system(tree, geo_scan, T), cfg.huber_geo),
+        "photo": (lambda T: _photo_system(X_w, scan_img, cam, T), cfg.huber_photo),
     }
-    huber = {"geo": cfg.huber_geo, "photo": cfg.huber_photo}
-    trim_floor = {"geo": cfg.trim_floor_geo, "photo": cfg.trim_floor_photo}
-
-    def evaluate(T, floors, found):
-        """Each family's trimmed ``(r, J)`` at ``T``; one without residuals is
-        left out.  ``found`` holds the untrimmed residuals already computed
-        at ``T``; a family missing from it is associated and added."""
-        for name in floors:
-            if name not in found:
-                found[name] = systems[name](T)
-        trimmed = {name: _trim(found[name], floor) for name, floor in floors.items()}
-        return {name: f for name, f in trimmed.items() if f is not None}
 
     T = initial.copy()
-    # the untrimmed residuals at T, the linearisation built from them, and
-    # the trim floors it was built at
-    found, lin, floors = {}, {}, {}
+    # each family's untrimmed residuals at T, as its system returned them
+    # there: None when it associated nothing
+    found = {}
     it_total = 0
 
     # geometric phase, then joint phase; budgets count iterations in total
@@ -419,24 +403,28 @@ def register(
             # early iterations may hold a large error in one direction whose
             # residuals would be trimmed once the rest has converged; keep
             # the trim loose at first and tighten it geometrically
-            anneal = cfg.assoc_gate * 0.5 ** it_total
-            old, floors = floors, {name: max(trim_floor[name], anneal) for name in active}
-            # only a family new to the phase or whose floor moved is trimmed
-            # again; the rest of the linearisation is the accepted trial's
-            stale = {name: f for name, f in floors.items() if old.get(name) != f}
-            lin = {name: rJ for name, rJ in lin.items() if name not in stale}
-            lin |= evaluate(T, stale, found)
-            if sum(r.shape[0] for r, _ in lin.values()) < cfg.min_residuals:
+            floor = max(cfg.trim_floor, cfg.assoc_gate * 0.5 ** it_total)
+            # the linearisation at T: each family's residuals trimmed at this
+            # floor, their Jacobian and the family's weight, 1 / residual count;
+            # a family new to the phase is associated first
+            lin = {}
+            for name in active:
+                if name not in found:
+                    found[name] = families[name][0](T)
+                if found[name] is not None:
+                    r, jacobian = found[name]
+                    keep = _trim(r, floor)
+                    lin[name] = r[keep], jacobian(keep), 1.0 / np.count_nonzero(keep)
+            if sum(r.size for r, _, _ in lin.values()) < cfg.min_residuals:
                 raise RegistrationError("too few residuals survive association")
 
-            # each family's normal equations, weighted by 1 / residual count
-            weight = {name: 1.0 / r.shape[0] for name, (r, _) in lin.items()}
             H, b, obj0 = np.zeros((6, 6)), np.zeros(6), 0.0
-            for name, (r, J) in lin.items():
-                w = _huber_weights(r, huber[name])
-                H += weight[name] * (J.T * w) @ J
-                b += weight[name] * (J.T @ (w * r))
-                obj0 += weight[name] * _huber_value(r, huber[name])
+            for name, (r, J, weight) in lin.items():
+                huber = families[name][1]
+                w = _huber_weights(r, huber)
+                H += weight * (J.T * w) @ J
+                b += weight * (J.T @ (w * r))
+                obj0 += weight * _huber_value(r, huber)
 
             accepted, refused = False, None
             while not accepted and lam <= cfg.damping_max:
@@ -449,24 +437,26 @@ def register(
                 moved = refused is None or (np.linalg.norm(delta - refused)
                                             > cfg.retry_change * np.linalg.norm(refused))
                 if np.all(np.isfinite(delta)) and moved:
-                    T_try, found_try = T.retract(delta), {}
-                    trial = evaluate(T_try, floors, found_try)
-                    # scored like the linearisation: its families, its weights
-                    obj = [weight[name] * _huber_value(trial[name][0], huber[name])
-                           for name in lin if name in trial]
+                    T_try = T.retract(delta)
+                    trial = {name: families[name][0](T_try) for name in active}
+                    # scored like the linearisation, on its trimmed residuals:
+                    # its families, its weights; no Jacobian is built
+                    obj = [weight * _huber_value(_kept(trial[name], floor), families[name][1])
+                           for name, (_, _, weight) in lin.items() if trial[name] is not None]
                     accepted = bool(obj) and sum(obj) <= obj0 + 1e-12
                     refused = None if accepted else delta
                 lam = max(lam * 0.25, cfg.damping_init) if accepted else max(lam, 1e-8) * 10.0
             if not accepted:
                 break  # damping exhausted: keep current estimate for this phase
-            # the accepted trial is the next linearisation
-            T, found, lin = T_try, found_try, trial
+            # the accepted trial is the next linearisation point
+            T, found = T_try, trial
             if np.linalg.norm(delta) < cfg.tol:
                 converged = True
                 break
 
-    # residual statistics of the linearisation at the returned pose
-    geo_r, photo_r = (lin[name][0] if name in lin else np.zeros(0) for name in systems)
+    # residual statistics at the returned pose, trimmed at the last floor
+    geo_r, photo_r = (_kept(found[name], floor) if found.get(name) else np.zeros(0)
+                      for name in families)
     rms = lambda r: float(np.sqrt(np.mean(r * r))) if r.size else 0.0
     return RegistrationResult(
         T.orthonormalized(), converged, it_total, rms(geo_r), rms(photo_r),

@@ -69,12 +69,41 @@ def test_missing_scan_file(tmp_path, capsys):
     ("--scan-period -0.1", "argument --scan-period: must be finite and positive: '-0.1'"),
     ("--scan-period nan", "argument --scan-period: must be finite and positive: 'nan'"),
     ("--scan-period inf", "argument --scan-period: must be finite and positive: 'inf'"),
+    ("--seed -1", "argument --seed: must be an integer of at least 0: '-1'"),
     ("@no-such-file", "No such file or directory"),
 ])
 def test_bad_setting_is_a_usage_error(scans, tmp_path, capsys, setting, message):
     assert main(["run", str(scans), "--out", str(tmp_path / "out")] + setting.split()) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, setting, message", [
+    ("synth", "--steps 0", "argument --steps: must be an integer of at least 1: '0'"),
+    ("synth", "--width 1", "argument --width: must be an integer of at least 2: '1'"),
+    ("synth", "--height 1", "argument --height: must be an integer of at least 2: '1'"),
+    ("synth", "--noise -1", "argument --noise: must be finite and at least 0: '-1'"),
+    ("synth", "--noise nan", "argument --noise: must be finite and at least 0: 'nan'"),
+    ("synth", "--dropout 1.5", "argument --dropout: must be at least 0 and below 1: '1.5'"),
+    ("synth", "--dropout -0.1", "argument --dropout: must be at least 0 and below 1: '-0.1'"),
+    ("synth", "--seed -1", "argument --seed: must be an integer of at least 0: '-1'"),
+    ("synth", "--boxes -1", "argument --boxes: must be an integer of at least 0: '-1'"),
+    ("synth", "--size nan", "argument --size: must be finite and positive: 'nan'"),
+    ("synth", "--room-height -2", "argument --room-height: must be finite and positive: '-2'"),
+    ("synth", "--length inf", "argument --length: must be finite and at least 0: 'inf'"),
+    ("synth", "--el-max 95", "argument --el-max: must be degrees within [-90, 90]: '95'"),
+    ("synth", "--el-min 20", "--el-min must be below --el-max"),
+    ("render", "--width 1", "argument --width: must be an integer of at least 2: '1'"),
+    ("render", "--height 0", "argument --height: must be an integer of at least 2: '0'"),
+    ("render", "--el-min -91", "argument --el-min: must be degrees within [-90, 90]: '-91'"),
+    ("render", "--el-min 15", "--el-min must be below --el-max"),
+])
+def test_bad_value_is_a_usage_error(tmp_path, capsys, command, setting, message):
+    out = tmp_path / "out"
+    model = [str(_small_model_file(tmp_path / "map.splm"))] if command == "render" else []
+    assert main([command, *model, "--out", str(out)] + setting.split()) == 1
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_settings_file_runs_as_its_flags(scans, tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from splatscan import mapping
+from splatscan.errors import EvaluationError
 from splatscan.io import read_ply
 from splatscan.mapping import coverage
 from splatscan.pipeline import Pipeline, RunConfig
@@ -69,6 +70,34 @@ def test_a_non_finite_row_is_dropped(good_scans, bad):
     assert [row["n_points"] for row in rows] == [len(s) for s in good_scans]
     for p, q in zip(poses, clean_poses):
         np.testing.assert_array_equal(p.matrix(), q.matrix())
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_a_refused_stamp_leaves_no_trace(three_scans, tmp_path, bad):
+    """A stamp that would break the trajectory raises before the scan changes
+    any state; the next valid scan goes on as if it had never been given."""
+    runs = []
+    for refuse in (False, True):
+        out = tmp_path / str(refuse)
+        pipe = Pipeline(RunConfig(image_width=64, image_height=16, refine_iters=1,
+                                  out_dir=str(out)))
+        pipe.process_scan(three_scans[0], 0.0)
+        if refuse:
+            with pytest.raises(EvaluationError, match="strictly increasing"):
+                pipe.process_scan(three_scans[1], bad)
+            assert len(pipe.scan_rows) == len(pipe.poses) == len(pipe.stamps) == 1
+        rows = [pipe.process_scan(s, t) for s, t in zip(three_scans[1:], (0.1, 0.2))]
+        report = pipe.finalize()
+        runs.append((rows, pipe.trajectory, out))
+    (rows, traj, out), (rows_r, traj_r, out_r) = runs
+    assert np.array_equal(traj_r.stamps, [0.0, 0.1, 0.2])
+    for p, q in zip(traj_r.poses, traj.poses):
+        assert np.array_equal(p.matrix(), q.matrix())
+    assert [r["n_used"] for r in rows_r] == [r["n_used"] for r in rows]
+    assert report["n_scans"] == 3
+    for name in ("trajectory.tum", "trajectory.kitti", "report.json", "map_000.ply",
+                 "map_000.splm"):
+        assert (out_r / name).is_file()
 
 
 def _run(scans, seed, out_dir):

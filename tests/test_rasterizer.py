@@ -310,26 +310,30 @@ def _rule(rows):
     return lambda pix, values: rows[:, pix]
 
 
-def _loss(cam, pose, model, pg):
-    """Linear loss sum(pg * image): its pixel gradients are ``pg`` itself."""
+def _images(cam, pose, model):
+    """The rendered images as (5, pixels) rows, in the order of :func:`_pixel_grads`."""
     out, _ = rasterize_forward(cam, pose, model)
-    return float(np.sum(pg[0] * out.range.ravel()) + np.sum(pg[1] * out.opacity.ravel())
-                 + np.sum(pg[2:] * out.normal.reshape(-1, 3).T))
+    return np.vstack([out.range.ravel(), out.opacity.ravel(), out.normal.reshape(-1, 3).T])
 
 
 def _central_difference(cam, pose, model, pg, columns, h=1e-6):
-    """d(loss)/d(entry) for every entry of ``columns``, a view into ``model.params``."""
+    """d(loss)/d(entry) for every entry of ``columns``, a view into ``model.params``,
+    of the linear loss sum(pg * image), whose pixel gradients are ``pg`` itself.
+
+    The images are differenced before they are contracted with ``pg``: a
+    difference of the summed loss would round at the loss's own magnitude.
+    """
     grad = np.zeros(columns.shape)
     for idx in np.ndindex(*columns.shape):
         x = columns[idx]
-        vals = []
+        images = []
         for step in (h, -h):
             columns[idx] = x + step
             model.touch()
-            vals.append(_loss(cam, pose, model, pg))
+            images.append(_images(cam, pose, model))
         columns[idx] = x
         model.touch()
-        grad[idx] = (vals[0] - vals[1]) / (2.0 * h)
+        grad[idx] = np.sum(pg * (images[0] - images[1])) / (2.0 * h)
     return grad
 
 

@@ -62,7 +62,9 @@ def _assert_brute_force_association(tree, scan, T, atol):
     """``_geo_system`` keeps, among the ``assoc_k`` nearest leaves within the
     gate, the one whose plane is closest; returns which points have one."""
     centroids, normals = tree.centroids, tree.normals
-    r, J = _trim(_geo_system(tree, scan, T), trim_floor=1.0)
+    r, jacobian = _geo_system(tree, scan, T)
+    keep = _trim(r, floor=1.0)
+    r, J = r[keep], jacobian(keep)
     p_w = T.apply(scan)
     diff = p_w[:, None] - centroids
     d = np.linalg.norm(diff, axis=2)
@@ -178,47 +180,65 @@ def offset_problem():
     return model, scan, cam, start
 
 
-def test_each_pose_and_floor_is_evaluated_once(offset_problem, monkeypatch):
-    """An accepted trial is the next linearisation point: no residual family
-    is associated twice at one pose nor trimmed twice at one pose and trim
-    floor, and the reported counts and RMS are those of the last trim at the
-    returned pose."""
-    pose_of = {}  # id of a family's untrimmed residuals -> the pose they are at
-    associated = {"geo": [], "photo": []}
-    trims = []
+def test_one_jacobian_per_iteration_at_its_linearisation_pose(offset_problem, monkeypatch):
+    """Each iteration builds each family's Jacobian once, at the pose its
+    trials start from, before any trial; a trial, accepted or refused, builds
+    none.  No family is associated twice at one pose, and the reported counts
+    and RMS are those of the residuals associated at the returned pose,
+    trimmed at the last iteration's floor."""
+    events = []  # ("jacobian", name, pose) and ("trial", base pose, trial pose), in order
+    associated = []  # (name, pose, untrimmed residuals) of every association
 
     def recorded(name, system):
         def wrapped(*args):
             found = system(*args)
             M = args[-1].matrix()
-            associated[name].append((M, found))
-            pose_of[id(found)] = (name, M)
-            return found
+            associated.append((name, M, found))
+            if found is None:
+                return None
+            r, jacobian = found
+
+            def built(keep):
+                events.append(("jacobian", name, M))
+                return jacobian(keep)
+            return r, built
         return wrapped
 
-    def recorded_trim(found, trim_floor):
-        trimmed = _trim(found, trim_floor)
-        if found is not None:
-            name, M = pose_of[id(found)]
-            trims.append((name, M, trim_floor, trimmed))
-        return trimmed
+    retract = SE3Pose.retract
+
+    def tried(self, delta):
+        T_try = retract(self, delta)
+        events.append(("trial", self.matrix(), T_try.matrix()))
+        return T_try
 
     monkeypatch.setattr(registration, "_geo_system", recorded("geo", _geo_system))
     monkeypatch.setattr(registration, "_photo_system",
                         recorded("photo", registration._photo_system))
-    monkeypatch.setattr(registration, "_trim", recorded_trim)
+    monkeypatch.setattr(SE3Pose, "retract", tried)
     result = register(*offset_problem)
 
-    for name, seen in associated.items():
-        keys = [M.tobytes() for M, _ in seen]
-        assert len(set(keys)) == len(keys), f"{name}: {len(keys) - len(set(keys))} repeats"
-    keys = [(name, M.tobytes(), floor) for name, M, floor, _ in trims]
-    assert len(set(keys)) == len(keys), f"{len(keys) - len(set(keys))} repeated trims"
-    at_pose = lambda family: [trimmed for name, M, _, trimmed in trims if name == family
-                              and np.allclose(M, result.pose.matrix(), rtol=0, atol=1e-12)]
-    for name, n, rms in (("geo", result.n_geo, result.geo_rms),
-                         ("photo", result.n_photo, result.photo_rms)):
-        r, _ = at_pose(name)[-1]
+    iterations = []  # per iteration: its Jacobian builds, then its trials
+    for kind, *event in events:
+        if kind == "jacobian" and (not iterations or iterations[-1][1]):
+            iterations.append(([], []))
+        iterations[-1][kind == "trial"].append(event)
+    assert len(iterations) == result.iterations
+    for builds, trials in iterations:
+        names = [name for name, _ in builds]
+        assert "geo" in names and len(set(names)) == len(names)
+        assert trials
+        for _, M in builds:
+            assert all(np.array_equal(M, base) for base, _ in trials)
+
+    keys = [(name, M.tobytes()) for name, M, _ in associated]
+    assert len(set(keys)) == len(keys), f"{len(keys) - len(set(keys))} repeated associations"
+    cfg = REGISTRATION_CONFIG
+    floor = max(cfg.trim_floor, cfg.assoc_gate * 0.5 ** result.iterations)
+    for family, n, rms in (("geo", result.n_geo, result.geo_rms),
+                           ("photo", result.n_photo, result.photo_rms)):
+        (r, _), = [found for name, M, found in associated if name == family
+                   and np.allclose(M, result.pose.matrix(), rtol=0, atol=1e-12)]
+        r = r[_trim(r, floor)]
         assert n == r.size > 0
         assert rms == float(np.sqrt(np.mean(r * r)))
 
