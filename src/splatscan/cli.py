@@ -291,15 +291,16 @@ def build_parser() -> argparse.ArgumentParser:
     et = sub.add_parser("eval-traj", help="ATE and relative pose error vs ground truth")
     et.add_argument("est", help="estimated trajectory (TUM or KITTI)")
     et.add_argument("ref", help="reference trajectory")
-    et.add_argument("--max-dt", type=float, default=0.05,
-                    help="timestamp association window (s)")
+    et.add_argument("--max-dt", type=_nonnegative_float, default=0.05,
+                    help="timestamp association window (s), at least 0")
     et.set_defaults(func=_cmd_eval_traj)
 
     em = sub.add_parser("eval-map", help="cloud-to-cloud reconstruction metrics")
     em.add_argument("est", help="estimated cloud (PLY)")
     em.add_argument("ref", help="reference cloud (PLY)")
-    em.add_argument("--threshold", type=float, default=0.2, help="F-score radius (m)")
-    em.add_argument("--voxel", type=float, default=0.2,
+    em.add_argument("--threshold", type=_positive_float, default=0.2,
+                    help="F-score radius (m), above 0")
+    em.add_argument("--voxel", type=_nonnegative_float, default=0.2,
                     help="downsample voxel (m); 0 disables")
     em.set_defaults(func=_cmd_eval_map)
 

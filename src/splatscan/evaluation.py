@@ -63,10 +63,23 @@ class Trajectory:
         return np.stack([p.translation for p in self.poses])
 
 
+def _require(name: str, value: float, positive: bool = False) -> None:
+    """Raise :class:`EvaluationError` unless ``value`` is finite and at least
+    0, or above 0 if ``positive``."""
+    value = float(value)
+    if not (np.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        rule = "positive" if positive else "at least 0"
+        raise EvaluationError(f"{name} must be finite and {rule}, not {value}")
+
+
 def associate(
     est: Trajectory, ref: Trajectory, max_dt: float = 0.05
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of timestamp-matched pose pairs within ``max_dt`` seconds."""
+    """Indices of timestamp-matched pose pairs within ``max_dt`` seconds.
+
+    ``max_dt`` must be finite and at least 0.
+    """
+    _require("max_dt", max_dt)
     if len(est) == 0 or len(ref) == 0:
         raise EvaluationError("cannot associate empty trajectories")
     j = np.searchsorted(ref.stamps, est.stamps)
@@ -154,9 +167,13 @@ def relative_pose_error(
 
 
 def voxel_downsample(points: np.ndarray, voxel: float) -> np.ndarray:
-    """One representative (centroid) point per occupied voxel."""
+    """One representative (centroid) point per occupied voxel.
+
+    ``voxel`` must be finite and at least 0; 0 returns a copy of the points.
+    """
+    _require("voxel", voxel)
     p = np.asarray(points, dtype=float).reshape(-1, 3)
-    if p.shape[0] == 0 or voxel <= 0:
+    if p.shape[0] == 0 or voxel == 0:
         return p.copy()
     keys = np.floor(p / voxel).astype(np.int64)
     _, inv, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
@@ -187,8 +204,10 @@ def reconstruction_metrics(
     """Accuracy/completeness/F-score of ``est`` against reference ``ref``.
 
     Distances are clamped at ``MAX_DIST_M`` before averaging.  ``voxel``
-    optionally downsamples both clouds first.
+    optionally downsamples both clouds first (see :func:`voxel_downsample`).
+    ``threshold`` must be finite and positive.
     """
+    _require("threshold", threshold, positive=True)
     est = np.asarray(est, dtype=float).reshape(-1, 3)
     ref = np.asarray(ref, dtype=float).reshape(-1, 3)
     if est.shape[0] == 0 or ref.shape[0] == 0:

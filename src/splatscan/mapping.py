@@ -9,6 +9,16 @@ terms are per pixel, so the render takes their gradients batch by batch
 as it blends (see :func:`mapping_loss`), and no pass after it reads the
 images again.
 
+The objective exists only where the keyframe measured a range: every
+per-pixel term below, and so every pixel gradient, is masked by its valid
+pixels.  So are the reset check's coverage and the densify mask.
+Refinement, the reset check and :func:`add_keyframe`'s own render
+therefore render only those pixels (``rasterize_forward(..., mask=valid)``);
+the pixels without a range would cost blend and gradient work that changes
+nothing.  Keyframes come from a subsampled scan, so that is often half the
+image.  Renders that look for surfaces anywhere in the image (registration's
+model samples, the export) render every pixel.
+
 The objective per keyframe, summed over pixels of the valid mask:
 
     L = sum w(D_kf) * |D - D_kf|                (range, w = 1/max(D_kf, 1m))
@@ -321,10 +331,11 @@ def should_reset_local_map(lmap: "LocalMap", kf: Keyframe) -> str | None:
     Three triggers, checked in this order: ``"keyframes"``, the keyframe
     budget is exhausted; ``"radius"``, the sensor has left the neighborhood
     of the map's first keyframe; ``"coverage"``, the model barely covers the
-    new view.  The coverage render blends range and opacity only; one that
-    lets ``kf`` join is left on the map for :func:`add_keyframe`, which
-    would render the same view and reads no normals either.  The check's
-    coverage is left on ``lmap.coverage``, ``None`` when it made no render.
+    new view.  The coverage render blends range and opacity only, at
+    ``kf``'s measured pixels; one that lets ``kf`` join is left on the map
+    for :func:`add_keyframe`, which would render the same view and pixels
+    and reads no normals either.  The check's coverage is left on
+    ``lmap.coverage``, ``None`` when it made no render.
     """
     cfg = MAPPING_CONFIG
     lmap.coverage = None
@@ -335,7 +346,8 @@ def should_reset_local_map(lmap: "LocalMap", kf: Keyframe) -> str | None:
         return "radius"
     if len(lmap.model) == 0:
         return None
-    render, _ = rasterize_forward(kf.camera, kf.pose, lmap.model, normals=False)
+    render, _ = rasterize_forward(kf.camera, kf.pose, lmap.model, normals=False,
+                                  mask=kf.range_image.valid)
     lmap.coverage = coverage(render, kf)
     if lmap.coverage < cfg.coverage_min:
         return "coverage"
@@ -434,7 +446,8 @@ def add_keyframe(lmap: LocalMap, kf: Keyframe, rng: np.random.Generator) -> dict
         if shared is not None and shared[0] is kf and shared[1] == lmap.model.version:
             render = shared[2]
         else:
-            render, _ = rasterize_forward(kf.camera, kf.pose, lmap.model, normals=False)
+            render, _ = rasterize_forward(kf.camera, kf.pose, lmap.model, normals=False,
+                                          mask=kf.range_image.valid)
         mask = densify_mask(render, kf)
         keep = lmap.model.opacities >= MAPPING_CONFIG.prune_opacity
         if not keep.all():
@@ -465,11 +478,12 @@ def refine(lmap: LocalMap, iters: int, rng: np.random.Generator) -> list[dict[st
     """Adam refinement over randomly sampled keyframes.
 
     Each iteration binds the mapping loss to one keyframe, renders it
-    there while taking the loss's gradient in the same pass, and steps every
-    column of the model's parameters, then clamps scales into
-    ``[scale_floor, 10 * scale_cap]``.  Returns one entry per iteration:
-    the weighted ``total`` and the unweighted ``range``, ``opacity``,
-    ``normal`` and ``scale`` terms, all before the step.
+    there at the keyframe's measured pixels while taking the loss's
+    gradient in the same pass, and steps every column of the model's
+    parameters, then clamps scales into ``[scale_floor, 10 * scale_cap]``.
+    Returns one entry per iteration: the weighted ``total`` and the
+    unweighted ``range``, ``opacity``, ``normal`` and ``scale`` terms, all
+    before the step.
     """
     losses: list[dict[str, float]] = []
     if len(lmap.model) == 0 or not lmap.keyframes:
@@ -482,7 +496,7 @@ def refine(lmap: LocalMap, iters: int, rng: np.random.Generator) -> list[dict[st
         kf = lmap.keyframes[sample_keyframe_index(len(lmap.keyframes), cfg.kf_sample_p, rng)]
         ml = mapping_loss(lmap.model, kf)
         render, rec = rasterize_forward(kf.camera, kf.pose, lmap.model,
-                                        pixel_grads=ml.pixel_grads)
+                                        pixel_grads=ml.pixel_grads, mask=kf.range_image.valid)
         grads = rasterize_backward(lmap.model, rec)
         grads += ml.d_params
         lmap.optimizer.step(lmap.model, grads, lrs)

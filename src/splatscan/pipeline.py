@@ -216,7 +216,9 @@ class Pipeline:
         :func:`mapping.should_reset_local_map`) or ``None``,
         ``coverage`` is the mean rendered opacity the reset check measured
         (``None`` when it rendered nothing), and ``spawned``/``pruned``
-        count the splats the keyframe added and removed.  Refined scans
+        count the splats the keyframe added and removed, and ``valid_pixels``
+        counts the keyframe's measured pixels, the only ones that the reset
+        check and refinement render (0 without a keyframe).  Refined scans
         report the mapping loss by term at the first and last refine
         iteration (``refine_loss_first``/``refine_loss_last``).
 
@@ -233,7 +235,8 @@ class Pipeline:
         sub = self._subsample(cloud)
         row: dict = {"scan": index, "n_points": int(cloud.shape[0]),
                      "n_used": int(sub.shape[0]), "fallback": False,
-                     "reset": None, "coverage": None, "spawned": 0, "pruned": 0}
+                     "reset": None, "coverage": None, "spawned": 0, "pruned": 0,
+                     "valid_pixels": 0}
 
         t0 = time.perf_counter()
         if self.lmap is None:
@@ -266,6 +269,7 @@ class Pipeline:
             row["fallback"] = True
             row.setdefault("fallback_reason", str(e))
         if kf is not None:
+            row["valid_pixels"] = int(np.count_nonzero(kf.range_image.valid))
             if self.lmap is not None:
                 row["reset"] = should_reset_local_map(self.lmap, kf)
                 row["coverage"] = self.lmap.coverage

@@ -47,6 +47,13 @@ other two.  The forward pass and the reference renderer share both
 stages; the reference feeds them full-width pixel bands with every splat
 in range order.
 
+A render can be limited to a boolean pixel ``mask``: screening then skips
+tiles without a masked pixel and keeps near pairs of masked pixels only,
+so the blend and any gradient work see only those.  Masked pixels get the
+bits of the full render; the others read 0 in every channel, like
+uncovered pixels, so a caller must read only the masked ones.  Binning
+does not look at the mask.
+
 A render asked for gradients takes them in the same pass and keeps
 nothing for a later one.  The caller's ``pixel_grads`` rule gives the
 gradient of a scalar loss on the rendered range/opacity/normal images at
@@ -104,7 +111,9 @@ RASTER_CONFIG = RasterConfig()
 class RenderOutput:
     """Blended range, camera-frame normal and opacity images.
 
-    ``normal`` is None for a render made with ``normals=False``.
+    ``normal`` is None for a render made with ``normals=False``.  A render
+    made with a ``mask`` holds 0 in every channel off the mask, so only its
+    masked pixels mean anything, :meth:`surface` included.
     """
 
     range: np.ndarray
@@ -290,11 +299,16 @@ def _binned_tiles(tile_ptr, pair_splats, tiles_x: int):
                tile_ptr[t])
 
 
-def _near_pairs(cam: SphericalCamera, arrays: dict, tiles):
+def _near_pairs(cam: SphericalCamera, arrays: dict, tiles, mask: np.ndarray | None = None):
     """Screen each tile's pixel-splat pairs; yield the near ones in batches.
 
     ``tiles`` yields (row slice, column slice, splat ids in blend order,
-    index of the first id in the list the ids come from).
+    index of the first id in the list the ids come from).  With a boolean
+    ``(H, W)`` ``mask``, a tile without a masked pixel is skipped, and only
+    masked pixels make near pairs.  The plane products still come from the
+    whole tile, in the blocks of the full render: a block of one pixel is a
+    matrix-vector product, which numpy rounds differently, so products of
+    the masked pixels alone would not keep the full render's bits.
     A pair is near when the pixel's ray passes within ``c * max(scale)`` of
     the centroid, with ``c`` the splat's kernel radius
     (:func:`_kernel_cutoff`): ``a4^2 + b4^2``, with ``a4 = h_x . B_c`` and
@@ -330,6 +344,10 @@ def _near_pairs(cam: SphericalCamera, arrays: dict, tiles):
     held, n_held = [], 0
     for rows, cols, ids, first in tiles:
         pix = flat[rows, cols].ravel()
+        if mask is not None:
+            off = ~mask[rows, cols].ravel()
+            if off.all():
+                continue
         # h_x, h_y and v of the tile's pixels, as (3, 1, pixels, 3)
         pixel_vectors = np.stack((hx[rows, cols], hy[rows, cols], dirs[rows, cols]))
         pixel_vectors = pixel_vectors.reshape(3, 1, -1, 3)
@@ -348,6 +366,8 @@ def _near_pairs(cam: SphericalCamera, arrays: dict, tiles):
             np.matmul(pixel_vectors[:, :, p0 : p0 + P], B, out=planes[:9].reshape(3, 3, P, n))
             near = np.multiply(planes[2], planes[2], out=planes[9])
             near += np.multiply(planes[5], planes[5], out=planes[10])
+            if mask is not None:
+                near[off[p0 : p0 + P]] = np.inf
             k = np.flatnonzero(near <= reach2[ids])
             m = k.shape[0]
             p = k // n
@@ -502,9 +522,10 @@ def _add_splat_grads(acc: np.ndarray, rays: np.ndarray, b: dict, pix, planes, at
 
 
 def _render(cam: SphericalCamera, arrays: dict, tiles, normals: bool = True,
-            pixel_grads=None, acc: np.ndarray | None = None) -> RenderOutput:
-    """Blend range and opacity, and the normal if ``normals``, over ``tiles``;
-    untouched pixels stay 0.
+            pixel_grads=None, acc: np.ndarray | None = None,
+            mask: np.ndarray | None = None) -> RenderOutput:
+    """Blend range and opacity, and the normal if ``normals``, over ``tiles``
+    (only the pixels of ``mask``, if given); untouched pixels stay 0.
 
     With ``pixel_grads``, also adds the loss's gradient w.r.t. each splat's
     camera-frame terms (the rows of :class:`BlendRecords`) into ``acc``, one
@@ -518,7 +539,7 @@ def _render(cam: SphericalCamera, arrays: dict, tiles, normals: bool = True,
     if pixel_grads is not None:
         hx, hy = cam.pixel_ray_planes
         rays = np.concatenate([hx, hy, cam.pixel_directions], axis=-1).reshape(-1, 9).T.copy()
-    for pix, spl, planes, at, counts in _near_pairs(cam, arrays, tiles):
+    for pix, spl, planes, at, counts in _near_pairs(cam, arrays, tiles, mask):
         b = _blend(splat_rows, pix, spl, planes, counts)
         w, starts = b["w"], b["starts"]
         sums = np.empty((out.shape[0], pix.shape[0]))
@@ -538,7 +559,7 @@ def _render(cam: SphericalCamera, arrays: dict, tiles, normals: bool = True,
 
 def rasterize_forward(
     cam: SphericalCamera, pose: SE3Pose, model: SplatModel, *, normals: bool = True,
-    pixel_grads=None,
+    pixel_grads=None, mask: np.ndarray | None = None,
 ) -> tuple[RenderOutput, BlendRecords]:
     """Render the model from ``pose`` (sensor-in-world) onto the camera grid.
 
@@ -550,12 +571,21 @@ def rasterize_forward(
     then the normal, it returns their gradients in the same layout.  The
     render then leaves the loss's splat sums in ``records.splat_grads`` for
     :func:`rasterize_backward`; the images are the same bits either way.
+
+    ``mask``, a boolean ``(height, width)`` image, renders only its pixels:
+    they get the bits of the full render, every other pixel reads 0 in
+    every channel, as an uncovered one does, and ``pixel_grads`` is called
+    for masked pixels only.  A caller must read only the masked pixels.
+    Binning and the records do not depend on the mask.
     """
+    if mask is not None and np.shape(mask) != (cam.height, cam.width):
+        raise GeometryError(f"render mask of shape {np.shape(mask)} does not fit a "
+                            f"{cam.height}x{cam.width} camera")
     arrays = _splat_camera_arrays(model, pose)
     tile_ptr, pair_splats, tiles_x = _bin_splats(cam, arrays)
     acc = None if pixel_grads is None else np.zeros((13, pair_splats.shape[0]))
     out = _render(cam, arrays, _binned_tiles(tile_ptr, pair_splats, tiles_x), normals,
-                  pixel_grads, acc)
+                  pixel_grads, acc, None if mask is None else np.asarray(mask, dtype=bool))
     splat_grads = None if acc is None else np.stack(
         [np.bincount(pair_splats, row, minlength=len(model)) for row in acc])
     records = BlendRecords(cam, pose.copy(), RASTER_CONFIG, len(model), model.version,

@@ -251,6 +251,35 @@ def test_eval_map_rejects_a_non_finite_point(tmp_path, capsys, bad, side):
     assert _one_error_line(err) and "non-finite" in err
 
 
+@pytest.mark.parametrize("command, setting, message", [
+    ("eval-map", "--threshold nan", "argument --threshold: must be finite and positive: 'nan'"),
+    ("eval-map", "--threshold -1", "argument --threshold: must be finite and positive: '-1'"),
+    ("eval-map", "--threshold 0", "argument --threshold: must be finite and positive: '0'"),
+    ("eval-map", "--voxel nan", "argument --voxel: must be finite and at least 0: 'nan'"),
+    ("eval-map", "--voxel -0.2", "argument --voxel: must be finite and at least 0: '-0.2'"),
+    ("eval-map", "--voxel inf", "argument --voxel: must be finite and at least 0: 'inf'"),
+    ("eval-traj", "--max-dt -1", "argument --max-dt: must be finite and at least 0: '-1'"),
+    ("eval-traj", "--max-dt nan", "argument --max-dt: must be finite and at least 0: 'nan'"),
+])
+def test_bad_evaluation_setting_is_a_usage_error(tmp_path, capsys, command, setting, message):
+    """Inputs that score without the setting; the setting alone is refused."""
+    if command == "eval-map":
+        cloud = np.random.default_rng(0).uniform(-2.0, 2.0, (50, 3))
+        inputs = [tmp_path / "est.ply", tmp_path / "ref.ply"]
+        for path in inputs:
+            write_ply(path, cloud)
+    else:
+        inputs = [tmp_path / "est.tum", tmp_path / "ref.tum"]
+        for path in inputs:
+            path.write_text("".join(f"{t} {t} 0 0 0 0 0 1\n" for t in range(3)))
+    argv = [command, *map(str, inputs)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + setting.split()) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and not captured.out
+
+
 @pytest.mark.parametrize("pose", ["0,0,0,0,0,0,0", "0,0,0,0,0,inf,1", "0,0,0,x,0,0,1",
                                   "nan,0,0,0,0,0,1", "0,0,-inf,0,0,0,1"])
 def test_render_rejects_a_pose_without_a_rotation(tmp_path, capsys, pose):

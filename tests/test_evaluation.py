@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from splatscan.errors import EvaluationError
-from splatscan.evaluation import Trajectory, aligned_ate
+from splatscan.evaluation import (
+    Trajectory,
+    aligned_ate,
+    associate,
+    reconstruction_metrics,
+    voxel_downsample,
+)
 from splatscan.se3 import SE3Pose, so3_exp
 
 
@@ -47,3 +53,44 @@ def test_aligned_ate_aligns_the_first_associated_pose(trajectories):
     assert aligned_ate(late, ref, max_dt=0.02) == aligned_ate(late, tail, max_dt=0.02)
     with pytest.raises(EvaluationError):
         aligned_ate(late, ref, max_dt=0.001)
+
+
+@pytest.mark.parametrize("max_dt", [-1.0, np.nan, np.inf])
+def test_associate_refuses_a_window_out_of_range(trajectories, max_dt):
+    est, ref = trajectories
+    with pytest.raises(EvaluationError, match="max_dt must be finite and at least 0"):
+        associate(est, ref, max_dt)
+
+
+def test_a_zero_window_matches_equal_stamps(trajectories):
+    est, ref = trajectories
+    ei, ri = associate(est, ref, 0.0)
+    assert np.array_equal(ei, ri) and ei.size == len(est)
+
+
+@pytest.fixture
+def clouds():
+    rng = np.random.default_rng(4)
+    ref = rng.uniform(-2.0, 2.0, (200, 3))
+    return ref + rng.normal(0.0, 0.05, ref.shape), ref
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan, np.inf])
+def test_reconstruction_metrics_refuse_a_threshold_out_of_range(clouds, threshold):
+    with pytest.raises(EvaluationError, match="threshold must be finite and positive"):
+        reconstruction_metrics(*clouds, threshold=threshold)
+
+
+@pytest.mark.parametrize("voxel", [-0.2, np.nan, np.inf])
+def test_voxels_out_of_range_are_refused(clouds, voxel):
+    with pytest.raises(EvaluationError, match="voxel must be finite and at least 0"):
+        voxel_downsample(clouds[0], voxel)
+    with pytest.raises(EvaluationError, match="voxel must be finite and at least 0"):
+        reconstruction_metrics(*clouds, voxel=voxel)
+
+
+def test_a_zero_voxel_keeps_every_point(clouds):
+    est, ref = clouds
+    kept = voxel_downsample(est, 0.0)
+    assert np.array_equal(kept, est) and kept is not est
+    assert reconstruction_metrics(est, ref, voxel=0.0) == reconstruction_metrics(est, ref)

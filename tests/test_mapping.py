@@ -243,3 +243,65 @@ def test_refine_reports_the_terms_of_a_plain_render(two_keyframes):
     losses = refine(lmap, 2, np.random.default_rng(6))
     assert losses[0] == expected
     assert losses[1] != expected
+
+
+def test_mapping_loss_takes_the_same_gradients_from_the_measured_pixels():
+    """The loss reads only the keyframe's valid pixels, so a render of those
+    alone gives its terms exactly and its gradients to rounding: blend
+    batches regroup, which moves the sums in the last bits."""
+    rng = np.random.default_rng(5)
+    cam = SphericalCamera(24, 8, -0.6, 0.6, -0.25, 0.25)
+    kf = _toy_keyframe(cam, rng.uniform(2.5, 4.0, (8, 24)), rng.random((8, 24)) < 0.5, rng)
+    n = 40
+    centers = np.stack([rng.uniform(2.5, 4.0, n), rng.uniform(-1.5, 1.5, n),
+                        rng.uniform(-0.6, 0.6, n)], axis=1)
+    ta, tb = orthonormal_tangents(rng.normal(size=(n, 3)), rng.normal(size=(n, 3)))
+    model = SplatModel()
+    model.append(centers, ta, tb, rng.uniform(0.15, 0.5, (n, 2)), rng.uniform(0.3, 0.9, n), 0)
+
+    ml = mapping_loss(model, kf)
+    results = []
+    for mask in (None, kf.range_image.valid):
+        render, rec = rasterize_forward(cam, kf.pose, model, pixel_grads=ml.pixel_grads, mask=mask)
+        results.append((ml.terms(render), rasterize_backward(model, rec)))
+    (terms, grads), (masked_terms, masked_grads) = results
+    assert masked_terms == terms
+    scale = float(np.max(np.abs(grads)))
+    assert scale > 0
+    assert float(np.max(np.abs(masked_grads - grads))) <= 1e-12 * scale
+
+
+@pytest.fixture
+def half_keyframes():
+    """Two keyframes from half of each scan's points, as the pipeline makes
+    them: some of their pixels have no range."""
+    scene = room_with_boxes(seed=0)
+    rng = np.random.default_rng(0)
+    poses = [SE3Pose.identity(), SE3Pose(so3_exp([0.0, 0.0, 0.1]), [0.2, 0.05, 0.0])]
+    return [make_keyframe(i, raycast_scan(scene, p, ScanSpec(64, 16), rng).cloud[::2], p, 64, 16)
+            for i, p in enumerate(poses)]
+
+
+def test_mapping_renders_only_the_measured_keyframe_pixels(half_keyframes, monkeypatch):
+    """The reset check, add_keyframe's own render and refine pass the
+    keyframe's valid mask to every render."""
+    kf0, kf1 = half_keyframes
+    assert 0 < np.count_nonzero(kf1.range_image.valid) < kf1.range_image.valid.size
+    lmap = _seeded_map(kf0)
+    masks = []
+    render = mapping.rasterize_forward
+
+    def spy(cam, pose, model, **kwargs):
+        masks.append((pose, kwargs.get("mask")))
+        return render(cam, pose, model, **kwargs)
+
+    monkeypatch.setattr(mapping, "rasterize_forward", spy)
+    assert should_reset_local_map(lmap, kf1) is None
+    lmap.model.touch()  # so add_keyframe makes a render of its own
+    add_keyframe(lmap, kf1, np.random.default_rng(4))
+    refine(lmap, 6, np.random.default_rng(6))
+    assert len(masks) == 8
+    by_pose = {id(kf.pose): kf for kf in (kf0, kf1)}
+    for pose, mask in masks:
+        assert mask is by_pose[id(pose)].range_image.valid
+    assert {id(pose) for pose, _ in masks} == set(by_pose)

@@ -153,6 +153,16 @@ def test_refined_scans_report_their_loss_by_term(three_scans, tmp_path):
         assert row["refine_loss_first"]["total"] > 0.0
 
 
+def test_rows_count_the_measured_keyframe_pixels(good_scans):
+    scans = [good_scans[0], BAD_SCANS["empty"], good_scans[1]]
+    pipe = Pipeline(RunConfig(image_width=64, image_height=16, refine_iters=1))
+    rows = [pipe.process_scan(s) for s in scans]
+    counts = [int(np.count_nonzero(kf.range_image.valid)) for kf in pipe.lmap.keyframes]
+    assert [row["valid_pixels"] for row in rows] == [counts[0], 0, counts[1]]
+    # a keyframe takes part of its scan's points, so it misses some pixels
+    assert all(0 < c < 64 * 16 for c in counts)
+
+
 def test_unrefined_scans_report_no_loss(good_scans):
     pipe = Pipeline(RunConfig(image_width=64, image_height=16, refine_iters=0))
     for row in (pipe.process_scan(s) for s in good_scans):

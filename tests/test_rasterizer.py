@@ -34,6 +34,27 @@ def _pose():
     return SE3Pose(so3_exp([0.05, -0.1, 2.5]), [0.3, -0.2, 0.1])
 
 
+def _seam_model(rng, n=40):
+    """Splats with centroids just either side of azimuth +-pi, large enough
+    to cross it."""
+    az = np.pi + rng.uniform(-0.15, 0.15, n)
+    el = rng.uniform(-0.2, 0.2, n)
+    r = rng.uniform(2.0, 5.0, n)
+    centers = r[:, None] * np.stack(
+        [np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], axis=1)
+    ta, tb = orthonormal_tangents(rng.normal(size=(n, 3)), rng.normal(size=(n, 3)))
+    model = SplatModel()
+    model.append(centers, ta, tb, rng.uniform(0.1, 0.5, (n, 2)), rng.uniform(0.3, 0.95, n), 0)
+    return model
+
+
+def _assert_masked(masked, full, mask):
+    """``masked`` holds ``full``'s bits on ``mask`` and 0 off it, in every channel."""
+    for c in CHANNELS:
+        on, off = getattr(masked, c)[mask], getattr(masked, c)[~mask]
+        assert np.array_equal(on, getattr(full, c)[mask]) and not off.any(), c
+
+
 class TestTiledMatchesReference:
     @pytest.mark.parametrize("behind_frac", [0.0, 0.5])
     def test_random_model_full_circle(self, full_cam, rng, behind_frac):
@@ -58,17 +79,7 @@ class TestTiledMatchesReference:
         assert tiled.opacity[0].max() > 0.1 and tiled.opacity[-1].max() > 0.1
 
     def test_splats_straddle_the_seam(self, full_cam, rng):
-        # centroids just either side of azimuth +-pi, large enough to cross it
-        n = 40
-        az = np.pi + rng.uniform(-0.15, 0.15, n)
-        el = rng.uniform(-0.2, 0.2, n)
-        r = rng.uniform(2.0, 5.0, n)
-        centers = r[:, None] * np.stack(
-            [np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], axis=1)
-        ta, tb = orthonormal_tangents(rng.normal(size=(n, 3)), rng.normal(size=(n, 3)))
-        model = SplatModel()
-        model.append(centers, ta, tb, rng.uniform(0.1, 0.5, (n, 2)),
-                     rng.uniform(0.3, 0.95, n), 0)
+        model = _seam_model(rng)
         tiled, _ = rasterize_forward(full_cam, SE3Pose.identity(), model)
         ref = reference_rasterize(full_cam, SE3Pose.identity(), model)
         assert _max_diff(tiled, ref) <= 1e-12
@@ -150,12 +161,17 @@ one_splat = st.builds(
 
 @pytest.mark.parametrize("name", PROPERTY_CAMERAS)
 @settings(deadline=None, max_examples=150)
-@given(model=one_splat)
-def test_one_splat_renders_tiled_as_the_reference(name, model):
+@given(model=one_splat, mask_seed=st.integers(0, 2**32 - 1),
+       share=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+def test_one_splat_renders_tiled_as_the_reference(name, model, mask_seed, share):
+    """Tiled against the reference; a render of the pixels of a random mask,
+    which holds about ``share`` of them, has the tiled render's bits there."""
     cam = PROPERTY_CAMERAS[name]
     tiled, _ = rasterize_forward(cam, SE3Pose.identity(), model)
     ref = reference_rasterize(cam, SE3Pose.identity(), model)
     assert _max_diff(tiled, ref) <= 1e-12
+    mask = np.random.default_rng(mask_seed).random((cam.height, cam.width)) < share
+    _assert_masked(rasterize_forward(cam, SE3Pose.identity(), model, mask=mask)[0], tiled, mask)
 
 
 def test_edge_on_and_grazing_splats_render_as_the_reference(full_cam):
@@ -293,6 +309,79 @@ def test_a_render_that_takes_gradients_blends_the_same_images(full_cam, rng):
             assert np.array_equal(getattr(taking, c), getattr(plain, c))
         assert rec.splat_grads.shape == (13, len(model)) and rec.splat_grads.any()
         assert np.mean(plain.opacity > 0) > 0.3
+
+
+# --- rendering the pixels of a mask -------------------------------------------
+
+
+# tiles_x = 5 and tiles_y = 2, the last of each cut short
+RAGGED_CAM = SphericalCamera(37, 13, -1.2, 1.5, -0.4, 0.3)
+
+
+@pytest.mark.parametrize("case", ["ragged_tiles", "seam"])
+def test_a_masked_render_is_the_full_render_on_the_mask(full_cam, rng, case):
+    if case == "ragged_tiles":
+        cam, pose, model = RAGGED_CAM, _pose(), random_model(150, rng, behind_frac=0.5)
+        assert cam.width % RASTER_CONFIG.tile_size and cam.height % RASTER_CONFIG.tile_size
+    else:
+        cam, pose, model = full_cam, SE3Pose.identity(), _seam_model(rng)
+    mask = rng.random((cam.height, cam.width)) < 0.5
+    full, _ = rasterize_forward(cam, pose, model)
+    masked, _ = rasterize_forward(cam, pose, model, mask=mask)
+    _assert_masked(masked, full, mask)
+    # the mask keeps covered pixels and drops covered pixels
+    covered = full.opacity > 0
+    assert np.sum(covered & mask) > 20 and np.sum(covered & ~mask) > 20
+    if case == "seam":
+        assert np.all(masked.opacity[:, [0, -1]].max(axis=0) > 0)
+
+
+def test_a_masked_pixel_alone_in_its_tile_keeps_the_full_render_bits(rng):
+    """One masked pixel per tile: products of that pixel alone would be a
+    matrix-vector product, which numpy rounds differently from the blocks
+    of the full render."""
+    cam = SphericalCamera(128, 32, -np.pi, np.pi, -0.4, 0.4)
+    model = random_model(600, rng, behind_frac=0.5)
+    T = RASTER_CONFIG.tile_size
+    rows, cols = np.meshgrid(np.arange(0, cam.height, T), np.arange(0, cam.width, T))
+    mask = np.zeros((cam.height, cam.width), dtype=bool)
+    mask[rows + rng.integers(0, T, rows.shape), cols + rng.integers(0, T, cols.shape)] = True
+    full, _ = rasterize_forward(cam, _pose(), model)
+    _assert_masked(rasterize_forward(cam, _pose(), model, mask=mask)[0], full, mask)
+    assert np.sum(full.opacity[mask] > 0) > 20
+
+
+def test_an_empty_mask_renders_nothing_and_takes_no_gradient(full_cam, rng):
+    model = random_model(150, rng)
+    calls = []
+
+    def rule(pix, values):
+        calls.append(pix)
+        return np.ones_like(values)
+
+    mask = np.zeros((full_cam.height, full_cam.width), dtype=bool)
+    out, rec = rasterize_forward(full_cam, _pose(), model, pixel_grads=rule, mask=mask)
+    for c in CHANNELS:
+        assert not getattr(out, c).any()
+    assert not calls
+    assert rec.pair_splats.size > 0 and rec.splat_grads.shape == (13, len(model))
+    assert not rec.splat_grads.any() and not rasterize_backward(model, rec).any()
+
+
+def test_a_full_mask_takes_the_gradients_of_the_unmasked_render(full_cam, rng):
+    model = random_model(150, rng, behind_frac=0.5)
+    rule = _rule(_pixel_grads(full_cam, rng))
+    plain, plain_rec = rasterize_forward(full_cam, _pose(), model, pixel_grads=rule)
+    mask = np.ones((full_cam.height, full_cam.width), dtype=bool)
+    masked, rec = rasterize_forward(full_cam, _pose(), model, pixel_grads=rule, mask=mask)
+    _assert_masked(masked, plain, mask)
+    assert np.array_equal(rec.splat_grads, plain_rec.splat_grads) and rec.splat_grads.any()
+
+
+def test_a_mask_that_does_not_fit_the_camera_raises(full_cam, rng):
+    with pytest.raises(GeometryError, match="mask"):
+        rasterize_forward(full_cam, _pose(), random_model(5, rng),
+                          mask=np.ones((full_cam.width, full_cam.height), dtype=bool))
 
 
 # --- gradients --------------------------------------------------------------
