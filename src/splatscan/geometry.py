@@ -23,10 +23,10 @@ column W - 1, el_max on row 0 and el_min on row H - 1.  Pixel (col, row)
 samples the ray at image coordinates (col, row) exactly.
 
 Each pixel ray ``v`` is also the intersection of two orthonormal planes
-through the origin (:attr:`SphericalCamera.pixel_ray_planes`): the
-vertical plane ``h_x = (sin az, -cos az, 0)`` and ``h_y = h_x x v``.
-Both come from the pixel's angles, so the rays at the poles, which have
-no ``v x z``, get their planes too.
+through the origin: the vertical plane ``h_x = (sin az, -cos az, 0)`` and
+``h_y = h_x x v``.  Both come from the pixel's angles, so the rays at the
+poles, which have no ``v x z``, get their planes too.  The camera computes
+all three once (:attr:`SphericalCamera.pixel_rays`) for every reader.
 """
 
 from __future__ import annotations
@@ -145,11 +145,6 @@ class SphericalCamera:
         ok = (cols >= 0) & (cols < self.width) & (rows >= 0) & (rows < self.height)
         return cols, rows, ok
 
-    def back_project(self, uv: np.ndarray, ranges: np.ndarray) -> np.ndarray:
-        """Points at the given ranges along the rays of (..., 2) pixel coords."""
-        az, el = self.angles_of(uv)
-        return np.asarray(ranges, dtype=float)[..., None] * ray_direction(az, el)
-
     @cached_property
     def pixel_grid(self) -> np.ndarray:
         """(H, W, 2) image coordinates of every pixel's sample: (col, row)."""
@@ -159,23 +154,25 @@ class SphericalCamera:
         return np.stack([uu, vv], axis=-1)
 
     @cached_property
-    def pixel_directions(self) -> np.ndarray:
-        """(H, W, 3) unit ray direction of every pixel."""
-        az, el = self.angles_of(self.pixel_grid)
-        return ray_direction(az, el)
-
-    @cached_property
-    def pixel_ray_planes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(h_x, h_y): two orthonormal planes through the origin meeting in each pixel ray.
+    def pixel_rays(self) -> np.ndarray:
+        """(3, H, W, 3): ``h_x``, ``h_y`` and the unit ray ``v`` of every pixel.
 
         ``h_x = (sin az, -cos az, 0)`` from the pixel's azimuth is the
         vertical plane of the ray, ``(v x z)/|v x z|``, and also its limit
         at the poles, so every ray has its planes, the poles' included.
-        ``h_y = h_x x v`` completes the pair.
+        ``h_y = h_x x v`` completes the orthonormal pair meeting in ``v``.
         """
-        az, _ = self.angles_of(self.pixel_grid)
-        hx = np.stack([np.sin(az), -np.cos(az), np.zeros_like(az)], axis=-1)
-        return hx, np.cross(hx, self.pixel_directions)
+        az, el = self.angles_of(self.pixel_grid)
+        rays = np.empty((3, self.height, self.width, 3))
+        rays[2] = ray_direction(az, el)
+        rays[0] = np.stack([np.sin(az), -np.cos(az), np.zeros_like(az)], axis=-1)
+        rays[1] = np.cross(rays[0], rays[2])
+        return rays
+
+    @property
+    def pixel_directions(self) -> np.ndarray:
+        """(H, W, 3) unit ray direction of every pixel, a view of :attr:`pixel_rays`."""
+        return self.pixel_rays[2]
 
 
 def estimate_camera(points: np.ndarray, width: int, height: int) -> SphericalCamera:

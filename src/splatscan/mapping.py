@@ -135,18 +135,18 @@ class MappingLoss:
     """The objective of the module docstring, bound to one keyframe and model.
 
     :meth:`pixel_grads` is the rule :func:`rasterize_forward` applies to
-    each blend batch; ``d_params`` is the weighted scale hinge's gradient in
-    the layout of ``SplatModel.params``, and ``scale`` the unweighted hinge;
-    :meth:`terms` scores a finished render.  ``valid`` and ``pixels`` are
-    what the rule reads of the keyframe, per flat pixel: the valid mask, and
-    rows of its range, the range weight and the weighted normal term's
-    gradient (3 rows).
+    each blend batch of a render masked by ``kf.range_image.valid``, the
+    render :func:`refine` makes, so every pixel it sees is measured;
+    ``d_params`` is the weighted scale hinge's gradient in the layout of
+    ``SplatModel.params``, and ``scale`` the unweighted hinge; :meth:`terms`
+    scores a finished render.  ``pixels`` is what the rule reads of the
+    keyframe, per flat pixel: rows of its range, the range weight and the
+    weighted normal term's gradient (3 rows).
     """
 
     kf: Keyframe
     scale: float
     d_params: np.ndarray
-    valid: np.ndarray
     pixels: np.ndarray
 
     def pixel_grads(self, pix: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -158,11 +158,10 @@ class MappingLoss:
         gradient is the negated keyframe normal, where both normals are valid.
         """
         g = np.take(self.pixels, pix, axis=1)
-        M = np.take(self.valid, pix)
         O = values[1]
         clamped = np.maximum(O, _OPACITY_EPS)
-        g[0] = np.where(M, g[1] * np.sign(values[0] - g[0]), 0.0)
-        g[1] = MAPPING_CONFIG.w_opacity * np.where(M & (O > _OPACITY_EPS), -1.0 / clamped, 0.0)
+        g[0] = g[1] * np.sign(values[0] - g[0])
+        g[1] = MAPPING_CONFIG.w_opacity * np.where(O > _OPACITY_EPS, -1.0 / clamped, 0.0)
         return g
 
     def terms(self, render: RenderOutput) -> dict[str, float]:
@@ -215,7 +214,7 @@ def mapping_loss(model: SplatModel, kf: Keyframe) -> MappingLoss:
     pixels = np.concatenate([D_kf[None], 1.0 / np.maximum(D_kf, cfg.range_weight_floor)[None],
                              np.moveaxis(g_n, -1, 0)]).reshape(5, -1)
     L_s, g_s = scale_loss(model)
-    return MappingLoss(kf, L_s, cfg.w_scale * g_s, M.ravel(), pixels)
+    return MappingLoss(kf, L_s, cfg.w_scale * g_s, pixels)
 
 
 # --- spawning ---------------------------------------------------------------
@@ -285,9 +284,8 @@ def spawn_splats(
             rest = rng.choice(idx[~hot], size=cfg.n_spawn - n_hot, replace=False)
             idx = np.concatenate([idx[hot], rest])
     rows, cols = np.unravel_index(idx, kf.range_image.shape)
-    uv = kf.camera.pixel_grid[rows, cols]
     d = kf.range_image.range[rows, cols]
-    pts_s = kf.camera.back_project(uv, d)
+    pts_s = d[:, None] * kf.camera.pixel_directions[rows, cols]
 
     dirs = pts_s / np.linalg.norm(pts_s, axis=1, keepdims=True)
     n_s = np.where(

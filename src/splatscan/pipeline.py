@@ -111,8 +111,7 @@ def export_oriented_points(
             idx.sort()
         rows, cols = np.unravel_index(idx, m.shape)
         opac = render.opacity[rows, cols]
-        uv = kf.camera.pixel_grid[rows, cols]
-        pts = kf.pose.apply(kf.camera.back_project(uv, depth[rows, cols]))
+        pts = kf.pose.apply(depth[rows, cols][:, None] * kf.camera.pixel_directions[rows, cols])
         nrm = render.normal[rows, cols] / opac[:, None]
         norm = np.linalg.norm(nrm, axis=1, keepdims=True)
         good = norm[:, 0] > 1e-9

@@ -5,7 +5,7 @@ Forward model, per pixel ray ``v``:
   * Each pixel owns two planes through the sensor origin,
     ``h_x = (sin az, -cos az, 0)`` (the ray's vertical plane, defined at
     the poles too) and ``h_y = h_x x v``; their intersection is the ray
-    itself.
+    itself.  Both stages read them from the camera's ``pixel_rays``.
   * A splat defines the map ``H`` from splat coordinates (a, b, 0, 1) to
     world points.  Pulling both pixel planes back through the camera pose
     and ``H`` gives two lines in splat coordinates; their intersection
@@ -42,10 +42,10 @@ weights, and per-pixel sums.  A batch gathers whole blocks, of as many
 tiles as fit in ``_BATCH_PAIRS`` pairs, and carries each pixel's pair
 count from screening, which gives the pixels' runs.  Range and opacity
 are always blended, the normal only for callers that read it
-(``normals=True``, the default); leaving it out changes no bit of the
-other two.  The forward pass and the reference renderer share both
-stages; the reference feeds them full-width pixel bands with every splat
-in range order.
+(``normals=True``, the default, and every render that takes gradients);
+leaving it out changes no bit of the other two.  The forward pass and the
+reference renderer share both stages; the reference feeds them full-width
+pixel bands with every splat in range order.
 
 A render can be limited to a boolean pixel ``mask``: screening then skips
 tiles without a masked pixel and keeps near pairs of masked pixels only,
@@ -317,9 +317,10 @@ def _near_pairs(cam: SphericalCamera, arrays: dict, tiles, mask: np.ndarray | No
     alpha can reach the cutoff is near, and a faint splat screens fewer
     pairs than an opaque one of the same shape.  The plane products come
     from one stacked matmul per block of a tile's pixels against all its
-    splats, at most ``tile_size**2 * chunk_size`` pairs a block: ``h_x``,
-    ``h_y`` and the ray ``v`` against ``B_a``, ``B_b`` and ``B_c``, in the
-    order ``a1, a2, a4, b1, b2, b4, v.B_a, v.B_b, v.B_c``.
+    splats, at most ``tile_size**2 * chunk_size`` pairs a block: the
+    tile's rows of the camera's ``pixel_rays``, ``h_x``, ``h_y`` and ``v``,
+    against ``B_a``, ``B_b`` and ``B_c``, in the order ``a1, a2, a4, b1,
+    b2, b4, v.B_a, v.B_b, v.B_c``.
 
     Yields batches ``(pix, spl, planes, at, counts)``: the near pairs' flat
     pixel index, splat id, (9, pairs) plane products and the index of the
@@ -330,8 +331,7 @@ def _near_pairs(cam: SphericalCamera, arrays: dict, tiles, mask: np.ndarray | No
     more than ``_BATCH_PAIRS`` pairs makes a larger batch.
     """
     cfg = RASTER_CONFIG
-    hx, hy = cam.pixel_ray_planes
-    dirs = cam.pixel_directions
+    rays = cam.pixel_rays.reshape(3, -1, 3)
     flat = np.arange(cam.height * cam.width).reshape(cam.height, cam.width)
     reach = _kernel_cutoff(arrays["terms"][0]) * arrays["scales"].max(axis=1)
     # slack against rounding in the plane products
@@ -348,9 +348,9 @@ def _near_pairs(cam: SphericalCamera, arrays: dict, tiles, mask: np.ndarray | No
             off = ~mask[rows, cols].ravel()
             if off.all():
                 continue
-        # h_x, h_y and v of the tile's pixels, as (3, 1, pixels, 3)
-        pixel_vectors = np.stack((hx[rows, cols], hy[rows, cols], dirs[rows, cols]))
-        pixel_vectors = pixel_vectors.reshape(3, 1, -1, 3)
+        # h_x, h_y and v of the tile's pixels, as (3, 1, pixels, 3); np.take
+        # keeps it C-contiguous, which the matmul's bits depend on
+        pixel_vectors = np.take(rays, pix, axis=1)[:, None]
         # B_a, B_b and B_c of the tile's splats, as (1, 3, 3, splats)
         B = np.take(arrays["terms"][4:13], ids, axis=1)
         n = ids.shape[0]
@@ -503,10 +503,7 @@ def _add_splat_grads(acc: np.ndarray, rays: np.ndarray, b: dict, pix, planes, at
     terms = np.empty((13, k.shape[0]))
     px = np.take(rays, np.take(pix, k), axis=1).reshape(3, 3, -1)
     np.einsum("ijp,ikp->jkp", coef, px, out=terms[:9].reshape(3, 3, -1))
-    if g.shape[0] > 2:
-        np.multiply(g[2:5], w, out=terms[9:12])
-    else:
-        terms[9:12] = 0.0
+    np.multiply(g[2:5], w, out=terms[9:12])
     # d(loss)/d(opacity) is d(loss)/d(alpha) * G, and G = alpha / opacity where free
     np.divide(k_alpha, -opac, out=terms[12])
     # a batch's tiles are consecutive, so their list entries are one short range
@@ -537,8 +534,7 @@ def _render(cam: SphericalCamera, arrays: dict, tiles, normals: bool = True,
     # what a pair reads of its splat: opacity, then the normal
     splat_rows = terms[: 4 if normals else 1]
     if pixel_grads is not None:
-        hx, hy = cam.pixel_ray_planes
-        rays = np.concatenate([hx, hy, cam.pixel_directions], axis=-1).reshape(-1, 9).T.copy()
+        rays = cam.pixel_rays.transpose(0, 3, 1, 2).reshape(9, -1)
     for pix, spl, planes, at, counts in _near_pairs(cam, arrays, tiles, mask):
         b = _blend(splat_rows, pix, spl, planes, counts)
         w, starts = b["w"], b["starts"]
@@ -567,10 +563,11 @@ def rasterize_forward(
     None, for callers that read no normals; range and opacity keep the bits
     of the full render.  ``pixel_grads`` is a loss's rule for its gradient
     w.r.t. the images: called with a blend batch's flat pixel indices and
-    their blended values, as (channels, pixels) rows of range, opacity and
-    then the normal, it returns their gradients in the same layout.  The
-    render then leaves the loss's splat sums in ``records.splat_grads`` for
+    their blended values, as (5, pixels) rows of range, opacity and then
+    the normal, it returns their gradients in the same layout.  The render
+    then leaves the loss's splat sums in ``records.splat_grads`` for
     :func:`rasterize_backward`; the images are the same bits either way.
+    ``pixel_grads`` with ``normals=False`` raises ``GeometryError``.
 
     ``mask``, a boolean ``(height, width)`` image, renders only its pixels:
     they get the bits of the full render, every other pixel reads 0 in
@@ -578,6 +575,9 @@ def rasterize_forward(
     for masked pixels only.  A caller must read only the masked pixels.
     Binning and the records do not depend on the mask.
     """
+    if pixel_grads is not None and not normals:
+        raise GeometryError("a render that takes gradients blends the normal: "
+                            "pixel_grads needs normals=True")
     if mask is not None and np.shape(mask) != (cam.height, cam.width):
         raise GeometryError(f"render mask of shape {np.shape(mask)} does not fit a "
                             f"{cam.height}x{cam.width} camera")

@@ -202,9 +202,7 @@ def sample_model(model: SplatModel, cam: SphericalCamera, pose: SE3Pose) -> np.n
     """
     m, depth_img = rasterize_forward(cam, pose, model, normals=False)[0].surface()
     m &= ~_jump_mask(depth_img, m, REGISTRATION_CONFIG.spread_gate, cam.full_circle)
-    uv = cam.pixel_grid[m]
-    pts_c = cam.back_project(uv, depth_img[m])
-    return pose.apply(pts_c)
+    return pose.apply(depth_img[m][:, None] * cam.pixel_directions[m])
 
 
 # --- residual assembly ------------------------------------------------------

@@ -55,7 +55,7 @@ class TestCamera:
         uv = np.stack([rng.uniform(0, cam.width - 1, 200),
                        rng.uniform(0, cam.height - 1, 200)], axis=-1)
         r = rng.uniform(0.5, 30.0, 200)
-        pts = cam.back_project(uv, r)
+        pts = r[:, None] * ray_direction(*cam.angles_of(uv))
         np.testing.assert_allclose(np.linalg.norm(pts, axis=1), r, rtol=1e-12)
         np.testing.assert_allclose(cam.project(pts), uv, atol=1e-9)
 
@@ -64,7 +64,7 @@ class TestCamera:
         cam = self.make()
         uv = np.stack([rng.uniform(-0.5, cam.width - 0.5, 200),
                        rng.uniform(0, cam.height - 1, 200)], axis=-1)
-        pts = cam.back_project(uv, np.full(200, 5.0))
+        pts = 5.0 * ray_direction(*cam.angles_of(uv))
         got = cam.project(pts)
         period = -2.0 * np.pi * cam.fx
         du = (got[:, 0] - uv[:, 0] + period / 2) % period - period / 2
@@ -261,8 +261,8 @@ def test_every_pixel_ray_has_two_orthonormal_planes(height):
     """Both planes contain the ray, the poles' rays included (height 9 puts
     rows 0 and 8 on the poles), and h_x is the ray's vertical plane."""
     cam = SphericalCamera(16, height, -np.pi, np.pi - np.pi / 8, -np.pi / 2, np.pi / 2)
-    hx, hy = cam.pixel_ray_planes
-    v = cam.pixel_directions
+    hx, hy, v = cam.pixel_rays
+    assert np.shares_memory(cam.pixel_directions, cam.pixel_rays)
     for a, b in ((hx, hx), (hy, hy), (hx, hy), (hx, v), (hy, v)):
         expected = 1.0 if a is b else 0.0
         np.testing.assert_allclose(np.sum(a * b, axis=-1), expected, atol=1e-12)

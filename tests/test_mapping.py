@@ -86,9 +86,10 @@ def _toy_keyframe(cam, range_image, valid, rng):
 
 
 def test_mapping_loss_gradients_match_central_differences():
-    """What refine steps by, the backward pass of a render that takes
-    mapping_loss's pixel gradients plus its ``d_params``, against central
-    differences of its total over every column of ``model.params``."""
+    """What refine steps by, the backward pass of a render of the keyframe's
+    valid pixels that takes mapping_loss's pixel gradients, plus its
+    ``d_params``, against central differences of its total over every
+    column of ``model.params``."""
     rng = np.random.default_rng(5)
     cam = SphericalCamera(24, 8, -0.6, 0.6, -0.25, 0.25)
     kf = _toy_keyframe(cam, rng.uniform(2.5, 4.0, (8, 24)), rng.random((8, 24)) < 0.9, rng)
@@ -101,7 +102,8 @@ def test_mapping_loss_gradients_match_central_differences():
     model.append(centers, ta, tb, rng.uniform(0.15, 0.7, (n, 2)), rng.uniform(0.3, 0.9, n), 0)
 
     ml = mapping_loss(model, kf)
-    render, rec = rasterize_forward(cam, kf.pose, model, pixel_grads=ml.pixel_grads)
+    render, rec = rasterize_forward(cam, kf.pose, model, pixel_grads=ml.pixel_grads,
+                                    mask=kf.range_image.valid)
     terms = ml.terms(render)
     assert all(terms[term] > 0 for term in ("range", "opacity", "normal", "scale"))
     grads = rasterize_backward(model, rec) + ml.d_params
@@ -124,11 +126,12 @@ def test_mapping_loss_gradients_match_central_differences():
     assert float(np.max(np.abs(grads - num))) <= 1e-6 * scale
 
 
-def test_spawn_takes_every_weighted_pixel_when_fewer_than_the_cap(monkeypatch):
-    """A 3x3 patch nearer than its surroundings gives 20 pixels a range
-    gradient: those are all spawned, and 80 more drawn from the rest."""
+def _spawn_at_patch(monkeypatch, n_spawn):
+    """Spawn with the cap at ``n_spawn`` on a keyframe whose 3x3 patch,
+    nearer than its surroundings, gives 20 pixels a range gradient.  Returns
+    the spawned model and the back-projected points of those 20 pixels."""
     monkeypatch.setattr(mapping, "MAPPING_CONFIG",
-                        dataclasses.replace(MAPPING_CONFIG, n_spawn=100))
+                        dataclasses.replace(MAPPING_CONFIG, n_spawn=n_spawn))
     cam = SphericalCamera(64, 16, -np.pi, np.pi, -np.deg2rad(20.0), np.deg2rad(15.0))
     D = np.full((16, 64), 5.0)
     D[6:9, 30:33] = 4.0
@@ -138,12 +141,29 @@ def test_spawn_takes_every_weighted_pixel_when_fewer_than_the_cap(monkeypatch):
     assert np.count_nonzero(weighted) == 20
 
     model = SplatModel()
-    assert spawn_splats(model, kf, kf.range_image.valid, rng) == len(model) == 100
+    assert spawn_splats(model, kf, kf.range_image.valid, rng) == len(model) == n_spawn
+    return model, D[weighted][:, None] * cam.pixel_directions[weighted]
+
+
+def _gaps(model, points):
+    """Distance from each of ``points`` (rows) to each splat centre (columns)."""
+    return np.linalg.norm(model.centers[None] - points[:, None], axis=-1)
+
+
+def test_spawn_takes_every_weighted_pixel_when_fewer_than_the_cap(monkeypatch):
+    """All 20 weighted pixels are spawned, and 80 more drawn from the rest."""
+    model, points = _spawn_at_patch(monkeypatch, 100)
     # each weighted pixel's splat sits on its back-projected point
-    rows, cols = np.nonzero(weighted)
-    points = cam.back_project(cam.pixel_grid[rows, cols], D[rows, cols])
-    gaps = np.linalg.norm(model.centers[None] - points[:, None], axis=-1)
-    assert np.all(gaps.min(axis=1) < 1e-9)
+    assert np.all(_gaps(model, points).min(axis=1) < 1e-9)
+
+
+def test_spawn_draws_the_cap_from_the_weighted_pixels(monkeypatch):
+    """With more weighted pixels than the cap, the cap is drawn from them
+    alone by weight, without replacement."""
+    model, points = _spawn_at_patch(monkeypatch, 12)
+    assert np.unique(model.centers, axis=0).shape[0] == 12
+    # each splat sits on a weighted pixel's back-projected point
+    assert np.all(_gaps(model, points).min(axis=0) < 1e-9)
 
 
 def test_add_keyframe_keeps_moments_aligned_with_splats():
@@ -243,32 +263,6 @@ def test_refine_reports_the_terms_of_a_plain_render(two_keyframes):
     losses = refine(lmap, 2, np.random.default_rng(6))
     assert losses[0] == expected
     assert losses[1] != expected
-
-
-def test_mapping_loss_takes_the_same_gradients_from_the_measured_pixels():
-    """The loss reads only the keyframe's valid pixels, so a render of those
-    alone gives its terms exactly and its gradients to rounding: blend
-    batches regroup, which moves the sums in the last bits."""
-    rng = np.random.default_rng(5)
-    cam = SphericalCamera(24, 8, -0.6, 0.6, -0.25, 0.25)
-    kf = _toy_keyframe(cam, rng.uniform(2.5, 4.0, (8, 24)), rng.random((8, 24)) < 0.5, rng)
-    n = 40
-    centers = np.stack([rng.uniform(2.5, 4.0, n), rng.uniform(-1.5, 1.5, n),
-                        rng.uniform(-0.6, 0.6, n)], axis=1)
-    ta, tb = orthonormal_tangents(rng.normal(size=(n, 3)), rng.normal(size=(n, 3)))
-    model = SplatModel()
-    model.append(centers, ta, tb, rng.uniform(0.15, 0.5, (n, 2)), rng.uniform(0.3, 0.9, n), 0)
-
-    ml = mapping_loss(model, kf)
-    results = []
-    for mask in (None, kf.range_image.valid):
-        render, rec = rasterize_forward(cam, kf.pose, model, pixel_grads=ml.pixel_grads, mask=mask)
-        results.append((ml.terms(render), rasterize_backward(model, rec)))
-    (terms, grads), (masked_terms, masked_grads) = results
-    assert masked_terms == terms
-    scale = float(np.max(np.abs(grads)))
-    assert scale > 0
-    assert float(np.max(np.abs(masked_grads - grads))) <= 1e-12 * scale
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -303,3 +305,44 @@ def test_non_finite_scan_rows_are_dropped(offset_problem, bad):
     dirty = np.insert(scan, 5, [1.0, bad, 0.5], axis=0)
     clean = register(model, scan, cam, start).pose.matrix()
     assert np.array_equal(register(model, dirty, cam, start).pose.matrix(), clean)
+
+
+def test_a_subsampled_scan_still_recovers_the_pose(offset_problem, monkeypatch):
+    """Above ``max_geo_points`` the geometric family uses a subsample of the
+    scan; without an ``rng`` it is the draw of ``default_rng(0)``."""
+    model, scan, cam, start = offset_problem
+    monkeypatch.setattr(registration, "REGISTRATION_CONFIG",
+                        dataclasses.replace(REGISTRATION_CONFIG, max_geo_points=1000))
+    sizes = set()
+
+    def recorded(tree, geo_scan, T):
+        sizes.add(geo_scan.shape[0])
+        return _geo_system(tree, geo_scan, T)
+
+    monkeypatch.setattr(registration, "_geo_system", recorded)
+    assert scan.shape[0] > 1000
+    result = register(model, scan, cam, start)
+    assert sizes == {1000}
+    # within the bounds of the test_register_recovers_* tests
+    err = TRUE.inverse().compose(result.pose)
+    assert np.linalg.norm(err.translation[:2]) < 0.01 and abs(err.translation[2]) < 0.01
+    assert np.rad2deg(Rotation.from_matrix(err.rotation).magnitude()) < 0.3
+    seeded = register(model, scan, cam, start, rng=np.random.default_rng(0))
+    assert np.array_equal(seeded.pose.matrix(), result.pose.matrix())
+
+
+def test_register_keeps_its_start_when_every_trial_is_worse(offset_problem, monkeypatch):
+    """Every trial lands 10 m above the room, so damping runs out in both
+    phases and the start pose comes back, not converged."""
+    model, scan, cam, start = offset_problem
+    retract = SE3Pose.retract
+
+    def lifted(self, delta):
+        T = retract(self, delta)
+        return SE3Pose(T.rotation, T.translation + [0.0, 0.0, 10.0])
+
+    monkeypatch.setattr(SE3Pose, "retract", lifted)
+    result = register(model, scan, cam, start)
+    assert not result.converged
+    assert result.iterations == 2  # one refused iteration per phase
+    assert np.array_equal(result.pose.matrix(), start.orthonormalized().matrix())
