@@ -146,14 +146,6 @@ class SphericalCamera:
         return cols, rows, ok
 
     @cached_property
-    def pixel_grid(self) -> np.ndarray:
-        """(H, W, 2) image coordinates of every pixel's sample: (col, row)."""
-        u = np.arange(self.width, dtype=float)
-        v = np.arange(self.height, dtype=float)
-        uu, vv = np.meshgrid(u, v)
-        return np.stack([uu, vv], axis=-1)
-
-    @cached_property
     def pixel_rays(self) -> np.ndarray:
         """(3, H, W, 3): ``h_x``, ``h_y`` and the unit ray ``v`` of every pixel.
 
@@ -161,11 +153,14 @@ class SphericalCamera:
         vertical plane of the ray, ``(v x z)/|v x z|``, and also its limit
         at the poles, so every ray has its planes, the poles' included.
         ``h_y = h_x x v`` completes the orthonormal pair meeting in ``v``.
+        The trigonometry runs once per column and once per row.
         """
-        az, el = self.angles_of(self.pixel_grid)
+        az = (np.arange(self.width, dtype=float) - self.cx) / self.fx
+        el = (np.arange(self.height, dtype=float)[:, None] - self.cy) / self.fy
+        sin_az, cos_az, cos_el = np.sin(az), np.cos(az), np.cos(el)
         rays = np.empty((3, self.height, self.width, 3))
-        rays[2] = ray_direction(az, el)
-        rays[0] = np.stack([np.sin(az), -np.cos(az), np.zeros_like(az)], axis=-1)
+        rays[0] = np.stack([sin_az, -cos_az, np.zeros_like(az)], axis=-1)
+        rays[2] = np.stack(np.broadcast_arrays(cos_el * cos_az, cos_el * sin_az, np.sin(el)), -1)
         rays[1] = np.cross(rays[0], rays[2])
         return rays
 

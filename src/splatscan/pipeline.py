@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EvaluationError, ExportError, GeometryError, RegistrationError
+from .errors import EvaluationError, ExportError, GeometryError, IngestionError, RegistrationError
 from .evaluation import Trajectory
 from .geometry import estimate_camera
 from .io import save_model, save_trajectory, write_ply, write_report
@@ -221,15 +221,19 @@ class Pipeline:
         report the mapping loss by term at the first and last refine
         iteration (``refine_loss_first``/``refine_loss_last``).
 
+        A ``cloud`` that is not ``(N, 3)`` raises :class:`IngestionError`.
         ``stamp`` defaults to ``index * scan_period``.  One that is not finite,
-        or not above the last, raises :class:`EvaluationError`; nothing changes.
+        or not above the last, raises :class:`EvaluationError`.  A refused
+        scan changes nothing.
         """
         index = len(self.poses)
+        cloud = np.asarray(cloud, dtype=float)
+        if cloud.ndim != 2 or cloud.shape[1] != 3:
+            raise IngestionError(f"scan {index}: a cloud of shape {cloud.shape} is not (N, 3)")
         stamp = float(stamp) if stamp is not None else index * self.cfg.scan_period
         if not np.isfinite(stamp) or (self.stamps and stamp <= self.stamps[-1]):
             raise EvaluationError(f"scan {index}: stamp {stamp} refused: timestamps must "
                                   "be finite and strictly increasing")
-        cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
         cloud = cloud[np.isfinite(cloud).all(axis=1)]
         sub = self._subsample(cloud)
         row: dict = {"scan": index, "n_points": int(cloud.shape[0]),

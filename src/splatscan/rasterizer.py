@@ -32,9 +32,9 @@ and then tile ranges.  On cameras whose columns cross the azimuth seam the
 interval also gets copies one turn away, clipped to the image.
 
 A render has two stages.  Screening (:func:`_near_pairs`) is dense and
-cheap: per tile, the plane products of every pixel-splat pair come from
-one stacked BLAS matmul per bounded block, and a pair is kept only if its
-ray passes within ``c * max(scale)`` of the centroid.  Blending
+cheap: per tile, the plane products of every listed pixel-splat pair come
+from one stacked BLAS matmul per bounded block, and a pair is kept only if
+its ray passes within ``c * max(scale)`` of the centroid.  Blending
 (:func:`_blend`) works on batches of those near pairs, pixel-major and in
 blend order within a pixel, as 1-D passes: kernel terms, alpha, the hit
 range, exclusive transmittance by a cumprod along each pixel's run,
@@ -44,13 +44,13 @@ count from screening, which gives the pixels' runs.  Range and opacity
 are always blended, the normal only for callers that read it
 (``normals=True``, the default, and every render that takes gradients);
 leaving it out changes no bit of the other two.  The forward pass and the
-reference renderer share both stages; the reference feeds them full-width
-pixel bands with every splat in range order.
+reference renderer share both stages; the reference feeds them one list of
+every pixel against every splat in range order.
 
-A render can be limited to a boolean pixel ``mask``: screening then skips
-tiles without a masked pixel and keeps near pairs of masked pixels only,
-so the blend and any gradient work see only those.  Masked pixels get the
-bits of the full render; the others read 0 in every channel, like
+A render limited to a boolean pixel ``mask`` is an ordinary render of
+fewer pixels: :func:`_binned_tiles` lists each tile's masked pixels, and
+no stage sees the mask.  Masked pixels get the bits of the full render
+(see :func:`_near_pairs`); the others read 0 in every channel, like
 uncovered pixels, so a caller must read only the masked ones.  Binning
 does not look at the mask.
 
@@ -288,27 +288,27 @@ def _bin_splats(cam: SphericalCamera, arrays: dict):
 _BATCH_PAIRS = 4096
 
 
-def _binned_tiles(tile_ptr, pair_splats, tiles_x: int):
-    """(row slice, column slice, splat ids, index of the first id in
-    ``pair_splats``) of every tile that holds a splat."""
+def _binned_tiles(cam: SphericalCamera, tile_ptr, pair_splats, tiles_x: int, mask):
+    """(flat indices of the masked pixels in row-major order, splat ids,
+    index of the first id in ``pair_splats``) of every tile that holds a
+    splat and a pixel of the boolean ``(H, W)`` ``mask``."""
     T = RASTER_CONFIG.tile_size
-    for t in np.flatnonzero(np.diff(tile_ptr)):
-        r0 = (t // tiles_x) * T
-        c0 = (t % tiles_x) * T
-        yield (slice(r0, r0 + T), slice(c0, c0 + T), pair_splats[tile_ptr[t] : tile_ptr[t + 1]],
+    pix = np.flatnonzero(mask)
+    tile = (pix // cam.width // T) * tiles_x + pix % cam.width // T
+    # a stable sort keeps each tile's pixels in row-major order
+    pix = pix[np.argsort(tile, kind="stable")]
+    pix_ptr = np.concatenate([[0], np.cumsum(np.bincount(tile, minlength=tile_ptr.shape[0] - 1))])
+    for t in np.flatnonzero((np.diff(tile_ptr) > 0) & (np.diff(pix_ptr) > 0)):
+        yield (pix[pix_ptr[t] : pix_ptr[t + 1]], pair_splats[tile_ptr[t] : tile_ptr[t + 1]],
                tile_ptr[t])
 
 
-def _near_pairs(cam: SphericalCamera, arrays: dict, tiles, mask: np.ndarray | None = None):
+def _near_pairs(cam: SphericalCamera, arrays: dict, tiles):
     """Screen each tile's pixel-splat pairs; yield the near ones in batches.
 
-    ``tiles`` yields (row slice, column slice, splat ids in blend order,
-    index of the first id in the list the ids come from).  With a boolean
-    ``(H, W)`` ``mask``, a tile without a masked pixel is skipped, and only
-    masked pixels make near pairs.  The plane products still come from the
-    whole tile, in the blocks of the full render: a block of one pixel is a
-    matrix-vector product, which numpy rounds differently, so products of
-    the masked pixels alone would not keep the full render's bits.
+    ``tiles`` yields (flat pixel indices, splat ids in blend order, index of
+    the first id in the list the ids come from), as :func:`_binned_tiles`
+    does; every listed pixel is screened against every listed splat.
     A pair is near when the pixel's ray passes within ``c * max(scale)`` of
     the centroid, with ``c`` the splat's kernel radius
     (:func:`_kernel_cutoff`): ``a4^2 + b4^2``, with ``a4 = h_x . B_c`` and
@@ -318,9 +318,16 @@ def _near_pairs(cam: SphericalCamera, arrays: dict, tiles, mask: np.ndarray | No
     pairs than an opaque one of the same shape.  The plane products come
     from one stacked matmul per block of a tile's pixels against all its
     splats, at most ``tile_size**2 * chunk_size`` pairs a block: the
-    tile's rows of the camera's ``pixel_rays``, ``h_x``, ``h_y`` and ``v``,
-    against ``B_a``, ``B_b`` and ``B_c``, in the order ``a1, a2, a4, b1,
-    b2, b4, v.B_a, v.B_b, v.B_c``.
+    pixels' rows of the camera's ``pixel_rays``, ``h_x``, ``h_y`` and
+    ``v``, against ``B_a``, ``B_b`` and ``B_c``, in the order ``a1, a2, a4,
+    b1, b2, b4, v.B_a, v.B_b, v.B_c``.
+
+    A masked render keeps the full render's bits because a pixel's products
+    do not depend on the other pixels of its block: BLAS rounds each row of
+    a product of two rows or more the same whatever the row count (checked
+    bit for bit on OpenBLAS's Haswell kernel), and a block of one pixel,
+    which numpy would take as a matrix-vector product and round
+    differently, is multiplied as two equal rows.
 
     Yields batches ``(pix, spl, planes, at, counts)``: the near pairs' flat
     pixel index, splat id, (9, pairs) plane products and the index of the
@@ -332,7 +339,6 @@ def _near_pairs(cam: SphericalCamera, arrays: dict, tiles, mask: np.ndarray | No
     """
     cfg = RASTER_CONFIG
     rays = cam.pixel_rays.reshape(3, -1, 3)
-    flat = np.arange(cam.height * cam.width).reshape(cam.height, cam.width)
     reach = _kernel_cutoff(arrays["terms"][0]) * arrays["scales"].max(axis=1)
     # slack against rounding in the plane products
     reach2 = reach * reach * (1.0 + 1e-6)
@@ -342,14 +348,9 @@ def _near_pairs(cam: SphericalCamera, arrays: dict, tiles, mask: np.ndarray | No
     buf = np.empty(0)
     # whole blocks waiting for the batch to fill
     held, n_held = [], 0
-    for rows, cols, ids, first in tiles:
-        pix = flat[rows, cols].ravel()
-        if mask is not None:
-            off = ~mask[rows, cols].ravel()
-            if off.all():
-                continue
-        # h_x, h_y and v of the tile's pixels, as (3, 1, pixels, 3); np.take
-        # keeps it C-contiguous, which the matmul's bits depend on
+    for pix, ids, first in tiles:
+        # h_x, h_y and v of the pixels, as (3, 1, pixels, 3); np.take keeps
+        # it C-contiguous, which the matmul's bits depend on
         pixel_vectors = np.take(rays, pix, axis=1)[:, None]
         # B_a, B_b and B_c of the tile's splats, as (1, 3, 3, splats)
         B = np.take(arrays["terms"][4:13], ids, axis=1)
@@ -360,14 +361,15 @@ def _near_pairs(cam: SphericalCamera, arrays: dict, tiles, mask: np.ndarray | No
         step = max(-(-pix.shape[0] // max(n_blocks, 1)), 1)
         for p0 in range(0, pix.shape[0], step):
             P = min(step, pix.shape[0] - p0)
-            if buf.shape[0] < 11 * P * n:
-                buf = np.empty(11 * P * n)
-            planes = buf[: 11 * P * n].reshape(11, P, n)
-            np.matmul(pixel_vectors[:, :, p0 : p0 + P], B, out=planes[:9].reshape(3, 3, P, n))
+            rows = max(P, 2)
+            if buf.shape[0] < 11 * rows * n:
+                buf = np.empty(11 * rows * n)
+            planes = buf[: 11 * rows * n].reshape(11, rows, n)
+            lhs = pixel_vectors[:, :, p0 : p0 + P] if P > 1 else pixel_vectors[:, :, [p0, p0]]
+            np.matmul(lhs, B, out=planes[:9].reshape(3, 3, rows, n))
+            planes = planes[:, :P]
             near = np.multiply(planes[2], planes[2], out=planes[9])
             near += np.multiply(planes[5], planes[5], out=planes[10])
-            if mask is not None:
-                near[off[p0 : p0 + P]] = np.inf
             k = np.flatnonzero(near <= reach2[ids])
             m = k.shape[0]
             p = k // n
@@ -519,10 +521,9 @@ def _add_splat_grads(acc: np.ndarray, rays: np.ndarray, b: dict, pix, planes, at
 
 
 def _render(cam: SphericalCamera, arrays: dict, tiles, normals: bool = True,
-            pixel_grads=None, acc: np.ndarray | None = None,
-            mask: np.ndarray | None = None) -> RenderOutput:
-    """Blend range and opacity, and the normal if ``normals``, over ``tiles``
-    (only the pixels of ``mask``, if given); untouched pixels stay 0.
+            pixel_grads=None, acc: np.ndarray | None = None) -> RenderOutput:
+    """Blend range and opacity, and the normal if ``normals``, at the pixels
+    that ``tiles`` lists (see :func:`_near_pairs`); unlisted pixels stay 0.
 
     With ``pixel_grads``, also adds the loss's gradient w.r.t. each splat's
     camera-frame terms (the rows of :class:`BlendRecords`) into ``acc``, one
@@ -535,7 +536,7 @@ def _render(cam: SphericalCamera, arrays: dict, tiles, normals: bool = True,
     splat_rows = terms[: 4 if normals else 1]
     if pixel_grads is not None:
         rays = cam.pixel_rays.transpose(0, 3, 1, 2).reshape(9, -1)
-    for pix, spl, planes, at, counts in _near_pairs(cam, arrays, tiles, mask):
+    for pix, spl, planes, at, counts in _near_pairs(cam, arrays, tiles):
         b = _blend(splat_rows, pix, spl, planes, counts)
         w, starts = b["w"], b["starts"]
         sums = np.empty((out.shape[0], pix.shape[0]))
@@ -581,11 +582,12 @@ def rasterize_forward(
     if mask is not None and np.shape(mask) != (cam.height, cam.width):
         raise GeometryError(f"render mask of shape {np.shape(mask)} does not fit a "
                             f"{cam.height}x{cam.width} camera")
+    mask = np.ones((cam.height, cam.width), dtype=bool) if mask is None else mask
     arrays = _splat_camera_arrays(model, pose)
     tile_ptr, pair_splats, tiles_x = _bin_splats(cam, arrays)
     acc = None if pixel_grads is None else np.zeros((13, pair_splats.shape[0]))
-    out = _render(cam, arrays, _binned_tiles(tile_ptr, pair_splats, tiles_x), normals,
-                  pixel_grads, acc, None if mask is None else np.asarray(mask, dtype=bool))
+    out = _render(cam, arrays, _binned_tiles(cam, tile_ptr, pair_splats, tiles_x, mask),
+                  normals, pixel_grads, acc)
     splat_grads = None if acc is None else np.stack(
         [np.bincount(pair_splats, row, minlength=len(model)) for row in acc])
     records = BlendRecords(cam, pose.copy(), RASTER_CONFIG, len(model), model.version,
@@ -596,15 +598,13 @@ def rasterize_forward(
 def reference_rasterize(cam: SphericalCamera, pose: SE3Pose, model: SplatModel) -> RenderOutput:
     """Brute-force renderer: every splat against every pixel, no tiling.
 
-    Same intersection math, cutoffs and blend order as the tiled path;
-    used as the correctness oracle.
+    Same intersection math, cutoffs and blend order as the tiled path, which
+    it shares: one pixel list of the whole image against every splat in
+    range order.  Used as the correctness oracle.
     """
     arrays = _splat_camera_arrays(model, pose)
     order = np.lexsort((np.arange(len(model)), arrays["ranges"]))
-    T = RASTER_CONFIG.tile_size
-    bands = ((slice(r0, r0 + T), slice(0, cam.width), order, 0)
-             for r0 in range(0, cam.height, T))
-    return _render(cam, arrays, bands)
+    return _render(cam, arrays, [(np.arange(cam.height * cam.width), order, 0)])
 
 
 # --- backward ---------------------------------------------------------------

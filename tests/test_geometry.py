@@ -248,7 +248,8 @@ class TestSmoothRangeImage:
 def test_sample_grid_covers_bounds(w, h, bounds):
     """The outermost samples sit exactly on the angular bounds."""
     cam = SphericalCamera(w, h, *bounds)
-    az, el = cam.angles_of(cam.pixel_grid)
+    grid = np.stack(np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float)), axis=-1)
+    az, el = cam.angles_of(grid)
     assert az[0, 0] == pytest.approx(cam.az_max, abs=1e-9)
     assert az[0, -1] == pytest.approx(cam.az_min, abs=1e-9)
     assert el[0, 0] == pytest.approx(cam.el_max, abs=1e-9)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from splatscan import mapping
-from splatscan.errors import EvaluationError
+from splatscan.errors import EvaluationError, IngestionError
 from splatscan.io import read_ply
 from splatscan.mapping import coverage
 from splatscan.pipeline import Pipeline, RunConfig
@@ -98,6 +98,27 @@ def test_a_refused_stamp_leaves_no_trace(three_scans, tmp_path, bad):
     for name in ("trajectory.tum", "trajectory.kitti", "report.json", "map_000.ply",
                  "map_000.splm"):
         assert (out_r / name).is_file()
+
+
+@pytest.mark.parametrize("case", ["intensity_column", "flat", "three_axes"])
+def test_a_cloud_that_is_not_n_by_3_is_refused(good_scans, case):
+    """An x, y, z, intensity cloud is not read as x, y, z triples; a refused
+    cloud changes no state, so the next good scan is still scan 0."""
+    cloud = good_scans[0]
+    bad = {"intensity_column": np.column_stack([cloud, np.ones(len(cloud))]),
+           "flat": cloud.ravel(), "three_axes": cloud[:, None, :]}[case]
+    rows = []
+    for refuse in (False, True):
+        pipe = Pipeline(RunConfig(image_width=64, image_height=16, refine_iters=1))
+        if refuse:
+            with pytest.raises(IngestionError, match=r"not \(N, 3\)"):
+                pipe.process_scan(bad)
+            assert not pipe.poses and not pipe.stamps and not pipe.scan_rows
+        rows.append(pipe.process_scan(cloud))
+    clean, after = rows
+    assert after["scan"] == 0 and not after["fallback"]
+    for key in ("n_points", "n_used", "valid_pixels", "n_splats"):
+        assert after[key] == clean[key], key
 
 
 def _run(scans, seed, out_dir):

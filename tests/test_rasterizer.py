@@ -48,6 +48,11 @@ def _seam_model(rng, n=40):
     return model
 
 
+def _all(cam):
+    """The mask of every pixel of ``cam``."""
+    return np.ones((cam.height, cam.width), dtype=bool)
+
+
 def _assert_masked(masked, full, mask):
     """``masked`` holds ``full``'s bits on ``mask`` and 0 off it, in every channel."""
     for c in CHANNELS:
@@ -212,7 +217,7 @@ def test_a_faint_splat_screens_fewer_near_pairs(full_cam):
                            opacity)
         _, rec = rasterize_forward(full_cam, SE3Pose.identity(), model)
         arrays = _splat_camera_arrays(model, SE3Pose.identity())
-        tiles = _binned_tiles(rec.tile_ptr, rec.pair_splats, rec.tiles_x)
+        tiles = _binned_tiles(full_cam, rec.tile_ptr, rec.pair_splats, rec.tiles_x, _all(full_cam))
         return sum(pix.size for pix, *_ in _near_pairs(full_cam, arrays, tiles))
 
     assert 0 < near_pairs(0.05) < near_pairs(0.95)
@@ -225,8 +230,8 @@ def _near_batches(cam, pose, model):
     """Every batch of near pairs of a tiled render."""
     _, rec = rasterize_forward(cam, pose, model)
     arrays = _splat_camera_arrays(model, pose)
-    return list(_near_pairs(cam, arrays, _binned_tiles(rec.tile_ptr, rec.pair_splats,
-                                                       rec.tiles_x)))
+    return list(_near_pairs(cam, arrays, _binned_tiles(cam, rec.tile_ptr, rec.pair_splats,
+                                                       rec.tiles_x, _all(cam))))
 
 
 def _tile_of(cam, pix):
@@ -455,7 +460,7 @@ def _blended_batches(cam, pose, model):
     """The :func:`_blend` terms of every batch of near pairs of a render."""
     _, rec = rasterize_forward(cam, pose, model)
     arrays = _splat_camera_arrays(model, pose)
-    tiles = _binned_tiles(rec.tile_ptr, rec.pair_splats, rec.tiles_x)
+    tiles = _binned_tiles(cam, rec.tile_ptr, rec.pair_splats, rec.tiles_x, _all(cam))
     return [_blend(arrays["terms"][:4], pix, spl, planes, counts)
             for pix, spl, planes, _, counts in _near_pairs(cam, arrays, tiles)]
 
@@ -597,11 +602,29 @@ def test_gradients_do_not_depend_on_the_chunk_size(grad_case, monkeypatch, chunk
     blocked, rec = rasterize_forward(cam, pose, model, pixel_grads=_rule(pg))
     # a full tile is screened in three blocks or more
     assert np.max(np.diff(rec.tile_ptr)) > 2 * chunk_size
-    # smaller blocks change only the rounding of the plane products
+    # smaller blocks change no bit of the images
     for c in CHANNELS:
-        scale = float(np.max(np.abs(getattr(out, c))))
-        assert float(np.max(np.abs(getattr(blocked, c) - getattr(out, c)))) <= 1e-13 * scale
+        assert np.array_equal(getattr(blocked, c), getattr(out, c)), c
     _assert_close(rasterize_backward(model, rec), grads, rel=1e-12)
+
+
+def test_screening_blocks_do_not_change_render_bits(full_cam, monkeypatch):
+    """Small chunk sizes screen a full tile in blocks of a few pixels, some
+    of one; neither the block size nor a mask changes a pixel's bits."""
+    model = random_model(400, np.random.default_rng(3))
+    full, rec = rasterize_forward(full_cam, _pose(), model)
+    mask = np.random.default_rng(4).random((full_cam.height, full_cam.width)) < 0.5
+    # a full tile is screened in three blocks or more
+    assert np.max(np.diff(rec.tile_ptr)) > 2 * 4
+    for chunk_size in (1, 2, 4):
+        monkeypatch.setattr(rasterizer, "RASTER_CONFIG",
+                            dataclasses.replace(RASTER_CONFIG, chunk_size=chunk_size))
+        blocked, _ = rasterize_forward(full_cam, _pose(), model)
+        for c in CHANNELS:
+            assert np.array_equal(getattr(blocked, c), getattr(full, c)), (chunk_size, c)
+        if chunk_size == 1:
+            _assert_masked(rasterize_forward(full_cam, _pose(), model, mask=mask)[0], full, mask)
+    assert np.mean(full.opacity > 0) > 0.3
 
 
 class _InBatchesOfOne:
