@@ -174,10 +174,12 @@ def estimate_camera(points: np.ndarray, width: int, height: int) -> SphericalCam
     """Fit a camera to a cloud: bounds are the cloud's angular extremes.
 
     Points closer than 1e-9 to the origin are ignored.  Raises
-    :class:`GeometryError` when no usable points remain or the cloud has
-    zero angular extent along either axis.
+    :class:`GeometryError` when the cloud is not (N, 3), when no usable
+    points remain or when it has zero angular extent along either axis.
     """
-    p = np.asarray(points, dtype=float).reshape(-1, 3)
+    p = np.asarray(points, dtype=float)
+    if p.ndim != 2 or p.shape[1] != 3:
+        raise GeometryError(f"a cloud of shape {p.shape} is not (N, 3)")
     norms = np.linalg.norm(p, axis=1)
     p = p[norms > _MIN_RANGE]
     if p.shape[0] == 0:
@@ -228,9 +230,12 @@ def build_range_image(cam: SphericalCamera, points: np.ndarray) -> RangeImage:
     """Project a sensor-frame cloud; on pixel collisions the nearest point wins.
 
     Points at the origin or projecting outside the grid are dropped.
-    Empty pixels get range 0 and are invalid.
+    Empty pixels get range 0 and are invalid.  A cloud that is not (N, 3)
+    raises :class:`GeometryError`.
     """
-    p = np.asarray(points, dtype=float).reshape(-1, 3)
+    p = np.asarray(points, dtype=float)
+    if p.ndim != 2 or p.shape[1] != 3:
+        raise GeometryError(f"a cloud of shape {p.shape} is not (N, 3)")
     r = np.linalg.norm(p, axis=1)
     keep = r > _MIN_RANGE
     p, r = p[keep], r[keep]

@@ -207,9 +207,10 @@ class Pipeline:
         A scan that fails registration or yields no keyframe (empty, all at
         the origin, zero angular extent) still gets its row, flagged
         ``fallback`` with a ``fallback_reason``; it adds nothing to the map.
-        Registered scans report the solver's iterations and convergence and
-        each residual family's count and RMS at the registered pose
-        (``n_geo``/``geo_rms``, ``n_photo``/``photo_rms``).  Every row says
+        Registered scans report the solver's iterations and ``converged``
+        (see :func:`registration.register`) and each residual family's
+        count and RMS at the registered pose (``n_geo``/``geo_rms``,
+        ``n_photo``/``photo_rms``).  Every row says
         what mapping did: ``reset`` is the trigger that archived the previous
         map (``"keyframes"``, ``"radius"`` or ``"coverage"``, see
         :func:`mapping.should_reset_local_map`) or ``None``,

@@ -33,19 +33,20 @@ interval also gets copies one turn away, clipped to the image.
 
 A render has two stages.  Screening (:func:`_near_pairs`) is dense and
 cheap: per tile, the plane products of every listed pixel-splat pair come
-from one stacked BLAS matmul per bounded block, and a pair is kept only if
-its ray passes within ``c * max(scale)`` of the centroid.  Blending
+from one stacked BLAS matmul per block, and a pair is kept only if its
+ray passes within ``c * max(scale)`` of the centroid.  Blending
 (:func:`_blend`) works on batches of those near pairs, pixel-major and in
 blend order within a pixel, as 1-D passes: kernel terms, alpha, the hit
 range, exclusive transmittance by a cumprod along each pixel's run,
-weights, and per-pixel sums.  A batch gathers whole blocks, of as many
-tiles as fit in ``_BATCH_PAIRS`` pairs, and carries each pixel's pair
-count from screening, which gives the pixels' runs.  Range and opacity
-are always blended, the normal only for callers that read it
-(``normals=True``, the default, and every render that takes gradients);
-leaving it out changes no bit of the other two.  The forward pass and the
-reference renderer share both stages; the reference feeds them one list of
-every pixel against every splat in range order.
+weights, and per-pixel sums.  One bound, ``_BLOCK_PAIRS`` screened pairs,
+sizes a block and a batch of whole blocks, of one tile or several; a
+batch's near pairs are some of its screened pairs, so no block is cut.  A
+batch carries each pixel's pair count from screening, which gives the
+pixels' runs.  Range and opacity are always blended, the normal only for
+callers that read it (``normals=True``, the default, and every render that
+takes gradients); leaving it out changes no bit of the other two.  The
+forward pass and the reference renderer share both stages; the reference
+feeds them one list of every pixel against every splat in range order.
 
 A render limited to a boolean pixel ``mask`` is an ordinary render of
 fewer pixels: :func:`_binned_tiles` lists each tile's masked pixels, and
@@ -94,9 +95,6 @@ __all__ = [
 @dataclass(frozen=True)
 class RasterConfig:
     tile_size: int = 8
-    # bounds the screening block: at most tile_size**2 * chunk_size pairs,
-    # a full tile against chunk_size splats
-    chunk_size: int = 256
     alpha_cutoff: float = 1.0 / 255.0
     alpha_clamp: float = 0.99
     min_transmittance: float = 1e-4
@@ -282,10 +280,10 @@ def _bin_splats(cam: SphericalCamera, arrays: dict):
 
 # --- screening --------------------------------------------------------------
 
-# the most near pairs a blend batch holds (unless one pixel has more); the
-# batches' 1-D temporaries, about forty arrays over their pairs, weigh on a
-# render's peak memory, so keep it small
-_BATCH_PAIRS = 4096
+# the most screened pixel-splat pairs of a block and of a batch, unless one
+# pixel has more splats; a batch's near pairs, a subset, never exceed it.
+# Their 1-D temporaries, about forty arrays, weigh on a render's peak memory
+_BLOCK_PAIRS = 16384
 
 
 def _binned_tiles(cam: SphericalCamera, tile_ptr, pair_splats, tiles_x: int, mask):
@@ -317,10 +315,11 @@ def _near_pairs(cam: SphericalCamera, arrays: dict, tiles):
     alpha can reach the cutoff is near, and a faint splat screens fewer
     pairs than an opaque one of the same shape.  The plane products come
     from one stacked matmul per block of a tile's pixels against all its
-    splats, at most ``tile_size**2 * chunk_size`` pairs a block: the
-    pixels' rows of the camera's ``pixel_rays``, ``h_x``, ``h_y`` and
-    ``v``, against ``B_a``, ``B_b`` and ``B_c``, in the order ``a1, a2, a4,
-    b1, b2, b4, v.B_a, v.B_b, v.B_c``.
+    splats: the pixels' rows of the camera's ``pixel_rays``, ``h_x``,
+    ``h_y`` and ``v``, against ``B_a``, ``B_b`` and ``B_c``, in the order
+    ``a1, a2, a4, b1, b2, b4, v.B_a, v.B_b, v.B_c``.  A tile's pixels are
+    split into blocks of about equal pixel counts, of at most
+    ``_BLOCK_PAIRS`` screened pairs unless a block is one pixel.
 
     A masked render keeps the full render's bits because a pixel's products
     do not depend on the other pixels of its block: BLAS rounds each row of
@@ -333,32 +332,29 @@ def _near_pairs(cam: SphericalCamera, arrays: dict, tiles):
     pixel index, splat id, (9, pairs) plane products and the index of the
     splat id in the list, pixel-major and in blend order within a pixel,
     and the number of pairs of each pixel that has any, in order.  A batch
-    holds whole blocks, of one tile or several, up to ``_BATCH_PAIRS``
-    pairs; a block with more is cut at pixel ends, so only a pixel with
-    more than ``_BATCH_PAIRS`` pairs makes a larger batch.
+    holds whole blocks with a near pair, of one tile or several, up to
+    ``_BLOCK_PAIRS`` screened pairs, so it holds at most that many near
+    pairs; only a one-pixel block with more splats makes a larger batch.
     """
-    cfg = RASTER_CONFIG
     rays = cam.pixel_rays.reshape(3, -1, 3)
     reach = _kernel_cutoff(arrays["terms"][0]) * arrays["scales"].max(axis=1)
     # slack against rounding in the plane products
     reach2 = reach * reach * (1.0 + 1e-6)
-    block_pairs = cfg.tile_size**2 * cfg.chunk_size
     # one buffer for every block (nine products and two work rows): a
     # fresh one per block costs page faults
     buf = np.empty(0)
-    # whole blocks waiting for the batch to fill
+    # whole blocks waiting for the batch to fill, and their screened pairs
     held, n_held = [], 0
     for pix, ids, first in tiles:
         # h_x, h_y and v of the pixels, as (3, 1, pixels, 3); np.take keeps
         # it C-contiguous, which the matmul's bits depend on
         pixel_vectors = np.take(rays, pix, axis=1)[:, None]
-        # B_a, B_b and B_c of the tile's splats, as (1, 3, 3, splats)
-        B = np.take(arrays["terms"][4:13], ids, axis=1)
         n = ids.shape[0]
-        B = B.reshape(1, 3, 3, n)
-        # blocks of about equal pixel counts
-        n_blocks = -(-pix.shape[0] * n // block_pairs)
-        step = max(-(-pix.shape[0] // max(n_blocks, 1)), 1)
+        # B_a, B_b and B_c of the tile's splats, as (1, 3, 3, splats)
+        B = np.take(arrays["terms"][4:13], ids, axis=1).reshape(1, 3, 3, n)
+        # blocks of about equal pixel counts, each within the bound
+        n_blocks = -(-pix.shape[0] // max(_BLOCK_PAIRS // n, 1))
+        step = -(-pix.shape[0] // n_blocks)
         for p0 in range(0, pix.shape[0], step):
             P = min(step, pix.shape[0] - p0)
             rows = max(P, 2)
@@ -371,28 +367,18 @@ def _near_pairs(cam: SphericalCamera, arrays: dict, tiles):
             near = np.multiply(planes[2], planes[2], out=planes[9])
             near += np.multiply(planes[5], planes[5], out=planes[10])
             k = np.flatnonzero(near <= reach2[ids])
-            m = k.shape[0]
-            p = k // n
-            counts = np.bincount(p)
-            counts = counts[counts > 0]
-            col = k - p * n
-            block = (np.take(pix[p0 : p0 + P], p), np.take(ids, col),
-                     np.take(planes[:9].reshape(9, -1), k, axis=1), col + first)
-            if n_held + m > _BATCH_PAIRS and held:
+            if k.shape[0] == 0:
+                continue
+            if n_held + P * n > _BLOCK_PAIRS and held:
                 yield _joined(held)
                 held, n_held = [], 0
-            # cut at pixel ends: the last one within the batch size, or else
-            # the end of the first pixel
-            ends = np.cumsum(counts)
-            lo = r = 0
-            while m - lo > _BATCH_PAIRS:
-                j = max(np.searchsorted(ends, lo + _BATCH_PAIRS, "right"), r + 1)
-                hi = ends[j - 1]
-                yield *(x[..., lo:hi] for x in block), counts[r:j]
-                lo, r = hi, j
-            if lo < m:
-                held.append((*(x[..., lo:] for x in block), counts[r:]))
-                n_held += m - lo
+            p = k // n
+            counts = np.bincount(p)
+            col = k - p * n
+            held.append((np.take(pix[p0 : p0 + P], p), np.take(ids, col),
+                         np.take(planes[:9].reshape(9, -1), k, axis=1), col + first,
+                         counts[counts > 0]))
+            n_held += P * n
     if held:
         yield _joined(held)
 

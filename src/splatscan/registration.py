@@ -27,7 +27,8 @@ be refused again.
 The schedule is fixed: a geometric phase (point-to-plane only) for the
 first ``max_iters // 2`` iterations, then a joint phase (both families)
 until ``max_iters`` iterations in total have run.  A phase ends early once
-an accepted step is shorter than ``tol``, or when the damping runs out.
+an accepted step is shorter than ``tol``, converged if the undamped step
+is too, or when the damping runs out.
 
 Every setting has one value in use and lives in :data:`REGISTRATION_CONFIG`,
 read directly here as renders read ``rasterizer.RASTER_CONFIG``.  A study
@@ -71,10 +72,10 @@ class RegistrationConfig:
     trim_floor: float = 0.02      # meters; the trim threshold never shrinks below
     spread_gate: float = 0.5      # reject warp cells spanning a range discontinuity
     max_iters: int = 30
-    # a phase converges once an accepted step's norm is below this, and a
-    # report row's ``converged`` says the joint phase did; the norm mixes
-    # meters and radians: 0.1 mm, or 1e-4 rad (1 mm at 10 m), a tenth of the
-    # 1 cm range noise
+    # a phase stops once an accepted step's norm is below this, converged if
+    # the undamped one is too, and a report row's ``converged`` says the
+    # joint phase did; the norm mixes meters and radians: 0.1 mm, or 1e-4
+    # rad (1 mm at 10 m), a tenth of the 1 cm range noise
     tol: float = 1e-4
     leaf_size: int = 64
     flatness_tau: float = 0.02
@@ -350,13 +351,17 @@ def register(
 ) -> RegistrationResult:
     """Align a sensor-frame scan to the model, starting from ``initial``.
 
-    Non-finite rows of ``scan`` are dropped first, as :func:`io.load_scan`
-    drops them.  Raises :class:`RegistrationError` when the model renders to
-    nothing useful or the normal equations stay singular; callers are
-    expected to fall back to their motion model.
+    ``scan`` is (N, 3); non-finite rows are dropped first, as
+    :func:`io.load_scan` drops them.  ``converged`` says the joint phase
+    stopped on a step whose undamped step was shorter than ``tol`` too.
+    Raises :class:`RegistrationError` for a scan of another shape, when the
+    model renders to nothing useful or the normal equations stay singular;
+    callers are expected to fall back to their motion model.
     """
     cfg = REGISTRATION_CONFIG
-    scan = np.asarray(scan, dtype=float).reshape(-1, 3)
+    scan = np.asarray(scan, dtype=float)
+    if scan.ndim != 2 or scan.shape[1] != 3:
+        raise RegistrationError(f"a scan of shape {scan.shape} is not (N, 3)")
     scan = scan[np.isfinite(scan).all(axis=1)]
     if scan.shape[0] == 0:
         raise RegistrationError("empty scan")
@@ -449,7 +454,9 @@ def register(
             # the accepted trial is the next linearisation point
             T, found = T_try, trial
             if np.linalg.norm(delta) < cfg.tol:
-                converged = True
+                # damping alone can make a step short; the undamped one must be too
+                converged = bool(np.linalg.matrix_rank(H) == 6
+                                 and np.linalg.norm(np.linalg.solve(H, -b)) < cfg.tol)
                 break
 
     # residual statistics at the returned pose, trimmed at the last floor

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -254,7 +252,7 @@ def test_blend_batches_span_tiles(full_cam, rng):
     model = random_model(150, rng)
     batches = _near_batches(full_cam, _pose(), model)
     _assert_whole_runs(batches)
-    assert all(pix.size <= rasterizer._BATCH_PAIRS for pix, *_ in batches)
+    assert all(pix.size <= rasterizer._BLOCK_PAIRS for pix, *_ in batches)
     assert max(np.unique(_tile_of(full_cam, pix)).size for pix, *_ in batches) > 2
     tiled, _ = rasterize_forward(full_cam, _pose(), model)
     ref = reference_rasterize(full_cam, _pose(), model)
@@ -262,9 +260,10 @@ def test_blend_batches_span_tiles(full_cam, rng):
     assert np.mean(ref.opacity > 0) > 0.3
 
 
-def test_a_tile_with_more_near_pairs_than_a_batch_is_cut_at_pixel_ends(rng):
+def test_a_dense_tile_is_batched_in_whole_blocks(rng):
     """Hundreds of large splats in front of a three-tile camera: every pixel
-    has about as many near pairs, so each tile passes the batch size."""
+    has about as many near pairs, and a tile has more than 4096 of them,
+    yet each tile is one screening block and lands whole in one batch."""
     cam = SphericalCamera(24, 8, -0.6, 0.6, -0.25, 0.25)
     n = 250
     centers = np.stack([rng.uniform(2.5, 4.0, n), rng.uniform(-1.0, 1.0, n),
@@ -274,9 +273,12 @@ def test_a_tile_with_more_near_pairs_than_a_batch_is_cut_at_pixel_ends(rng):
     model.append(centers, ta, tb, rng.uniform(0.3, 0.8, (n, 2)), rng.uniform(0.3, 0.9, n), 0)
     batches = _near_batches(cam, SE3Pose.identity(), model)
     _assert_whole_runs(batches)
-    per_tile = np.bincount(np.concatenate([_tile_of(cam, pix) for pix, *_ in batches]))
-    assert per_tile.max() > rasterizer._BATCH_PAIRS
-    assert all(pix.size <= rasterizer._BATCH_PAIRS for pix, *_ in batches)
+    assert all(pix.size <= rasterizer._BLOCK_PAIRS for pix, *_ in batches)
+    tiles = [_tile_of(cam, pix) for pix, *_ in batches]
+    per_tile = np.bincount(np.concatenate(tiles))
+    assert per_tile.max() > 4096
+    for t in np.flatnonzero(per_tile > 4096):
+        assert sum(t in batch for batch in tiles) == 1
     tiled, _ = rasterize_forward(cam, SE3Pose.identity(), model)
     ref = reference_rasterize(cam, SE3Pose.identity(), model)
     assert _max_diff(tiled, ref) <= 1e-12
@@ -438,19 +440,19 @@ def grad_case(rng, request):
     model.append(centers, ta, tb, rng.uniform(0.15, 0.4, (n, 2)),
                  rng.uniform(0.3, 0.9, n), 0)
     pose = SE3Pose(so3_exp([0.02, -0.03, 0.05]), [0.1, 0.05, -0.02])
-    return _with_gradients(cam, pose, model, rng, getattr(request.cls, "batch_pairs", None))
+    return _with_gradients(cam, pose, model, rng, getattr(request.cls, "block_pairs", None))
 
 
-def _with_gradients(cam, pose, model, rng, batch_pairs=None):
+def _with_gradients(cam, pose, model, rng, block_pairs=None):
     """(cam, pose, model, pixel gradients, (N, 12) parameter gradients) of a random linear loss.
 
-    ``batch_pairs``, if given, is the blend batch size of the render that
-    takes the gradients.
+    ``block_pairs``, if given, is the screening block and blend batch bound
+    of the render that takes the gradients.
     """
     pg = _pixel_grads(cam, rng)
     with pytest.MonkeyPatch.context() as m:
-        if batch_pairs is not None:
-            m.setattr(rasterizer, "_BATCH_PAIRS", batch_pairs)
+        if block_pairs is not None:
+            m.setattr(rasterizer, "_BLOCK_PAIRS", block_pairs)
         _, rec = rasterize_forward(cam, pose, model, pixel_grads=_rule(pg))
     grads = rasterize_backward(model, rec)
     return cam, pose, model, pg, grads
@@ -545,7 +547,7 @@ class TestBackwardOnAnOpaqueStack(TestBackwardMatchesCentralDifferences):
 
     @pytest.fixture
     def grad_case(self, rng):
-        return _with_gradients(*_opaque_stack(rng), rng, getattr(self, "batch_pairs", None))
+        return _with_gradients(*_opaque_stack(rng), rng, getattr(self, "block_pairs", None))
 
     def test_reaches_the_clamp_and_the_early_stop(self, grad_case):
         cam, pose, model, _, _ = grad_case
@@ -576,13 +578,13 @@ def test_range_is_positive_wherever_opacity_is(full_cam, rng, case):
 
 
 class _InChunksOfFour:
-    """Screens tiles in blocks of ``tile_size**2 * 4`` pairs, so that a
-    tile's pixels are matched against its splats in several blocks."""
+    """Screens in blocks, and blends in batches, of at most ``tile_size**2 *
+    4`` pairs, a full tile against four splats, so that a tile's pixels are
+    matched against its splats in several blocks."""
 
     @pytest.fixture(autouse=True)
     def _small_chunks(self, monkeypatch):
-        monkeypatch.setattr(rasterizer, "RASTER_CONFIG",
-                            dataclasses.replace(RASTER_CONFIG, chunk_size=4))
+        monkeypatch.setattr(rasterizer, "_BLOCK_PAIRS", RASTER_CONFIG.tile_size**2 * 4)
 
 
 class TestBackwardInChunksOfFour(_InChunksOfFour, TestBackwardMatchesCentralDifferences):
@@ -593,15 +595,21 @@ class TestOpaqueStackInChunksOfFour(_InChunksOfFour, TestBackwardOnAnOpaqueStack
     pass
 
 
-@pytest.mark.parametrize("chunk_size", [1, 2, 4])
-def test_gradients_do_not_depend_on_the_chunk_size(grad_case, monkeypatch, chunk_size):
+@pytest.mark.parametrize("block_pairs", [1, 7, 64, 128, 256])
+def test_gradients_do_not_depend_on_the_chunk_size(grad_case, monkeypatch, block_pairs):
+    """Blocks of one pixel to a full tile against four splats; the first two
+    bounds also make every batch one block."""
     cam, pose, model, pg, grads = grad_case
     out, _ = rasterize_forward(cam, pose, model)
-    monkeypatch.setattr(rasterizer, "RASTER_CONFIG",
-                        dataclasses.replace(RASTER_CONFIG, chunk_size=chunk_size))
+    n_default = len(_near_batches(cam, pose, model))
+    monkeypatch.setattr(rasterizer, "_BLOCK_PAIRS", block_pairs)
     blocked, rec = rasterize_forward(cam, pose, model, pixel_grads=_rule(pg))
-    # a full tile is screened in three blocks or more
-    assert np.max(np.diff(rec.tile_ptr)) > 2 * chunk_size
+    # a full tile is screened in three blocks or more, blended in more batches
+    assert np.max(np.diff(rec.tile_ptr)) * RASTER_CONFIG.tile_size**2 > 2 * block_pairs
+    batches = _near_batches(cam, pose, model)
+    assert len(batches) > n_default
+    # only a pixel with more splats than the bound makes a larger batch
+    assert all(pix.size <= block_pairs or counts.size == 1 for pix, *_, counts in batches)
     # smaller blocks change no bit of the images
     for c in CHANNELS:
         assert np.array_equal(getattr(blocked, c), getattr(out, c)), c
@@ -609,31 +617,30 @@ def test_gradients_do_not_depend_on_the_chunk_size(grad_case, monkeypatch, chunk
 
 
 def test_screening_blocks_do_not_change_render_bits(full_cam, monkeypatch):
-    """Small chunk sizes screen a full tile in blocks of a few pixels, some
-    of one; neither the block size nor a mask changes a pixel's bits."""
+    """Small bounds screen a full tile in blocks of a few pixels, some of
+    one; neither the block size nor a mask changes a pixel's bits."""
     model = random_model(400, np.random.default_rng(3))
     full, rec = rasterize_forward(full_cam, _pose(), model)
     mask = np.random.default_rng(4).random((full_cam.height, full_cam.width)) < 0.5
     # a full tile is screened in three blocks or more
     assert np.max(np.diff(rec.tile_ptr)) > 2 * 4
-    for chunk_size in (1, 2, 4):
-        monkeypatch.setattr(rasterizer, "RASTER_CONFIG",
-                            dataclasses.replace(RASTER_CONFIG, chunk_size=chunk_size))
+    for chunk in (1, 2, 4):
+        monkeypatch.setattr(rasterizer, "_BLOCK_PAIRS", RASTER_CONFIG.tile_size**2 * chunk)
         blocked, _ = rasterize_forward(full_cam, _pose(), model)
         for c in CHANNELS:
-            assert np.array_equal(getattr(blocked, c), getattr(full, c)), (chunk_size, c)
-        if chunk_size == 1:
+            assert np.array_equal(getattr(blocked, c), getattr(full, c)), (chunk, c)
+        if chunk == 1:
             _assert_masked(rasterize_forward(full_cam, _pose(), model, mask=mask)[0], full, mask)
     assert np.mean(full.opacity > 0) > 0.3
 
 
 class _InBatchesOfOne:
-    """Takes the analytic gradients from a render that blends one pixel per
-    batch.  The central differences render at the default size, which
-    gives the same images.
+    """Takes the analytic gradients from a render whose bound of one pair
+    makes every block one pixel and every batch one block.  The central
+    differences render at the default bound, which gives the same images.
     """
 
-    batch_pairs = 1
+    block_pairs = 1
 
 
 class TestBackwardInBatchesOfOne(_InBatchesOfOne, TestBackwardMatchesCentralDifferences):
@@ -642,20 +649,6 @@ class TestBackwardInBatchesOfOne(_InBatchesOfOne, TestBackwardMatchesCentralDiff
 
 class TestOpaqueStackInBatchesOfOne(_InBatchesOfOne, TestBackwardOnAnOpaqueStack):
     pass
-
-
-@pytest.mark.parametrize("batch", [1, 7])
-def test_results_do_not_depend_on_the_batch_size(grad_case, monkeypatch, batch):
-    cam, pose, model, pg, grads = grad_case
-    out, _ = rasterize_forward(cam, pose, model)
-    n_default = len(_blended_batches(cam, pose, model))
-    monkeypatch.setattr(rasterizer, "_BATCH_PAIRS", batch)
-    # the batch size splits tiles
-    assert len(_blended_batches(cam, pose, model)) > n_default
-    small, rec = rasterize_forward(cam, pose, model, pixel_grads=_rule(pg))
-    for c in CHANNELS:
-        assert np.array_equal(getattr(small, c), getattr(out, c))
-    _assert_close(rasterize_backward(model, rec), grads, rel=1e-12)
 
 
 def test_the_near_test_is_conservative(full_cam, rng, monkeypatch):

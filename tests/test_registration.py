@@ -7,7 +7,8 @@ from scipy.spatial.transform import Rotation
 
 from conftest import surface_model
 from splatscan import registration
-from splatscan.geometry import estimate_camera
+from splatscan.errors import GeometryError, RegistrationError
+from splatscan.geometry import build_range_image, estimate_camera
 from splatscan.registration import (REGISTRATION_CONFIG, LeafTree, _geo_system, _push_leaf,
                                     _trim, build_leaf_tree, register)
 from splatscan.se3 import SE3Pose, so3_exp
@@ -346,3 +347,37 @@ def test_register_keeps_its_start_when_every_trial_is_worse(offset_problem, monk
     assert not result.converged
     assert result.iterations == 2  # one refused iteration per phase
     assert np.array_equal(result.pose.matrix(), start.orthonormalized().matrix())
+
+
+def test_a_step_short_only_by_its_damping_has_not_converged(offset_problem, monkeypatch):
+    """Every trial step of ``tol`` or longer lands 10 m above the room, so
+    damping rises until a step is short, and each phase stops on it.  From
+    15 cm off the undamped step is long: the result has not converged.
+    From the true pose the undamped step is short too."""
+    model, scan, cam, start = offset_problem
+    assert register(model, scan, cam, TRUE).converged
+    retract = SE3Pose.retract
+
+    def damped(self, delta):
+        T = retract(self, delta)
+        if np.linalg.norm(delta) < REGISTRATION_CONFIG.tol:
+            return T
+        return SE3Pose(T.rotation, T.translation + [0.0, 0.0, 10.0])
+
+    monkeypatch.setattr(SE3Pose, "retract", damped)
+    result = register(model, scan, cam, start)
+    assert result.iterations == 2  # each phase stops on its first accepted step
+    assert not result.converged
+
+
+def test_a_scan_that_is_not_n_by_3_is_refused(offset_problem):
+    """An intensity column is not read as more points, even where the
+    values would fill whole rows of three."""
+    model, scan, cam, start = offset_problem
+    with_intensity = np.column_stack([scan[:999], np.ones(999)])
+    with pytest.raises(RegistrationError, match=r"\(N, 3\)"):
+        register(model, with_intensity, cam, start)
+    with pytest.raises(GeometryError, match=r"\(N, 3\)"):
+        estimate_camera(with_intensity, SPEC.width, SPEC.height)
+    with pytest.raises(GeometryError, match=r"\(N, 3\)"):
+        build_range_image(cam, with_intensity)
