@@ -595,10 +595,7 @@ class TestOpaqueStackInChunksOfFour(_InChunksOfFour, TestBackwardOnAnOpaqueStack
     pass
 
 
-@pytest.mark.parametrize("block_pairs", [1, 7, 64, 128, 256])
-def test_gradients_do_not_depend_on_the_chunk_size(grad_case, monkeypatch, block_pairs):
-    """Blocks of one pixel to a full tile against four splats; the first two
-    bounds also make every batch one block."""
+def _assert_the_bound_changes_nothing(grad_case, monkeypatch, block_pairs):
     cam, pose, model, pg, grads = grad_case
     out, _ = rasterize_forward(cam, pose, model)
     n_default = len(_near_batches(cam, pose, model))
@@ -614,6 +611,19 @@ def test_gradients_do_not_depend_on_the_chunk_size(grad_case, monkeypatch, block
     for c in CHANNELS:
         assert np.array_equal(getattr(blocked, c), getattr(out, c)), c
     _assert_close(rasterize_backward(model, rec), grads, rel=1e-12)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 4])
+def test_gradients_do_not_depend_on_the_chunk_size(grad_case, monkeypatch, chunk):
+    """Blocks of 1, 2 and 4 tiles' worth of pixels against four splats."""
+    _assert_the_bound_changes_nothing(grad_case, monkeypatch, RASTER_CONFIG.tile_size**2 * chunk)
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+def test_results_do_not_depend_on_the_batch_size(grad_case, monkeypatch, batch):
+    """Bounds of one and seven pairs make blocks of a few pixels at most and
+    every batch one block."""
+    _assert_the_bound_changes_nothing(grad_case, monkeypatch, batch)
 
 
 def test_screening_blocks_do_not_change_render_bits(full_cam, monkeypatch):
