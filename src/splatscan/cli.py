@@ -30,15 +30,15 @@ from .errors import (
     IngestionError,
     RegistrationError,
 )
-from .evaluation import aligned_ate, reconstruction_metrics, relative_pose_error
+from .evaluation import Trajectory, aligned_ate, reconstruction_metrics, relative_pose_error
 from .geometry import SphericalCamera
 from .io import (
     is_model_file,
     load_model,
     load_scan,
-    load_trajectory,
     read_ply,
     read_pose,
+    read_trajectory,
     save_trajectory,
     write_pfm,
     write_ply,
@@ -161,8 +161,14 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_eval_traj(args) -> int:
-    est = load_trajectory(args.est)
-    ref = load_trajectory(args.ref)
+    (est, est_fmt), (ref, ref_fmt) = read_trajectory(args.est), read_trajectory(args.ref)
+    if (est_fmt == "kitti") != (ref_fmt == "kitti"):
+        # KITTI rows carry no stamps: pair the rows in order, on the TUM file's stamps
+        if len(est) != len(ref):
+            raise EvaluationError(f"a KITTI trajectory pairs rows in order: {len(est)} "
+                                  f"estimated rows, {len(ref)} reference rows")
+        stamps = ref.stamps if est_fmt == "kitti" else est.stamps
+        est, ref = Trajectory(stamps, est.poses), Trajectory(stamps, ref.poses)
     rpe = relative_pose_error(est, ref, max_dt=args.max_dt)
     for frac in sorted(rpe.per_delta):
         print(f"RPE @ {rpe.deltas_m[frac]:8.2f} m : {rpe.per_delta[frac]:7.3f} %")
@@ -290,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     et = sub.add_parser("eval-traj", help="ATE and relative pose error vs ground truth")
     et.add_argument("est", help="estimated trajectory (TUM or KITTI)")
-    et.add_argument("ref", help="reference trajectory")
+    et.add_argument("ref", help="reference trajectory (TUM or KITTI)")
     et.add_argument("--max-dt", type=_nonnegative_float, default=0.05,
                     help="timestamp association window (s), at least 0")
     et.set_defaults(func=_cmd_eval_traj)

@@ -27,6 +27,8 @@ through the origin: the vertical plane ``h_x = (sin az, -cos az, 0)`` and
 ``h_y = h_x x v``.  Both come from the pixel's angles, so the rays at the
 poles, which have no ``v x z``, get their planes too.  The camera computes
 all three once (:attr:`SphericalCamera.pixel_rays`) for every reader.
+Surface normals are unit, in the sensor frame of those rays, and face the
+sensor, ``n . ray <= 0``, by one rule: :func:`facing_sensor`.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ __all__ = [
     "smooth_range_image",
     "shift_image",
     "range_image_normals",
+    "facing_sensor",
 ]
 
 _MIN_RANGE = 1e-9
@@ -283,13 +286,20 @@ def shift_image(a: np.ndarray, step: int, axis: int, wrap: bool) -> np.ndarray:
     return out
 
 
-def range_image_normals(cam: SphericalCamera, rimg: RangeImage) -> NormalImage:
-    """Central-difference surface normals of a range image.
+def facing_sensor(normals: np.ndarray, rays: np.ndarray) -> np.ndarray:
+    """(..., 3) ``normals`` made unit with ``n . ray <= 0`` along unit view ``rays``;
+    a normal too short to normalize faces the sensor head on (``-ray``)."""
+    n = np.where(np.linalg.norm(normals, axis=-1, keepdims=True) > 1e-12, normals, -rays)
+    n = n / np.linalg.norm(n, axis=-1, keepdims=True)
+    return np.where(np.sum(n * rays, axis=-1, keepdims=True) > 0, -n, n)
 
-    A pixel gets a normal only when all four neighbors are valid; the
-    horizontal neighbors wrap around the azimuth seam for full-circle
-    cameras.  Normals are unit length and oriented toward the sensor
-    (negative dot product with the viewing ray).
+
+def range_image_normals(cam: SphericalCamera, rimg: RangeImage) -> NormalImage:
+    """Central-difference sensor-frame normals of a range image, facing the sensor.
+
+    A pixel gets a normal only when all four neighbors are valid and span a
+    plane; the horizontal neighbors wrap around the azimuth seam for
+    full-circle cameras.  :func:`facing_sensor` orients it; others read 0.
     """
     dirs = cam.pixel_directions
     pts = rimg.range[..., None] * dirs
@@ -304,13 +314,5 @@ def range_image_normals(cam: SphericalCamera, rimg: RangeImage) -> NormalImage:
     dx = around(pts, -1, 1) - around(pts, 1, 1)
     dy = around(pts, -1, 0) - around(pts, 1, 0)
     n = np.cross(dx, dy)
-    norm = np.linalg.norm(n, axis=-1)
-    ok &= norm > 1e-12
-    n = np.divide(
-        n, np.maximum(norm, 1e-12)[..., None], out=np.zeros_like(n), where=ok[..., None]
-    )
-    # orient toward the sensor: flip where the normal points along the ray
-    flip = np.sum(n * dirs, axis=-1) > 0
-    n[flip] = -n[flip]
-    n[~ok] = 0.0
-    return NormalImage(n, ok)
+    ok &= np.linalg.norm(n, axis=-1) > 1e-12
+    return NormalImage(np.where(ok[..., None], facing_sensor(n, dirs), 0.0), ok)

@@ -27,6 +27,7 @@ __all__ = [
     "write_ply",
     "save_trajectory",
     "load_trajectory",
+    "read_trajectory",
     "read_pose",
     "save_model",
     "load_model",
@@ -230,8 +231,14 @@ def read_pose(translation, rotation) -> SE3Pose:
 
 
 def load_trajectory(path, fmt: str | None = None) -> Trajectory:
-    """Read a TUM or KITTI trajectory; the format is inferred from the
-    column count when not given (8 = TUM, 12 = KITTI)."""
+    """The trajectory that :func:`read_trajectory` reads."""
+    return read_trajectory(path, fmt)[0]
+
+
+def read_trajectory(path, fmt: str | None = None) -> tuple[Trajectory, str]:
+    """Read a TUM or KITTI trajectory and its format, ``"tum"`` or ``"kitti"``,
+    inferred from the column count when not given (8 = TUM, 12 = KITTI).
+    KITTI rows carry no stamps: row ``i`` is stamped ``i`` seconds."""
     rows = _text_rows(Path(path).read_text().splitlines(), 0)
     if rows.size == 0:
         raise IngestionError(f"empty trajectory file: {path}")
@@ -253,7 +260,7 @@ def load_trajectory(path, fmt: str | None = None) -> Trajectory:
         poses = [read_pose(M[:, 3], M[:, :3]) for M in rows.reshape(-1, 3, 4)]
     else:
         raise IngestionError(f"unknown trajectory format {fmt!r}")
-    return Trajectory(stamps, poses)
+    return Trajectory(stamps, poses), fmt
 
 
 # --- model container --------------------------------------------------------

@@ -49,6 +49,7 @@ from .geometry import (
     SphericalCamera,
     build_range_image,
     estimate_camera,
+    facing_sensor,
     range_image_normals,
     shift_image,
     smooth_range_image,
@@ -221,23 +222,19 @@ def mapping_loss(model: SplatModel, kf: Keyframe) -> MappingLoss:
 
 
 def _range_gradient_weights(kf: Keyframe) -> np.ndarray:
-    """Magnitude of the range image gradient, zero at invalid pixels."""
+    """Magnitude of the range image gradient, zero at invalid pixels: per axis
+    central where both neighbours are valid, one-sided where one is."""
     D = kf.range_image.range
     V = kf.range_image.valid
     wrap = kf.camera.full_circle
-    gx = np.zeros_like(D)
-    gy = np.zeros_like(D)
-    for g, axis in ((gx, 1), (gy, 0)):
+    g = []
+    for axis in (1, 0):
         plus, minus, pv, mv = (
             shift_image(a, step, axis, wrap) for a, step in ((D, -1), (D, 1), (V, -1), (V, 1))
         )
-        both = pv & mv
-        one_p = pv & ~mv
-        one_m = mv & ~pv
-        g[both] = 0.5 * (plus[both] - minus[both])
-        g[one_p] = plus[one_p] - D[one_p]
-        g[one_m] = D[one_m] - minus[one_m]
-    mag = np.hypot(gx, gy)
+        spans = np.maximum(pv.astype(int) + mv, 1)
+        g.append((np.where(pv, plus, D) - np.where(mv, minus, D)) / spans)
+    mag = np.hypot(*g)
     mag[~V] = 0.0
     return mag
 
@@ -266,8 +263,9 @@ def spawn_splats(
     weighted by the range-gradient magnitude; if fewer than ``n_spawn``
     carry a weight, all of those are taken and the rest drawn uniformly
     from the others.  Each splat sits on the back-projected surface point,
-    aligned to the keyframe normal (falling back to facing the sensor),
-    scaled to the pixel footprint.  Returns the number spawned.
+    scaled to the pixel footprint, with the keyframe normal made to face the
+    sensor in the sensor frame (:func:`geometry.facing_sensor`), then turned
+    into the world by the keyframe pose.  Returns the number spawned.
     """
     cfg = MAPPING_CONFIG
     mask = mask & kf.range_image.valid
@@ -286,18 +284,11 @@ def spawn_splats(
     rows, cols = np.unravel_index(idx, kf.range_image.shape)
     d = kf.range_image.range[rows, cols]
     pts_s = d[:, None] * kf.camera.pixel_directions[rows, cols]
-
-    dirs = pts_s / np.linalg.norm(pts_s, axis=1, keepdims=True)
-    n_s = np.where(
-        kf.normal_image.valid[rows, cols][:, None],
-        kf.normal_image.normals[rows, cols],
-        -dirs,
-    )
-    n_s /= np.linalg.norm(n_s, axis=1, keepdims=True)
-
+    # invalid keyframe normals are 0, so those splats face the sensor head on
+    n_s = facing_sensor(kf.normal_image.normals[rows, cols],
+                        pts_s / np.linalg.norm(pts_s, axis=1, keepdims=True))
     centers = kf.pose.apply(pts_s)
-    n_w = n_s @ kf.pose.rotation.T
-    ta, tb = _complete_frames(n_w)
+    ta, tb = _complete_frames(n_s @ kf.pose.rotation.T)
 
     pitch_az = 1.0 / abs(kf.camera.fx)
     pitch_el = 1.0 / abs(kf.camera.fy)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import EvaluationError, ExportError, GeometryError, IngestionError, RegistrationError
 from .evaluation import Trajectory
-from .geometry import estimate_camera
+from .geometry import estimate_camera, facing_sensor
 from .io import save_model, save_trajectory, write_ply, write_report
 from .mapping import (
     LocalMap,
@@ -93,9 +93,10 @@ def export_oriented_points(
     """Sample the map as world-frame oriented points, keyframe by keyframe.
 
     Renders the model at each keyframe pose, picks up to ``EXPORT_PER_KEYFRAME``
-    pixels that show a surface (see :meth:`RenderOutput.surface`) uniformly,
-    back-projects them at the surface's range and attaches the normalized
-    blended normal.
+    pixels that show a surface (see :meth:`RenderOutput.surface`) uniformly and
+    back-projects them at the surface's range.  The blended normal faces the
+    sensor in the keyframe's frame (:func:`geometry.facing_sensor`); then the
+    keyframe pose moves points and normals to the world.
     """
     if not lmap.keyframes:
         raise ExportError("local map has no keyframes to export")
@@ -110,16 +111,9 @@ def export_oriented_points(
             idx = rng.choice(idx, EXPORT_PER_KEYFRAME, replace=False)
             idx.sort()
         rows, cols = np.unravel_index(idx, m.shape)
-        opac = render.opacity[rows, cols]
-        pts = kf.pose.apply(depth[rows, cols][:, None] * kf.camera.pixel_directions[rows, cols])
-        nrm = render.normal[rows, cols] / opac[:, None]
-        norm = np.linalg.norm(nrm, axis=1, keepdims=True)
-        good = norm[:, 0] > 1e-9
-        nrm = np.where(good[:, None], nrm / np.maximum(norm, 1e-9), [0.0, 0.0, 1.0])
-        # orient toward the keyframe sensor: export consumers expect outward-facing
-        to_sensor = kf.pose.translation[None, :] - pts
-        flip = np.sum(nrm * to_sensor, axis=1) < 0
-        nrm[flip] = -nrm[flip]
+        dirs = kf.camera.pixel_directions[rows, cols]
+        pts = kf.pose.apply(depth[rows, cols][:, None] * dirs)
+        nrm = facing_sensor(render.normal[rows, cols], dirs) @ kf.pose.rotation.T
         pts_out.append(pts)
         nrm_out.append(nrm)
     if not pts_out:

@@ -449,7 +449,7 @@ def _add_splat_grads(acc: np.ndarray, rays: np.ndarray, b: dict, pix, planes, at
     ``b`` is the batch's :func:`_blend` terms, ``sums`` its per-pair blended
     channels (``w`` times range, one, normal) and ``grads`` the loss's
     gradient at its pixels, one column per run.  ``rays`` holds every
-    pixel's ``h_x``, ``h_y`` and ``v`` as (9, pixels).  Only pairs with
+    pixel's ``h_x``, ``h_y`` and ``v`` as (3, pixels, 3).  Only pairs with
     ``w > 0`` add anything, so only those are read.
     """
     k = np.flatnonzero(b["w"])
@@ -489,8 +489,8 @@ def _add_splat_grads(acc: np.ndarray, rays: np.ndarray, b: dict, pix, planes, at
     coef[2] = dd * sa, dd * sb, dd
     # the per-pair terms of each row of acc
     terms = np.empty((13, k.shape[0]))
-    px = np.take(rays, np.take(pix, k), axis=1).reshape(3, 3, -1)
-    np.einsum("ijp,ikp->jkp", coef, px, out=terms[:9].reshape(3, 3, -1))
+    px = np.take(rays, np.take(pix, k), axis=1)
+    np.einsum("ijp,ipk->jkp", coef, px, out=terms[:9].reshape(3, 3, -1))
     np.multiply(g[2:5], w, out=terms[9:12])
     # d(loss)/d(opacity) is d(loss)/d(alpha) * G, and G = alpha / opacity where free
     np.divide(k_alpha, -opac, out=terms[12])
@@ -520,8 +520,7 @@ def _render(cam: SphericalCamera, arrays: dict, tiles, normals: bool = True,
     terms = arrays["terms"]
     # what a pair reads of its splat: opacity, then the normal
     splat_rows = terms[: 4 if normals else 1]
-    if pixel_grads is not None:
-        rays = cam.pixel_rays.transpose(0, 3, 1, 2).reshape(9, -1)
+    rays = cam.pixel_rays.reshape(3, -1, 3)
     for pix, spl, planes, at, counts in _near_pairs(cam, arrays, tiles):
         b = _blend(splat_rows, pix, spl, planes, counts)
         w, starts = b["w"], b["starts"]

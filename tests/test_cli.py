@@ -9,10 +9,11 @@ import pytest
 
 from splatscan import cli, mapping
 from splatscan.cli import main
-from splatscan.io import save_model, write_ply
+from splatscan.io import save_model, save_trajectory, write_ply
 from splatscan.pipeline import Pipeline, RunConfig
 from splatscan.rasterizer import rasterize_forward
 from splatscan.splats import SplatModel
+from splatscan.synth import make_trajectory
 
 SMALL = ["--width", "64", "--height", "16", "--refine-iters", "1"]
 
@@ -225,6 +226,24 @@ def test_eval_traj_prints_the_aligned_ate(tmp_path, capsys):
     out = capsys.readouterr().out
     ate = [line for line in out.splitlines() if line.startswith("ATE")]
     assert ate == [f"ATE (aligned)  : {100 * np.sqrt(0.3 ** 2 / 4):7.3f} cm"]
+
+
+@pytest.mark.parametrize("kitti", ["est", "ref"])
+def test_eval_traj_pairs_a_kitti_file_row_by_row(tmp_path, capsys, kitti):
+    # KITTI rows have no stamps; the same poses as TUM rows 0.1 s apart score 0
+    traj = make_trajectory("arc", 3.0, 12)
+    paths = {"est": tmp_path / "est", "ref": tmp_path / "ref"}
+    for name, path in paths.items():
+        save_trajectory(traj, path, "kitti" if name == kitti else "tum")
+    assert main(["eval-traj", str(paths["est"]), str(paths["ref"])]) == 0
+    scores = [line.split(":")[1].split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert len(scores) == 7 and set(scores) == {"0.000"}
+    # pairing row by row needs as many rows in both files
+    save_trajectory(make_trajectory("arc", 3.0, 10), paths[kitti], "kitti")
+    assert main(["eval-traj", str(paths["est"]), str(paths["ref"])]) == 2
+    err = capsys.readouterr().err
+    n_est, n_ref = (10, 12) if kitti == "est" else (12, 10)
+    assert _one_error_line(err) and f"{n_est} estimated rows, {n_ref} reference rows" in err
 
 
 @pytest.mark.parametrize("stamps", [(0, "nan", 2), (0, 1, "inf")])

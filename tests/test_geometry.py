@@ -9,6 +9,7 @@ from splatscan.geometry import (
     SphericalCamera,
     build_range_image,
     estimate_camera,
+    facing_sensor,
     range_image_normals,
     ray_direction,
     smooth_range_image,
@@ -208,6 +209,23 @@ class TestNormals:
         # the hole and its cross neighbors all lose their normal
         for r, c in [(1, 3), (0, 3), (2, 3), (1, 2), (1, 4)]:
             assert not nimg.valid[r, c]
+
+
+def test_facing_sensor_normals_are_unit_and_face_the_ray(rng):
+    rays = rng.normal(size=(6, 8, 3))
+    rays /= np.linalg.norm(rays, axis=-1, keepdims=True)
+    normals = rng.normal(size=(6, 8, 3)) * rng.uniform(0.01, 10.0, (6, 8, 1))
+    normals[0] = 0.0  # too short to normalize: they face the sensor head on
+    normals[1, :4] = rays[1, :4]  # pointing along the ray: flipped
+    n = facing_sensor(normals, rays)
+    assert n.shape == (6, 8, 3)
+    np.testing.assert_allclose(np.linalg.norm(n, axis=-1), 1.0, atol=1e-12)
+    assert np.all(np.sum(n * rays, axis=-1) <= 0.0)
+    np.testing.assert_allclose(n[0], -rays[0], atol=1e-12)
+    np.testing.assert_allclose(n[1, :4], -rays[1, :4], atol=1e-12)
+    # the same rule on (N, 3) rows
+    np.testing.assert_array_equal(facing_sensor(normals.reshape(-1, 3), rays.reshape(-1, 3)),
+                                  n.reshape(-1, 3))
 
 
 class TestSmoothRangeImage:

@@ -5,10 +5,12 @@ import pytest
 
 from splatscan import mapping
 from splatscan.errors import EvaluationError, IngestionError
+from splatscan.geometry import SphericalCamera
 from splatscan.io import read_ply
 from splatscan.mapping import coverage
-from splatscan.pipeline import Pipeline, RunConfig
+from splatscan.pipeline import Pipeline, RunConfig, export_oriented_points
 from splatscan.se3 import SE3Pose, so3_exp
+from splatscan.splats import SplatModel
 from splatscan.synth import ScanSpec, make_trajectory, raycast_scan, room_with_boxes
 
 # each one raises GeometryError in camera estimation: no point off the origin,
@@ -262,3 +264,25 @@ def test_a_map_that_cannot_be_exported_is_archived_without_points(tmp_path):
     assert report["n_exported_points"] == len(read_ply(exported["export_path"])[0]) > 0
     for name in ("trajectory.tum", "trajectory.kitti", "report.json"):
         assert (tmp_path / name).is_file()
+
+
+@pytest.mark.parametrize("yaw_deg", [0.0, 30.0, 90.0])
+def test_exported_normals_are_world_frame_and_face_the_sensor(yaw_deg):
+    """A wall of splats at x = 3 m, seen from the origin by a yawed keyframe:
+    every exported normal is the wall's, (-1, 0, 0), in the world frame."""
+    y, z = np.meshgrid(np.arange(-3.0, 3.01, 0.1), np.arange(-1.0, 1.01, 0.1))
+    centers = np.stack([np.full(y.size, 3.0), y.ravel(), z.ravel()], axis=1)
+    n = centers.shape[0]
+    model = SplatModel()
+    # t_alpha x t_beta = +x: the splats' own normal faces away from the sensor
+    model.append(centers, np.tile([0.0, 1.0, 0.0], (n, 1)), np.tile([0.0, 0.0, 1.0], (n, 1)),
+                 np.full((n, 2), 0.08), np.full(n, 0.95), 0)
+    cam = SphericalCamera(64, 16, -np.pi, np.pi - 2.0 * np.pi / 64, -0.3, 0.3)
+    # the export reads only a keyframe's camera and pose
+    kf = mapping.Keyframe(0, SE3Pose(so3_exp([0.0, 0.0, np.deg2rad(yaw_deg)]), np.zeros(3)),
+                          cam, None, None)
+    pts, nrm = export_oriented_points(mapping.LocalMap(model, [kf]), np.random.default_rng(0))
+    assert pts.shape[0] > 50
+    np.testing.assert_allclose(pts[:, 0], 3.0, atol=0.05)
+    angle = np.degrees(np.arccos(np.clip(nrm @ [-1.0, 0.0, 0.0], -1.0, 1.0)))
+    assert angle.max() < 1.0
