@@ -17,7 +17,6 @@ from .evaluation import (
     voxel_downsample,
 )
 from .geometry import (
-    NormalImage,
     RangeImage,
     SphericalCamera,
     build_range_image,
@@ -50,7 +49,6 @@ __all__ = [
     "ExportError",
     "SphericalCamera",
     "RangeImage",
-    "NormalImage",
     "build_range_image",
     "smooth_range_image",
     "range_image_normals",

@@ -28,7 +28,10 @@ through the origin: the vertical plane ``h_x = (sin az, -cos az, 0)`` and
 poles, which have no ``v x z``, get their planes too.  The camera computes
 all three once (:attr:`SphericalCamera.pixel_rays`) for every reader.
 Surface normals are unit, in the sensor frame of those rays, and face the
-sensor, ``n . ray <= 0``, by one rule: :func:`facing_sensor`.
+sensor, ``n . ray <= 0``, by one rule: :func:`facing_sensor`.  A normal
+image is a plain ``(H, W, 3)`` array; a pixel without a normal reads
+``(0, 0, 0)``, and a range image's pixel without a return reads range 0
+and is not ``valid``.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .errors import GeometryError
 __all__ = [
     "SphericalCamera",
     "RangeImage",
-    "NormalImage",
     "spherical_coords",
     "ray_direction",
     "estimate_camera",
@@ -213,22 +215,6 @@ class RangeImage:
         return self.range.shape
 
 
-@dataclass
-class NormalImage:
-    """Per-pixel unit surface normal in the sensor frame."""
-
-    normals: np.ndarray
-    valid: np.ndarray
-
-    def __post_init__(self):
-        self.normals = np.asarray(self.normals, dtype=float)
-        self.valid = np.asarray(self.valid, dtype=bool)
-        if self.normals.ndim != 3 or self.normals.shape[2] != 3:
-            raise GeometryError("normals must be H x W x 3")
-        if self.normals.shape[:2] != self.valid.shape:
-            raise GeometryError("normals and valid shapes disagree")
-
-
 def build_range_image(cam: SphericalCamera, points: np.ndarray) -> RangeImage:
     """Project a sensor-frame cloud; on pixel collisions the nearest point wins.
 
@@ -294,12 +280,15 @@ def facing_sensor(normals: np.ndarray, rays: np.ndarray) -> np.ndarray:
     return np.where(np.sum(n * rays, axis=-1, keepdims=True) > 0, -n, n)
 
 
-def range_image_normals(cam: SphericalCamera, rimg: RangeImage) -> NormalImage:
-    """Central-difference sensor-frame normals of a range image, facing the sensor.
+def range_image_normals(cam: SphericalCamera, rimg: RangeImage) -> np.ndarray:
+    """Central-difference sensor-frame normals of a range image, facing the sensor,
+    as an ``(H, W, 3)`` array.
 
-    A pixel gets a normal only when all four neighbors are valid and span a
-    plane; the horizontal neighbors wrap around the azimuth seam for
-    full-circle cameras.  :func:`facing_sensor` orients it; others read 0.
+    A pixel gets a unit normal only when it and all four neighbors are valid
+    and span a plane; the horizontal neighbors wrap around the azimuth seam
+    for full-circle cameras.  :func:`facing_sensor` orients it.  Every other
+    pixel reads ``(0, 0, 0)``, so ``normals.any(axis=-1)`` is the mask of the
+    pixels that have one.
     """
     dirs = cam.pixel_directions
     pts = rimg.range[..., None] * dirs
@@ -315,4 +304,4 @@ def range_image_normals(cam: SphericalCamera, rimg: RangeImage) -> NormalImage:
     dy = around(pts, -1, 0) - around(pts, 1, 0)
     n = np.cross(dx, dy)
     ok &= np.linalg.norm(n, axis=-1) > 1e-12
-    return NormalImage(np.where(ok[..., None], facing_sensor(n, dirs), 0.0), ok)
+    return np.where(ok[..., None], facing_sensor(n, dirs), 0.0)

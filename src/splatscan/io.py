@@ -213,15 +213,20 @@ def read_pose(translation, rotation) -> SE3Pose:
 
     ``rotation`` is an ``(x, y, z, w)`` quaternion, normalized first, or the
     9 row-major entries of a matrix, snapped onto SO(3).  A non-finite
-    translation, or a quaternion with a non-finite entry or a norm too small
-    to normalize, raises :class:`IngestionError`.
+    translation, a quaternion with a non-finite entry or a norm too small to
+    normalize, or a matrix whose determinant is not positive (a reflection,
+    which no snap makes a rotation) raises :class:`IngestionError`.
     """
     t = np.array(translation, dtype=float)
     if not np.all(np.isfinite(t)):
         raise IngestionError(f"translation {t.tolist()} must be finite")
     rot = np.asarray(rotation, dtype=float)
     if rot.size == 9:
-        return SE3Pose(rot.reshape(3, 3), t).orthonormalized()
+        R = rot.reshape(3, 3)
+        if not np.linalg.det(R) > 0.0:
+            raise IngestionError(f"rotation matrix {R.tolist()} has a determinant "
+                                 "that is not positive")
+        return SE3Pose(R, t).orthonormalized()
     if np.all(np.isfinite(rot)):
         try:
             return SE3Pose(Rotation.from_quat(rot).as_matrix(), t)
@@ -230,36 +235,28 @@ def read_pose(translation, rotation) -> SE3Pose:
     raise IngestionError(f"quaternion {rot.tolist()} must be finite and nonzero")
 
 
-def load_trajectory(path, fmt: str | None = None) -> Trajectory:
+def load_trajectory(path) -> Trajectory:
     """The trajectory that :func:`read_trajectory` reads."""
-    return read_trajectory(path, fmt)[0]
+    return read_trajectory(path)[0]
 
 
-def read_trajectory(path, fmt: str | None = None) -> tuple[Trajectory, str]:
+def read_trajectory(path) -> tuple[Trajectory, str]:
     """Read a TUM or KITTI trajectory and its format, ``"tum"`` or ``"kitti"``,
-    inferred from the column count when not given (8 = TUM, 12 = KITTI).
-    KITTI rows carry no stamps: row ``i`` is stamped ``i`` seconds."""
+    told apart by the column count (8 = TUM, 12 = KITTI; any other count
+    raises :class:`IngestionError`).  KITTI rows carry no stamps: row ``i``
+    is stamped ``i`` seconds."""
     rows = _text_rows(Path(path).read_text().splitlines(), 0)
     if rows.size == 0:
         raise IngestionError(f"empty trajectory file: {path}")
-    if fmt is None:
-        fmt = {8: "tum", 12: "kitti"}.get(rows.shape[1])
-        if fmt is None:
-            raise IngestionError(
-                f"cannot infer trajectory format from {rows.shape[1]} columns"
-            )
+    fmt = {8: "tum", 12: "kitti"}.get(rows.shape[1])
     if fmt == "tum":
-        if rows.shape[1] != 8:
-            raise IngestionError("TUM rows need 8 columns")
         stamps = rows[:, 0]
         poses = [read_pose(r[1:4], r[4:8]) for r in rows]
     elif fmt == "kitti":
-        if rows.shape[1] != 12:
-            raise IngestionError("KITTI rows need 12 columns")
         stamps = np.arange(rows.shape[0], dtype=float)
         poses = [read_pose(M[:, 3], M[:, :3]) for M in rows.reshape(-1, 3, 4)]
     else:
-        raise IngestionError(f"unknown trajectory format {fmt!r}")
+        raise IngestionError(f"cannot infer trajectory format from {rows.shape[1]} columns")
     return Trajectory(stamps, poses), fmt
 
 

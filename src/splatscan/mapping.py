@@ -44,7 +44,6 @@ import numpy as np
 
 from .errors import GeometryError
 from .geometry import (
-    NormalImage,
     RangeImage,
     SphericalCamera,
     build_range_image,
@@ -110,11 +109,22 @@ _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class Keyframe:
+    """One registered scan as the map sees it.
+
+    ``index`` is the scan's position in the run, and ``pose`` is the
+    sensor's pose in the world.  ``camera`` is the spherical projection
+    fitted to the scan.  ``range_image`` holds the measured range in
+    meters along each pixel ray of ``camera``, in the sensor frame; a pixel
+    with no return reads range 0 and is not ``valid``.  ``normals`` is the
+    ``(H, W, 3)`` image of unit surface normals in the sensor frame, facing
+    the sensor; a pixel with no normal reads ``(0, 0, 0)``.
+    """
+
     index: int
     pose: SE3Pose
     camera: SphericalCamera
     range_image: RangeImage
-    normal_image: NormalImage
+    normals: np.ndarray
 
 
 def make_keyframe(
@@ -124,8 +134,8 @@ def make_keyframe(
     cam = estimate_camera(cloud, width, height)
     rimg = build_range_image(cam, cloud)
     # noise in raw ranges becomes orientation noise; smooth for normals only
-    nimg = range_image_normals(cam, smooth_range_image(rimg, cam.full_circle))
-    return Keyframe(index, pose.copy(), cam, rimg, nimg)
+    normals = range_image_normals(cam, smooth_range_image(rimg, cam.full_circle))
+    return Keyframe(index, pose.copy(), cam, rimg, normals)
 
 
 # --- losses -----------------------------------------------------------------
@@ -156,7 +166,7 @@ class MappingLoss:
 
         Pixels whose opacity is at the clamp get no opacity gradient.  The
         rendered normal is the raw blend (not re-normalized), so its
-        gradient is the negated keyframe normal, where both normals are valid.
+        gradient is the negated keyframe normal, where the keyframe has one.
         """
         g = np.take(self.pixels, pix, axis=1)
         O = values[1]
@@ -169,7 +179,7 @@ class MappingLoss:
         """The weighted ``total`` and the unweighted ``range``, ``opacity``,
         ``normal`` and ``scale`` terms on ``render``, this keyframe's view of
         the bound model.  The normal term counts only where the keyframe
-        normal is valid too."""
+        has a normal too."""
         cfg = MAPPING_CONFIG
         kf = self.kf
         M = kf.range_image.valid
@@ -179,8 +189,8 @@ class MappingLoss:
         L_d = float(np.sum(w[M] * np.abs(diff[M])))
         clamped = np.maximum(render.opacity, _OPACITY_EPS)
         L_o = float(np.sum(-np.log(clamped[M])))
-        M_n = M & kf.normal_image.valid
-        L_n = float(np.sum(1.0 - np.sum(render.normal * kf.normal_image.normals, axis=-1)[M_n]))
+        M_n = M & kf.normals.any(axis=-1)
+        L_n = float(np.sum(1.0 - np.sum(render.normal * kf.normals, axis=-1)[M_n]))
         total = L_d + cfg.w_opacity * L_o + cfg.w_normal * L_n + cfg.w_scale * self.scale
         return {"total": total, "range": L_d, "opacity": L_o, "normal": L_n,
                 "scale": self.scale}
@@ -210,8 +220,8 @@ def mapping_loss(model: SplatModel, kf: Keyframe) -> MappingLoss:
     cfg = MAPPING_CONFIG
     M = kf.range_image.valid
     D_kf = kf.range_image.range
-    M_n = M & kf.normal_image.valid
-    g_n = cfg.w_normal * np.where(M_n[..., None], -kf.normal_image.normals, 0.0)
+    M_n = M & kf.normals.any(axis=-1)
+    g_n = cfg.w_normal * np.where(M_n[..., None], -kf.normals, 0.0)
     pixels = np.concatenate([D_kf[None], 1.0 / np.maximum(D_kf, cfg.range_weight_floor)[None],
                              np.moveaxis(g_n, -1, 0)]).reshape(5, -1)
     L_s, g_s = scale_loss(model)
@@ -284,8 +294,8 @@ def spawn_splats(
     rows, cols = np.unravel_index(idx, kf.range_image.shape)
     d = kf.range_image.range[rows, cols]
     pts_s = d[:, None] * kf.camera.pixel_directions[rows, cols]
-    # invalid keyframe normals are 0, so those splats face the sensor head on
-    n_s = facing_sensor(kf.normal_image.normals[rows, cols],
+    # pixels without a keyframe normal read 0, so those splats face the sensor head on
+    n_s = facing_sensor(kf.normals[rows, cols],
                         pts_s / np.linalg.norm(pts_s, axis=1, keepdims=True))
     centers = kf.pose.apply(pts_s)
     ta, tb = _complete_frames(n_s @ kf.pose.rotation.T)

@@ -73,11 +73,13 @@ class Plane:
         n = self.normal
         denom = dirs @ n
         num = (self.origin - origins) @ n
+        # a ray parallel to the plane has t = inf and a hit of inf or nan,
+        # which lies on no rectangle
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(np.abs(denom) > _EPS, num / denom, np.inf)
-        hit = origins + t[:, None] * dirs
-        lu = (hit - self.origin) @ self.e_u
-        lv = (hit - self.origin) @ self.e_v
+            hit = origins + t[:, None] * dirs
+            lu = (hit - self.origin) @ self.e_u
+            lv = (hit - self.origin) @ self.e_v
         ok = (t > _EPS) & (np.abs(lu) <= self.half_u) & (np.abs(lv) <= self.half_v)
         return np.where(ok, t, np.inf)
 

@@ -9,7 +9,7 @@ import pytest
 
 from splatscan import cli, mapping
 from splatscan.cli import main
-from splatscan.io import save_model, save_trajectory, write_ply
+from splatscan.io import read_ply, save_model, save_trajectory, write_ply
 from splatscan.pipeline import Pipeline, RunConfig
 from splatscan.rasterizer import rasterize_forward
 from splatscan.splats import SplatModel
@@ -42,6 +42,15 @@ def test_missing_scan_file(tmp_path, capsys):
     missing = tmp_path / "missing.ply"
     assert main(["run", str(missing), "--out", str(tmp_path / "out")]) == 2
     assert "scan file not found" in capsys.readouterr().err
+
+
+def test_run_on_a_directory_without_scans(tmp_path, capsys):
+    (tmp_path / "scans").mkdir()
+    (tmp_path / "scans" / "notes.txt").write_text("no scan here\n")
+    assert main(["run", str(tmp_path / "scans"), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "no scan files in directory" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("setting, message", [
@@ -187,6 +196,23 @@ def test_info_reports_a_damaged_model(tmp_path, capsys, damage, message):
     assert message in err and "unknown scan format" not in err
 
 
+def test_info_summarizes_a_scan_file(scans, capsys):
+    path = scans / "scan_0000.ply"
+    cloud, _ = read_ply(path)
+    assert main(["info", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"scan: {cloud.shape[0]} points"
+    r = np.linalg.norm(cloud, axis=1)
+    assert out[2] == (f"  range  : min {r.min():.2f}, median {np.median(r):.2f}, "
+                      f"max {r.max():.2f} m")
+
+
+def test_info_on_a_missing_path(tmp_path, capsys):
+    assert main(["info", str(tmp_path / "missing.ply")]) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "no such file" in err
+
+
 def _small_model_file(path):
     model = SplatModel()
     model.append(np.ones((3, 3)), np.eye(3), np.roll(np.eye(3), 1, axis=1),
@@ -213,6 +239,19 @@ def test_eval_traj_rejects_a_row_without_a_rotation(tmp_path, capsys, tail):
     err = capsys.readouterr().err
     assert _one_error_line(err)
     assert ("quaternion" if len(tail.split()) == 4 else "translation") in err
+
+
+def test_eval_traj_rejects_a_reflection(tmp_path, capsys):
+    """A KITTI row whose 3x3 block mirrors z is no pose; it is not read as
+    the identity."""
+    ref = tmp_path / "ref.tum"
+    ref.write_text("".join(f"{t} {t} 0 0 0 0 0 1\n" for t in range(3)))
+    est = tmp_path / "est.kitti"
+    est.write_text("".join(f"1 0 0 {t} 0 1 0 0 0 0 {1 - 2 * (t == 1)} 0\n" for t in range(3)))
+    assert main(["eval-traj", str(est), str(ref)]) == 2
+    captured = capsys.readouterr()
+    assert _one_error_line(captured.err) and "determinant" in captured.err
+    assert not captured.out
 
 
 def test_eval_traj_prints_the_aligned_ate(tmp_path, capsys):

@@ -8,6 +8,7 @@ from splatscan.errors import IngestionError
 from splatscan.evaluation import Trajectory
 from splatscan.io import (
     load_model,
+    load_scan,
     load_trajectory,
     read_ply,
     save_model,
@@ -71,13 +72,41 @@ def test_trajectory_round_trip(tmp_path, rng, fmt, n):
     traj = _trajectory(rng, n)
     path = tmp_path / f"traj.{fmt}"
     save_trajectory(traj, path, fmt)
-    for given in (fmt, None):  # the column count tells the format apart
-        got = load_trajectory(path, given)
-        assert len(got) == n
-        for a, b in zip(traj.poses, got.poses):
-            assert np.max(np.abs(a.matrix() - b.matrix())) <= 1e-12
-        if fmt == "tum":
-            assert np.array_equal(got.stamps, traj.stamps)
+    got = load_trajectory(path)  # the column count tells the format apart
+    assert len(got) == n
+    for a, b in zip(traj.poses, got.poses):
+        assert np.max(np.abs(a.matrix() - b.matrix())) <= 1e-12
+    if fmt == "tum":
+        assert np.array_equal(got.stamps, traj.stamps)
+
+
+@pytest.mark.parametrize("ncols", [7, 9, 13])
+def test_trajectory_of_another_column_count_raises(tmp_path, ncols):
+    path = tmp_path / "traj.txt"
+    path.write_text(" ".join(["0"] * ncols) + "\n")
+    with pytest.raises(IngestionError, match=f"from {ncols} columns"):
+        load_trajectory(path)
+
+
+# 3x3 blocks whose determinant is not positive: reflections, which a snap
+# onto SO(3) would turn into another rotation, and a singular block
+NOT_ROTATIONS = {
+    "mirror_z": np.diag([1.0, 1.0, -1.0]),
+    "swap_xy": np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+    "point_reflection": -np.eye(3),
+    "singular": np.diag([1.0, 1.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_ROTATIONS))
+def test_kitti_row_with_a_reflection_raises(tmp_path, name):
+    rows = [np.eye(3), NOT_ROTATIONS[name]]
+    path = tmp_path / "traj.txt"
+    path.write_text("".join(
+        " ".join(f"{v:g}" for v in np.concatenate([R, [[1.0], [2.0], [3.0]]], axis=1).ravel())
+        + "\n" for R in rows))
+    with pytest.raises(IngestionError, match="determinant"):
+        load_trajectory(path)
 
 
 def test_kitti_row_with_a_nan_translation_raises(tmp_path):
@@ -92,6 +121,38 @@ def test_empty_trajectory_file_raises(tmp_path):
     path.write_text("")
     with pytest.raises(IngestionError, match="empty"):
         load_trajectory(path)
+
+
+def _write_bin(path, records):
+    np.asarray(records, dtype="<f4").tofile(path)
+
+
+def test_bin_scan_drops_intensity_and_non_finite_rows(tmp_path, rng):
+    records = rng.normal(size=(10, 4)).astype("<f4")
+    records[2, 0] = np.nan
+    records[5, 2] = np.inf
+    records[7, 3] = np.nan  # a bad intensity alone keeps the point
+    path = tmp_path / "scan.bin"
+    _write_bin(path, records)
+    pts = load_scan(path)
+    keep = [i for i in range(10) if i not in (2, 5)]
+    assert pts.shape == (8, 3) and pts.dtype == float
+    assert np.array_equal(pts, records[keep, :3].astype(float))
+
+
+@pytest.mark.parametrize("name, data, message", [
+    ("scan.bin", np.zeros(0), "empty scan file"),
+    ("scan.bin", np.ones(10), "truncated scan file"),
+    ("scan.bin", np.full((3, 4), np.nan), "no finite points"),
+    ("scan.xyz", np.ones((3, 4)), "unknown scan format '.xyz'"),
+    ("missing.bin", None, "scan file not found"),
+])
+def test_bad_scan_file_raises(tmp_path, name, data, message):
+    path = tmp_path / name
+    if data is not None:
+        _write_bin(path, data)
+    with pytest.raises(IngestionError, match=message):
+        load_scan(path)
 
 
 def _model(rng, n):

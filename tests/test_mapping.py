@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from splatscan import mapping
-from splatscan.geometry import NormalImage, RangeImage, SphericalCamera
+from splatscan.geometry import RangeImage, SphericalCamera
 from splatscan.mapping import (
     MAPPING_CONFIG,
     Keyframe,
@@ -76,13 +76,13 @@ def test_scale_hinge_gradient_matches_central_differences():
 
 
 def _toy_keyframe(cam, range_image, valid, rng):
-    """A keyframe at the identity with random unit normals valid at 80% of
-    the pixels."""
+    """A keyframe at the identity with random unit normals at 80% of the
+    pixels; the others have no normal and read 0."""
     H, W = range_image.shape
     normals = rng.normal(size=(H, W, 3))
     normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
-    return Keyframe(0, SE3Pose.identity(), cam, RangeImage(range_image, valid),
-                    NormalImage(normals, rng.random((H, W)) < 0.8))
+    normals[~(rng.random((H, W)) < 0.8)] = 0.0
+    return Keyframe(0, SE3Pose.identity(), cam, RangeImage(range_image, valid), normals)
 
 
 def test_mapping_loss_gradients_match_central_differences():

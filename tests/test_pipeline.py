@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from splatscan import mapping
+from splatscan import mapping, pipeline
 from splatscan.errors import EvaluationError, IngestionError
 from splatscan.geometry import SphericalCamera
 from splatscan.io import read_ply
@@ -266,10 +266,8 @@ def test_a_map_that_cannot_be_exported_is_archived_without_points(tmp_path):
         assert (tmp_path / name).is_file()
 
 
-@pytest.mark.parametrize("yaw_deg", [0.0, 30.0, 90.0])
-def test_exported_normals_are_world_frame_and_face_the_sensor(yaw_deg):
-    """A wall of splats at x = 3 m, seen from the origin by a yawed keyframe:
-    every exported normal is the wall's, (-1, 0, 0), in the world frame."""
+def _wall_model():
+    """Splats tiling a wall at x = 3 m, 6 m wide and 2 m high."""
     y, z = np.meshgrid(np.arange(-3.0, 3.01, 0.1), np.arange(-1.0, 1.01, 0.1))
     centers = np.stack([np.full(y.size, 3.0), y.ravel(), z.ravel()], axis=1)
     n = centers.shape[0]
@@ -277,12 +275,44 @@ def test_exported_normals_are_world_frame_and_face_the_sensor(yaw_deg):
     # t_alpha x t_beta = +x: the splats' own normal faces away from the sensor
     model.append(centers, np.tile([0.0, 1.0, 0.0], (n, 1)), np.tile([0.0, 0.0, 1.0], (n, 1)),
                  np.full((n, 2), 0.08), np.full(n, 0.95), 0)
+    return model
+
+
+def _yawed_keyframe(index, yaw_deg):
+    """A keyframe at the origin; the export reads only its camera and pose."""
     cam = SphericalCamera(64, 16, -np.pi, np.pi - 2.0 * np.pi / 64, -0.3, 0.3)
-    # the export reads only a keyframe's camera and pose
-    kf = mapping.Keyframe(0, SE3Pose(so3_exp([0.0, 0.0, np.deg2rad(yaw_deg)]), np.zeros(3)),
-                          cam, None, None)
-    pts, nrm = export_oriented_points(mapping.LocalMap(model, [kf]), np.random.default_rng(0))
+    return mapping.Keyframe(index, SE3Pose(so3_exp([0.0, 0.0, np.deg2rad(yaw_deg)]),
+                                           np.zeros(3)), cam, None, None)
+
+
+@pytest.mark.parametrize("yaw_deg", [0.0, 30.0, 90.0])
+def test_exported_normals_are_world_frame_and_face_the_sensor(yaw_deg):
+    """A wall of splats at x = 3 m, seen from the origin by a yawed keyframe:
+    every exported normal is the wall's, (-1, 0, 0), in the world frame."""
+    kf = _yawed_keyframe(0, yaw_deg)
+    pts, nrm = export_oriented_points(mapping.LocalMap(_wall_model(), [kf]),
+                                      np.random.default_rng(0))
     assert pts.shape[0] > 50
     np.testing.assert_allclose(pts[:, 0], 3.0, atol=0.05)
     angle = np.degrees(np.arccos(np.clip(nrm @ [-1.0, 0.0, 0.0], -1.0, 1.0)))
     assert angle.max() < 1.0
+
+
+def test_export_caps_the_points_of_each_keyframe(monkeypatch):
+    """With the cap below every keyframe's surface pixels, each keyframe
+    exports exactly the cap, drawn without repeats from its uncapped export."""
+    model = _wall_model()
+    kfs = [_yawed_keyframe(0, 0.0), _yawed_keyframe(1, 30.0)]
+    # below the cap nothing is drawn, so the map's export is its keyframes' in turn
+    full = [np.concatenate(export_oriented_points(mapping.LocalMap(model, [kf]), None), axis=1)
+            for kf in kfs]
+    cap = 25
+    assert min(len(rows) for rows in full) > cap
+    monkeypatch.setattr(pipeline, "EXPORT_PER_KEYFRAME", cap)
+    pts, nrm = export_oriented_points(mapping.LocalMap(model, kfs), np.random.default_rng(0))
+    got = np.concatenate([pts, nrm], axis=1)
+    assert got.shape == (cap * len(kfs), 6)
+    for k, rows in enumerate(full):
+        block = got[k * cap:(k + 1) * cap]
+        assert len(np.unique(block, axis=0)) == cap
+        assert (block[:, None, :] == rows[None, :, :]).all(axis=2).any(axis=1).all()
