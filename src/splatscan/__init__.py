@@ -17,7 +17,6 @@ from .evaluation import (
     voxel_downsample,
 )
 from .geometry import (
-    RangeImage,
     SphericalCamera,
     build_range_image,
     estimate_camera,
@@ -48,7 +47,6 @@ __all__ = [
     "EvaluationError",
     "ExportError",
     "SphericalCamera",
-    "RangeImage",
     "build_range_image",
     "smooth_range_image",
     "range_image_normals",

@@ -212,7 +212,7 @@ def _cmd_render(args) -> int:
     write_pfm(f"{prefix}.range.pfm", render.range)
     write_pfm(f"{prefix}.normal.pfm", render.normal)
     write_pfm(f"{prefix}.opacity.pfm", render.opacity)
-    covered = float(render.surface()[0].mean())
+    covered = float(np.mean(render.surface() > 0))
     print(f"rendered {len(model)} splats at {args.width}x{args.height}; "
           f"{covered * 100:.1f}% of pixels confidently covered -> {prefix}.*.pfm")
     return 0

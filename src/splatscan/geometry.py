@@ -28,10 +28,12 @@ through the origin: the vertical plane ``h_x = (sin az, -cos az, 0)`` and
 poles, which have no ``v x z``, get their planes too.  The camera computes
 all three once (:attr:`SphericalCamera.pixel_rays`) for every reader.
 Surface normals are unit, in the sensor frame of those rays, and face the
-sensor, ``n . ray <= 0``, by one rule: :func:`facing_sensor`.  A normal
-image is a plain ``(H, W, 3)`` array; a pixel without a normal reads
-``(0, 0, 0)``, and a range image's pixel without a return reads range 0
-and is not ``valid``.
+sensor, ``n . ray <= 0``, by one rule: :func:`facing_sensor`.
+
+Images are plain arrays with one encoding of "nothing here".  A range
+image is ``(H, W)`` meters along the pixel rays, 0 at a pixel without a
+return, so ``D > 0`` is its mask.  A normal image is ``(H, W, 3)``, and a
+pixel without a normal reads ``(0, 0, 0)``.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .errors import GeometryError
 
 __all__ = [
     "SphericalCamera",
-    "RangeImage",
     "spherical_coords",
     "ray_direction",
     "estimate_camera",
@@ -197,30 +198,13 @@ def estimate_camera(points: np.ndarray, width: int, height: int) -> SphericalCam
     return SphericalCamera(width, height, az_min, az_max, el_min, el_max)
 
 
-@dataclass
-class RangeImage:
-    """Per-pixel range in meters; ``valid`` marks pixels that saw a point."""
+def build_range_image(cam: SphericalCamera, points: np.ndarray) -> np.ndarray:
+    """Project a sensor-frame cloud into an ``(H, W)`` range image; on pixel
+    collisions the nearest point wins.
 
-    range: np.ndarray
-    valid: np.ndarray
-
-    def __post_init__(self):
-        self.range = np.asarray(self.range, dtype=float)
-        self.valid = np.asarray(self.valid, dtype=bool)
-        if self.range.shape != self.valid.shape or self.range.ndim != 2:
-            raise GeometryError("range and valid must be matching H x W arrays")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.range.shape
-
-
-def build_range_image(cam: SphericalCamera, points: np.ndarray) -> RangeImage:
-    """Project a sensor-frame cloud; on pixel collisions the nearest point wins.
-
-    Points at the origin or projecting outside the grid are dropped.
-    Empty pixels get range 0 and are invalid.  A cloud that is not (N, 3)
-    raises :class:`GeometryError`.
+    Points at the origin or projecting outside the grid are dropped, so a
+    pixel that a point reached is positive and every other pixel reads 0.
+    A cloud that is not (N, 3) raises :class:`GeometryError`.
     """
     p = np.asarray(points, dtype=float)
     if p.ndim != 2 or p.shape[1] != 3:
@@ -232,29 +216,28 @@ def build_range_image(cam: SphericalCamera, points: np.ndarray) -> RangeImage:
     cols, rows, r = cols[ok], rows[ok], r[ok]
     img = np.full((cam.height, cam.width), np.inf)
     np.minimum.at(img, (rows, cols), r)
-    valid = np.isfinite(img)
-    img[~valid] = 0.0
-    return RangeImage(img, valid)
+    img[np.isinf(img)] = 0.0
+    return img
 
 
-def smooth_range_image(rimg: RangeImage, wrap: bool = False) -> RangeImage:
-    """Median-filter the valid ranges over ``_SMOOTH_SIZE`` windows; the valid
-    mask is unchanged.
+def smooth_range_image(D: np.ndarray, wrap: bool = False) -> np.ndarray:
+    """Range image ``D`` with its positive ranges median-filtered over
+    ``_SMOOTH_SIZE`` windows; pixels without a range stay 0.
 
-    Invalid pixels are excluded from every window (they enter as +inf);
-    a pixel whose window is mostly invalid keeps its original value.
+    Pixels without a range are excluded from every window (they enter as
+    +inf); a pixel whose window is mostly empty keeps its original value.
     Meant as a preprocessing step for normal estimation, where per-pixel
     range noise turns into large orientation noise.
     """
-    filled = np.where(rimg.valid, rimg.range, np.inf)
+    valid = D > 0
+    filled = np.where(valid, D, np.inf)
     k = _SMOOTH_SIZE // 2
     if wrap and k:
         filled = np.pad(filled, ((0, 0), (k, k)), mode="wrap")
     sm = ndimage.median_filter(filled, size=_SMOOTH_SIZE, mode="nearest")
     if wrap and k:
         sm = sm[:, k:-k]
-    out = np.where(rimg.valid & np.isfinite(sm), sm, rimg.range)
-    return RangeImage(out, rimg.valid.copy())
+    return np.where(valid & np.isfinite(sm), sm, D)
 
 
 def shift_image(a: np.ndarray, step: int, axis: int, wrap: bool) -> np.ndarray:
@@ -280,26 +263,27 @@ def facing_sensor(normals: np.ndarray, rays: np.ndarray) -> np.ndarray:
     return np.where(np.sum(n * rays, axis=-1, keepdims=True) > 0, -n, n)
 
 
-def range_image_normals(cam: SphericalCamera, rimg: RangeImage) -> np.ndarray:
-    """Central-difference sensor-frame normals of a range image, facing the sensor,
-    as an ``(H, W, 3)`` array.
+def range_image_normals(cam: SphericalCamera, D: np.ndarray) -> np.ndarray:
+    """Central-difference sensor-frame normals of range image ``D``, facing
+    the sensor, as an ``(H, W, 3)`` array.
 
-    A pixel gets a unit normal only when it and all four neighbors are valid
-    and span a plane; the horizontal neighbors wrap around the azimuth seam
-    for full-circle cameras.  :func:`facing_sensor` orients it.  Every other
-    pixel reads ``(0, 0, 0)``, so ``normals.any(axis=-1)`` is the mask of the
-    pixels that have one.
+    A pixel gets a unit normal only when it and all four neighbors have a
+    range and span a plane; the horizontal neighbors wrap around the azimuth
+    seam for full-circle cameras.  :func:`facing_sensor` orients it.  Every
+    other pixel reads ``(0, 0, 0)``, so ``normals.any(axis=-1)`` is the mask
+    of the pixels that have one.
     """
     dirs = cam.pixel_directions
-    pts = rimg.range[..., None] * dirs
+    pts = D[..., None] * dirs
     wrap = cam.full_circle
 
     def around(a, step, axis):
         return shift_image(a, step, axis, wrap)
 
-    ok = rimg.valid.copy()
+    valid = D > 0
+    ok = valid.copy()
     for step, axis in ((1, 0), (-1, 0), (1, 1), (-1, 1)):
-        ok &= around(rimg.valid, step, axis)
+        ok &= around(valid, step, axis)
     dx = around(pts, -1, 1) - around(pts, 1, 1)
     dy = around(pts, -1, 0) - around(pts, 1, 0)
     n = np.cross(dx, dy)

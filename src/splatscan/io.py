@@ -26,7 +26,6 @@ __all__ = [
     "read_ply",
     "write_ply",
     "save_trajectory",
-    "load_trajectory",
     "read_trajectory",
     "read_pose",
     "save_model",
@@ -44,19 +43,21 @@ def load_scan(path) -> np.ndarray:
     """Load one scan as an (N, 3) float array, dropping non-finite rows.
 
     ``.bin`` files are raw little-endian float32 x,y,z,intensity records
-    (the intensity channel is discarded); anything else must be PLY.
+    (the intensity channel is discarded); a size that is not a whole number
+    of 16-byte records raises :class:`IngestionError`.  Anything else must
+    be PLY.
     """
     path = Path(path)
     if not path.exists():
         raise IngestionError(f"scan file not found: {path}")
     suffix = path.suffix.lower()
     if suffix == ".bin":
-        raw = np.fromfile(path, dtype="<f4")
-        if raw.size == 0:
+        n_bytes = path.stat().st_size
+        if n_bytes == 0:
             raise IngestionError(f"empty scan file: {path}")
-        if raw.size % 4 != 0:
-            raise IngestionError(f"truncated scan file: {path} ({raw.size} floats)")
-        pts = raw.reshape(-1, 4)[:, :3].astype(float)
+        if n_bytes % 16 != 0:
+            raise IngestionError(f"truncated scan file: {path} ({n_bytes} bytes)")
+        pts = np.fromfile(path, dtype="<f4").reshape(-1, 4)[:, :3].astype(float)
     elif suffix == ".ply":
         pts, _ = read_ply(path)
     else:
@@ -233,11 +234,6 @@ def read_pose(translation, rotation) -> SE3Pose:
         except ValueError:
             pass
     raise IngestionError(f"quaternion {rot.tolist()} must be finite and nonzero")
-
-
-def load_trajectory(path) -> Trajectory:
-    """The trajectory that :func:`read_trajectory` reads."""
-    return read_trajectory(path)[0]
 
 
 def read_trajectory(path) -> tuple[Trajectory, str]:

@@ -10,16 +10,17 @@ as it blends (see :func:`mapping_loss`), and no pass after it reads the
 images again.
 
 The objective exists only where the keyframe measured a range: every
-per-pixel term below, and so every pixel gradient, is masked by its valid
-pixels.  So are the reset check's coverage and the densify mask.
-Refinement, the reset check and :func:`add_keyframe`'s own render
-therefore render only those pixels (``rasterize_forward(..., mask=valid)``);
+per-pixel term below, and so every pixel gradient, is masked by its
+measured pixels, ``kf.range > 0``.  So are the reset check's coverage and
+the densify mask.  Refinement, the reset check and :func:`add_keyframe`'s
+own render therefore render only those pixels
+(``rasterize_forward(..., mask=kf.range > 0)``);
 the pixels without a range would cost blend and gradient work that changes
 nothing.  Keyframes come from a subsampled scan, so that is often half the
 image.  Renders that look for surfaces anywhere in the image (registration's
 model samples, the export) render every pixel.
 
-The objective per keyframe, summed over pixels of the valid mask:
+The objective per keyframe, summed over the measured pixels:
 
     L = sum w(D_kf) * |D - D_kf|                (range, w = 1/max(D_kf, 1m))
       + w_o * sum -log(max(O, 1e-6))            (opacity: surfaces should be solid)
@@ -44,7 +45,6 @@ import numpy as np
 
 from .errors import GeometryError
 from .geometry import (
-    RangeImage,
     SphericalCamera,
     build_range_image,
     estimate_camera,
@@ -113,17 +113,18 @@ class Keyframe:
 
     ``index`` is the scan's position in the run, and ``pose`` is the
     sensor's pose in the world.  ``camera`` is the spherical projection
-    fitted to the scan.  ``range_image`` holds the measured range in
-    meters along each pixel ray of ``camera``, in the sensor frame; a pixel
-    with no return reads range 0 and is not ``valid``.  ``normals`` is the
-    ``(H, W, 3)`` image of unit surface normals in the sensor frame, facing
-    the sensor; a pixel with no normal reads ``(0, 0, 0)``.
+    fitted to the scan.  ``range`` is the ``(H, W)`` image of the measured
+    range in meters along each pixel ray of ``camera``, in the sensor frame;
+    a pixel with no return reads 0, so ``range > 0`` is the mask of the
+    measured pixels.  ``normals`` is the ``(H, W, 3)`` image of unit surface
+    normals in the sensor frame, facing the sensor; a pixel with no normal
+    reads ``(0, 0, 0)``.
     """
 
     index: int
     pose: SE3Pose
     camera: SphericalCamera
-    range_image: RangeImage
+    range: np.ndarray
     normals: np.ndarray
 
 
@@ -132,10 +133,10 @@ def make_keyframe(
 ) -> Keyframe:
     """Build a keyframe: estimate its camera, range image and normals."""
     cam = estimate_camera(cloud, width, height)
-    rimg = build_range_image(cam, cloud)
+    D = build_range_image(cam, cloud)
     # noise in raw ranges becomes orientation noise; smooth for normals only
-    normals = range_image_normals(cam, smooth_range_image(rimg, cam.full_circle))
-    return Keyframe(index, pose.copy(), cam, rimg, normals)
+    normals = range_image_normals(cam, smooth_range_image(D, cam.full_circle))
+    return Keyframe(index, pose.copy(), cam, D, normals)
 
 
 # --- losses -----------------------------------------------------------------
@@ -146,7 +147,7 @@ class MappingLoss:
     """The objective of the module docstring, bound to one keyframe and model.
 
     :meth:`pixel_grads` is the rule :func:`rasterize_forward` applies to
-    each blend batch of a render masked by ``kf.range_image.valid``, the
+    each blend batch of a render masked by ``kf.range > 0``, the
     render :func:`refine` makes, so every pixel it sees is measured;
     ``d_params`` is the weighted scale hinge's gradient in the layout of
     ``SplatModel.params``, and ``scale`` the unweighted hinge; :meth:`terms`
@@ -182,8 +183,8 @@ class MappingLoss:
         has a normal too."""
         cfg = MAPPING_CONFIG
         kf = self.kf
-        M = kf.range_image.valid
-        D_kf = kf.range_image.range
+        D_kf = kf.range
+        M = D_kf > 0
         w = 1.0 / np.maximum(D_kf, cfg.range_weight_floor)
         diff = render.range - D_kf
         L_d = float(np.sum(w[M] * np.abs(diff[M])))
@@ -218,9 +219,8 @@ def scale_loss(model: SplatModel) -> tuple[float, np.ndarray]:
 def mapping_loss(model: SplatModel, kf: Keyframe) -> MappingLoss:
     """Bind the objective of the module docstring to ``model`` and one keyframe."""
     cfg = MAPPING_CONFIG
-    M = kf.range_image.valid
-    D_kf = kf.range_image.range
-    M_n = M & kf.normals.any(axis=-1)
+    D_kf = kf.range
+    M_n = (D_kf > 0) & kf.normals.any(axis=-1)
     g_n = cfg.w_normal * np.where(M_n[..., None], -kf.normals, 0.0)
     pixels = np.concatenate([D_kf[None], 1.0 / np.maximum(D_kf, cfg.range_weight_floor)[None],
                              np.moveaxis(g_n, -1, 0)]).reshape(5, -1)
@@ -232,10 +232,11 @@ def mapping_loss(model: SplatModel, kf: Keyframe) -> MappingLoss:
 
 
 def _range_gradient_weights(kf: Keyframe) -> np.ndarray:
-    """Magnitude of the range image gradient, zero at invalid pixels: per axis
-    central where both neighbours are valid, one-sided where one is."""
-    D = kf.range_image.range
-    V = kf.range_image.valid
+    """Magnitude of the range image gradient, zero at pixels without a range:
+    per axis central where both neighbours have a range, one-sided where one
+    has."""
+    D = kf.range
+    V = D > 0
     wrap = kf.camera.full_circle
     g = []
     for axis in (1, 0):
@@ -278,7 +279,7 @@ def spawn_splats(
     into the world by the keyframe pose.  Returns the number spawned.
     """
     cfg = MAPPING_CONFIG
-    mask = mask & kf.range_image.valid
+    mask = mask & (kf.range > 0)
     idx = np.flatnonzero(mask)
     if idx.size == 0:
         return 0
@@ -291,8 +292,8 @@ def spawn_splats(
         else:
             rest = rng.choice(idx[~hot], size=cfg.n_spawn - n_hot, replace=False)
             idx = np.concatenate([idx[hot], rest])
-    rows, cols = np.unravel_index(idx, kf.range_image.shape)
-    d = kf.range_image.range[rows, cols]
+    rows, cols = np.unravel_index(idx, kf.range.shape)
+    d = kf.range[rows, cols]
     pts_s = d[:, None] * kf.camera.pixel_directions[rows, cols]
     # pixels without a keyframe normal read 0, so those splats face the sensor head on
     n_s = facing_sensor(kf.normals[rows, cols],
@@ -308,17 +309,16 @@ def spawn_splats(
 
 
 def densify_mask(render: RenderOutput, kf: Keyframe) -> np.ndarray:
-    """Valid pixels the current model explains poorly: no surface (see
+    """Measured pixels the current model explains poorly: no surface (see
     :meth:`RenderOutput.surface`) or a wrong range."""
-    M = kf.range_image.valid
-    thin = ~render.surface()[0]
-    wrong = np.abs(render.range - kf.range_image.range) >= MAPPING_CONFIG.densify_range_err
-    return M & (thin | wrong)
+    thin = render.surface() == 0
+    wrong = np.abs(render.range - kf.range) >= MAPPING_CONFIG.densify_range_err
+    return (kf.range > 0) & (thin | wrong)
 
 
 def coverage(render: RenderOutput, kf: Keyframe) -> float:
-    """Mean rendered opacity over the keyframe's valid pixels."""
-    M = kf.range_image.valid
+    """Mean rendered opacity over the keyframe's measured pixels."""
+    M = kf.range > 0
     if not M.any():
         return 0.0
     return float(render.opacity[M].mean())
@@ -346,7 +346,7 @@ def should_reset_local_map(lmap: "LocalMap", kf: Keyframe) -> str | None:
     if len(lmap.model) == 0:
         return None
     render, _ = rasterize_forward(kf.camera, kf.pose, lmap.model, normals=False,
-                                  mask=kf.range_image.valid)
+                                  mask=kf.range > 0)
     lmap.coverage = coverage(render, kf)
     if lmap.coverage < cfg.coverage_min:
         return "coverage"
@@ -424,7 +424,7 @@ class LocalMap:
     def start(cls, kf: Keyframe) -> "LocalMap":
         """Open an empty map scaled to ``kf``'s ranges; :func:`add_keyframe` then
         seeds it from ``kf``, its first keyframe."""
-        ranges = kf.range_image.range[kf.range_image.valid]
+        ranges = kf.range[kf.range > 0]
         scale = float(np.median(ranges)) if ranges.size else 1.0
         return cls(SplatModel(), [], max(scale, 1e-3), _Adam(0))
 
@@ -432,7 +432,7 @@ class LocalMap:
 def add_keyframe(lmap: LocalMap, kf: Keyframe, rng: np.random.Generator) -> dict:
     """Append a keyframe: prune dead splats, then densify where it is unexplained.
 
-    The first keyframe of a map seeds splats at every valid pixel (up to
+    The first keyframe of a map seeds splats at every measured pixel (up to
     the spawn cap).  Opacities are never reset here, only pruned.  The
     reset check's render of ``kf`` stands in for a new one while the model
     is unchanged.  Returns the counts ``pruned`` and ``spawned``.
@@ -440,13 +440,13 @@ def add_keyframe(lmap: LocalMap, kf: Keyframe, rng: np.random.Generator) -> dict
     stats = {"pruned": 0, "spawned": 0}
     shared, lmap.keyframe_render = lmap.keyframe_render, None
     if len(lmap.model) == 0:
-        mask = kf.range_image.valid.copy()
+        mask = kf.range > 0
     else:
         if shared is not None and shared[0] is kf and shared[1] == lmap.model.version:
             render = shared[2]
         else:
             render, _ = rasterize_forward(kf.camera, kf.pose, lmap.model, normals=False,
-                                          mask=kf.range_image.valid)
+                                          mask=kf.range > 0)
         mask = densify_mask(render, kf)
         keep = lmap.model.opacities >= MAPPING_CONFIG.prune_opacity
         if not keep.all():
@@ -495,7 +495,7 @@ def refine(lmap: LocalMap, iters: int, rng: np.random.Generator) -> list[dict[st
         kf = lmap.keyframes[sample_keyframe_index(len(lmap.keyframes), cfg.kf_sample_p, rng)]
         ml = mapping_loss(lmap.model, kf)
         render, rec = rasterize_forward(kf.camera, kf.pose, lmap.model,
-                                        pixel_grads=ml.pixel_grads, mask=kf.range_image.valid)
+                                        pixel_grads=ml.pixel_grads, mask=kf.range > 0)
         grads = rasterize_backward(lmap.model, rec)
         grads += ml.d_params
         lmap.optimizer.step(lmap.model, grads, lrs)

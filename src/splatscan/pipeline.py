@@ -103,14 +103,14 @@ def export_oriented_points(
     pts_out, nrm_out = [], []
     for kf in lmap.keyframes:
         render, _ = rasterize_forward(kf.camera, kf.pose, lmap.model)
-        m, depth = render.surface()
-        idx = np.flatnonzero(m.ravel())
+        depth = render.surface()
+        idx = np.flatnonzero(depth)
         if idx.size == 0:
             continue
         if idx.size > EXPORT_PER_KEYFRAME:
             idx = rng.choice(idx, EXPORT_PER_KEYFRAME, replace=False)
             idx.sort()
-        rows, cols = np.unravel_index(idx, m.shape)
+        rows, cols = np.unravel_index(idx, depth.shape)
         dirs = kf.camera.pixel_directions[rows, cols]
         pts = kf.pose.apply(depth[rows, cols][:, None] * dirs)
         nrm = facing_sensor(render.normal[rows, cols], dirs) @ kf.pose.rotation.T
@@ -267,7 +267,7 @@ class Pipeline:
             row["fallback"] = True
             row.setdefault("fallback_reason", str(e))
         if kf is not None:
-            row["valid_pixels"] = int(np.count_nonzero(kf.range_image.valid))
+            row["valid_pixels"] = int(np.count_nonzero(kf.range))
             if self.lmap is not None:
                 row["reset"] = should_reset_local_map(self.lmap, kf)
                 row["coverage"] = self.lmap.coverage

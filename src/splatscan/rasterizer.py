@@ -118,16 +118,17 @@ class RenderOutput:
     normal: np.ndarray | None
     opacity: np.ndarray
 
-    def surface(self) -> tuple[np.ndarray, np.ndarray]:
-        """Pixels that show a surface (opacity above 0.5), and its range there.
+    def surface(self) -> np.ndarray:
+        """The range image of the surface: the range at pixels that show one
+        (opacity above 0.5), 0 elsewhere.
 
         The range channel blends by opacity mass, so it understates the range
         where coverage is partial; dividing by opacity removes that bias.
-        ``depth`` is 0 off the surface.
+        The blended range is positive wherever opacity is, so ``surface() >
+        0`` is exactly ``opacity > 0.5``.
         """
-        mask = self.opacity > 0.5
-        depth = np.divide(self.range, self.opacity, out=np.zeros_like(self.range), where=mask)
-        return mask, depth
+        return np.divide(self.range, self.opacity, out=np.zeros_like(self.range),
+                         where=self.opacity > 0.5)
 
 
 @dataclass

@@ -44,7 +44,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import RegistrationError
-from .geometry import RangeImage, SphericalCamera, build_range_image, shift_image
+from .geometry import SphericalCamera, build_range_image, shift_image
 from .rasterizer import rasterize_forward
 from .se3 import SE3Pose
 from .splats import SplatModel
@@ -180,17 +180,19 @@ def _push_leaf(cents, norms, c, normal, viewpoint):
 # --- model sampling ---------------------------------------------------------
 
 
-def _jump_mask(depth: np.ndarray, valid: np.ndarray, gate: float, wrap: bool):
-    """Pixels whose range jumps by more than ``gate`` to a valid neighbor.
+def _jump_mask(depth: np.ndarray, gate: float, wrap: bool):
+    """Pixels of range image ``depth`` whose range jumps by more than
+    ``gate`` to a neighbor; only pixels with a range, and neighbors with
+    one, take part.
 
     Rendered silhouettes blend foreground and background into ranges that
     belong to neither surface; they always sit on a range discontinuity.
     """
+    valid = depth > 0
     bad = np.zeros_like(valid)
     for axis, step in ((0, 1), (0, -1), (1, 1), (1, -1)):
         nd = shift_image(depth, step, axis, wrap)
-        nv = shift_image(valid, step, axis, wrap)
-        bad |= valid & nv & (np.abs(depth - nd) > gate)
+        bad |= valid & (nd > 0) & (np.abs(depth - nd) > gate)
     return bad
 
 
@@ -201,9 +203,9 @@ def sample_model(model: SplatModel, cam: SphericalCamera, pose: SE3Pose) -> np.n
     Pixels on a range discontinuity are dropped: their blended range lies
     between the two surfaces.
     """
-    m, depth_img = rasterize_forward(cam, pose, model, normals=False)[0].surface()
-    m &= ~_jump_mask(depth_img, m, REGISTRATION_CONFIG.spread_gate, cam.full_circle)
-    return pose.apply(depth_img[m][:, None] * cam.pixel_directions[m])
+    depth = rasterize_forward(cam, pose, model, normals=False)[0].surface()
+    m = (depth > 0) & ~_jump_mask(depth, REGISTRATION_CONFIG.spread_gate, cam.full_circle)
+    return pose.apply(depth[m][:, None] * cam.pixel_directions[m])
 
 
 # --- residual assembly ------------------------------------------------------
@@ -260,15 +262,16 @@ def _geo_system(tree: LeafTree, scan: np.ndarray, T: SE3Pose):
     return r, jacobian
 
 
-def _bilinear_range(rimg: RangeImage, uv: np.ndarray):
-    """Bilinear range sample with analytic image-space gradient.
+def _bilinear_range(D: np.ndarray, uv: np.ndarray):
+    """Bilinear sample of range image ``D`` with analytic image-space gradient.
 
     Interpolates between stored samples, which live at integer image
-    coordinates.  Requires all four supporting pixels valid and inside the
-    image; cells whose four ranges spread wider than ``spread_gate`` (range
-    discontinuities) are rejected.  Returns (value, d/du, d/dv, ok).
+    coordinates.  Requires all four supporting pixels inside the image and
+    positive (0 is no range); cells whose four ranges spread wider than
+    ``spread_gate`` (range discontinuities) are rejected.  Returns (value,
+    d/du, d/dv, ok).
     """
-    H, W = rimg.shape
+    H, W = D.shape
     u, v = uv[:, 0], uv[:, 1]
     i0 = np.floor(u).astype(int)
     j0 = np.floor(v).astype(int)
@@ -277,15 +280,13 @@ def _bilinear_range(rimg: RangeImage, uv: np.ndarray):
     j0c = np.clip(j0, 0, H - 2)
     fu = u - i0c
     fv = v - j0c
-    V = rimg.valid
-    ok &= V[j0c, i0c] & V[j0c, i0c + 1] & V[j0c + 1, i0c] & V[j0c + 1, i0c + 1]
-    D = rimg.range
     d00 = D[j0c, i0c]
     d10 = D[j0c, i0c + 1]
     d01 = D[j0c + 1, i0c]
     d11 = D[j0c + 1, i0c + 1]
     cell = np.stack([d00, d10, d01, d11])
-    ok &= cell.max(axis=0) - cell.min(axis=0) <= REGISTRATION_CONFIG.spread_gate
+    lo = cell.min(axis=0)
+    ok &= (lo > 0) & (cell.max(axis=0) - lo <= REGISTRATION_CONFIG.spread_gate)
     top = d00 * (1 - fu) + d10 * fu
     bot = d01 * (1 - fu) + d11 * fu
     val = top * (1 - fv) + bot * fv
@@ -294,16 +295,17 @@ def _bilinear_range(rimg: RangeImage, uv: np.ndarray):
     return val, du, dv, ok
 
 
-def _photo_system(X_w: np.ndarray, rimg: RangeImage, cam: SphericalCamera, T: SE3Pose):
-    """Range-warp residuals |q| - D_scan(project(q)), q = T^-1 X_w, untrimmed.
+def _photo_system(X_w: np.ndarray, D: np.ndarray, cam: SphericalCamera, T: SE3Pose):
+    """Range-warp residuals |q| - D(project(q)), q = T^-1 X_w, untrimmed, on
+    the scan's range image ``D``.
 
     Returns ``(r, jacobian)`` as :func:`_geo_system` does, or None when no
-    anchor warps onto a valid cell of the scan image.
+    anchor warps onto a cell of four ranges.
     """
     q = T.inverse().apply(X_w)
     rho2 = q[:, 0] ** 2 + q[:, 1] ** 2
     r2 = rho2 + q[:, 2] ** 2
-    val, du, dv, ok = _bilinear_range(rimg, cam.project(q))
+    val, du, dv, ok = _bilinear_range(D, cam.project(q))
     ok &= rho2 > 1e-12
     if not ok.any():
         return None

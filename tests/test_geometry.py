@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from splatscan.errors import GeometryError
 from splatscan.geometry import (
-    RangeImage,
     SphericalCamera,
     build_range_image,
     estimate_camera,
@@ -135,19 +134,35 @@ class TestRangeImage:
     def test_collision_keeps_nearest(self):
         cam = SphericalCamera(8, 4, -1.0, 1.0, -0.5, 0.5)
         d = ray_direction(0.0, 0.0)
-        rimg = build_range_image(cam, np.stack([d * 5.0, d * 2.0]))
-        assert rimg.valid.sum() == 1
-        assert rimg.range[rimg.valid] == pytest.approx(2.0)
+        D = build_range_image(cam, np.stack([d * 5.0, d * 2.0]))
+        assert np.count_nonzero(D) == 1
+        assert D.max() == pytest.approx(2.0)
 
     def test_empty_pixels_zero_invalid(self):
         cam = SphericalCamera(8, 4, -1.0, 1.0, -0.5, 0.5)
-        rimg = build_range_image(cam, ray_direction(0.0, 0.0)[None] * 3.0)
-        assert rimg.range[~rimg.valid].sum() == 0.0
+        p = ray_direction(0.0, 0.0)[None] * 3.0
+        D = build_range_image(cam, p)
+        assert D.shape == (4, 8) and D.dtype == float
+        cols, rows, _ = cam.pixel_of(p)
+        assert np.count_nonzero(D) == 1 and D[rows[0], cols[0]] == pytest.approx(3.0)
+
+    def test_positive_exactly_where_a_point_landed(self, rng):
+        cam = SphericalCamera(16, 6, -0.8, 0.8, -0.3, 0.3)
+        # points off the grid, at the origin and well inside it
+        pts = np.concatenate([rng.normal(size=(300, 3)) * 4.0, np.zeros((5, 3))])
+        D = build_range_image(cam, pts)
+        assert D.shape == (6, 16) and D.dtype == float
+        cols, rows, ok = cam.pixel_of(pts)
+        ok &= np.linalg.norm(pts, axis=1) > 0
+        reached = np.zeros((6, 16), dtype=bool)
+        reached[rows[ok], cols[ok]] = True
+        assert 0 < reached.sum() < reached.size
+        np.testing.assert_array_equal(D > 0, reached)
+        assert not D[~reached].any()
 
     def test_origin_points_dropped(self):
         cam = SphericalCamera(8, 4, -1.0, 1.0, -0.5, 0.5)
-        rimg = build_range_image(cam, np.zeros((10, 3)))
-        assert not rimg.valid.any()
+        assert not build_range_image(cam, np.zeros((10, 3))).any()
 
     @pytest.mark.parametrize("spec", [
         ScanSpec(1024, 16, el_min=-np.deg2rad(15.0), el_max=np.deg2rad(15.0)),
@@ -159,7 +174,7 @@ class TestRangeImage:
         cloud = raycast_scan(room_with_boxes(seed=0), pose, spec).cloud
         assert cloud.shape[0] == spec.width * spec.height
         cam = estimate_camera(cloud, spec.width, spec.height)
-        assert build_range_image(cam, cloud).valid.all()
+        assert np.all(build_range_image(cam, cloud) > 0)
         cols, rows, ok = cam.pixel_of(cloud)
         assert ok.all()
         dirs = cloud / np.linalg.norm(cloud, axis=1, keepdims=True)
@@ -181,8 +196,7 @@ class TestNormals:
     def floor_image(self, cam, z=-1.5):
         dirs = cam.pixel_directions
         t = z / dirs[..., 2]
-        valid = dirs[..., 2] < -1e-6
-        return RangeImage(np.where(valid, t, 0.0), valid & (t > 0))
+        return np.where(dirs[..., 2] < -1e-6, t, 0.0)
 
     def test_flat_floor_normals_point_up(self):
         cam = SphericalCamera(64, 16, -np.pi, np.pi, -np.deg2rad(40), -np.deg2rad(5))
@@ -194,8 +208,7 @@ class TestNormals:
 
     def test_normals_unit_and_sensor_facing(self, full_cam, rng):
         pts = rng.normal(size=(2000, 3)) * 4.0
-        rimg = build_range_image(full_cam, pts)
-        normals = range_image_normals(full_cam, rimg)
+        normals = range_image_normals(full_cam, build_range_image(full_cam, pts))
         has = normals.any(axis=-1)
         n = normals[has]
         np.testing.assert_allclose(np.linalg.norm(n, axis=1), 1.0, atol=1e-9)
@@ -205,9 +218,8 @@ class TestNormals:
     def test_needs_all_four_neighbors(self):
         cam = SphericalCamera(8, 4, -1.0, 1.0, -0.5, 0.5)
         img = np.full((4, 8), 3.0)
-        valid = np.ones((4, 8), bool)
-        valid[1, 3] = False
-        normals = range_image_normals(cam, RangeImage(img, valid))
+        img[1, 3] = 0.0
+        normals = range_image_normals(cam, img)
         assert normals.shape == (4, 8, 3)
         # the hole and its cross neighbors all lose their normal: they read 0
         for r, c in [(1, 3), (0, 3), (2, 3), (1, 2), (1, 4)]:
@@ -233,33 +245,26 @@ def test_facing_sensor_normals_are_unit_and_face_the_ray(rng):
 
 class TestSmoothRangeImage:
     def test_constant_unchanged(self):
-        img = RangeImage(np.full((6, 10), 4.0), np.ones((6, 10), bool))
-        out = smooth_range_image(img)
-        np.testing.assert_array_equal(out.range, img.range)
-        np.testing.assert_array_equal(out.valid, img.valid)
+        img = np.full((6, 10), 4.0)
+        np.testing.assert_array_equal(smooth_range_image(img), img)
 
     def test_median_removes_salt_noise(self):
         base = np.full((6, 10), 4.0)
         base[3, 5] = 9.0
-        out = smooth_range_image(RangeImage(base, np.ones((6, 10), bool)))
-        assert out.range[3, 5] == pytest.approx(4.0)
+        assert smooth_range_image(base)[3, 5] == pytest.approx(4.0)
 
     def test_invalid_pixels_excluded_from_windows(self):
         base = np.full((6, 10), 4.0)
-        valid = np.ones((6, 10), bool)
         base[3, 5] = 0.0
-        valid[3, 5] = False
-        out = smooth_range_image(RangeImage(base, valid))
-        # neighbors keep their value; the hole itself is untouched
-        assert out.range[3, 4] == pytest.approx(4.0)
-        assert out.range[3, 5] == 0.0
-        np.testing.assert_array_equal(out.valid, valid)
+        out = smooth_range_image(base)
+        # neighbors keep their value; the hole itself stays 0
+        np.testing.assert_array_equal(out > 0, base > 0)
+        assert out[3, 4] == pytest.approx(4.0)
 
     def test_wrap_smooths_across_seam(self):
         base = np.full((6, 10), 4.0)
         base[3, 0] = 9.0
-        out = smooth_range_image(RangeImage(base, np.ones((6, 10), bool)), wrap=True)
-        assert out.range[3, 0] == pytest.approx(4.0)
+        assert smooth_range_image(base, wrap=True)[3, 0] == pytest.approx(4.0)
 
 
 @settings(max_examples=25)

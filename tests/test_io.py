@@ -9,8 +9,8 @@ from splatscan.evaluation import Trajectory
 from splatscan.io import (
     load_model,
     load_scan,
-    load_trajectory,
     read_ply,
+    read_trajectory,
     save_model,
     save_trajectory,
     write_pfm,
@@ -72,7 +72,8 @@ def test_trajectory_round_trip(tmp_path, rng, fmt, n):
     traj = _trajectory(rng, n)
     path = tmp_path / f"traj.{fmt}"
     save_trajectory(traj, path, fmt)
-    got = load_trajectory(path)  # the column count tells the format apart
+    got, got_fmt = read_trajectory(path)  # the column count tells the format apart
+    assert got_fmt == fmt
     assert len(got) == n
     for a, b in zip(traj.poses, got.poses):
         assert np.max(np.abs(a.matrix() - b.matrix())) <= 1e-12
@@ -85,7 +86,7 @@ def test_trajectory_of_another_column_count_raises(tmp_path, ncols):
     path = tmp_path / "traj.txt"
     path.write_text(" ".join(["0"] * ncols) + "\n")
     with pytest.raises(IngestionError, match=f"from {ncols} columns"):
-        load_trajectory(path)
+        read_trajectory(path)
 
 
 # 3x3 blocks whose determinant is not positive: reflections, which a snap
@@ -106,21 +107,21 @@ def test_kitti_row_with_a_reflection_raises(tmp_path, name):
         " ".join(f"{v:g}" for v in np.concatenate([R, [[1.0], [2.0], [3.0]]], axis=1).ravel())
         + "\n" for R in rows))
     with pytest.raises(IngestionError, match="determinant"):
-        load_trajectory(path)
+        read_trajectory(path)
 
 
 def test_kitti_row_with_a_nan_translation_raises(tmp_path):
     path = tmp_path / "traj.txt"
     path.write_text("1 0 0 nan 0 1 0 0 0 0 1 0\n")
     with pytest.raises(IngestionError, match="translation"):
-        load_trajectory(path)
+        read_trajectory(path)
 
 
 def test_empty_trajectory_file_raises(tmp_path):
     path = tmp_path / "traj.txt"
     path.write_text("")
     with pytest.raises(IngestionError, match="empty"):
-        load_trajectory(path)
+        read_trajectory(path)
 
 
 def _write_bin(path, records):
@@ -146,10 +147,16 @@ def test_bin_scan_drops_intensity_and_non_finite_rows(tmp_path, rng):
     ("scan.bin", np.full((3, 4), np.nan), "no finite points"),
     ("scan.xyz", np.ones((3, 4)), "unknown scan format '.xyz'"),
     ("missing.bin", None, "scan file not found"),
+    # two whole records, then 2 bytes of a third
+    pytest.param("scan.bin", np.ones((2, 4), "<f4").tobytes() + b"\0\0",
+                 r"truncated scan file: .* \(34 bytes\)",
+                 id="scan.bin-stray_bytes-truncated scan file"),
 ])
 def test_bad_scan_file_raises(tmp_path, name, data, message):
     path = tmp_path / name
-    if data is not None:
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    elif data is not None:
         _write_bin(path, data)
     with pytest.raises(IngestionError, match=message):
         load_scan(path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from splatscan import mapping
-from splatscan.geometry import RangeImage, SphericalCamera
+from splatscan.geometry import SphericalCamera
 from splatscan.mapping import (
     MAPPING_CONFIG,
     Keyframe,
@@ -75,14 +75,14 @@ def test_scale_hinge_gradient_matches_central_differences():
     assert not hinge.params.any()
 
 
-def _toy_keyframe(cam, range_image, valid, rng):
-    """A keyframe at the identity with random unit normals at 80% of the
-    pixels; the others have no normal and read 0."""
-    H, W = range_image.shape
+def _toy_keyframe(cam, D, valid, rng):
+    """A keyframe at the identity with ranges ``D`` at the ``valid`` pixels
+    and random unit normals at 80% of the pixels; every other pixel reads 0."""
+    H, W = D.shape
     normals = rng.normal(size=(H, W, 3))
     normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
     normals[~(rng.random((H, W)) < 0.8)] = 0.0
-    return Keyframe(0, SE3Pose.identity(), cam, RangeImage(range_image, valid), normals)
+    return Keyframe(0, SE3Pose.identity(), cam, np.where(valid, D, 0.0), normals)
 
 
 def test_mapping_loss_gradients_match_central_differences():
@@ -103,7 +103,7 @@ def test_mapping_loss_gradients_match_central_differences():
 
     ml = mapping_loss(model, kf)
     render, rec = rasterize_forward(cam, kf.pose, model, pixel_grads=ml.pixel_grads,
-                                    mask=kf.range_image.valid)
+                                    mask=kf.range > 0)
     terms = ml.terms(render)
     assert all(terms[term] > 0 for term in ("range", "opacity", "normal", "scale"))
     grads = rasterize_backward(model, rec) + ml.d_params
@@ -141,7 +141,7 @@ def _spawn_at_patch(monkeypatch, n_spawn):
     assert np.count_nonzero(weighted) == 20
 
     model = SplatModel()
-    assert spawn_splats(model, kf, kf.range_image.valid, rng) == len(model) == n_spawn
+    assert spawn_splats(model, kf, kf.range > 0, rng) == len(model) == n_spawn
     return model, D[weighted][:, None] * cam.pixel_directions[weighted]
 
 
@@ -278,9 +278,9 @@ def half_keyframes():
 
 def test_mapping_renders_only_the_measured_keyframe_pixels(half_keyframes, monkeypatch):
     """The reset check, add_keyframe's own render and refine pass the
-    keyframe's valid mask to every render."""
+    keyframe's measured pixels, ``kf.range > 0``, as the mask of every render."""
     kf0, kf1 = half_keyframes
-    assert 0 < np.count_nonzero(kf1.range_image.valid) < kf1.range_image.valid.size
+    assert 0 < np.count_nonzero(kf1.range) < kf1.range.size
     lmap = _seeded_map(kf0)
     masks = []
     render = mapping.rasterize_forward
@@ -297,5 +297,5 @@ def test_mapping_renders_only_the_measured_keyframe_pixels(half_keyframes, monke
     assert len(masks) == 8
     by_pose = {id(kf.pose): kf for kf in (kf0, kf1)}
     for pose, mask in masks:
-        assert mask is by_pose[id(pose)].range_image.valid
+        assert np.array_equal(mask, by_pose[id(pose)].range > 0)
     assert {id(pose) for pose, _ in masks} == set(by_pose)

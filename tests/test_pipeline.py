@@ -180,7 +180,7 @@ def test_rows_count_the_measured_keyframe_pixels(good_scans):
     scans = [good_scans[0], BAD_SCANS["empty"], good_scans[1]]
     pipe = Pipeline(RunConfig(image_width=64, image_height=16, refine_iters=1))
     rows = [pipe.process_scan(s) for s in scans]
-    counts = [int(np.count_nonzero(kf.range_image.valid)) for kf in pipe.lmap.keyframes]
+    counts = [int(np.count_nonzero(kf.range)) for kf in pipe.lmap.keyframes]
     assert [row["valid_pixels"] for row in rows] == [counts[0], 0, counts[1]]
     # a keyframe takes part of its scan's points, so it misses some pixels
     assert all(0 < c < 64 * 16 for c in counts)

@@ -9,8 +9,8 @@ from conftest import surface_model
 from splatscan import registration
 from splatscan.errors import GeometryError, RegistrationError
 from splatscan.geometry import build_range_image, estimate_camera
-from splatscan.registration import (REGISTRATION_CONFIG, LeafTree, _geo_system, _push_leaf,
-                                    _trim, build_leaf_tree, register)
+from splatscan.registration import (REGISTRATION_CONFIG, LeafTree, _bilinear_range, _geo_system,
+                                    _push_leaf, _trim, build_leaf_tree, register)
 from splatscan.se3 import SE3Pose, so3_exp
 from splatscan.synth import ScanSpec, raycast_scan, room_with_boxes
 
@@ -114,6 +114,42 @@ def test_geo_system_on_more_leaves_than_candidates():
     scan = rng.uniform(-1.5, 1.5, (400, 3))
     ok = _assert_brute_force_association(tree, scan, T, atol=1e-12)
     assert 0 < ok.sum() < ok.size
+
+
+# a range image that is linear in the image coordinates: D = 5 + 0.03 u + 0.02 v
+RAMP_H, RAMP_W = 6, 10
+RAMP = 5.0 + 0.03 * np.arange(RAMP_W) + 0.02 * np.arange(RAMP_H)[:, None]
+
+
+def test_bilinear_range_is_exact_on_a_ramp(rng):
+    uv = rng.uniform([0.0, 0.0], [RAMP_W - 1.0, RAMP_H - 1.0], (200, 2))
+    uv = uv[(uv[:, 0] < RAMP_W - 1) & (uv[:, 1] < RAMP_H - 1)]
+    val, du, dv, ok = _bilinear_range(RAMP, uv)
+    assert ok.all()
+    np.testing.assert_allclose(val, 5.0 + 0.03 * uv[:, 0] + 0.02 * uv[:, 1], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(du, 0.03, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dv, 0.02, rtol=0, atol=1e-12)
+
+
+def test_bilinear_range_refuses_cells_it_cannot_interpolate():
+    gate = REGISTRATION_CONFIG.spread_gate
+    # the four cells around a pixel without a range, and one clear of it; the
+    # ranges, 0.25 to 0.3 m, are closer than the gate, so only the 0 refuses
+    hole = 0.05 * RAMP
+    assert hole.max() < gate
+    hole[2, 3] = 0.0
+    uv = np.array([[2.5, 1.5], [3.5, 1.5], [2.5, 2.5], [3.5, 2.5], [6.5, 4.5]])
+    np.testing.assert_array_equal(_bilinear_range(hole, uv)[3], [False] * 4 + [True])
+    # cells reaching off the image
+    uv = np.array([[-0.5, 2.0], [RAMP_W - 0.5, 2.0], [3.0, -0.5], [3.0, RAMP_H - 0.5]])
+    assert not _bilinear_range(RAMP, uv)[3].any()
+    # a step between columns 4 and 5: cells across it spread by the step plus
+    # the ramp's 0.05, refused once that passes the gate
+    uv = np.array([[3.5, 2.5], [4.5, 2.5], [5.5, 2.5]])
+    for step, across in ((gate + 0.1, False), (gate - 0.1, True)):
+        D = RAMP.copy()
+        D[:, 5:] += step
+        np.testing.assert_array_equal(_bilinear_range(D, uv)[3], [True, across, True])
 
 
 def _reference_leaf_tree(points, viewpoint):

@@ -9,7 +9,7 @@ of registration's model sampling.
 import numpy as np
 import pytest
 
-from splatscan.geometry import RangeImage, SphericalCamera, range_image_normals
+from splatscan.geometry import SphericalCamera, range_image_normals
 from splatscan.mapping import Keyframe, _range_gradient_weights
 from splatscan.registration import _jump_mask
 from splatscan.se3 import SE3Pose
@@ -39,15 +39,14 @@ CAMERAS = [pytest.param(full_camera, True, id="full"),
 
 
 def ramp():
-    """Every pixel valid; range rises by STEP per column from NEAR to FAR."""
-    D = np.tile(NEAR + STEP * np.arange(W), (H, 1))
-    return RangeImage(D, np.ones((H, W), dtype=bool))
+    """Every pixel has a range; it rises by STEP per column from NEAR to FAR."""
+    return np.tile(NEAR + STEP * np.arange(W), (H, 1))
 
 
 @pytest.mark.parametrize("make_cam, wraps", CAMERAS)
 def test_normals_reach_the_edge_columns_only_across_the_seam(make_cam, wraps):
     cam = make_cam()
-    normals = range_image_normals(cam, RangeImage(np.full((H, W), NEAR), np.ones((H, W), bool)))
+    normals = range_image_normals(cam, np.full((H, W), NEAR))
     has = normals.any(axis=-1)
     inner = slice(1, H - 1)
     assert has[inner, 1:-1].all()
@@ -64,18 +63,32 @@ def test_normals_reach_the_edge_columns_only_across_the_seam(make_cam, wraps):
 @pytest.mark.parametrize("make_cam, wraps", CAMERAS)
 def test_jump_mask_flags_the_seam_only_when_it_wraps(make_cam, wraps):
     cam = make_cam()
-    rimg = ramp()
-    bad = _jump_mask(rimg.range, rimg.valid, GATE, cam.full_circle)
+    bad = _jump_mask(ramp(), GATE, cam.full_circle)
     assert bad[:, 1:-1].sum() == 0
     assert bad[:, 0].all() == wraps and bad[:, -1].all() == wraps
     assert bad[:, 0].any() == wraps and bad[:, -1].any() == wraps
 
 
 @pytest.mark.parametrize("make_cam, wraps", CAMERAS)
+def test_jump_mask_skips_pixels_without_a_range(make_cam, wraps):
+    """A 0 pixel is no range, not a jump: it is never flagged and flags none
+    of its neighbors, inside the image or on the seam."""
+    cam = make_cam()
+    D = ramp()
+    D[3, 10] = 0.0
+    D[5, 0] = 0.0
+    bad = _jump_mask(D, GATE, cam.full_circle)
+    expected = np.zeros((H, W), dtype=bool)
+    expected[:, [0, -1]] = wraps
+    expected[5, [0, -1]] = False
+    np.testing.assert_array_equal(bad, expected)
+
+
+@pytest.mark.parametrize("make_cam, wraps", CAMERAS)
 def test_range_gradient_sees_the_seam_only_when_it_wraps(make_cam, wraps):
     cam = make_cam()
-    rimg = ramp()
-    kf = Keyframe(0, SE3Pose.identity(), cam, rimg, range_image_normals(cam, rimg))
+    D = ramp()
+    kf = Keyframe(0, SE3Pose.identity(), cam, D, range_image_normals(cam, D))
     mag = _range_gradient_weights(kf)
     # away from the seam the gradient is the ramp's step
     np.testing.assert_allclose(mag[:, 1:-1], STEP, rtol=1e-12)
