@@ -76,6 +76,7 @@ _PLY_DTYPES = {
     "short": "i2", "ushort": "u2",
     "int": "i4", "int32": "i4", "uint": "u4", "uint32": "u4",
 }
+_PLY_LINE_TOKENS = {"format": 2, "element": 3, "property": 3}  # fewest tokens per line
 
 
 def _parse_ply_header(fh):
@@ -83,7 +84,7 @@ def _parse_ply_header(fh):
     if line.strip() != b"ply":
         raise IngestionError("not a PLY file")
     fmt = None
-    count = 0
+    count = None
     props = []
     in_vertex = False
     while True:
@@ -93,10 +94,15 @@ def _parse_ply_header(fh):
         tok = line.decode("ascii", "replace").split()
         if not tok or tok[0] == "comment":
             continue
+        if len(tok) < _PLY_LINE_TOKENS.get(tok[0], 0) or (
+                tok[0] == "element" and not tok[2].isdecimal()):
+            raise IngestionError(f"malformed PLY header line {' '.join(tok)!r}")
         if tok[0] == "format":
             fmt = tok[1]
         elif tok[0] == "element":
             in_vertex = tok[1] == "vertex"
+            if in_vertex != (count is None):
+                raise IngestionError("the vertex element must be the first PLY element")
             if in_vertex:
                 count = int(tok[2])
         elif tok[0] == "property" and in_vertex:

@@ -355,9 +355,10 @@ def register(
 
     ``scan`` is (N, 3); non-finite rows are dropped first, as
     :func:`io.load_scan` drops them.  ``converged`` says the joint phase
-    stopped on a step whose undamped step was shorter than ``tol`` too.
-    Raises :class:`RegistrationError` for a scan of another shape, when the
-    model renders to nothing useful or the normal equations stay singular;
+    stopped on a step whose undamped step was shorter than ``tol`` too; a
+    phase whose damping runs out keeps its pose.  Raises :class:`RegistrationError`
+    for a scan of another shape or with no finite row, when the model renders
+    too few confident pixels, or when too few residuals survive association;
     callers are expected to fall back to their motion model.
     """
     cfg = REGISTRATION_CONFIG

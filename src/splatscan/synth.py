@@ -353,18 +353,23 @@ def save_scene(path, scene: Scene) -> None:
     lines = ["# synthetic scene"]
     for p in scene.primitives:
         if isinstance(p, Plane):
-            vals = [*p.origin, *p.e_u, *p.e_v, p.half_u, p.half_v]
-            lines.append("plane " + " ".join(f"{v:.17g}" for v in vals))
+            kind, vals = "plane", [*p.origin, *p.e_u, *p.e_v, p.half_u, p.half_v]
         elif isinstance(p, Sphere):
-            vals = [*p.center, p.radius]
-            lines.append("sphere " + " ".join(f"{v:.17g}" for v in vals))
+            kind, vals = "sphere", [*p.center, p.radius]
         elif isinstance(p, Box):
-            vals = [*p.center, *p.half_sizes]
-            lines.append("box " + " ".join(f"{v:.17g}" for v in vals))
+            kind, vals = "box", [*p.center, *p.half_sizes]
         else:
             raise IngestionError(f"cannot serialize primitive {type(p).__name__}")
+        lines.append(" ".join([kind, *(f"{v:.17g}" for v in vals)]))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
+
+
+_SCENE_RECORDS = {  # per record: its count of values, where its sizes start, its primitive
+    "plane": (11, 9, lambda v: Plane(v[0:3], v[3:6], v[6:9], v[9], v[10])),
+    "sphere": (4, 3, lambda v: Sphere(v[0:3], v[3])),
+    "box": (6, 3, lambda v: Box(v[0:3], v[3:6])),
+}
 
 
 def load_scene(path) -> Scene:
@@ -374,6 +379,9 @@ def load_scene(path) -> Scene:
       plane  ox oy oz  ux uy uz  vx vy vz  half_u half_v
       sphere cx cy cz  radius
       box    cx cy cz  hx hy hz
+
+    A record with a non-finite value, a size that is not positive or plane
+    axes that are zero or parallel raises :class:`IngestionError`.
     """
     prims: list = []
     with open(path) as f:
@@ -384,17 +392,17 @@ def load_scene(path) -> Scene:
             parts = line.split()
             kind, vals = parts[0].lower(), parts[1:]
             try:
-                v = [float(x) for x in vals]
+                v = np.array([float(x) for x in vals])
             except ValueError as e:
                 raise IngestionError(f"{path}:{ln}: bad number ({e})") from None
-            if kind == "plane" and len(v) == 11:
-                prims.append(Plane(v[0:3], v[3:6], v[6:9], v[9], v[10]))
-            elif kind == "sphere" and len(v) == 4:
-                prims.append(Sphere(v[0:3], v[3]))
-            elif kind == "box" and len(v) == 6:
-                prims.append(Box(v[0:3], v[3:6]))
-            else:
+            n, sizes, make = _SCENE_RECORDS.get(kind, (-1, 0, None))
+            if len(v) != n:
                 raise IngestionError(f"{path}:{ln}: unrecognized record {kind!r}")
+            if not np.isfinite(v).all() or (v[sizes:] <= 0.0).any():
+                raise IngestionError(f"{path}:{ln}: {kind} values must be finite, sizes positive")
+            if kind == "plane" and np.linalg.matrix_rank(v[3:9].reshape(2, 3)) < 2:
+                raise IngestionError(f"{path}:{ln}: plane axes are zero or parallel")
+            prims.append(make(v))
     if not prims:
         raise IngestionError(f"{path}: no primitives found")
     return Scene(prims)

@@ -196,6 +196,14 @@ def test_info_reports_a_damaged_model(tmp_path, capsys, damage, message):
     assert message in err and "unknown scan format" not in err
 
 
+def test_info_reports_a_malformed_ply_header(tmp_path, capsys):
+    path = tmp_path / "cloud.ply"
+    path.write_text("ply\nformat ascii 1.0\nelement vertex abc\nproperty double x\n"
+                    "property double y\nproperty double z\nend_header\n")
+    assert main(["info", str(path)]) == 2
+    assert "malformed PLY header line 'element vertex abc'" in capsys.readouterr().err
+
+
 def test_info_summarizes_a_scan_file(scans, capsys):
     path = scans / "scan_0000.ply"
     cloud, _ = read_ply(path)

@@ -60,6 +60,37 @@ def test_truncated_ascii_ply_raises(tmp_path, rng):
         read_ply(path)
 
 
+def test_a_vertex_element_after_another_is_refused(tmp_path):
+    """Only the vertex element is read, from the start of the body: a camera
+    element before it would be read as the first vertex."""
+    header = ["ply", "format binary_little_endian 1.0", "element camera 1",
+              "property double f", "element vertex 2"]
+    header += [f"property double {n}" for n in "xyz"] + ["end_header"]
+    path = tmp_path / "cloud.ply"
+    path.write_bytes(("\n".join(header) + "\n").encode("ascii")
+                     + np.array([99.0, 0, 1, 2, 3, 4, 5]).astype("<f8").tobytes())
+    with pytest.raises(IngestionError, match="vertex element must be the first"):
+        read_ply(path)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("element vertex abc", "malformed PLY header line 'element vertex abc'"),
+    ("element vertex -1", "malformed PLY header line 'element vertex -1'"),
+    ("element vertex", "malformed PLY header line 'element vertex'"),
+    ("format", "malformed PLY header line 'format'"),
+    ("property double", "malformed PLY header line 'property double'"),
+])
+def test_a_malformed_ply_header_line_is_refused(tmp_path, rng, line, message):
+    path = tmp_path / "cloud.ply"
+    _write_ascii_ply(path, rng.normal(size=(2, 3)))
+    lines = path.read_text().splitlines()
+    keyword = line.split()[0]
+    at = next(i for i, text in enumerate(lines) if text.startswith(keyword))
+    path.write_text("\n".join(lines[:at] + [line] + lines[at + 1:]) + "\n")
+    with pytest.raises(IngestionError, match=message):
+        read_ply(path)
+
+
 def _trajectory(rng, n):
     poses = [SE3Pose(so3_exp(rng.normal(size=3)), rng.normal(size=3) * 20.0)
              for _ in range(n)]
@@ -281,6 +312,13 @@ def test_plane_records_round_trip(tmp_path, rng):
     ("sphere 0 0 0 1\ncone 0 0 0 1\n", "unrecognized record 'cone'"),
     ("sphere 0 0 x 1\n", "bad number"),
     ("# only a comment\n", "no primitives found"),
+    ("plane 0 0 0 0 0 0 0 1 0 1 1\n", "plane axes are zero or parallel"),
+    ("plane 0 0 0 1 0 0 2 0 0 1 1\n", "plane axes are zero or parallel"),
+    ("plane 0 0 0 1 0 0 0 1 0 1 0\n", "plane values must be finite, sizes positive"),
+    ("sphere 0 0 0 -1\n", "sphere values must be finite, sizes positive"),
+    ("box 0 0 0 1 0 1\n", "box values must be finite, sizes positive"),
+    ("sphere 0 0 0 1\nbox 0 0 nan 1 1 1\n", "box values must be finite, sizes positive"),
+    ("sphere 0 inf 0 1\n", "sphere values must be finite, sizes positive"),
 ])
 def test_malformed_scene_record(tmp_path, capsys, text, message):
     path = tmp_path / "scene.txt"
