@@ -11,9 +11,9 @@ images again.
 
 The objective exists only where the keyframe measured a range: every
 per-pixel term below, and so every pixel gradient, is masked by its
-measured pixels, ``kf.range > 0``.  So are the coverage and the densify
-mask that a joining keyframe's view feeds.  Refinement and that view
-(:func:`keyframe_view`) therefore render only those pixels
+measured pixels, ``kf.range > 0``.  So are the reset check's coverage and
+the densify mask.  Refinement, the reset check and :func:`add_keyframe`'s
+own render therefore render only those pixels
 (``rasterize_forward(..., mask=kf.range > 0)``);
 the pixels without a range would cost blend and gradient work that changes
 nothing.  Keyframes come from a subsampled scan, so that is often half the
@@ -71,7 +71,6 @@ __all__ = [
     "add_keyframe",
     "refine",
     "sample_keyframe_index",
-    "keyframe_view",
     "coverage",
     "should_reset_local_map",
 ]
@@ -317,11 +316,6 @@ def densify_mask(render: RenderOutput, kf: Keyframe) -> np.ndarray:
     return (kf.range > 0) & (thin | wrong)
 
 
-def keyframe_view(model: SplatModel, kf: Keyframe) -> RenderOutput:
-    """The model seen from ``kf`` at its measured pixels, without normals."""
-    return rasterize_forward(kf.camera, kf.pose, model, normals=False, mask=kf.range > 0)[0]
-
-
 def coverage(render: RenderOutput, kf: Keyframe) -> float:
     """Mean rendered opacity over the keyframe's measured pixels."""
     M = kf.range > 0
@@ -330,21 +324,34 @@ def coverage(render: RenderOutput, kf: Keyframe) -> float:
     return float(render.opacity[M].mean())
 
 
-def should_reset_local_map(lmap: "LocalMap", kf: Keyframe, coverage: float) -> str | None:
+def should_reset_local_map(lmap: "LocalMap", kf: Keyframe) -> str | None:
     """The trigger that makes ``kf`` open a fresh local map, or ``None`` to join.
 
     Three triggers, checked in this order: ``"keyframes"``, the keyframe
     budget is exhausted; ``"radius"``, the sensor has left the neighborhood
     of the map's first keyframe; ``"coverage"``, the model barely covers the
-    new view: its :func:`coverage`, ``coverage``, is below ``coverage_min``.
+    new view.  The coverage render blends range and opacity only, at
+    ``kf``'s measured pixels; one that lets ``kf`` join is left on the map
+    for :func:`add_keyframe`, which would render the same view and pixels
+    and reads no normals either.  The check's coverage is left on
+    ``lmap.coverage``, ``None`` when it made no render.
     """
     cfg = MAPPING_CONFIG
+    lmap.coverage = None
     if len(lmap.keyframes) >= cfg.max_keyframes:
         return "keyframes"
     origin = lmap.keyframes[0].pose.translation
     if np.linalg.norm(kf.pose.translation - origin) > cfg.reset_radius:
         return "radius"
-    return "coverage" if coverage < cfg.coverage_min else None
+    if len(lmap.model) == 0:
+        return None
+    render, _ = rasterize_forward(kf.camera, kf.pose, lmap.model, normals=False,
+                                  mask=kf.range > 0)
+    lmap.coverage = coverage(render, kf)
+    if lmap.coverage < cfg.coverage_min:
+        return "coverage"
+    lmap.keyframe_render = (kf, lmap.model.version, render)
+    return None
 
 
 # --- optimizer --------------------------------------------------------------
@@ -398,12 +405,20 @@ def _learning_rates(scene_scale: float) -> np.ndarray:
 
 @dataclass
 class LocalMap:
-    """Active splat model, its keyframes and the shared optimizer state."""
+    """Active splat model, its keyframes and the shared optimizer state.
+
+    ``keyframe_render`` is the reset check's render of a joining keyframe,
+    as ``(keyframe, model.version, render)``; :func:`add_keyframe` uses it
+    for that keyframe and that model version, and clears it.  ``coverage``
+    is the last reset check's coverage, ``None`` when it made no render.
+    """
 
     model: SplatModel
     keyframes: list[Keyframe] = field(default_factory=list)
     scene_scale: float = 1.0
     optimizer: _Adam | None = None
+    keyframe_render: tuple[Keyframe, int, RenderOutput] | None = None
+    coverage: float | None = None
 
     @classmethod
     def start(cls, kf: Keyframe) -> "LocalMap":
@@ -414,20 +429,25 @@ class LocalMap:
         return cls(SplatModel(), [], max(scale, 1e-3), _Adam(0))
 
 
-def add_keyframe(lmap: LocalMap, kf: Keyframe, rng: np.random.Generator,
-                 view: RenderOutput | None = None) -> dict:
+def add_keyframe(lmap: LocalMap, kf: Keyframe, rng: np.random.Generator) -> dict:
     """Append a keyframe: prune dead splats, then densify where it is unexplained.
 
     The first keyframe of a map seeds splats at every measured pixel (up to
-    the spawn cap); a later one densifies where ``view``, the map's
-    :func:`keyframe_view` of ``kf``, explains it poorly.  Opacities are never
-    reset here, only pruned.  Returns the counts ``pruned`` and ``spawned``.
+    the spawn cap).  Opacities are never reset here, only pruned.  The
+    reset check's render of ``kf`` stands in for a new one while the model
+    is unchanged.  Returns the counts ``pruned`` and ``spawned``.
     """
     stats = {"pruned": 0, "spawned": 0}
+    shared, lmap.keyframe_render = lmap.keyframe_render, None
     if len(lmap.model) == 0:
         mask = kf.range > 0
     else:
-        mask = densify_mask(view, kf)
+        if shared is not None and shared[0] is kf and shared[1] == lmap.model.version:
+            render = shared[2]
+        else:
+            render, _ = rasterize_forward(kf.camera, kf.pose, lmap.model, normals=False,
+                                          mask=kf.range > 0)
+        mask = densify_mask(render, kf)
         keep = lmap.model.opacities >= MAPPING_CONFIG.prune_opacity
         if not keep.all():
             stats["pruned"] = lmap.model.prune(keep)

@@ -29,8 +29,6 @@ from .io import save_model, save_trajectory, write_ply, write_report
 from .mapping import (
     LocalMap,
     add_keyframe,
-    coverage,
-    keyframe_view,
     make_keyframe,
     refine,
     should_reset_local_map,
@@ -210,11 +208,11 @@ class Pipeline:
         what mapping did: ``reset`` is the trigger that archived the previous
         map (``"keyframes"``, ``"radius"`` or ``"coverage"``, see
         :func:`mapping.should_reset_local_map`) or ``None``,
-        ``coverage`` is the mean opacity of the map at the keyframe's view
-        (:func:`mapping.keyframe_view`), ``None`` without a map or keyframe,
-        ``spawned``/``pruned`` count the splats the keyframe added and removed,
-        and ``valid_pixels`` counts its measured pixels, the only ones that the
-        view and refinement render (0 without a keyframe).  Refined scans
+        ``coverage`` is the mean rendered opacity the reset check measured
+        (``None`` when it rendered nothing), and ``spawned``/``pruned``
+        count the splats the keyframe added and removed, and ``valid_pixels``
+        counts the keyframe's measured pixels, the only ones that the reset
+        check and refinement render (0 without a keyframe).  Refined scans
         report the mapping loss by term at the first and last refine
         iteration (``refine_loss_first``/``refine_loss_last``).
 
@@ -271,15 +269,14 @@ class Pipeline:
         if kf is not None:
             row["valid_pixels"] = int(np.count_nonzero(kf.range))
             if self.lmap is not None:
-                view = keyframe_view(self.lmap.model, kf)
-                row["coverage"] = coverage(view, kf)
-                row["reset"] = should_reset_local_map(self.lmap, kf, row["coverage"])
+                row["reset"] = should_reset_local_map(self.lmap, kf)
+                row["coverage"] = self.lmap.coverage
                 if row["reset"]:
                     self._archive_active()
                     self.lmap = None
             if self.lmap is None:
-                self.lmap, view = LocalMap.start(kf), None
-            row.update(add_keyframe(self.lmap, kf, self.rng, view))
+                self.lmap = LocalMap.start(kf)
+            row.update(add_keyframe(self.lmap, kf, self.rng))
             losses = refine(self.lmap, self.cfg.refine_iters, self.rng)
             if losses:
                 row["refine_loss_first"] = losses[0]

@@ -13,8 +13,6 @@ from splatscan.mapping import (
     _learning_rates,
     _range_gradient_weights,
     add_keyframe,
-    coverage,
-    keyframe_view,
     make_keyframe,
     mapping_loss,
     refine,
@@ -181,7 +179,7 @@ def test_add_keyframe_keeps_moments_aligned_with_splats():
     lmap.model.logit_opacity[:dead] = -20.0
     lmap.optimizer.m[:] = np.arange(n)[:, None]
 
-    stats = add_keyframe(lmap, kfs[1], rng, keyframe_view(lmap.model, kfs[1]))
+    stats = add_keyframe(lmap, kfs[1], rng)
     assert stats["pruned"] == dead and stats["spawned"] > 0
     rows = len(lmap.model)
     assert rows == n - dead + stats["spawned"]
@@ -206,19 +204,52 @@ def _seeded_map(kf):
     return lmap
 
 
-def test_reset_triggers_are_checked_in_order(two_keyframes, monkeypatch):
-    """Keyframe budget, then radius, then coverage; the check reads the
-    coverage it is given and renders nothing, so the map needs no splats."""
-    kf0, kf1 = two_keyframes  # 0.21 m apart
-    lmap = LocalMap(SplatModel(), [kf0])
-    low = MAPPING_CONFIG.coverage_min
-    assert should_reset_local_map(lmap, kf1, low) is None
-    assert should_reset_local_map(lmap, kf1, np.nextafter(low, 0.0)) == "coverage"
-    for change, trigger in (({"reset_radius": 0.2}, "radius"),
-                            ({"max_keyframes": 1}, "keyframes")):
-        monkeypatch.setattr(mapping, "MAPPING_CONFIG",
-                            dataclasses.replace(mapping.MAPPING_CONFIG, **change))
-        assert should_reset_local_map(lmap, kf1, 0.0) == trigger
+@pytest.fixture
+def renders(monkeypatch):
+    """Counts the renders mapping makes."""
+    calls = []
+    render = mapping.rasterize_forward
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return render(*args, **kwargs)
+
+    monkeypatch.setattr(mapping, "rasterize_forward", counted)
+    return calls
+
+
+def test_reset_check_and_add_keyframe_render_once(two_keyframes, renders):
+    kf0, kf1 = two_keyframes
+    shared, alone = _seeded_map(kf0), _seeded_map(kf0)
+    assert not renders  # seeding an empty map renders nothing
+
+    assert should_reset_local_map(shared, kf1) is None
+    stats = add_keyframe(shared, kf1, np.random.default_rng(4))
+    assert len(renders) == 1
+    assert shared.keyframe_render is None
+
+    # the shared render densifies exactly as a render of its own
+    assert add_keyframe(alone, kf1, np.random.default_rng(4)) == stats
+    assert len(renders) == 2
+    assert np.array_equal(shared.model.params, alone.model.params)
+
+
+def test_a_render_from_before_a_model_change_is_not_used(two_keyframes, renders):
+    kf0, kf1 = two_keyframes
+    lmap = _seeded_map(kf0)
+    assert should_reset_local_map(lmap, kf1) is None
+    lmap.model.touch()
+    add_keyframe(lmap, kf1, np.random.default_rng(4))
+    assert len(renders) == 2
+
+
+def test_a_render_of_another_keyframe_is_not_used(two_keyframes, renders):
+    kf0, kf1 = two_keyframes
+    lmap = _seeded_map(kf0)
+    assert should_reset_local_map(lmap, kf0) is None
+    add_keyframe(lmap, kf1, np.random.default_rng(4))
+    assert len(renders) == 2
+    assert renders[1] is kf1.pose
 
 
 def test_refine_reports_the_terms_of_a_plain_render(two_keyframes):
@@ -246,9 +277,8 @@ def half_keyframes():
 
 
 def test_mapping_renders_only_the_measured_keyframe_pixels(half_keyframes, monkeypatch):
-    """The keyframe view and refine pass the keyframe's measured pixels,
-    ``kf.range > 0``, as the mask of every render; the reset check renders
-    nothing."""
+    """The reset check, add_keyframe's own render and refine pass the
+    keyframe's measured pixels, ``kf.range > 0``, as the mask of every render."""
     kf0, kf1 = half_keyframes
     assert 0 < np.count_nonzero(kf1.range) < kf1.range.size
     lmap = _seeded_map(kf0)
@@ -260,12 +290,11 @@ def test_mapping_renders_only_the_measured_keyframe_pixels(half_keyframes, monke
         return render(cam, pose, model, **kwargs)
 
     monkeypatch.setattr(mapping, "rasterize_forward", spy)
-    view = keyframe_view(lmap.model, kf1)
-    assert should_reset_local_map(lmap, kf1, coverage(view, kf1)) is None
-    assert len(masks) == 1
-    add_keyframe(lmap, kf1, np.random.default_rng(4), view)
+    assert should_reset_local_map(lmap, kf1) is None
+    lmap.model.touch()  # so add_keyframe makes a render of its own
+    add_keyframe(lmap, kf1, np.random.default_rng(4))
     refine(lmap, 6, np.random.default_rng(6))
-    assert len(masks) == 7
+    assert len(masks) == 8
     by_pose = {id(kf.pose): kf for kf in (kf0, kf1)}
     for pose, mask in masks:
         assert np.array_equal(mask, by_pose[id(pose)].range > 0)

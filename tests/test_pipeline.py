@@ -215,73 +215,58 @@ def test_rows_name_the_reset_trigger(good_scans, monkeypatch, trigger):
     pipe = Pipeline(RunConfig(image_width=64, image_height=16, refine_iters=1))
     rows = [pipe.process_scan(s) for s in good_scans]
     assert [row["reset"] for row in rows] == [None, trigger]
-    # the outgoing map's view of the second scan is rendered whatever the trigger
-    assert rows[0]["coverage"] is None and 0.0 < rows[1]["coverage"] <= 1.0
+    # only the coverage trigger comes after the check's render
+    assert (rows[1]["coverage"] is None) == (trigger != "coverage")
     assert len(pipe.archive) == 1
     # the new map is seeded from the second scan alone
     assert rows[1]["spawned"] == rows[1]["n_splats"] > 0
 
 
 def test_rows_report_the_coverage_the_reset_check_measured(good_scans, monkeypatch):
-    measured, checked = [], []
+    measured = []
 
     def recorded(render, kf):
         measured.append(coverage(render, kf))
         return measured[-1]
 
-    check = pipeline.should_reset_local_map
-
-    def spy(lmap, kf, cov):
-        checked.append(cov)
-        return check(lmap, kf, cov)
-
-    monkeypatch.setattr(pipeline, "coverage", recorded)
-    monkeypatch.setattr(pipeline, "should_reset_local_map", spy)
+    monkeypatch.setattr(mapping, "coverage", recorded)
     pipe = Pipeline(RunConfig(image_width=64, image_height=16, refine_iters=1))
     rows = [pipe.process_scan(s) for s in good_scans]
     assert rows[0]["coverage"] is None  # no map to check against yet
-    assert [row["coverage"] for row in rows[1:]] == measured == checked
+    assert [row["coverage"] for row in rows[1:]] == measured
     assert 0.0 < measured[0] <= 1.0
 
 
 def test_a_joining_scan_renders_its_view_once(three_scans, monkeypatch):
     """Before refinement, each scan that joins the map makes one render in
-    mapping: range and opacity, no normals, at its keyframe's measured pixels;
-    add_keyframe densifies from that render."""
-    events, views = [], []
-    render, add, refine = mapping.rasterize_forward, pipeline.add_keyframe, pipeline.refine
+    mapping: range and opacity, no normals, at its keyframe's measured pixels.
+    The reset check makes it and add_keyframe densifies from it."""
+    events = []
+    render, refine = mapping.rasterize_forward, pipeline.refine
 
     def spy(cam, pose, model, **kwargs):
-        out = render(cam, pose, model, **kwargs)
-        events.append((pose, kwargs, out[0]))
-        return out
-
-    def joined(lmap, kf, rng, view):
-        views.append(view)
-        return add(lmap, kf, rng, view)
+        events.append((pose, kwargs))
+        return render(cam, pose, model, **kwargs)
 
     def marked(*args):
         events.append("refine")
         return refine(*args)
 
     monkeypatch.setattr(mapping, "rasterize_forward", spy)
-    monkeypatch.setattr(pipeline, "add_keyframe", joined)
     monkeypatch.setattr(pipeline, "refine", marked)
     pipe = Pipeline(RunConfig(image_width=64, image_height=16, refine_iters=1))
     for i, scan in enumerate(three_scans):
         events.clear()
-        row = pipe.process_scan(scan)
-        assert row["reset"] is None
+        assert pipe.process_scan(scan)["reset"] is None
         kf = pipe.lmap.keyframes[-1]
         before = events[:events.index("refine")]
         if i == 0:
-            assert before == [] and views[-1] is None  # the first keyframe seeds the map
+            assert before == []  # the first keyframe seeds the map
             continue
-        [(pose, kwargs, image)] = before
+        [(pose, kwargs)] = before
         assert pose is kf.pose
         assert kwargs["normals"] is False
         assert np.array_equal(kwargs["mask"], kf.range > 0)
-        assert views[-1] is image
 
 
 def test_a_map_that_cannot_be_exported_is_archived_without_points(tmp_path):
