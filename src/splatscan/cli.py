@@ -180,8 +180,7 @@ def _cmd_eval_traj(args) -> int:
 def _cmd_eval_map(args) -> int:
     est, _ = read_ply(args.est)
     ref, _ = read_ply(args.ref)
-    m = reconstruction_metrics(est, ref, threshold=args.threshold,
-                               voxel=args.voxel or None)
+    m = reconstruction_metrics(est, ref, threshold=args.threshold, voxel=args.voxel)
     print(f"accuracy     : {m.accuracy_cm:.2f} cm")
     print(f"completeness : {m.completeness_cm:.2f} cm")
     print(f"chamfer-l1   : {m.chamfer_cm:.2f} cm")

@@ -143,7 +143,6 @@ def relative_pose_error(
     for frac in RPE_FRACTIONS:
         delta = frac * total
         errs = []
-        j = 0
         for i in range(len(cum)):
             target = cum[i] + delta
             if target > cum[-1] + 1e-12:
@@ -199,12 +198,13 @@ def reconstruction_metrics(
     est: np.ndarray,
     ref: np.ndarray,
     threshold: float = 0.2,
-    voxel: float | None = None,
+    voxel: float = 0.0,
 ) -> ReconMetrics:
     """Accuracy/completeness/F-score of ``est`` against reference ``ref``.
 
     Distances are clamped at ``MAX_DIST_M`` before averaging.  ``voxel``
-    optionally downsamples both clouds first (see :func:`voxel_downsample`).
+    downsamples both clouds first (see :func:`voxel_downsample`); 0, the
+    default, keeps every point.
     ``threshold`` must be finite and positive.
     """
     _require("threshold", threshold, positive=True)
@@ -214,9 +214,8 @@ def reconstruction_metrics(
         raise EvaluationError("empty cloud in reconstruction metrics")
     if not (np.all(np.isfinite(est)) and np.all(np.isfinite(ref))):
         raise EvaluationError("non-finite point in reconstruction metrics")
-    if voxel is not None:
-        est = voxel_downsample(est, voxel)
-        ref = voxel_downsample(ref, voxel)
+    est = voxel_downsample(est, voxel)
+    ref = voxel_downsample(ref, voxel)
     d_er, _ = cKDTree(ref).query(est)
     d_re, _ = cKDTree(est).query(ref)
     acc = float(np.mean(np.minimum(d_er, MAX_DIST_M)))

@@ -127,12 +127,6 @@ class SphericalCamera:
         pitch = self.fov_h / (self.width - 1)
         return self.fov_h + pitch >= 2.0 * np.pi - 0.5 * pitch
 
-    def angles_of(self, uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        uv = np.asarray(uv, dtype=float)
-        az = (uv[..., 0] - self.cx) / self.fx
-        el = (uv[..., 1] - self.cy) / self.fy
-        return az, el
-
     def project(self, points: np.ndarray) -> np.ndarray:
         """Continuous (u, v) image coordinates of (..., 3) points."""
         az, el = spherical_coords(points)

@@ -45,7 +45,7 @@ def load_scan(path) -> np.ndarray:
     ``.bin`` files are raw little-endian float32 x,y,z,intensity records
     (the intensity channel is discarded); a size that is not a whole number
     of 16-byte records raises :class:`IngestionError`.  Anything else must
-    be PLY.
+    be PLY, refused as :func:`read_ply` says.
     """
     path = Path(path)
     if not path.exists():
@@ -108,9 +108,11 @@ def _parse_ply_header(fh):
         elif tok[0] == "property" and in_vertex:
             if tok[1] == "list":
                 raise IngestionError("list properties unsupported in vertex element")
-            props.append((tok[2], _PLY_DTYPES.get(tok[1])))
-            if props[-1][1] is None:
+            if tok[1] not in _PLY_DTYPES:
                 raise IngestionError(f"unsupported PLY property type {tok[1]!r}")
+            if any(name == tok[2] for name, _ in props):
+                raise IngestionError(f"PLY vertex property {tok[2]!r} appears twice")
+            props.append((tok[2], _PLY_DTYPES[tok[1]]))
         elif tok[0] == "end_header":
             break
     if fmt not in ("ascii", "binary_little_endian"):
@@ -136,7 +138,13 @@ def _text_rows(lines: list[str], ncols: int, max_rows: int | None = None) -> np.
 
 def read_ply(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Vertex positions (and normals, when present) from an ASCII or
-    little-endian binary PLY."""
+    little-endian binary PLY.
+
+    Raises :class:`IngestionError` for a malformed header line, a vertex
+    element that is not the first element, a list, unsupported or repeated
+    vertex property, missing ``x``/``y``/``z``, or a body with fewer vertices
+    than the header counts; a binary body's size is checked before it is read.
+    """
     path = Path(path)
     with open(path, "rb") as fh:
         fmt, count, props = _parse_ply_header(fh)
@@ -147,14 +155,17 @@ def read_ply(path) -> tuple[np.ndarray, np.ndarray | None]:
         dtype = np.dtype([(n, "<" + t) for n, t in props])
         if fmt == "ascii":
             body = fh.read().decode("ascii", "replace").splitlines()
-            rows = _text_rows(body, len(props), max_rows=count)
+            # each vertex is one line: no more rows are read than there are lines
+            rows = _text_rows(body, len(props), max_rows=min(count, len(body)))
             if rows.shape != (count, len(props)):
                 raise IngestionError(f"truncated ASCII PLY: {path}")
             data = {n: rows[:, i] for i, (n, _) in enumerate(props)}
         else:
-            buf = fh.read(dtype.itemsize * count)
-            if len(buf) != dtype.itemsize * count:
+            # compared before reading, so a count beyond the file allocates nothing
+            size = dtype.itemsize * count
+            if size > path.stat().st_size - fh.tell():
                 raise IngestionError(f"truncated binary PLY: {path}")
+            buf = fh.read(size)
             rec = np.frombuffer(buf, dtype=dtype)
             data = {n: rec[n].astype(float) for n in names}
     pts = np.stack([data["x"], data["y"], data["z"]], axis=1)

@@ -136,7 +136,7 @@ def make_keyframe(
     D = build_range_image(cam, cloud)
     # noise in raw ranges becomes orientation noise; smooth for normals only
     normals = range_image_normals(cam, smooth_range_image(D, cam.full_circle))
-    return Keyframe(index, pose.copy(), cam, D, normals)
+    return Keyframe(index, pose, cam, D, normals)
 
 
 # --- losses -----------------------------------------------------------------
@@ -204,8 +204,6 @@ def scale_loss(model: SplatModel) -> tuple[float, np.ndarray]:
     log scale of each hinged splat's larger axis.
     """
     s = model.scales
-    if s.shape[0] == 0:
-        return 0.0, np.zeros_like(model.params)
     mx = s.max(axis=1)
     over = mx - MAPPING_CONFIG.scale_cap
     L = float(np.sum(np.maximum(over, 0.0)))
@@ -281,8 +279,6 @@ def spawn_splats(
     cfg = MAPPING_CONFIG
     mask = mask & (kf.range > 0)
     idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return 0
     if idx.size > cfg.n_spawn:
         w = _range_gradient_weights(kf).ravel()[idx]
         hot = w > 0

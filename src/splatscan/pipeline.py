@@ -157,7 +157,7 @@ class Pipeline:
     def _predicted_pose(self) -> SE3Pose:
         # constant velocity; every pose before the first map is the identity
         *prev, last = self.poses[-2:]
-        return last.compose(prev[0].inverse().compose(last)) if prev else last.copy()
+        return last.compose(prev[0].inverse().compose(last)) if prev else last
 
     def _archive_active(self) -> ArchiveEntry:
         lmap = self.lmap
@@ -256,7 +256,7 @@ class Pipeline:
         row["register_ms"] = 1000.0 * (time.perf_counter() - t0)
 
         self.stamps.append(stamp)
-        self.poses.append(new_pose.copy())
+        self.poses.append(new_pose)
 
         t1 = time.perf_counter()
         try:
@@ -292,7 +292,7 @@ class Pipeline:
 
     @property
     def trajectory(self) -> Trajectory:
-        return Trajectory(np.asarray(self.stamps), [p.copy() for p in self.poses])
+        return Trajectory(np.asarray(self.stamps), list(self.poses))
 
     def finalize(self) -> dict:
         """Archive the active map and write trajectory, points and report.

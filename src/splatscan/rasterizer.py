@@ -576,7 +576,7 @@ def rasterize_forward(
                   normals, pixel_grads, acc)
     splat_grads = None if acc is None else np.stack(
         [np.bincount(pair_splats, row, minlength=len(model)) for row in acc])
-    records = BlendRecords(cam, pose.copy(), RASTER_CONFIG, len(model), model.version,
+    records = BlendRecords(cam, pose, RASTER_CONFIG, len(model), model.version,
                            tile_ptr, pair_splats, tiles_x, splat_grads)
     return out, records
 

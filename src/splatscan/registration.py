@@ -110,13 +110,13 @@ class LeafTree:
     """Planar patches from recursive PCA splits of a point cloud.
 
     Only leaves with a well-defined plane (at least 3 non-collinear
-    points) are kept; ``kdtree`` indexes their centroids, or is None when
-    there are none.
+    points) are kept; ``kdtree`` indexes their centroids, and is empty
+    when there are none.
     """
 
     centroids: np.ndarray
     normals: np.ndarray
-    kdtree: cKDTree = field(repr=False, default=None)
+    kdtree: cKDTree = field(repr=False)
 
 
 def build_leaf_tree(points: np.ndarray, viewpoint: np.ndarray) -> LeafTree:
@@ -168,8 +168,7 @@ def build_leaf_tree(points: np.ndarray, viewpoint: np.ndarray) -> LeafTree:
 
     centroids = np.array(cents).reshape(-1, 3)
     normals = np.array(norms).reshape(-1, 3)
-    tree = cKDTree(centroids) if cents else None
-    return LeafTree(centroids, normals, tree)
+    return LeafTree(centroids, normals, cKDTree(centroids))
 
 
 def _push_leaf(cents, norms, c, normal, viewpoint):
@@ -234,8 +233,6 @@ def _geo_system(tree: LeafTree, scan: np.ndarray, T: SE3Pose):
     the rows of the residuals ``keep`` selects, or None when no point has a
     leaf within the association gate.
     """
-    if tree.kdtree is None:
-        return None
     cfg = REGISTRATION_CONFIG
     p_w = T.apply(scan)
     # a tree with fewer leaves pads its answers with inf, which ``valid`` drops
@@ -394,7 +391,7 @@ def register(
         "photo": (lambda T: _photo_system(X_w, scan_img, cam, T), cfg.huber_photo),
     }
 
-    T = initial.copy()
+    T = initial
     # each family's untrimmed residuals at T, as its system returned them
     # there: None when it associated nothing
     found = {}

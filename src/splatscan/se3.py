@@ -50,7 +50,10 @@ def _left_jacobian(phi: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SE3Pose:
-    """Rotation + translation; ``apply`` maps local points to the parent frame."""
+    """Rotation + translation; ``apply`` maps local points to the parent frame.
+
+    A pose is a value: nothing writes into its arrays, so poses share them.
+    """
 
     rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -98,10 +101,7 @@ class SE3Pose:
         if np.linalg.det(R) < 0:
             U[:, -1] = -U[:, -1]
             R = U @ Vt
-        return SE3Pose(R, self.translation.copy())
-
-    def copy(self) -> "SE3Pose":
-        return SE3Pose(self.rotation.copy(), self.translation.copy())
+        return SE3Pose(R, self.translation)
 
 
 def se3_exp(delta: np.ndarray) -> SE3Pose:

@@ -204,9 +204,6 @@ class SplatModel:
 
     def tangent_frames(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Orthonormalized (t_alpha, t_beta, normal) arrays, each (N, 3)."""
-        if len(self) == 0:
-            z = np.zeros((0, 3))
-            return z, z.copy(), z.copy()
         ta, tb = orthonormal_tangents(self.raw_t_alpha, self.raw_t_beta)
         return ta, tb, np.cross(ta, tb)
 

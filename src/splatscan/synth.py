@@ -40,6 +40,7 @@ __all__ = [
 
 _EPS = 1e-9
 _TRAJECTORY_DT = 0.1  # seconds between the poses of make_trajectory
+_MAX_RANGE = 100.0  # meters: farther hits are no return
 
 
 @dataclass
@@ -116,7 +117,7 @@ class Sphere:
     def surface_points(self, n: int, rng: np.random.Generator):
         v = rng.normal(size=(n, 3))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        return self.center + self.radius * v, v.copy()
+        return self.center + self.radius * v, v
 
 
 @dataclass
@@ -218,6 +219,7 @@ class Scene:
             good = dist > _EPS
             dirs = np.zeros_like(vec)
             dirs[good] = vec[good] / dist[good, None]
+            # contiguous origins: the primitives' elementwise passes run faster on them
             t = self.raycast(np.broadcast_to(vp, q.shape).copy(), dirs)
             vis = good & (t >= dist - 1e-4)
             idx = np.nonzero(rest)[0]
@@ -227,13 +229,12 @@ class Scene:
 
 @dataclass
 class ScanSpec:
-    """Grid, range limit and noise settings of a simulated scan."""
+    """Grid and noise settings of a simulated scan."""
 
     width: int = 256
     height: int = 32
     el_min: float = float(-np.deg2rad(16.0))
     el_max: float = float(np.deg2rad(14.0))
-    max_range: float = 100.0
     noise_sigma: float = 0.0
     dropout: float = 0.0
 
@@ -270,17 +271,17 @@ def raycast_scan(
     azg, elg = np.meshgrid(az, el)
     dirs_s = ray_direction(azg.ravel(), elg.ravel())
     dirs_w = dirs_s @ pose.rotation.T
+    # contiguous origins: the primitives' elementwise passes run faster on them
     origins = np.broadcast_to(pose.translation, dirs_w.shape).copy()
     t = scene.raycast(origins, dirs_w)
 
-    valid = np.isfinite(t) & (t <= spec.max_range)
+    valid = np.isfinite(t) & (t <= _MAX_RANGE)
     r = np.where(valid, t, 0.0)
     if spec.noise_sigma > 0:
         r = r + np.where(valid, rng.normal(0.0, spec.noise_sigma, size=r.shape), 0.0)
         r = np.maximum(r, 1e-3)
     if spec.dropout > 0:
         valid &= rng.random(size=r.shape) >= spec.dropout
-    r = np.where(valid, r, 0.0)
     return SynthScan((r[valid, None] * dirs_s[valid]).reshape(-1, 3))
 
 
@@ -320,8 +321,8 @@ def make_trajectory(kind: str, length: float, steps: int) -> Trajectory:
         unit_len = float(np.sum(np.hypot(np.diff(fx), np.diff(fy))))
         amp = length / unit_len
         x, y = amp * x, amp * y
-        dx = np.gradient(x)
-        dy = np.gradient(y)
+        # one pose faces the curve's start tangent, (cos 0, cos 0): 45 degrees
+        dx, dy = (np.gradient(x), np.gradient(y)) if steps > 1 else ([1.0], [1.0])
         for i in range(steps):
             poses.append(SE3Pose(rotz(np.arctan2(dy[i], dx[i])), [x[i], y[i], 0.0]))
     else:

@@ -176,7 +176,7 @@ def test_render_reads_the_archived_model(run_dir, tmp_path, capsys, monkeypatch)
     for channel in ("range", "normal", "opacity"):
         assert (tmp_path / f"view.{channel}.pfm").is_file(), channel
     # 64 columns one pitch apart all round: the seam is not rendered twice
-    az, _ = cams[0].angles_of(np.array([[0.0, 0.0], [1.0, 0.0], [63.0, 0.0]]))
+    az = (np.array([0.0, 1.0, 63.0]) - cams[0].cx) / cams[0].fx
     pitch = 2.0 * np.pi / 64
     assert az[0] - az[1] == pytest.approx(pitch)
     assert 2.0 * np.pi - (az[0] - az[2]) == pytest.approx(pitch)
@@ -202,6 +202,15 @@ def test_info_reports_a_malformed_ply_header(tmp_path, capsys):
                     "property double y\nproperty double z\nend_header\n")
     assert main(["info", str(path)]) == 2
     assert "malformed PLY header line 'element vertex abc'" in capsys.readouterr().err
+
+
+def test_info_reports_a_repeated_ply_property(tmp_path, capsys):
+    path = tmp_path / "cloud.ply"
+    path.write_text("ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
+                    "property float x\nproperty float y\nproperty float z\nend_header\n"
+                    "1 2 3 4\n")
+    assert main(["info", str(path)]) == 2
+    assert "PLY vertex property 'x' appears twice" in capsys.readouterr().err
 
 
 def test_info_summarizes_a_scan_file(scans, capsys):

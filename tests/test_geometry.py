@@ -55,7 +55,7 @@ class TestCamera:
         uv = np.stack([rng.uniform(0, cam.width - 1, 200),
                        rng.uniform(0, cam.height - 1, 200)], axis=-1)
         r = rng.uniform(0.5, 30.0, 200)
-        pts = r[:, None] * ray_direction(*cam.angles_of(uv))
+        pts = r[:, None] * ray_direction(*((uv - [cam.cx, cam.cy]) / [cam.fx, cam.fy]).T)
         np.testing.assert_allclose(np.linalg.norm(pts, axis=1), r, rtol=1e-12)
         np.testing.assert_allclose(cam.project(pts), uv, atol=1e-9)
 
@@ -64,7 +64,7 @@ class TestCamera:
         cam = self.make()
         uv = np.stack([rng.uniform(-0.5, cam.width - 0.5, 200),
                        rng.uniform(0, cam.height - 1, 200)], axis=-1)
-        pts = 5.0 * ray_direction(*cam.angles_of(uv))
+        pts = 5.0 * ray_direction(*((uv - [cam.cx, cam.cy]) / [cam.fx, cam.fy]).T)
         got = cam.project(pts)
         period = -2.0 * np.pi * cam.fx
         du = (got[:, 0] - uv[:, 0] + period / 2) % period - period / 2
@@ -275,7 +275,7 @@ def test_sample_grid_covers_bounds(w, h, bounds):
     """The outermost samples sit exactly on the angular bounds."""
     cam = SphericalCamera(w, h, *bounds)
     grid = np.stack(np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float)), axis=-1)
-    az, el = cam.angles_of(grid)
+    az, el = np.moveaxis((grid - [cam.cx, cam.cy]) / [cam.fx, cam.fy], -1, 0)
     assert az[0, 0] == pytest.approx(cam.az_max, abs=1e-9)
     assert az[0, -1] == pytest.approx(cam.az_min, abs=1e-9)
     assert el[0, 0] == pytest.approx(cam.el_max, abs=1e-9)

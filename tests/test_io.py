@@ -60,6 +60,18 @@ def test_truncated_ascii_ply_raises(tmp_path, rng):
         read_ply(path)
 
 
+@pytest.mark.parametrize("write", [write_ply, _write_ascii_ply], ids=["binary", "ascii"])
+@pytest.mark.parametrize("count", ["3000000000", "99999999999999999999"])
+def test_a_vertex_count_beyond_the_body_is_truncation(tmp_path, rng, write, count):
+    """The count is weighed against the body before any vertex is read."""
+    path = tmp_path / "cloud.ply"
+    write(path, rng.normal(size=(1, 3)))
+    path.write_bytes(path.read_bytes().replace(b"element vertex 1\n",
+                                               f"element vertex {count}\n".encode()))
+    with pytest.raises(IngestionError, match="truncated"):
+        read_ply(path)
+
+
 def test_a_vertex_element_after_another_is_refused(tmp_path):
     """Only the vertex element is read, from the start of the body: a camera
     element before it would be read as the first vertex."""
@@ -79,6 +91,7 @@ def test_a_vertex_element_after_another_is_refused(tmp_path):
     ("element vertex", "malformed PLY header line 'element vertex'"),
     ("format", "malformed PLY header line 'format'"),
     ("property double", "malformed PLY header line 'property double'"),
+    ("property double y", "PLY vertex property 'y' appears twice"),
 ])
 def test_a_malformed_ply_header_line_is_refused(tmp_path, rng, line, message):
     path = tmp_path / "cloud.ply"

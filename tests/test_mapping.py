@@ -166,6 +166,17 @@ def test_spawn_draws_the_cap_from_the_weighted_pixels(monkeypatch):
     assert np.all(_gaps(model, points).min(axis=0) < 1e-9)
 
 
+def test_an_empty_mask_spawns_nothing_and_no_splat_hinges():
+    cam = SphericalCamera(64, 16, -np.pi, np.pi, -np.deg2rad(20.0), np.deg2rad(15.0))
+    rng = np.random.default_rng(0)
+    kf = _toy_keyframe(cam, np.full((16, 64), 5.0), np.ones((16, 64), dtype=bool), rng)
+    model = SplatModel()
+    assert spawn_splats(model, kf, np.zeros((16, 64), dtype=bool), rng) == 0
+    assert len(model) == 0 and model.version == 0
+    loss, grads = scale_loss(model)
+    assert loss == 0.0 and grads.shape == (0, 12)
+
+
 def test_add_keyframe_keeps_moments_aligned_with_splats():
     scene = room_with_boxes(seed=0)
     rng = np.random.default_rng(0)

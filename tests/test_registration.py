@@ -99,6 +99,13 @@ def test_geo_system_on_fewer_leaves_than_candidates(n_leaves):
     assert ok.tolist() == [True, True, n_leaves == 2, True, False]
 
 
+def test_geo_system_on_a_tree_without_leaves():
+    # two points make no plane: the tree indexes no leaf and nothing associates
+    tree = build_leaf_tree(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), np.zeros(3))
+    assert tree.kdtree.n == 0 and tree.centroids.shape == tree.normals.shape == (0, 3)
+    assert _geo_system(tree, np.zeros((4, 3)), SE3Pose.identity()) is None
+
+
 def test_geo_system_on_more_leaves_than_candidates():
     """Eight tilted planes around the origin, so a point's nearest leaves
     are not all on its own plane and the candidates beyond ``assoc_k`` are

@@ -41,3 +41,4 @@ def test_empty_model_has_no_rows():
     assert len(model) == 0 and model.params.shape == (0, 12)
     assert model.centers.shape == (0, 3) and model.logit_opacity.shape == (0,)
     assert model.memory_bytes() == 0
+    assert [f.shape for f in model.tangent_frames()] == [(0, 3)] * 3

@@ -29,6 +29,13 @@ def test_figure8_is_a_planar_loop_of_the_requested_length(steps, tol):
     assert np.einsum("ij,ij->i", R[:, :, 0], travel).min() > 0.99
 
 
+def test_a_one_step_figure8_faces_its_start_tangent():
+    """The curve (sin a, sin a cos a) leaves the origin along (1, 1)."""
+    (pose,) = make_trajectory("figure8", 6.0, 1).poses
+    assert not pose.translation.any()
+    np.testing.assert_allclose(pose.rotation, so3_exp([0.0, 0.0, np.pi / 4]), atol=1e-15)
+
+
 @pytest.fixture
 def plane():
     axes = so3_exp([0.4, -0.7, 0.2])
