@@ -169,12 +169,18 @@ def voxel_downsample(points: np.ndarray, voxel: float) -> np.ndarray:
     """One representative (centroid) point per occupied voxel.
 
     ``voxel`` must be finite and at least 0; 0 returns a copy of the points.
+    A voxel so small that a point's voxel index does not fit int64 raises
+    :class:`EvaluationError`.
     """
     _require("voxel", voxel)
     p = np.asarray(points, dtype=float).reshape(-1, 3)
     if p.shape[0] == 0 or voxel == 0:
         return p.copy()
-    keys = np.floor(p / voxel).astype(np.int64)
+    with np.errstate(over="ignore"):
+        keys = np.floor(p / voxel)
+    if not np.all((keys >= -(2.0**63)) & (keys < 2.0**63)):
+        raise EvaluationError(f"voxel {voxel} is too small: a voxel index overflows int64")
+    keys = keys.astype(np.int64)
     _, inv, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
     sums = np.zeros((counts.shape[0], 3))
     np.add.at(sums, inv, p)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GeometryError
 
@@ -220,17 +220,18 @@ def smooth_range_image(D: np.ndarray, wrap: bool = False) -> np.ndarray:
 
     Pixels without a range are excluded from every window (they enter as
     +inf); a pixel whose window is mostly empty keeps its original value.
+    Past the image's edge, windows repeat the edge row, and the edge column
+    too unless ``wrap``, where columns wrap across the azimuth seam.
     Meant as a preprocessing step for normal estimation, where per-pixel
     range noise turns into large orientation noise.
     """
     valid = D > 0
     filled = np.where(valid, D, np.inf)
     k = _SMOOTH_SIZE // 2
-    if wrap and k:
-        filled = np.pad(filled, ((0, 0), (k, k)), mode="wrap")
-    sm = ndimage.median_filter(filled, size=_SMOOTH_SIZE, mode="nearest")
-    if wrap and k:
-        sm = sm[:, k:-k]
+    filled = np.pad(filled, ((k, k), (0, 0)), mode="edge")
+    filled = np.pad(filled, ((0, 0), (k, k)), mode="wrap" if wrap else "edge")
+    windows = sliding_window_view(filled, (_SMOOTH_SIZE, _SMOOTH_SIZE))
+    sm = np.median(windows, axis=(-2, -1))
     return np.where(valid & np.isfinite(sm), sm, D)
 
 

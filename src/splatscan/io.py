@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .errors import IngestionError
+from .errors import GeometryError, IngestionError
 from .evaluation import Trajectory
 from .se3 import SE3Pose
 from .splats import PARAMS_PER_SPLAT, SplatModel
@@ -301,8 +301,10 @@ def save_model(path, model: SplatModel) -> None:
 def load_model(path) -> SplatModel:
     """Read a model written by :func:`save_model`.
 
-    Files without the magic, other versions, truncated files and
-    non-finite values raise :class:`IngestionError`.
+    Files without the magic, other versions, truncated files, non-finite
+    values and rows that decode to no splat raise :class:`IngestionError`.
+    A row decodes when ``exp`` of its log scales is neither 0 nor inf and
+    its raw tangents neither vanish, overflow nor are parallel.
     """
     data = Path(path).read_bytes()
     if data[:4] != _MODEL_MAGIC:
@@ -317,7 +319,16 @@ def load_model(path) -> SplatModel:
     rows = np.frombuffer(data, dtype="<f8", offset=16).reshape(count, PARAMS_PER_SPLAT)
     if not np.isfinite(rows).all():
         raise IngestionError(f"non-finite values in model file: {path}")
-    return SplatModel(rows)
+    model = SplatModel(rows)
+    with np.errstate(over="ignore"):
+        scales = model.scales
+        if not np.all((scales > 0.0) & (scales < np.inf)):
+            raise IngestionError(f"log scales whose exp is 0 or inf in model file: {path}")
+        try:
+            model.tangent_frames()
+        except GeometryError as e:
+            raise IngestionError(f"{e} in model file: {path}") from None
+    return model
 
 
 # --- portable float maps ----------------------------------------------------

@@ -58,7 +58,9 @@ class RunConfig:
     offline, 1 online); ``seed`` repeats a run exactly; ``scan_period``
     timestamps trajectory rows when scans come without stamps, as in CLI
     runs; ``out_dir`` receives maps, trajectories and the report (``None``
-    writes nothing).
+    writes nothing).  An image narrower or lower than 2 pixels, a negative
+    ``refine_iters`` or ``seed`` and a ``scan_period`` that is not finite
+    and positive raise :class:`IngestionError`.
     """
 
     image_width: int = 1024
@@ -67,6 +69,17 @@ class RunConfig:
     seed: int = 0
     scan_period: float = 0.1
     out_dir: str | None = None
+
+    def __post_init__(self):
+        if self.image_width < 2 or self.image_height < 2:
+            raise IngestionError(
+                f"image must be at least 2 x 2, not {self.image_width} x {self.image_height}")
+        for name in ("refine_iters", "seed"):
+            if getattr(self, name) < 0:
+                raise IngestionError(f"{name} must be at least 0, not {getattr(self, name)}")
+        if not (np.isfinite(self.scan_period) and self.scan_period > 0):
+            raise IngestionError(
+                f"scan_period must be finite and positive, not {self.scan_period}")
 
 
 @dataclass

@@ -75,15 +75,17 @@ def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _gram_schmidt(a: np.ndarray, b: np.ndarray):
     """(u, v, |a|, u.b, |w|) of component-first raw tangents, w = b - (u.b) u.
 
-    Raises when a vector vanishes or the pair is parallel.
+    Raises when a vector vanishes, its norm overflows or the pair is parallel.
     """
     na = np.sqrt(_dot(a, a))
-    if np.any(na < 1e-12):
-        raise GeometryError("first tangent has zero norm")
+    if not np.all((na >= 1e-12) & (na < np.inf)):
+        raise GeometryError("first tangent norm is zero or overflows")
     u = a / na
     ub = _dot(u, b)
     w = b - ub * u
     nw = np.sqrt(_dot(w, w))
+    if not np.all(nw < np.inf):
+        raise GeometryError("second tangent norm overflows")
     if np.any(nw < 1e-12):
         raise GeometryError("tangents are parallel")
     return u, w / nw, na, ub, nw
@@ -94,8 +96,9 @@ def orthonormal_tangents(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gram-Schmidt: unit first tangent, second made orthonormal to it.
 
-    Accepts (..., 3) arrays and returns C-contiguous ones.  Raises when a
-    vector vanishes or the pair is parallel.
+    Accepts (..., 3) arrays and returns C-contiguous ones.  Raises
+    :class:`GeometryError` when a vector vanishes, its norm overflows or the
+    pair is parallel.
     """
     u, v, *_ = _gram_schmidt(_rows(raw_a), _rows(raw_b))
     return np.moveaxis(u, 0, -1).copy(), np.moveaxis(v, 0, -1).copy()

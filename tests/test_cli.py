@@ -185,12 +185,15 @@ def test_render_reads_the_archived_model(run_dir, tmp_path, capsys, monkeypatch)
 @pytest.mark.parametrize("damage, message", [
     ("truncated", "model file size does not match its count"),
     ("inf", "non-finite values in model file"),
+    ("log_scale_800", "log scales whose exp is 0 or inf in model file"),
 ])
 def test_info_reports_a_damaged_model(tmp_path, capsys, damage, message):
     path = _small_model_file(tmp_path / "map.splm")
     data = path.read_bytes()
-    path.write_bytes(data[:-20] if damage == "truncated"
-                     else data[:-8] + np.float64(np.inf).tobytes())
+    # the values that end the last row: its log scales and its logit opacity
+    tail = {"truncated": None, "inf": [np.inf], "log_scale_800": [800.0, 0.0, 0.0]}[damage]
+    path.write_bytes(data[:-20] if tail is None
+                     else data[:-8 * len(tail)] + np.array(tail, "<f8").tobytes())
     assert main(["info", str(path)]) == 2
     err = capsys.readouterr().err
     assert message in err and "unknown scan format" not in err
@@ -324,6 +327,20 @@ def test_eval_map_rejects_a_non_finite_point(tmp_path, capsys, bad, side):
     assert main(["eval-map", str(tmp_path / "est.ply"), str(tmp_path / "ref.ply")]) == 2
     err = capsys.readouterr().err
     assert _one_error_line(err) and "non-finite" in err
+
+
+def test_eval_map_rejects_a_voxel_too_small_to_index(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    ref = rng.uniform(-5.0, 5.0, (500, 3))
+    write_ply(tmp_path / "est.ply", ref + rng.normal(0.0, 0.5, ref.shape))
+    write_ply(tmp_path / "ref.ply", ref)
+    argv = ["eval-map", str(tmp_path / "est.ply"), str(tmp_path / "ref.ply")]
+    assert main(argv) == 0
+    assert "100.00" not in capsys.readouterr().out
+    assert main(argv + ["--voxel", "1e-300"]) == 2
+    captured = capsys.readouterr()
+    assert _one_error_line(captured.err) and "voxel index overflows int64" in captured.err
+    assert not captured.out
 
 
 @pytest.mark.parametrize("command, setting, message", [

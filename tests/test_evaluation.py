@@ -94,3 +94,21 @@ def test_a_zero_voxel_keeps_every_point(clouds):
     kept = voxel_downsample(est, 0.0)
     assert np.array_equal(kept, est) and kept is not est
     assert reconstruction_metrics(est, ref, voxel=0.0) == reconstruction_metrics(est, ref)
+
+
+@pytest.mark.parametrize("voxel", [1e-300, 1e-19])
+def test_a_voxel_whose_index_overflows_int64_is_refused(clouds, voxel):
+    # the points reach 2 m, so 2 / voxel is past 2**63 ~ 9.2e18
+    with pytest.raises(EvaluationError, match="voxel index overflows int64"):
+        voxel_downsample(clouds[0], voxel)
+    with pytest.raises(EvaluationError, match="voxel index overflows int64"):
+        reconstruction_metrics(*clouds, voxel=voxel)
+
+
+def test_a_voxel_whose_index_fits_int64_keeps_apart_points(clouds):
+    # 2 / 1e-18 is below 2**63: every point keeps a voxel of its own
+    est, ref = clouds
+    kept = voxel_downsample(est, 1e-18)
+    assert np.array_equal(np.unique(kept, axis=0), np.unique(est, axis=0))
+    assert (reconstruction_metrics(est, ref, voxel=1e-18).fscore_pct
+            == reconstruction_metrics(est, ref).fscore_pct)

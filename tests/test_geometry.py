@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import splatscan
 from splatscan.errors import GeometryError
 from splatscan.geometry import (
     SphericalCamera,
@@ -265,6 +270,38 @@ class TestSmoothRangeImage:
         base = np.full((6, 10), 4.0)
         base[3, 0] = 9.0
         assert smooth_range_image(base, wrap=True)[3, 0] == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("wrap", [False, True])
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (5, 7), (8, 16), (16, 40)])
+    def test_equals_a_per_pixel_median_of_the_3x3_window(self, shape, wrap):
+        """Rows past the image repeat the edge row; columns wrap when
+        ``wrap`` and repeat the edge otherwise; an empty cell is +inf, so a
+        pixel with 5 or more empty cells of 9 keeps its range."""
+        h, w = shape
+        rng = np.random.default_rng(h * 100 + w)
+        for holes in (0.0, 0.2, 0.5, 0.8):
+            D = rng.uniform(0.5, 30.0, shape) * (rng.random(shape) >= holes)
+            expected = D.copy()
+            for r in range(h):
+                for c in range(w):
+                    cells = sorted(
+                        D[rr, cc] if D[rr, cc] > 0 else np.inf
+                        for rr in (max(r - 1, 0), r, min(r + 1, h - 1))
+                        for cc in (((c - 1) % w, c, (c + 1) % w) if wrap
+                                   else (max(c - 1, 0), c, min(c + 1, w - 1))))
+                    if D[r, c] > 0 and np.isfinite(cells[4]):
+                        expected[r, c] = cells[4]
+            assert np.array_equal(smooth_range_image(D, wrap), expected), holes
+
+
+def test_importing_the_package_leaves_scipy_ndimage_unloaded():
+    src = os.path.dirname(os.path.dirname(splatscan.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, splatscan; print('scipy.ndimage' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 @settings(max_examples=25)

@@ -246,9 +246,35 @@ def _corrupt(path, how):
         data = data[: 2 * len(data) // 3]
     elif how == "non_finite":
         data = data[:-8] + np.float64(np.inf).tobytes()
+    elif how in _UNDECODABLE:
+        rows = np.frombuffer(data, dtype="<f8", offset=16).reshape(-1, 12).copy()
+        _UNDECODABLE[how](rows[3])
+        data = data[:16] + rows.tobytes()
     else:
         data = b"# splat-model v2 count=0\n"
     path.write_bytes(data)
+
+
+def _set(cols, value):
+    def edit(row):
+        row[cols] = value
+    return edit
+
+
+def _parallel(row):
+    row[6:9] = 2.0 * row[3:6]
+
+
+# finite values that decode to no splat, written into one row:
+# log scales 9:11, raw t_alpha 3:6, raw t_beta 6:9
+_UNDECODABLE = {
+    "huge_log_scale": _set(9, 800.0),
+    "tiny_log_scale": _set(10, -800.0),
+    "huge_t_alpha": _set(3, 1e200),
+    "huge_t_beta": _set(7, 1e200),
+    "zero_t_alpha": _set(slice(3, 6), 0.0),
+    "parallel": _parallel,
+}
 
 
 @pytest.mark.parametrize("how, message", [
@@ -256,6 +282,14 @@ def _corrupt(path, how):
     pytest.param("truncated", None, id="truncated-None-binary"),
     pytest.param("non_finite", "non-finite", id="non_finite-non-finite-binary"),
     pytest.param("text", "not a splat model file", id="text-not a splat model file"),
+    pytest.param("huge_log_scale", "exp is 0 or inf", id="huge_log_scale-binary"),
+    pytest.param("tiny_log_scale", "exp is 0 or inf", id="tiny_log_scale-binary"),
+    pytest.param("huge_t_alpha", "first tangent norm is zero or overflows",
+                 id="huge_t_alpha-binary"),
+    pytest.param("huge_t_beta", "second tangent norm overflows", id="huge_t_beta-binary"),
+    pytest.param("zero_t_alpha", "first tangent norm is zero or overflows",
+                 id="zero_t_alpha-binary"),
+    pytest.param("parallel", "tangents are parallel in model file", id="parallel-binary"),
 ])
 def test_bad_model_file_raises(tmp_path, rng, how, message):
     path = tmp_path / "map.splm"

@@ -102,6 +102,21 @@ def test_a_refused_stamp_leaves_no_trace(three_scans, tmp_path, bad):
         assert (out_r / name).is_file()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("image_width", 1, "image must be at least 2 x 2, not 1 x 64"),
+    ("image_height", 0, "image must be at least 2 x 2, not 1024 x 0"),
+    ("refine_iters", -3, "refine_iters must be at least 0, not -3"),
+    ("seed", -1, "seed must be at least 0, not -1"),
+    ("scan_period", 0.0, "scan_period must be finite and positive, not 0.0"),
+    ("scan_period", -0.1, "scan_period must be finite and positive, not -0.1"),
+    ("scan_period", np.nan, "scan_period must be finite and positive, not nan"),
+    ("scan_period", np.inf, "scan_period must be finite and positive, not inf"),
+])
+def test_a_setting_no_run_can_use_is_refused(field, value, message):
+    with pytest.raises(IngestionError, match=message):
+        RunConfig(**{field: value})
+
+
 @pytest.mark.parametrize("case", ["intensity_column", "flat", "three_axes"])
 def test_a_cloud_that_is_not_n_by_3_is_refused(good_scans, case):
     """An x, y, z, intensity cloud is not read as x, y, z triples; a refused
