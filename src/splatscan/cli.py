@@ -33,6 +33,7 @@ from .errors import (
 from .evaluation import Trajectory, aligned_ate, reconstruction_metrics, relative_pose_error
 from .geometry import SphericalCamera
 from .io import (
+    SCAN_SUFFIXES,
     is_model_file,
     load_model,
     load_scan,
@@ -56,8 +57,6 @@ from .synth import (
 )
 
 __all__ = ["main"]
-
-_SCAN_EXTS = (".ply", ".bin")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,7 +100,7 @@ _elevation = _number(float, lambda v: -90.0 <= v <= 90.0, "degrees within [-90, 
 def _scan_paths(inputs: list[str]) -> list[Path]:
     if len(inputs) == 1 and Path(inputs[0]).is_dir():
         found = sorted(
-            p for p in Path(inputs[0]).iterdir() if p.suffix.lower() in _SCAN_EXTS
+            p for p in Path(inputs[0]).iterdir() if p.suffix.lower() in SCAN_SUFFIXES
         )
         if not found:
             raise IngestionError(f"no scan files in directory {inputs[0]}")

@@ -230,8 +230,10 @@ def smooth_range_image(D: np.ndarray, wrap: bool = False) -> np.ndarray:
     k = _SMOOTH_SIZE // 2
     filled = np.pad(filled, ((k, k), (0, 0)), mode="edge")
     filled = np.pad(filled, ((0, 0), (k, k)), mode="wrap" if wrap else "edge")
-    windows = sliding_window_view(filled, (_SMOOTH_SIZE, _SMOOTH_SIZE))
-    sm = np.median(windows, axis=(-2, -1))
+    n = _SMOOTH_SIZE * _SMOOTH_SIZE
+    windows = sliding_window_view(filled, (_SMOOTH_SIZE, _SMOOTH_SIZE)).reshape(*D.shape, n)
+    # an odd window: its median is its middle element
+    sm = np.partition(windows, n // 2, axis=-1)[..., n // 2]
     return np.where(valid & np.isfinite(sm), sm, D)
 
 

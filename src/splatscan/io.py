@@ -22,6 +22,7 @@ from .se3 import SE3Pose
 from .splats import PARAMS_PER_SPLAT, SplatModel
 
 __all__ = [
+    "SCAN_SUFFIXES",
     "load_scan",
     "read_ply",
     "write_ply",
@@ -38,19 +39,25 @@ __all__ = [
 
 # --- point clouds -----------------------------------------------------------
 
+# the scan file formats, by suffix (matched without case)
+SCAN_SUFFIXES = (".bin", ".ply")
+
 
 def load_scan(path) -> np.ndarray:
     """Load one scan as an (N, 3) float array, dropping non-finite rows.
 
     ``.bin`` files are raw little-endian float32 x,y,z,intensity records
     (the intensity channel is discarded); a size that is not a whole number
-    of 16-byte records raises :class:`IngestionError`.  Anything else must
-    be PLY, refused as :func:`read_ply` says.
+    of 16-byte records raises :class:`IngestionError`.  ``.ply`` files are
+    refused as :func:`read_ply` says, and a suffix outside
+    :data:`SCAN_SUFFIXES` raises :class:`IngestionError`.
     """
     path = Path(path)
     if not path.exists():
         raise IngestionError(f"scan file not found: {path}")
     suffix = path.suffix.lower()
+    if suffix not in SCAN_SUFFIXES:
+        raise IngestionError(f"unknown scan format {suffix!r}: {path}")
     if suffix == ".bin":
         n_bytes = path.stat().st_size
         if n_bytes == 0:
@@ -58,10 +65,8 @@ def load_scan(path) -> np.ndarray:
         if n_bytes % 16 != 0:
             raise IngestionError(f"truncated scan file: {path} ({n_bytes} bytes)")
         pts = np.fromfile(path, dtype="<f4").reshape(-1, 4)[:, :3].astype(float)
-    elif suffix == ".ply":
-        pts, _ = read_ply(path)
     else:
-        raise IngestionError(f"unknown scan format {suffix!r}: {path}")
+        pts, _ = read_ply(path)
     pts = pts[np.isfinite(pts).all(axis=1)]
     if pts.shape[0] == 0:
         raise IngestionError(f"no finite points in {path}")

@@ -12,9 +12,10 @@ images again.
 The objective exists only where the keyframe measured a range: every
 per-pixel term below, and so every pixel gradient, is masked by its
 measured pixels, ``kf.range > 0``.  So are the reset check's coverage and
-the densify mask.  Refinement, the reset check and :func:`add_keyframe`'s
-own render therefore render only those pixels
-(``rasterize_forward(..., mask=kf.range > 0)``);
+the densify mask.  Refinement therefore renders only those pixels
+(``rasterize_forward(..., mask=kf.range > 0)``), and so does
+:func:`keyframe_view`, the one render of a joining keyframe's view that the
+reset check and :func:`add_keyframe` read;
 the pixels without a range would cost blend and gradient work that changes
 nothing.  Keyframes come from a subsampled scan, so that is often half the
 image.  Renders that look for surfaces anywhere in the image (registration's
@@ -68,6 +69,7 @@ __all__ = [
     "MappingLoss",
     "spawn_splats",
     "densify_mask",
+    "keyframe_view",
     "add_keyframe",
     "refine",
     "sample_keyframe_index",
@@ -183,9 +185,8 @@ class MappingLoss:
         has a normal too."""
         cfg = MAPPING_CONFIG
         kf = self.kf
-        D_kf = kf.range
+        D_kf, w = self.pixels[:2].reshape(2, *kf.range.shape)
         M = D_kf > 0
-        w = 1.0 / np.maximum(D_kf, cfg.range_weight_floor)
         diff = render.range - D_kf
         L_d = float(np.sum(w[M] * np.abs(diff[M])))
         clamped = np.maximum(render.opacity, _OPACITY_EPS)
@@ -320,16 +321,21 @@ def coverage(render: RenderOutput, kf: Keyframe) -> float:
     return float(render.opacity[M].mean())
 
 
+def keyframe_view(model: SplatModel, kf: Keyframe) -> RenderOutput:
+    """``model`` seen from ``kf``: range and opacity only, at ``kf``'s
+    measured pixels, all that the reset check and densification read."""
+    return rasterize_forward(kf.camera, kf.pose, model, normals=False, mask=kf.range > 0)[0]
+
+
 def should_reset_local_map(lmap: "LocalMap", kf: Keyframe) -> str | None:
     """The trigger that makes ``kf`` open a fresh local map, or ``None`` to join.
 
     Three triggers, checked in this order: ``"keyframes"``, the keyframe
     budget is exhausted; ``"radius"``, the sensor has left the neighborhood
     of the map's first keyframe; ``"coverage"``, the model barely covers the
-    new view.  The coverage render blends range and opacity only, at
-    ``kf``'s measured pixels; one that lets ``kf`` join is left on the map
-    for :func:`add_keyframe`, which would render the same view and pixels
-    and reads no normals either.  The check's coverage is left on
+    new view, as :func:`keyframe_view` renders it.  A view that lets ``kf``
+    join is left on the map for :func:`add_keyframe`, which reads the same
+    :func:`keyframe_view`.  The check's coverage is left on
     ``lmap.coverage``, ``None`` when it made no render.
     """
     cfg = MAPPING_CONFIG
@@ -341,8 +347,7 @@ def should_reset_local_map(lmap: "LocalMap", kf: Keyframe) -> str | None:
         return "radius"
     if len(lmap.model) == 0:
         return None
-    render, _ = rasterize_forward(kf.camera, kf.pose, lmap.model, normals=False,
-                                  mask=kf.range > 0)
+    render = keyframe_view(lmap.model, kf)
     lmap.coverage = coverage(render, kf)
     if lmap.coverage < cfg.coverage_min:
         return "coverage"
@@ -429,9 +434,10 @@ def add_keyframe(lmap: LocalMap, kf: Keyframe, rng: np.random.Generator) -> dict
     """Append a keyframe: prune dead splats, then densify where it is unexplained.
 
     The first keyframe of a map seeds splats at every measured pixel (up to
-    the spawn cap).  Opacities are never reset here, only pruned.  The
-    reset check's render of ``kf`` stands in for a new one while the model
-    is unchanged.  Returns the counts ``pruned`` and ``spawned``.
+    the spawn cap).  Opacities are never reset here, only pruned.  Later
+    keyframes densify from :func:`keyframe_view`: the reset check's render
+    of ``kf`` while the model is unchanged, else one of its own.  Returns
+    the counts ``pruned`` and ``spawned``.
     """
     stats = {"pruned": 0, "spawned": 0}
     shared, lmap.keyframe_render = lmap.keyframe_render, None
@@ -441,8 +447,7 @@ def add_keyframe(lmap: LocalMap, kf: Keyframe, rng: np.random.Generator) -> dict
         if shared is not None and shared[0] is kf and shared[1] == lmap.model.version:
             render = shared[2]
         else:
-            render, _ = rasterize_forward(kf.camera, kf.pose, lmap.model, normals=False,
-                                          mask=kf.range > 0)
+            render = keyframe_view(lmap.model, kf)
         mask = densify_mask(render, kf)
         keep = lmap.model.opacities >= MAPPING_CONFIG.prune_opacity
         if not keep.all():

@@ -16,6 +16,7 @@ value.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,7 +59,8 @@ class RunConfig:
     offline, 1 online); ``seed`` repeats a run exactly; ``scan_period``
     timestamps trajectory rows when scans come without stamps, as in CLI
     runs; ``out_dir`` receives maps, trajectories and the report (``None``
-    writes nothing).  An image narrower or lower than 2 pixels, a negative
+    writes nothing).  A size, ``refine_iters`` or ``seed`` that is not an
+    integer, an image narrower or lower than 2 pixels, a negative
     ``refine_iters`` or ``seed`` and a ``scan_period`` that is not finite
     and positive raise :class:`IngestionError`.
     """
@@ -71,6 +73,12 @@ class RunConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        for name in ("image_width", "image_height", "refine_iters", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise IngestionError(
+                    f"{name} must be an integer, not {getattr(self, name)!r}") from None
         if self.image_width < 2 or self.image_height < 2:
             raise IngestionError(
                 f"image must be at least 2 x 2, not {self.image_width} x {self.image_height}")
@@ -172,7 +180,9 @@ class Pipeline:
         *prev, last = self.poses[-2:]
         return last.compose(prev[0].inverse().compose(last)) if prev else last
 
-    def _archive_active(self) -> ArchiveEntry:
+    def _archive_active(self):
+        """End the active local map: export it, save it, add its
+        :class:`ArchiveEntry` to ``archive`` and drop it."""
         lmap = self.lmap
         path = model_path = error = None
         try:
@@ -188,7 +198,7 @@ class Pipeline:
             if pts is not None:
                 path = f"{stem}.ply"
                 write_ply(path, pts, nrm)
-        entry = ArchiveEntry(
+        self.archive.append(ArchiveEntry(
             path,
             model_path,
             len(lmap.model),
@@ -196,11 +206,10 @@ class Pipeline:
             lmap.keyframes[0].index,
             lmap.keyframes[-1].index,
             error,
-        )
-        self.archive.append(entry)
+        ))
         if pts is not None:
             self.n_exported += pts.shape[0]
-        return entry
+        self.lmap = None
 
     # --- main loop -------------------------------------------------------
 
@@ -213,7 +222,9 @@ class Pipeline:
 
         A scan that fails registration or yields no keyframe (empty, all at
         the origin, zero angular extent) still gets its row, flagged
-        ``fallback`` with a ``fallback_reason``; it adds nothing to the map.
+        ``fallback`` with a ``fallback_reason``.  A registration fallback
+        keeps the motion model's predicted pose and still joins the map at
+        it; a scan with no keyframe adds nothing to the map.
         Registered scans report the solver's iterations and ``converged``
         (see :func:`registration.register`) and each residual family's
         count and RMS at the registered pose (``n_geo``/``geo_rms``,
@@ -286,7 +297,6 @@ class Pipeline:
                 row["coverage"] = self.lmap.coverage
                 if row["reset"]:
                     self._archive_active()
-                    self.lmap = None
             if self.lmap is None:
                 self.lmap = LocalMap.start(kf)
             row.update(add_keyframe(self.lmap, kf, self.rng))
@@ -313,9 +323,8 @@ class Pipeline:
         Maps that could not be exported are in the report's ``archive`` with
         their ``export_error``; every output is written all the same.
         """
-        if self.lmap is not None and self.lmap.keyframes:
+        if self.lmap is not None:
             self._archive_active()
-            self.lmap = None
         report = {
             "n_scans": len(self.poses),
             "n_maps": len(self.archive),

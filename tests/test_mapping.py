@@ -287,6 +287,24 @@ def half_keyframes():
             for i, p in enumerate(poses)]
 
 
+def test_the_keyframe_view_is_a_full_render_at_the_measured_pixels(half_keyframes):
+    """keyframe_view blends range and opacity as a render of every pixel
+    does at the keyframe's measured pixels, leaves the rest 0 and blends no
+    normals."""
+    kf0, kf1 = half_keyframes
+    lmap = _seeded_map(kf0)
+    M = kf1.range > 0
+    assert 0 < np.count_nonzero(M) < M.size
+    view = mapping.keyframe_view(lmap.model, kf1)
+    full, _ = rasterize_forward(kf1.camera, kf1.pose, lmap.model)
+    assert view.normal is None
+    for name in ("range", "opacity"):
+        image, expected = getattr(view, name), getattr(full, name)
+        assert np.array_equal(image[M], expected[M]), name
+        assert not image[~M].any(), name
+    assert full.opacity[~M].any()  # the unmeasured pixels see the model too
+
+
 def test_mapping_renders_only_the_measured_keyframe_pixels(half_keyframes, monkeypatch):
     """The reset check, add_keyframe's own render and refine pass the
     keyframe's measured pixels, ``kf.range > 0``, as the mask of every render."""

@@ -111,6 +111,11 @@ def test_a_refused_stamp_leaves_no_trace(three_scans, tmp_path, bad):
     ("scan_period", -0.1, "scan_period must be finite and positive, not -0.1"),
     ("scan_period", np.nan, "scan_period must be finite and positive, not nan"),
     ("scan_period", np.inf, "scan_period must be finite and positive, not inf"),
+    # a run would find these out only mid-scan, after appending its pose
+    ("image_width", 64.5, "image_width must be an integer, not 64.5"),
+    ("image_height", 16.0, "image_height must be an integer, not 16.0"),
+    ("refine_iters", 2.5, "refine_iters must be an integer, not 2.5"),
+    ("seed", 1.5, "seed must be an integer, not 1.5"),
 ])
 def test_a_setting_no_run_can_use_is_refused(field, value, message):
     with pytest.raises(IngestionError, match=message):
@@ -282,6 +287,23 @@ def test_a_joining_scan_renders_its_view_once(three_scans, monkeypatch):
         assert pose is kf.pose
         assert kwargs["normals"] is False
         assert np.array_equal(kwargs["mask"], kf.range > 0)
+
+
+def test_a_scan_that_fails_registration_joins_the_map_at_the_predicted_pose(good_scans):
+    """Registration falls back on 80 points in two tight clusters 30 m out;
+    the scan keeps the motion model's pose (here the first scan's) and its
+    keyframe still joins the map and spawns splats."""
+    rng = np.random.default_rng(1)
+    clusters = np.concatenate([c + 0.05 * rng.standard_normal((40, 3))
+                               for c in ([30.0, 0.0, 2.0], [0.0, 30.0, -2.0])])
+    pipe = Pipeline(RunConfig(image_width=64, image_height=16, refine_iters=1))
+    _, row = [pipe.process_scan(s) for s in (good_scans[0], clusters)]
+    assert row["fallback"]
+    assert row["fallback_reason"] == "too few residuals survive association"
+    assert np.array_equal(pipe.poses[1].matrix(), pipe.poses[0].matrix())
+    assert row["reset"] is None
+    assert [kf.index for kf in pipe.lmap.keyframes] == [0, 1]
+    assert row["spawned"] > 0
 
 
 def test_a_map_that_cannot_be_exported_is_archived_without_points(tmp_path):
