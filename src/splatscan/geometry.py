@@ -22,11 +22,8 @@ so the bounds land on pixel centres: az_max on column 0, az_min on
 column W - 1, el_max on row 0 and el_min on row H - 1.  Pixel (col, row)
 samples the ray at image coordinates (col, row) exactly.
 
-Each pixel ray ``v`` is also the intersection of two orthonormal planes
-through the origin: the vertical plane ``h_x = (sin az, -cos az, 0)`` and
-``h_y = h_x x v``.  Both come from the pixel's angles, so the rays at the
-poles, which have no ``v x z``, get their planes too.  The camera computes
-all three once (:attr:`SphericalCamera.pixel_rays`) for every reader.
+The camera computes every pixel's unit ray once
+(:attr:`SphericalCamera.pixel_directions`) for every reader.
 Surface normals are unit, in the sensor frame of those rays, and face the
 sensor, ``n . ray <= 0``, by one rule: :func:`facing_sensor`.
 
@@ -146,28 +143,16 @@ class SphericalCamera:
         return cols, rows, ok
 
     @cached_property
-    def pixel_rays(self) -> np.ndarray:
-        """(3, H, W, 3): ``h_x``, ``h_y`` and the unit ray ``v`` of every pixel.
+    def pixel_directions(self) -> np.ndarray:
+        """(H, W, 3) unit ray of every pixel, from its azimuth and elevation.
 
-        ``h_x = (sin az, -cos az, 0)`` from the pixel's azimuth is the
-        vertical plane of the ray, ``(v x z)/|v x z|``, and also its limit
-        at the poles, so every ray has its planes, the poles' included.
-        ``h_y = h_x x v`` completes the orthonormal pair meeting in ``v``.
         The trigonometry runs once per column and once per row.
         """
         az = (np.arange(self.width, dtype=float) - self.cx) / self.fx
         el = (np.arange(self.height, dtype=float)[:, None] - self.cy) / self.fy
-        sin_az, cos_az, cos_el = np.sin(az), np.cos(az), np.cos(el)
-        rays = np.empty((3, self.height, self.width, 3))
-        rays[0] = np.stack([sin_az, -cos_az, np.zeros_like(az)], axis=-1)
-        rays[2] = np.stack(np.broadcast_arrays(cos_el * cos_az, cos_el * sin_az, np.sin(el)), -1)
-        rays[1] = np.cross(rays[0], rays[2])
-        return rays
-
-    @property
-    def pixel_directions(self) -> np.ndarray:
-        """(H, W, 3) unit ray direction of every pixel, a view of :attr:`pixel_rays`."""
-        return self.pixel_rays[2]
+        cos_el = np.cos(el)
+        return np.stack(np.broadcast_arrays(cos_el * np.cos(az), cos_el * np.sin(az), np.sin(el)),
+                        axis=-1)
 
 
 def estimate_camera(points: np.ndarray, width: int, height: int) -> SphericalCamera:

@@ -1,23 +1,30 @@
 """Differentiable tiled rasterizer for splats on a spherical image.
 
-Forward model, per pixel ray ``v``:
+Forward model, per pixel ray ``v`` (the camera's ``pixel_directions``):
 
-  * Each pixel owns two planes through the sensor origin,
-    ``h_x = (sin az, -cos az, 0)`` (the ray's vertical plane, defined at
-    the poles too) and ``h_y = h_x x v``; their intersection is the ray
-    itself.  Both stages read them from the camera's ``pixel_rays``.
-  * A splat defines the map ``H`` from splat coordinates (a, b, 0, 1) to
-    world points.  Pulling both pixel planes back through the camera pose
-    and ``H`` gives two lines in splat coordinates; their intersection
-    (via the homogeneous cross product) is the ray/splat hit point
-    ``(s_a, s_b)``, with camera-frame location
-    ``nu = s_a*B_a + s_b*B_b + B_c`` where ``B_a = s_alpha*R_wc t_alpha``,
-    ``B_b = s_beta*R_wc t_beta`` and ``B_c`` is the camera-frame centroid.
+  * A splat maps splat coordinates ``(s_a, s_b)`` to the camera-frame
+    point ``s_a*B_a + s_b*B_b + B_c``, where ``B_a = s_alpha*R_wc
+    t_alpha``, ``B_b = s_beta*R_wc t_beta`` and ``B_c`` is the
+    camera-frame centroid.  The ray meets it at ``nu = d v`` where ``d v -
+    s_a B_a - s_b B_b = B_c``.  With the splat's own cross products ``C_a =
+    B_b x B_c``, ``C_b = B_c x B_a``, ``C_n = B_a x B_b`` and ``tau = C_n .
+    B_c``, Cramer's rule gives ``den = v . C_n``, ``s_a = v . C_a / den``,
+    ``s_b = v . C_b / den`` and the range ``d = tau / den``: four dot
+    products per pixel-splat pair, of the ray with vectors computed once
+    per splat.
+  * This is the homogeneous intersection of 2DGS (Huang et al., SIGGRAPH
+    2024), which pulls two planes through the ray, ``h_x`` and ``h_y``
+    with ``h_x x h_y = -v``, back to splat coordinates and takes products
+    ``a_j = h_x . B_j`` and ``b_j = h_y . B_j``.  Those appear only as
+    ``a_i b_j - a_j b_i``, which by the Binet-Cauchy identity is ``(h_x x
+    h_y) . (B_i x B_j) = -v . (B_i x B_j)``: so ``|den|`` is that
+    formulation's ``|a_1 b_2 - a_2 b_1|`` and ``denom_eps`` bounds the same
+    quantity, and no pixel needs planes.
   * The hit contributes ``alpha = opacity * exp(-(s_a^2 + s_b^2)/2)``,
-    range ``|nu|`` and the splat normal, alpha-blended front to back in
+    range ``d`` and the splat normal, alpha-blended front to back in
     order of increasing centroid range.
 
-Intersections behind the pixel (``nu . v <= 0``) belong to the antipodal
+Intersections behind the pixel (``d <= 0``) belong to the antipodal
 ray and are discarded.  Hits with ``alpha < 1/255`` are skipped, alpha is
 clamped to 0.99, and a pair adds nothing once the transmittance in front
 of it is below 1e-4.
@@ -32,11 +39,11 @@ and then tile ranges.  On cameras whose columns cross the azimuth seam the
 interval also gets copies one turn away, clipped to the image.
 
 A render has two stages.  Screening (:func:`_near_pairs`) is dense and
-cheap: per tile, the plane products of every listed pixel-splat pair come
+cheap: per tile, the four products of every listed pixel-splat pair come
 from one stacked BLAS matmul per block, and a pair is kept only if its
 ray passes within ``c * max(scale)`` of the centroid.  Blending
 (:func:`_blend`) works on batches of those near pairs, pixel-major and in
-blend order within a pixel, as 1-D passes: kernel terms, alpha, the hit
+blend order within a pixel, as 1-D passes: the hit point, alpha, the hit
 range, exclusive transmittance by a cumprod along each pixel's run,
 weights, and per-pixel sums.  One bound, ``_BLOCK_PAIRS`` screened pairs,
 sizes a block and a batch of whole blocks, of one tile or several; a
@@ -60,12 +67,14 @@ nothing for a later one.  The caller's ``pixel_grads`` rule gives the
 gradient of a scalar loss on the rendered range/opacity/normal images at
 each blend batch's pixels, from their blended values.  Every pixel's pairs
 lie in one batch, so the batch then has all it needs: from the terms it
-blended with (kernel coordinates, alpha, weights, range, plane products
-and splat rows) and its pixels' planes, it takes the analytic gradients
-w.r.t. each splat's camera-frame ``B_a``, ``B_b``, ``B_c``, normal and
-opacity over its pairs with ``w > 0``, as 1-D arrays.  Those are summed
-per entry of the tiles' splat lists (a batch's tiles are consecutive, so
-it touches one short range of entries), then per splat into one
+blended with (hit point, alpha, weights, range and splat rows) and its
+pixels' rays, it takes the analytic gradients w.r.t. each splat's
+``C_a``, ``C_b``, ``C_n``, ``tau``, normal and opacity over its pairs
+with ``w > 0``, as 1-D arrays: a pair's gradient w.r.t. a ``C`` is a
+factor times its ray.  Those are summed per entry of the tiles' splat
+lists (a batch's tiles are consecutive, so it touches one short range of
+entries), then per splat, where one cross-product chain
+(:func:`_splat_grads`) takes them to ``B_a``, ``B_b`` and ``B_c`` in one
 ``(13, N)`` array.  :func:`rasterize_backward` chains that through
 :meth:`SplatModel.param_gradients` into one ``(N, 12)`` matrix in the
 layout of ``SplatModel.params``.
@@ -157,21 +166,32 @@ class BlendRecords:
 
 
 def _splat_camera_arrays(model: SplatModel, pose: SE3Pose) -> dict:
-    """Per-splat camera-frame quantities for a render from ``pose``."""
+    """Per-splat camera-frame quantities for a render from ``pose``.
+
+    Besides ``B_a``, ``B_b`` and ``B_c``, a splat carries the cross products
+    ``C_a = B_b x B_c``, ``C_b = B_c x B_a`` and ``C_n = B_a x B_b`` and the
+    triple product ``tau = C_n . B_c``, which intersect it with any ray.
+    """
     R = pose.rotation
     ta, tb, tn = model.tangent_frames()
     s = model.scales
-    Ba = s[:, :1] * (ta @ R)
-    Bb = s[:, 1:] * (tb @ R)
-    Bc = (model.centers - pose.translation) @ R
+    # each array is built C-contiguous: np.take, which gathers the rows of
+    # a pair's splat, copies a whole array that is not, and a gathered term
+    # is then one contiguous row
+    B = np.concatenate([(s[:, :1] * (ta @ R)).T, (s[:, 1:] * (tb @ R)).T,
+                        ((model.centers - pose.translation) @ R).T], out=np.empty((9, len(model))))
+    Ba, Bb, Bc = B[0:3], B[3:6], B[6:9]
+    Cn = _cross3(Ba, Bb)
     return {
-        # what a pair reads of its splat, one row per term: opacity, normal,
-        # B_a, B_b, B_c (a gathered term is then one contiguous row).  C
-        # order matters: np.take copies a whole array that is not C-contiguous
-        "terms": np.concatenate([model.opacities[None], (tn @ R).T, Ba.T, Bb.T, Bc.T],
-                                out=np.empty((13, len(model)))),
+        # what a pair reads of its splat: opacity, tau, normal
+        "terms": np.concatenate([model.opacities[None], _dot3(Cn, Bc)[None], (tn @ R).T],
+                                out=np.empty((5, len(model)))),
+        "B": B,
+        # what screening multiplies a pixel's ray by: C_a, C_b, C_n, B_c
+        "crosses": np.concatenate([_cross3(Bb, Bc), _cross3(Bc, Ba), Cn, Bc],
+                                  out=np.empty((12, len(model)))),
         "scales": s,
-        "ranges": np.linalg.norm(Bc, axis=1),
+        "ranges": np.linalg.norm(Bc, axis=0),
     }
 
 
@@ -185,6 +205,12 @@ def _kernel_cutoff(opacity: np.ndarray) -> np.ndarray:
 def _dot3(x, y) -> np.ndarray:
     """Per-pair dot product of two 3-vectors given as three rows each."""
     return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def _cross3(x, y) -> np.ndarray:
+    """Per-pair cross product of two 3-vectors given as three rows each, as three rows."""
+    return np.stack([x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2],
+                     x[0] * y[1] - x[1] * y[0]])
 
 
 def _ragged_arange(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,9 +254,10 @@ def _bin_splats(cam: SphericalCamera, arrays: dict):
     tiles_x = (cam.width + T - 1) // T
     tiles_y = (cam.height + T - 1) // T
 
-    terms = arrays["terms"]
-    Ba, Bb, (x, y, z) = terms[4:7], terms[7:10], terms[10:13]
-    c = _kernel_cutoff(terms[0])
+    opacity = arrays["terms"][0]
+    B = arrays["B"]
+    Ba, Bb, (x, y, z) = B[0:3], B[3:6], B[6:9]
+    c = _kernel_cutoff(opacity)
     slack = 1e-9 * (arrays["ranges"] + c * arrays["scales"].max(axis=1))
 
     def extent(u):
@@ -256,7 +283,7 @@ def _bin_splats(cam: SphericalCamera, arrays: dict):
     row_first, row_last = _tile_span(cam.fy * el_hi + cam.cy, cam.fy * el_lo + cam.cy,
                                      cam.height)
     # a splat fainter than the cutoff gets no row
-    row_last[~(terms[0] >= RASTER_CONFIG.alpha_cutoff)] = -1
+    row_last[~(opacity >= RASTER_CONFIG.alpha_cutoff)] = -1
     n_rows = np.maximum(row_last - row_first + 1, 0)
 
     u_c = cam.fx * np.arctan2(y, x) + cam.cx
@@ -283,7 +310,8 @@ def _bin_splats(cam: SphericalCamera, arrays: dict):
 
 # the most screened pixel-splat pairs of a block and of a batch, unless one
 # pixel has more splats; a batch's near pairs, a subset, never exceed it.
-# Their 1-D temporaries, about forty arrays, weigh on a render's peak memory
+# A block's screening buffer holds five rows of its pairs, and a batch's
+# 1-D temporaries, about forty arrays, weigh on a render's peak memory
 _BLOCK_PAIRS = 16384
 
 
@@ -308,66 +336,73 @@ def _near_pairs(cam: SphericalCamera, arrays: dict, tiles):
     ``tiles`` yields (flat pixel indices, splat ids in blend order, index of
     the first id in the list the ids come from), as :func:`_binned_tiles`
     does; every listed pixel is screened against every listed splat.
-    A pair is near when the pixel's ray passes within ``c * max(scale)`` of
-    the centroid, with ``c`` the splat's kernel radius
-    (:func:`_kernel_cutoff`): ``a4^2 + b4^2``, with ``a4 = h_x . B_c`` and
-    ``b4 = h_y . B_c``, is that squared distance.  A hit at ``|s| <= c``
-    lies within ``c * max(scale)`` of the centroid, so every pair whose
-    alpha can reach the cutoff is near, and a faint splat screens fewer
-    pairs than an opaque one of the same shape.  The plane products come
-    from one stacked matmul per block of a tile's pixels against all its
-    splats: the pixels' rows of the camera's ``pixel_rays``, ``h_x``,
-    ``h_y`` and ``v``, against ``B_a``, ``B_b`` and ``B_c``, in the order
-    ``a1, a2, a4, b1, b2, b4, v.B_a, v.B_b, v.B_c``.  A tile's pixels are
-    split into blocks of about equal pixel counts, of at most
+    A pair is near when the pixel's unit ray ``v`` passes within ``c *
+    max(scale)`` of the centroid, with ``c`` the splat's kernel radius
+    (:func:`_kernel_cutoff`): ``|B_c|^2 - (v . B_c)^2`` is that squared
+    distance.  A hit at ``|s| <= c`` lies within ``c * max(scale)`` of the
+    centroid, so every pair whose alpha can reach the cutoff is near, and a
+    faint splat screens fewer pairs than an opaque one of the same shape.
+    The test has two slacks against rounding: a relative one on the squared
+    reach, and an absolute one of 16 ulps of ``|B_c|^2``, which the
+    cancellation in the difference of two squares near ``|B_c|^2`` needs
+    where the reach is small beside the range.
+
+    The products come from one stacked matmul per block of a tile's
+    pixels against all its splats, ``(1, P, 3) @ (4, 3, n)``: the pixels'
+    rays against each splat's ``C_a``, ``C_b``, ``C_n`` and ``B_c`` (see
+    :func:`_splat_camera_arrays`), four products per pair.  A near pair
+    keeps the first three, the ones :func:`_blend` reads.  A tile's pixels
+    are split into blocks of about equal pixel counts, of at most
     ``_BLOCK_PAIRS`` screened pairs unless a block is one pixel.
 
     A masked render keeps the full render's bits because a pixel's products
     do not depend on the other pixels of its block: BLAS rounds each row of
     a product of two rows or more the same whatever the row count (checked
     bit for bit on OpenBLAS's Haswell kernel), and a block of one pixel,
-    which numpy would take as a matrix-vector product and round
+    which numpy would take as a vector-matrix product and round
     differently, is multiplied as two equal rows.
 
-    Yields batches ``(pix, spl, planes, at, counts)``: the near pairs' flat
-    pixel index, splat id, (9, pairs) plane products and the index of the
-    splat id in the list, pixel-major and in blend order within a pixel,
-    and the number of pairs of each pixel that has any, in order.  A batch
-    holds whole blocks with a near pair, of one tile or several, up to
-    ``_BLOCK_PAIRS`` screened pairs, so it holds at most that many near
-    pairs; only a one-pixel block with more splats makes a larger batch.
+    Yields batches ``(pix, spl, products, at, counts)``: the near pairs' flat
+    pixel index, splat id, (3, pairs) products ``v . C_a``, ``v . C_b`` and
+    ``v . C_n`` and the index of the splat id in the list, pixel-major and
+    in blend order within a pixel, and the number of pairs of each pixel
+    that has any, in order.  A batch holds whole blocks with a near pair,
+    of one tile or several, up to ``_BLOCK_PAIRS`` screened pairs, so it
+    holds at most that many near pairs; only a one-pixel block with more
+    splats makes a larger batch.
     """
-    rays = cam.pixel_rays.reshape(3, -1, 3)
+    rays = cam.pixel_directions.reshape(-1, 3)
     reach = _kernel_cutoff(arrays["terms"][0]) * arrays["scales"].max(axis=1)
-    # slack against rounding in the plane products
-    reach2 = reach * reach * (1.0 + 1e-6)
-    # one buffer for every block (nine products and two work rows): a
-    # fresh one per block costs page faults
+    Bc = arrays["B"][6:9]
+    Bc2 = _dot3(Bc, Bc)
+    # a pair is near when (v . B_c)^2 reaches this
+    least = Bc2 - reach * reach * (1.0 + 1e-6) - 16.0 * np.finfo(float).eps * Bc2
+    # one buffer for every block (four products and a work row): a fresh
+    # one per block costs page faults
     buf = np.empty(0)
     # whole blocks waiting for the batch to fill, and their screened pairs
     held, n_held = [], 0
     for pix, ids, first in tiles:
-        # h_x, h_y and v of the pixels, as (3, 1, pixels, 3); np.take keeps
-        # it C-contiguous, which the matmul's bits depend on
-        pixel_vectors = np.take(rays, pix, axis=1)[:, None]
+        # the pixels' rays as (1, pixels, 3); np.take keeps them
+        # C-contiguous, which the matmul's bits depend on
+        v = np.take(rays, pix, axis=0)[None]
         n = ids.shape[0]
-        # B_a, B_b and B_c of the tile's splats, as (1, 3, 3, splats)
-        B = np.take(arrays["terms"][4:13], ids, axis=1).reshape(1, 3, 3, n)
+        # C_a, C_b, C_n and B_c of the tile's splats, as (4, 3, splats)
+        C = np.take(arrays["crosses"], ids, axis=1).reshape(4, 3, n)
+        least_ids = np.take(least, ids)
         # blocks of about equal pixel counts, each within the bound
         n_blocks = -(-pix.shape[0] // max(_BLOCK_PAIRS // n, 1))
         step = -(-pix.shape[0] // n_blocks)
         for p0 in range(0, pix.shape[0], step):
             P = min(step, pix.shape[0] - p0)
             rows = max(P, 2)
-            if buf.shape[0] < 11 * rows * n:
-                buf = np.empty(11 * rows * n)
-            planes = buf[: 11 * rows * n].reshape(11, rows, n)
-            lhs = pixel_vectors[:, :, p0 : p0 + P] if P > 1 else pixel_vectors[:, :, [p0, p0]]
-            np.matmul(lhs, B, out=planes[:9].reshape(3, 3, rows, n))
-            planes = planes[:, :P]
-            near = np.multiply(planes[2], planes[2], out=planes[9])
-            near += np.multiply(planes[5], planes[5], out=planes[10])
-            k = np.flatnonzero(near <= reach2[ids])
+            if buf.shape[0] < 5 * rows * n:
+                buf = np.empty(5 * rows * n)
+            products = buf[: 5 * rows * n].reshape(5, rows, n)
+            np.matmul(v[:, p0 : p0 + P] if P > 1 else v[:, [p0, p0]], C, out=products[:4])
+            products = products[:, :P]
+            near = np.multiply(products[3], products[3], out=products[4])
+            k = np.flatnonzero(near >= least_ids)
             if k.shape[0] == 0:
                 continue
             if n_held + P * n > _BLOCK_PAIRS and held:
@@ -377,7 +412,7 @@ def _near_pairs(cam: SphericalCamera, arrays: dict, tiles):
             counts = np.bincount(p)
             col = k - p * n
             held.append((np.take(pix[p0 : p0 + P], p), np.take(ids, col),
-                         np.take(planes[:9].reshape(9, -1), k, axis=1), col + first,
+                         np.take(products[:3].reshape(3, -1), k, axis=1), col + first,
                          counts[counts > 0]))
             n_held += P * n
     if held:
@@ -394,38 +429,32 @@ def _joined(batches: list) -> tuple:
 # --- blending ---------------------------------------------------------------
 
 
-def _kernel_coordinates(a1, a2, a4, b1, b2, b4):
-    """``(sa, sb, den, usable)``: the hit point in splat coordinates.
-
-    ``den`` is the homogeneous denominator, replaced by 1 where it is too
-    small to be ``usable``.
-    """
-    den = a1 * b2 - a2 * b1
-    usable = np.abs(den) >= RASTER_CONFIG.denom_eps
-    den = np.where(usable, den, 1.0)
-    return (a2 * b4 - a4 * b2) / den, (a4 * b1 - a1 * b4) / den, den, usable
-
-
-def _blend(splat_rows: np.ndarray, pix, spl, planes, counts) -> dict:
+def _blend(splat_rows: np.ndarray, pix, spl, products, counts) -> dict:
     """Blend weights of one batch of :func:`_near_pairs`, as 1-D passes.
 
     ``splat_rows`` holds the leading rows of the splat terms of
-    :func:`_splat_camera_arrays` that a pair reads: opacity, and then the
-    normal where it is blended.  The hit point ``nu = sa*B_a + sb*B_b +
-    B_c`` lies on the pixel's ray, so ``nu . v`` is its range, and a hit
-    with ``nu . v <= 0`` lies behind the pixel.  The pixels' runs come from
-    the batch's ``counts``.  Returns per pair the kernel coordinates ``sa``,
-    ``sb`` and denominator ``den`` (see :func:`_kernel_coordinates`), ``G``,
-    ``alpha`` (zero where the pair does not count), the exclusive
+    :func:`_splat_camera_arrays` that a pair reads: opacity and ``tau``,
+    and then the normal where it is blended.  ``products`` holds ``v . C_a``,
+    ``v . C_b`` and ``den = v . C_n``.  By Cramer's rule the hit point ``nu
+    = d v = sa*B_a + sb*B_b + B_c`` has ``sa = v . C_a / den``, ``sb = v .
+    C_b / den`` and ``d = tau / den``, its range along the pixel's ray, so
+    a hit with ``d <= 0`` lies behind the pixel.  Where ``|den|``
+    is below ``denom_eps`` (a ray in the splat's plane, or nearly) the pair
+    does not count and ``den`` is replaced by 1.  The pixels' runs come
+    from the batch's ``counts``.  Returns per pair ``sa``, ``sb``, ``den``,
+    ``G``, ``alpha`` (zero where the pair does not count), the exclusive
     transmittance ``t``, the weight ``w``, the range ``d`` and the
     ``splat_rows`` of its splat (``sp``), with the ``starts`` of the
     pixels' runs.
     """
     cfg = RASTER_CONFIG
-    sa, sb, den, usable = _kernel_coordinates(*planes[:6])
-    d = sa * planes[6] + sb * planes[7] + planes[8]
-    G = np.exp(-0.5 * (sa * sa + sb * sb))
+    usable = np.abs(products[2]) >= cfg.denom_eps
+    den = np.where(usable, products[2], 1.0)
+    sa = products[0] / den
+    sb = products[1] / den
     sp = np.take(splat_rows, spl, axis=1)
+    d = sp[1] / den
+    G = np.exp(-0.5 * (sa * sa + sb * sb))
     alpha = np.minimum(sp[0] * G, cfg.alpha_clamp)
     alpha *= usable & (alpha >= cfg.alpha_cutoff) & (d > 0.0)
     # exclusive transmittance: a cumprod along ones-padded rows, one per
@@ -442,7 +471,7 @@ def _blend(splat_rows: np.ndarray, pix, spl, planes, counts) -> dict:
             "sp": sp, "starts": starts}
 
 
-def _add_splat_grads(acc: np.ndarray, rays: np.ndarray, b: dict, pix, planes, at,
+def _add_splat_grads(acc: np.ndarray, rays: np.ndarray, b: dict, pix, at,
                      sums: np.ndarray, grads: np.ndarray) -> None:
     """Add one blend batch's share of a loss's splat sums to ``acc``, one
     column per entry of the tiles' splat lists (``at``).
@@ -450,15 +479,18 @@ def _add_splat_grads(acc: np.ndarray, rays: np.ndarray, b: dict, pix, planes, at
     ``b`` is the batch's :func:`_blend` terms, ``sums`` its per-pair blended
     channels (``w`` times range, one, normal) and ``grads`` the loss's
     gradient at its pixels, one column per run.  ``rays`` holds every
-    pixel's ``h_x``, ``h_y`` and ``v`` as (3, pixels, 3).  Only pairs with
-    ``w > 0`` add anything, so only those are read.
+    pixel's unit ray as (pixels, 3).  The rows of ``acc`` are the loss's
+    gradient w.r.t. ``C_a``, ``C_b``, ``C_n`` (rows 0-8), ``tau`` (9), the
+    normal (10-12) and the opacity (13); :func:`_splat_grads` takes them to
+    ``B_a``, ``B_b`` and ``B_c``.  Only pairs with ``w > 0`` add anything,
+    so only those are read.
     """
     k = np.flatnonzero(b["w"])
     if k.shape[0] == 0:
         return
-    sa, sb, den, G, alpha, w = (np.take(b[x], k) for x in ("sa", "sb", "den", "G", "alpha", "w"))
+    sa, sb, den, d, G, alpha, w = (np.take(b[x], k)
+                                   for x in ("sa", "sb", "den", "d", "G", "alpha", "w"))
     opac = np.take(b["sp"][0], k)
-    a1, a2, a4, b1, b2, b4, vBa, vBb = np.take(planes[:8], k, axis=1)
     # each run's bounds among the taken pairs, and its pixel's gradient per pair
     bounds = np.searchsorted(k, np.append(b["starts"], pix.shape[0]))
     n = bounds[1:] - bounds[:-1]
@@ -472,36 +504,45 @@ def _add_splat_grads(acc: np.ndarray, rays: np.ndarray, b: dict, pix, planes, at
     # kernel route's factor (dead where clamped)
     k_alpha = np.where(opac * G <= RASTER_CONFIG.alpha_clamp,
                        alpha * later / (1.0 - alpha) - wc, 0.0)
-    # range route: the hit point is range * v, so d(range)/d(nu) = v
-    dd = g[0] * w
-    dsa = k_alpha * sa + dd * vBa
-    dsb = k_alpha * sb + dd * vBb
 
-    # homogeneous intersection point route: with gp = d(loss)/d(sa*den,
-    # sb*den, den), per pair d(loss)/dB_j sums, over h_x, h_y and v, the
-    # plane times coef[plane, j]: (b1, b2, b4) x gp, gp x (a1, a2, a4) and
-    # dd * (sa, sb, 1)
-    gp1 = dsa / den
-    gp2 = dsb / den
-    gp3 = -(sa * gp1 + sb * gp2)
-    coef = np.empty((3, 3, k.shape[0]))
-    coef[0] = b2 * gp3 - b4 * gp2, b4 * gp1 - b1 * gp3, b1 * gp2 - b2 * gp1
-    coef[1] = gp2 * a4 - gp3 * a2, gp3 * a1 - gp1 * a4, gp1 * a2 - gp2 * a1
-    coef[2] = dd * sa, dd * sb, dd
-    # the per-pair terms of each row of acc
-    terms = np.empty((13, k.shape[0]))
-    px = np.take(rays, np.take(pix, k), axis=1)
-    np.einsum("ijp,ipk->jkp", coef, px, out=terms[:9].reshape(3, 3, -1))
-    np.multiply(g[2:5], w, out=terms[9:12])
+    # sa, sb and d are v . C_a, v . C_b and tau over den = v . C_n: the
+    # kernel route reaches sa and sb, the range route d, and each v . C
+    # adds its factor times v to d(loss)/dC
+    terms = np.empty((14, k.shape[0]))
+    g_vc = np.empty((3, k.shape[0]))
+    np.divide(k_alpha * sa, den, out=g_vc[0])
+    np.divide(k_alpha * sb, den, out=g_vc[1])
+    np.divide(g[0] * w, den, out=terms[9])
+    g_vc[2] = -(sa * g_vc[0] + sb * g_vc[1] + d * terms[9])
+    v = np.take(rays, np.take(pix, k), axis=0).T
+    np.multiply(g_vc[:, None], v, out=terms[:9].reshape(3, 3, -1))
+    np.multiply(g[2:5], w, out=terms[10:13])
     # d(loss)/d(opacity) is d(loss)/d(alpha) * G, and G = alpha / opacity where free
-    np.divide(k_alpha, -opac, out=terms[12])
+    np.divide(k_alpha, -opac, out=terms[13])
     # a batch's tiles are consecutive, so their list entries are one short range
     at = np.take(at, k)
     lo = at.min()
     span = int(at.max()) + 1 - lo
-    cells = (at - lo) + span * np.arange(13)[:, None]
+    cells = (at - lo) + span * np.arange(14)[:, None]
     acc[:, lo : lo + span] += np.bincount(cells.ravel(), terms.ravel(),
-                                          minlength=13 * span).reshape(13, span)
+                                          minlength=14 * span).reshape(14, span)
+
+
+def _splat_grads(sums: np.ndarray, arrays: dict) -> np.ndarray:
+    """The rows of :attr:`BlendRecords.splat_grads` from a render's per-splat
+    sums of the rows of :func:`_add_splat_grads`.
+
+    ``tau = C_n . B_c``, and each ``C = X x Y`` of two of ``B_a``, ``B_b``
+    and ``B_c`` gives ``d/dX = Y x g_C`` and ``d/dY = g_C x X``.
+    """
+    B = arrays["B"]
+    Ba, Bb, Bc = B[0:3], B[3:6], B[6:9]
+    g_ca, g_cb, g_tau = sums[0:3], sums[3:6], sums[9]
+    g_cn = sums[6:9] + g_tau * Bc
+    return np.concatenate([_cross3(g_cb, Bc) + _cross3(Bb, g_cn),
+                           _cross3(Bc, g_ca) + _cross3(g_cn, Ba),
+                           _cross3(g_ca, Bb) + _cross3(Ba, g_cb) + g_tau * arrays["crosses"][6:9],
+                           sums[10:]])
 
 
 # --- forward ---------------------------------------------------------------
@@ -513,29 +554,29 @@ def _render(cam: SphericalCamera, arrays: dict, tiles, normals: bool = True,
     that ``tiles`` lists (see :func:`_near_pairs`); unlisted pixels stay 0.
 
     With ``pixel_grads``, also adds the loss's gradient w.r.t. each splat's
-    camera-frame terms (the rows of :class:`BlendRecords`) into ``acc``, one
-    column per entry of the tiles' splat lists.
+    camera-frame terms (the rows of :func:`_add_splat_grads`) into ``acc``,
+    one column per entry of the tiles' splat lists.
     """
     H, W = cam.height, cam.width
     out = np.zeros((5 if normals else 2, H * W))  # range, opacity, normal
     terms = arrays["terms"]
-    # what a pair reads of its splat: opacity, then the normal
-    splat_rows = terms[: 4 if normals else 1]
-    rays = cam.pixel_rays.reshape(3, -1, 3)
-    for pix, spl, planes, at, counts in _near_pairs(cam, arrays, tiles):
-        b = _blend(splat_rows, pix, spl, planes, counts)
+    # what a pair reads of its splat: opacity and tau, then the normal
+    splat_rows = terms[: 5 if normals else 2]
+    rays = cam.pixel_directions.reshape(-1, 3)
+    for pix, spl, products, at, counts in _near_pairs(cam, arrays, tiles):
+        b = _blend(splat_rows, pix, spl, products, counts)
         w, starts = b["w"], b["starts"]
         sums = np.empty((out.shape[0], pix.shape[0]))
         np.multiply(w, b["d"], out=sums[0])
         sums[1] = w
         if normals:
-            np.multiply(w, b["sp"][1:4], out=sums[2:])
+            np.multiply(w, b["sp"][2:5], out=sums[2:])
         # a pixel's pairs are contiguous: reduceat sums them in blend order
         first = np.take(pix, starts)
         blended = np.add.reduceat(sums, starts, axis=1)
         out[:, first] = blended
         if pixel_grads is not None:
-            _add_splat_grads(acc, rays, b, pix, planes, at, sums, pixel_grads(first, blended))
+            _add_splat_grads(acc, rays, b, pix, at, sums, pixel_grads(first, blended))
     normal = np.moveaxis(out[2:], 0, -1).reshape(H, W, 3) if normals else None
     return RenderOutput(out[0].reshape(H, W), normal, out[1].reshape(H, W))
 
@@ -571,11 +612,11 @@ def rasterize_forward(
     mask = np.ones((cam.height, cam.width), dtype=bool) if mask is None else mask
     arrays = _splat_camera_arrays(model, pose)
     tile_ptr, pair_splats, tiles_x = _bin_splats(cam, arrays)
-    acc = None if pixel_grads is None else np.zeros((13, pair_splats.shape[0]))
+    acc = None if pixel_grads is None else np.zeros((14, pair_splats.shape[0]))
     out = _render(cam, arrays, _binned_tiles(cam, tile_ptr, pair_splats, tiles_x, mask),
                   normals, pixel_grads, acc)
-    splat_grads = None if acc is None else np.stack(
-        [np.bincount(pair_splats, row, minlength=len(model)) for row in acc])
+    splat_grads = None if acc is None else _splat_grads(np.stack(
+        [np.bincount(pair_splats, row, minlength=len(model)) for row in acc]), arrays)
     records = BlendRecords(cam, pose, RASTER_CONFIG, len(model), model.version,
                            tile_ptr, pair_splats, tiles_x, splat_grads)
     return out, records

@@ -321,17 +321,19 @@ def test_sample_grid_covers_bounds(w, h, bounds):
 
 
 @pytest.mark.parametrize("height", [9, 16])
-def test_every_pixel_ray_has_two_orthonormal_planes(height):
-    """Both planes contain the ray, the poles' rays included (height 9 puts
-    rows 0 and 8 on the poles), and h_x is the ray's vertical plane."""
+def test_every_pixel_ray_is_the_unit_vector_of_its_angles(height):
+    """Each pixel ray is the unit vector of its azimuth and elevation, the
+    poles' rays included (height 9 puts rows 0 and 8 on the poles)."""
     cam = SphericalCamera(16, height, -np.pi, np.pi - np.pi / 8, -np.pi / 2, np.pi / 2)
-    hx, hy, v = cam.pixel_rays
-    assert np.shares_memory(cam.pixel_directions, cam.pixel_rays)
-    for a, b in ((hx, hx), (hy, hy), (hx, hy), (hx, v), (hy, v)):
-        expected = 1.0 if a is b else 0.0
-        np.testing.assert_allclose(np.sum(a * b, axis=-1), expected, atol=1e-12)
-    assert not hx[..., 2].any()
-    # away from the poles, h_x is (v x z) / |v x z|
-    vz = np.cross(v[1:-1], [0.0, 0.0, 1.0])
-    np.testing.assert_allclose(hx[1:-1], vz / np.linalg.norm(vz, axis=-1, keepdims=True),
-                               atol=1e-12)
+    v = cam.pixel_directions
+    assert v.shape == (height, 16, 3) and cam.pixel_directions is v
+    np.testing.assert_allclose(np.linalg.norm(v, axis=-1), 1.0, atol=1e-15)
+    az = (np.arange(16) - cam.cx) / cam.fx
+    el = (np.arange(height)[:, None] - cam.cy) / cam.fy
+    np.testing.assert_allclose(v[..., 2], np.broadcast_to(np.sin(el), (height, 16)), atol=1e-15)
+    # a ray's angles are its pixel's; the poles' rays are the z axis itself
+    ray_az, ray_el = spherical_coords(v)
+    np.testing.assert_allclose(ray_el, np.broadcast_to(el, (height, 16)), atol=1e-12)
+    np.testing.assert_allclose(ray_az[1:-1], np.broadcast_to(az, (height - 2, 16)), atol=1e-12)
+    for row, z in ((0, 1.0), (-1, -1.0)):
+        np.testing.assert_allclose(v[row], np.broadcast_to([0.0, 0.0, z], (16, 3)), atol=1e-15)

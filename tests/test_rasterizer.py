@@ -73,7 +73,7 @@ class TestTiledMatchesReference:
 
     def test_the_pole_rows_render(self, rng):
         """Rows 0 and 8 of this camera look straight up and down; their rays
-        have planes like every other ray."""
+        are the z axis itself and render like every other ray."""
         sphere = SphericalCamera(16, 9, -np.pi, np.pi - np.pi / 8, -np.pi / 2, np.pi / 2)
         model = random_model(400, rng, scale=(0.3, 0.8))
         tiled, _ = rasterize_forward(sphere, SE3Pose.identity(), model)
@@ -191,6 +191,83 @@ def test_edge_on_and_grazing_splats_render_as_the_reference(full_cam):
     assert np.sum(ref.opacity > 0.1) > 20
 
 
+def _in_world(local, pose):
+    """The splats of ``local``, given in the sensor frame, placed by the sensor ``pose``."""
+    ta, tb, _ = local.tangent_frames()
+    R = pose.rotation
+    model = SplatModel()
+    model.append(pose.apply(local.centers), ta @ R.T, tb @ R.T, local.scales, local.opacities, 0)
+    return model
+
+
+def _solved_hits(cam, pose, model):
+    """(d, s_a, s_b) of every pixel's ray against the model's one splat, as
+    (pixels, 3), from ``np.linalg.solve`` of ``d v - s_a B_a - s_b B_b =
+    B_c``, with the condition number of each system."""
+    R, t = pose.rotation, pose.translation
+    ta, tb, _ = model.tangent_frames()
+    s = model.scales[0]
+    Ba, Bb, Bc = R.T @ (s[0] * ta[0]), R.T @ (s[1] * tb[0]), R.T @ (model.centers[0] - t)
+    v = cam.pixel_directions.reshape(-1, 3)
+    M = np.stack([v, np.broadcast_to(-Ba, v.shape), np.broadcast_to(-Bb, v.shape)], axis=-1)
+    x = np.linalg.solve(M, np.broadcast_to(Bc, v.shape)[..., None])[..., 0]
+    return x, np.linalg.cond(M)
+
+
+def test_the_blend_hits_each_ray_where_a_linear_solve_does(rng):
+    """The blend's hit point and range, and a one-splat render's opacity,
+    against a 3x3 linear solve of the ray-plane intersection per pair.
+
+    A sphere camera puts rows 0 and 16 on the poles and sees every splat's
+    antipode, whose pairs are near but behind the sensor; half the splats
+    are grazing, 80 to 89.9 degrees off face-on, and a quarter sit near a
+    pole.  Both solutions round within a few ulps times the system's
+    condition number.
+    """
+    cfg = RASTER_CONFIG
+    cam = SphericalCamera(32, 17, -np.pi, np.pi - np.pi / 16, -np.pi / 2, np.pi / 2)
+    pose = SE3Pose(so3_exp([0.3, -0.2, 1.0]), [0.2, -0.1, 0.3])
+    pole_rows = np.zeros((cam.height, cam.width), dtype=bool)
+    pole_rows[[0, -1]] = True
+    pole_rows = pole_rows.ravel()
+    seen = {"behind": 0, "grazing": 0, "pole": 0}
+    for i in range(40):
+        grazing = i % 2 == 1
+        if i % 4 == 0:
+            el = rng.choice([-1.0, 1.0]) * rng.uniform(1.4, np.pi / 2)
+        else:
+            el = rng.uniform(-1.4, 1.4)
+        center = rng.uniform(0.5, 4.0) * ray_direction(rng.uniform(-np.pi, np.pi), el)
+        tilt = np.deg2rad(rng.uniform(80.0, 89.9) if grazing else rng.uniform(0.0, 80.0))
+        spin, roll = rng.uniform(0.0, 2.0 * np.pi, 2)
+        model = _in_world(_one_splat(center, tilt, spin, roll, rng.uniform(0.1, 1.0, 2),
+                                     rng.uniform(0.05, 1.0)), pose)
+        x, cond = _solved_hits(cam, pose, model)
+        tol = 1e-14 * cond * (1.0 + np.abs(x).max(axis=1))
+
+        arrays = _splat_camera_arrays(model, pose)
+        (pix, spl, products, _, counts), = _near_pairs(
+            cam, arrays, [(np.arange(cam.width * cam.height), np.array([0]), 0)])
+        b = _blend(arrays["terms"], pix, spl, products, counts)
+        usable = np.abs(b["den"]) >= cfg.denom_eps
+        blended = np.stack([b["d"], b["sa"], b["sb"]], axis=-1)[usable]
+        assert np.all(np.abs(blended - x[pix[usable]]).max(axis=1) <= tol[pix[usable]])
+
+        # the render's opacity at every pixel, near or not
+        d, sa, sb = x.T
+        raw = model.opacities[0] * np.exp(-0.5 * (sa * sa + sb * sb))
+        expected = np.where((d > 0.0) & (raw >= cfg.alpha_cutoff), np.minimum(raw, cfg.alpha_clamp),
+                            0.0)
+        opacity = rasterize_forward(cam, pose, model)[0].opacity.ravel()
+        # pairs at the cutoff may round either way, and a ray in the plane has no hit
+        clear = (np.abs(raw - cfg.alpha_cutoff) > 1e-9) & (cond < 1e10)
+        assert np.all(np.abs(opacity - expected)[clear] <= tol[clear])
+        seen["behind"] += int(np.sum(d[pix] < 0.0))
+        seen["grazing"] += int(grazing and np.sum(opacity > 0.0))
+        seen["pole"] += int(np.sum(opacity[pole_rows] > 0.0))
+    assert min(seen.values()) > 10, seen
+
+
 def _tile_count(cam, model):
     _, rec = rasterize_forward(cam, SE3Pose.identity(), model)
     return rec.pair_splats.size
@@ -216,9 +293,32 @@ def test_a_faint_splat_screens_fewer_near_pairs(full_cam):
         _, rec = rasterize_forward(full_cam, SE3Pose.identity(), model)
         arrays = _splat_camera_arrays(model, SE3Pose.identity())
         tiles = _binned_tiles(full_cam, rec.tile_ptr, rec.pair_splats, rec.tiles_x, _all(full_cam))
-        return sum(pix.size for pix, *_ in _near_pairs(full_cam, arrays, tiles))
+        batches = list(_near_pairs(full_cam, arrays, tiles))
+        # three products per near pair: v . C_a, v . C_b and v . C_n
+        assert all(products.shape == (3, pix.size) for pix, _, products, *_ in batches)
+        return sum(pix.size for pix, *_ in batches)
 
     assert 0 < near_pairs(0.05) < near_pairs(0.95)
+
+
+def test_a_splat_tiny_beside_its_range_shows_on_the_pixel_of_its_centroid(full_cam, rng):
+    """Splats of 2e-6 to 2e-5 m at 100 m to 10 km, each centred on its own
+    pixel's ray: their squared reach is below the rounding of ``|B_c|^2 -
+    (v . B_c)^2``, so only the near test's absolute slack keeps the pair.
+    The camera's first and last columns share their rays: only one is used."""
+    n = 200
+    H, W = full_cam.height, full_cam.width
+    pixels = np.sort(rng.choice(H * (W - 1), n, replace=False))
+    pixels += pixels // (W - 1)
+    rays = full_cam.pixel_directions.reshape(-1, 3)[pixels]
+    model = SplatModel(np.vstack([
+        _one_splat(r * ray, tilt, spin, roll, (s, s), 0.9).params
+        for r, ray, tilt, spin, roll, s in zip(
+            10.0 ** rng.uniform(2.0, 4.0, n), rays, rng.uniform(0.0, 1.2, n),
+            rng.uniform(0.0, 2.0 * np.pi, n), rng.uniform(0.0, 2.0 * np.pi, n),
+            rng.uniform(2e-6, 2e-5, n))]))
+    out, _ = rasterize_forward(full_cam, SE3Pose.identity(), model)
+    np.testing.assert_allclose(out.opacity.ravel()[pixels], 0.9, rtol=1e-9)
 
 
 # --- blend batches and channels ----------------------------------------------
@@ -341,7 +441,7 @@ def test_a_masked_render_is_the_full_render_on_the_mask(full_cam, rng, case):
 
 def test_a_masked_pixel_alone_in_its_tile_keeps_the_full_render_bits(rng):
     """One masked pixel per tile: products of that pixel alone would be a
-    matrix-vector product, which numpy rounds differently from the blocks
+    vector-matrix product, which numpy rounds differently from the blocks
     of the full render."""
     cam = SphericalCamera(128, 32, -np.pi, np.pi, -0.4, 0.4)
     model = random_model(600, rng, behind_frac=0.5)
@@ -459,12 +559,13 @@ def _with_gradients(cam, pose, model, rng, block_pairs=None):
 
 
 def _blended_batches(cam, pose, model):
-    """The :func:`_blend` terms of every batch of near pairs of a render."""
+    """The :func:`_blend` terms of every batch of near pairs of a render,
+    with the pairs' flat pixel index (``pix``)."""
     _, rec = rasterize_forward(cam, pose, model)
     arrays = _splat_camera_arrays(model, pose)
     tiles = _binned_tiles(cam, rec.tile_ptr, rec.pair_splats, rec.tiles_x, _all(cam))
-    return [_blend(arrays["terms"][:4], pix, spl, planes, counts)
-            for pix, spl, planes, _, counts in _near_pairs(cam, arrays, tiles)]
+    return [_blend(arrays["terms"], pix, spl, products, counts) | {"pix": pix}
+            for pix, spl, products, _, counts in _near_pairs(cam, arrays, tiles)]
 
 
 def _branch_counts(cam, pose, model):
@@ -559,6 +660,37 @@ class TestBackwardOnAnOpaqueStack(TestBackwardMatchesCentralDifferences):
         *_, grads = grad_case
         assert not np.any(grads[-2:])
         assert np.all(np.any(grads[:-2], axis=0))
+
+
+class TestBackwardOnObliqueSplats(TestBackwardMatchesCentralDifferences):
+    """The same checks on 12 splats seen 60 to 85 degrees off face-on, each
+    centred on a pixel ray: a small ``den = v . C_n`` makes the range
+    route through ``tau / den`` and the cross-product chain back to
+    ``B_a``, ``B_b`` and ``B_c`` carry most of the gradient."""
+
+    @pytest.fixture
+    def grad_case(self, rng):
+        cam = SphericalCamera(24, 8, -0.6, 0.6, -0.25, 0.25)
+        pose = SE3Pose(so3_exp([0.02, -0.03, 0.05]), [0.1, 0.05, -0.02])
+        n = 12
+        rows, cols = rng.integers(1, 7, n), rng.integers(2, 22, n)
+        centers = rng.uniform(2.5, 4.0, n)[:, None] * cam.pixel_directions[rows, cols]
+        tilts = np.deg2rad(rng.uniform(60.0, 85.0, n))
+        local = SplatModel(np.vstack([
+            _one_splat(c, tilt, spin, roll, scales, opacity).params
+            for c, tilt, spin, roll, scales, opacity in zip(
+                centers, tilts, rng.uniform(0.0, 2.0 * np.pi, n), rng.uniform(0.0, 2.0 * np.pi, n),
+                rng.uniform(0.15, 0.4, (n, 2)), rng.uniform(0.3, 0.9, n))]))
+        return _with_gradients(cam, pose, _in_world(local, pose), rng)
+
+    def test_sees_its_splats_obliquely(self, grad_case):
+        """Most pairs that blend see their splat more than 60 degrees off face-on."""
+        cam, pose, model, _, _ = grad_case
+        rays = cam.pixel_directions.reshape(-1, 3)
+        cosines = np.concatenate([
+            np.abs(np.sum(rays[b["pix"]] * b["sp"][2:5].T, axis=1))[b["w"] > 0]
+            for b in _blended_batches(cam, pose, model)])
+        assert cosines.size > 100 and np.median(cosines) < np.cos(np.deg2rad(60.0))
 
 
 @pytest.mark.parametrize("case", ["shell", "half_behind", "opaque_stack"])
